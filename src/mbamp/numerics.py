@@ -147,7 +147,7 @@ def adaptive_quad(f: Callable[[float], float], a: float, b: float,
     return sign * total
 
 
-def count_zeros_rect(f: Callable[[complex], complex],
+def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
                      rect: tuple[float, float, float, float],
                      root_tol: float = 1e-10,
                      max_samples: int = 200000) -> int:
@@ -155,55 +155,45 @@ def count_zeros_rect(f: Callable[[complex], complex],
 
     ``rect`` is (re_lo, re_hi, im_lo, im_hi).  The boundary phase is tracked
     on an adaptively refined sampling until adjacent phase steps stay below
-    pi/2, which pins the continuous argument without needing f'.
+    pi/2, which pins the continuous argument without needing f'.  ``f`` is
+    called on 1-D arrays of boundary points; a scalar return is broadcast.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     if not (re_hi > re_lo and im_hi > im_lo):
         raise ValueError("rectangle must have positive width and height")
-    corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
-               complex(re_hi, im_hi), complex(re_lo, im_hi)]
+    # closed boundary path, counterclockwise, parameterized on [0, 4]
+    corners = np.array([complex(re_lo, im_lo), complex(re_hi, im_lo),
+                        complex(re_hi, im_hi), complex(re_lo, im_hi),
+                        complex(re_lo, im_lo)])
 
-    # Closed boundary path, counterclockwise, parameterized on [0, 4).
-    def point(s: float) -> complex:
-        edge = int(s)
-        frac = s - edge
-        z0 = corners[edge % 4]
-        z1 = corners[(edge + 1) % 4]
-        return z0 + frac * (z1 - z0)
+    def sample(s: np.ndarray) -> np.ndarray:
+        edge = np.minimum(s.astype(int), 3)
+        z = corners[edge] + (s - edge) * (corners[edge + 1] - corners[edge])
+        v = np.broadcast_to(np.asarray(f(z), dtype=complex), z.shape)
+        if np.min(np.abs(v)) < root_tol:
+            raise BoundaryZero(f"|f| = {np.min(np.abs(v)):.3e} on the "
+                               "contour; perturb the rectangle")
+        return v
 
-    params = [i * 0.25 for i in range(17)]  # 4 samples per edge + closure
-    values = [f(point(min(s, 4.0 - 1e-15) if s >= 4.0 else s)) for s in params]
-    # closure sample equals the start point
-    params[-1] = 4.0
-    values[-1] = values[0]
-
-    min_abs = min(abs(v) for v in values)
-    if min_abs < root_tol:
-        raise BoundaryZero(
-            f"|f| = {min_abs:.3e} on the contour; perturb the rectangle")
-
-    i = 0
-    n = len(params)
-    while i < len(params) - 1:
-        v0, v1 = values[i], values[i + 1]
-        dphi = np.angle(v1 / v0)
-        if abs(dphi) < 0.5 * math.pi:
-            i += 1
-            continue
+    # 4 samples per edge; the closure sample equals the start point.  Each
+    # pass bisects, in one call of f, every step whose phase change reaches
+    # pi/2; a step's bisection depends on its own end values only, so the
+    # final samples do not depend on the order of the passes.
+    params = np.linspace(0.0, 4.0, 17)
+    values = sample(params[:-1])
+    values = np.append(values, values[0])
+    while True:
+        dphi = np.angle(values[1:] / values[:-1])
+        bad = np.flatnonzero(np.abs(dphi) >= 0.5 * math.pi)
+        if bad.size == 0:
+            break
         if len(params) > max_samples:
             raise NonConvergence("boundary phase tracking did not settle")
-        mid = 0.5 * (params[i] + params[i + 1])
-        vm = f(point(mid))
-        if abs(vm) < root_tol:
-            raise BoundaryZero(
-                f"|f| = {abs(vm):.3e} on the contour; perturb the rectangle")
-        params.insert(i + 1, mid)
-        values.insert(i + 1, vm)
+        mids = 0.5 * (params[bad] + params[bad + 1])
+        params = np.insert(params, bad + 1, mids)
+        values = np.insert(values, bad + 1, sample(mids))
 
-    total = 0.0
-    for v0, v1 in zip(values[:-1], values[1:]):
-        total += np.angle(v1 / v0)
-    winding = total / (2.0 * math.pi)
+    winding = float(np.sum(dphi)) / (2.0 * math.pi)
     n = int(round(winding))
     if abs(winding - n) > 0.25:
         raise NonConvergence(

@@ -11,6 +11,7 @@ tail is fitted.
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,10 @@ from .numerics import Tolerances, ode_advance
 from .pulse import Pulse
 
 logger = logging.getLogger(__name__)
+
+_CHEB_TAIL = 1e-12      # chop level of the trailing Chebyshev coefficients
+_CHEB_MAX_N = 4096      # node cap of the real-line interpolant (n + 1 nodes)
+_SCAN_POINTS = 8193     # uniform scan for the minima of |r| and the max of |b|
 
 
 @dataclass(frozen=True)
@@ -36,8 +41,9 @@ class TailFit:
 class ScatteringData:
     """Evaluators for a(k), b(k), r(k) = b/a and derived quantities.
 
-    Evaluations at distinct k are independent; the real-line cache is built
-    once on first use and is read-only afterwards.
+    Evaluations at distinct k are independent; the real-line cache and the
+    tail fit are built once, under a lock, on first use and are read-only
+    afterwards.
     """
 
     def __init__(self, pulse: Pulse, tol: Tolerances | None = None,
@@ -47,8 +53,11 @@ class ScatteringData:
         self.tol = tol or Tolerances()
         self.cache_halfwidth = float(cache_halfwidth)
         self.kappa_model_switch = float(kappa_model_switch)
-        self._cache = None          # (k grid, a values, b values)
+        # (nodes, weights, [a b 1] at nodes, uniform scan, [a b] on the scan)
+        self._cache = None
+        self.cache_tail = None   # achieved Chebyshev tail of the cache
         self._tail_fit = None
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ ODE
 
@@ -115,9 +124,12 @@ class ScatteringData:
 
     # -------------------------------------------------------- point queries
 
-    def ab(self, k: complex) -> tuple[complex, complex]:
-        a, b = self.ab_many([k])
-        return complex(a[0]), complex(b[0])
+    def ab(self, k):
+        """(a, b) at k: Python complex for a scalar, arrays for an array."""
+        a, b = self.ab_many(k)
+        if np.ndim(k) == 0:
+            return complex(a[0]), complex(b[0])
+        return a.reshape(np.shape(k)), b.reshape(np.shape(k))
 
     def reflection(self, k: complex) -> complex:
         a, b = self.ab(k)
@@ -153,68 +165,92 @@ class ScatteringData:
     # ----------------------------------------------------- real-line cache
 
     def _build_cache(self):
+        """Chebyshev-Lobatto interpolant of a and b on [-K, K].
+
+        a and b of a compact pulse are entire of exponential type, so their
+        Chebyshev coefficients decay geometrically.  The node count doubles
+        until the last four coefficients of both are below _CHEB_TAIL of the
+        largest (a chop test in the style of chebfun).  Each level is one
+        batched solve, so its values share one step sequence and stay a
+        smooth function of k.
+        """
         K = self.cache_halfwidth
-        # Resolve the e^{ikT} oscillation; refine until cubic interpolation
-        # of a and b at grid midpoints is below 1e-8.
-        n = 512
-        max_n = 65536
+        n = 64
         while True:
-            n = min(n, max_n)
-            ks = np.linspace(-K, K, n + 1)
-            a, b = self.ab_many(ks)
-            mids = 0.5 * (ks[:-1] + ks[1:])
-            probe = mids[:: max(1, len(mids) // 64)]
-            a_p, b_p = self.ab_many(probe)
-            a_i = _lagrange4(ks, a, probe)
-            b_i = _lagrange4(ks, b, probe)
-            err = max(float(np.max(np.abs(a_i - a_p))),
-                      float(np.max(np.abs(b_i - b_p))))
-            if err < 1e-8 or n >= max_n:
-                if err >= 1e-8:
-                    logger.warning("real-line cache capped at %d points, "
-                                   "interp error %.2e", n + 1, err)
-                self._cache = (ks, a, b)
-                return
+            # K cos(pi j / n), written as a sine so that it is exactly odd
+            nodes = K * np.sin(np.pi * np.arange(n, -n - 1, -2) / (2 * n))
+            ab = np.column_stack(self.ab_many(nodes))
+            # Chebyshev coefficients (times n) by an FFT of the even extension
+            coef = np.abs(np.fft.fft(np.concatenate([ab, ab[-2:0:-1]]),
+                                     axis=0)[:n + 1])
+            coef[[0, -1]] *= 0.5
+            tail = float(np.max(coef[-4:] / np.max(coef, axis=0)))
+            if tail < _CHEB_TAIL or n >= _CHEB_MAX_N:
+                break
             n *= 2
+        if tail >= _CHEB_TAIL:
+            logger.warning("real-line cache capped at %d nodes, Chebyshev "
+                           "tail %.2e", n + 1, tail)
+        self.cache_tail = tail
+        weights = np.where(np.arange(n + 1) % 2, -1.0, 1.0)
+        weights[[0, -1]] *= 0.5
+        values = np.column_stack([ab, np.ones(n + 1)])
+        # scanned in n parts, so each distance matrix has ~_SCAN_POINTS entries
+        scan = np.linspace(-K, K, _SCAN_POINTS)
+        scan_ab = np.concatenate([_barycentric(nodes, weights, values, part)
+                                  for part in np.array_split(scan, n)])
+        self._cache = (nodes, weights, values, scan, scan_ab)
 
     def _cache_arrays(self):
-        if self._cache is None:
-            self._build_cache()
+        with self._lock:
+            if self._cache is None:
+                self._build_cache()
         return self._cache
 
+    def _ab_real(self, s):
+        """(a, b) at real s: Python complex for a scalar, arrays for arrays."""
+        nodes, weights, values, _, _ = self._cache_arrays()
+        ab = _barycentric(nodes, weights, values, np.asarray(s, dtype=float))
+        if np.ndim(s) == 0:
+            return complex(ab[0]), complex(ab[1])
+        return ab[..., 0], ab[..., 1]
+
     def a_real(self, s):
-        ks, a, _ = self._cache_arrays()
-        return _lagrange4(ks, a, np.asarray(s, dtype=float))
+        return self._ab_real(s)[0]
 
     def b_real(self, s):
-        ks, _, b = self._cache_arrays()
-        return _lagrange4(ks, b, np.asarray(s, dtype=float))
+        return self._ab_real(s)[1]
 
     def r_real(self, s):
-        ks, a, b = self._cache_arrays()
-        s = np.asarray(s, dtype=float)
-        av = _lagrange4(ks, a, s)
-        bv = _lagrange4(ks, b, s)
-        return bv / av
+        a, b = self._ab_real(s)
+        return b / a
+
+    def b_real_max(self) -> float:
+        """max |b| over the real line [-K, K], read off the interpolant."""
+        *_, scan_ab = self._cache_arrays()
+        return float(np.max(np.abs(scan_ab[:, 1])))
 
     def real_zero_splits(self, k0: float) -> list[float]:
         """Real-line points inside (-k0, k0) where |r| nearly vanishes; the
         tail phase integrands have integrable log spikes there."""
-        ks, a, b = self._cache_arrays()
-        mask = (ks > -k0) & (ks < k0)
+        *_, scan, scan_ab = self._cache_arrays()
+        mask = (scan > -k0) & (scan < k0)
         if not np.any(mask):
             return []
-        kk = ks[mask]
-        rr = np.abs(b[mask] / a[mask])
+        kk = scan[mask]
+        rr = np.abs(scan_ab[mask, 1] / scan_ab[mask, 0])
         floor = 0.02 * max(float(np.median(rr)), 1e-6)
         out = []
-        for i in range(1, len(kk) - 1):
-            if rr[i] < floor and rr[i] <= rr[i - 1] and rr[i] <= rr[i + 1]:
-                # parabolic refinement of the minimum
-                y0, y1, y2 = rr[i - 1], rr[i], rr[i + 1]
-                denom = y0 - 2 * y1 + y2
-                shift = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
-                out.append(float(kk[i] + shift * (kk[1] - kk[0])))
+        for i in np.nonzero((rr[1:-1] < floor) & (rr[1:-1] <= rr[:-2])
+                            & (rr[1:-1] <= rr[2:]))[0] + 1:
+            # Gauss-Newton on |b|^2 from the scan minimum: exact at a real
+            # zero of b, kept inside the bracket of the scan minimum
+            k = kk[i]
+            for _ in range(8):
+                bp, b0, bm = self.b_real(np.array([k + 1e-6, k, k - 1e-6]))
+                k = min(max(k - (b0 / ((bp - bm) / 2e-6)).real, kk[i - 1]),
+                        kk[i + 1])
+            out.append(float(k))
         return out
 
     # ------------------------------------------------------------ tail fit
@@ -226,39 +262,41 @@ class ScatteringData:
         Raises FitRejected when the residual shows the reflection tail is not
         a clean power law (pulse without a power-law start).
         """
-        if self._tail_fit is not None:
-            return self._tail_fit
-        kappas = np.geomspace(kappa_lo, kappa_hi, npts)
-        a, b = self.ab_many(1j * kappas)
-        r = b / a
-        mags = np.abs(r)
-        if np.any(mags == 0.0):
-            raise FitRejected("reflection vanishes on the fit ray")
-        # ln|r| = ln|C| - m ln(kappa) + c/kappa: the correction column models
-        # exactly the next-order term the power-law hypothesis allows, and
-        # removes the slope bias it would otherwise cause at finite kappa.
-        x = np.log(kappas)
-        y = np.log(mags)
-        design = np.column_stack([np.ones_like(x), x, 1.0 / kappas])
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        m_fit = -float(coef[1])
-        resid = float(np.sqrt(np.mean((y - design @ coef) ** 2)))
-        if resid > residual_tol:
-            raise FitRejected(
-                f"log-log residual {resid:.3f} exceeds {residual_tol}; "
-                "reflection tail is not a power law")
-        # leading constant read off at the far end of the window, where the
-        # next-order correction is smallest
-        far = kappas >= kappas[npts // 2]
-        c_vals = (r * (1j * kappas) ** m_fit)[far] \
-            / np.exp(coef[2] / kappas[far])
-        constant = complex(np.mean(c_vals))
-        fit = TailFit(order=m_fit, constant=constant, residual=resid,
-                      kappa_lo=kappa_lo, kappa_hi=kappa_hi)
-        self._tail_fit = fit
-        logger.debug("tail fit: m=%.4f C=%s residual=%.2e",
-                     m_fit, constant, resid)
-        return fit
+        with self._lock:
+            if self._tail_fit is not None:
+                return self._tail_fit
+            kappas = np.geomspace(kappa_lo, kappa_hi, npts)
+            a, b = self.ab_many(1j * kappas)
+            r = b / a
+            mags = np.abs(r)
+            if np.any(mags == 0.0):
+                raise FitRejected("reflection vanishes on the fit ray")
+            # ln|r| = ln|C| - m ln(kappa) + c/kappa: the correction column
+            # models exactly the next-order term the power-law hypothesis
+            # allows, and removes the slope bias it would otherwise cause at
+            # finite kappa.
+            x = np.log(kappas)
+            y = np.log(mags)
+            design = np.column_stack([np.ones_like(x), x, 1.0 / kappas])
+            coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+            m_fit = -float(coef[1])
+            resid = float(np.sqrt(np.mean((y - design @ coef) ** 2)))
+            if resid > residual_tol:
+                raise FitRejected(
+                    f"log-log residual {resid:.3f} exceeds {residual_tol}; "
+                    "reflection tail is not a power law")
+            # leading constant read off at the far end of the window, where
+            # the next-order correction is smallest
+            far = kappas >= kappas[npts // 2]
+            c_vals = (r * (1j * kappas) ** m_fit)[far] \
+                / np.exp(coef[2] / kappas[far])
+            constant = complex(np.mean(c_vals))
+            fit = TailFit(order=m_fit, constant=constant, residual=resid,
+                          kappa_lo=kappa_lo, kappa_hi=kappa_hi)
+            self._tail_fit = fit
+            logger.debug("tail fit: m=%.4f C=%s residual=%.2e",
+                         m_fit, constant, resid)
+            return fit
 
     def reflection_uhp(self, k: complex) -> complex:
         """r(k) anywhere in the closed upper half-plane.
@@ -274,21 +312,22 @@ class ScatteringData:
         return fit.constant * k ** (-fit.order)
 
 
-def _lagrange4(grid: np.ndarray, values: np.ndarray, s):
-    """Cubic (4-point Lagrange) interpolation on a uniform grid."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    h = grid[1] - grid[0]
-    u = (s - grid[0]) / h
-    i1 = np.clip(np.floor(u).astype(int), 1, len(grid) - 3)
-    frac = u - i1
-    vm1 = values[i1 - 1]
-    v0 = values[i1]
-    v1 = values[i1 + 1]
-    v2 = values[i1 + 2]
-    t = frac
-    w_m1 = -t * (t - 1.0) * (t - 2.0) / 6.0
-    w_0 = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
-    w_1 = -(t + 1.0) * t * (t - 2.0) / 2.0
-    w_2 = (t + 1.0) * t * (t - 1.0) / 6.0
-    out = w_m1 * vm1 + w_0 * v0 + w_1 * v1 + w_2 * v2
-    return out if out.size > 1 else out.reshape(()).item()
+
+def _barycentric(nodes, weights, values, s):
+    """Columns of ``values`` but the last interpolated to ``s`` (a scalar
+    or a 1-D array) by the second barycentric formula; the last column of
+    ``values`` is all ones and yields the denominator.  A point on a node
+    takes that node's values."""
+    d = np.subtract.outer(s, nodes)
+    hit = d == 0.0
+    on_node = hit.any()
+    if on_node:
+        d[hit] = 1.0
+    # a real product on the interleaved parts: a mixed one would copy
+    # weights / d to complex
+    q = ((weights / d) @ values.view(float)).view(complex)
+    out = q[..., :-1] / q[..., -1:]
+    if on_node:
+        out = np.where(hit.any(axis=-1)[..., None],
+                       values[hit.argmax(axis=-1), :-1], out)
+    return out

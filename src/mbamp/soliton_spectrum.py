@@ -122,12 +122,8 @@ def find_zeros(sd: ScatteringData,
             "refined; a zero is grazing a cell boundary")
 
     zeros.sort(key=abs)
-    _validate(sd, zeros, root_tol)
-
-    residues = []
-    for k in zeros:
-        a, _, _, bdot = sd.ab_and_derivs_many([k])
-        residues.append(1.0 / (complex(a[0]) * complex(bdot[0])))
+    a, bdot = _validate(sd, zeros, root_tol)
+    residues = [complex(g) for g in 1.0 / (a * bdot)]
     velocities = [velocity_of(k) for k in zeros]
     return SolitonSpectrum(tuple(zeros), tuple(residues), tuple(velocities),
                            box=box)
@@ -139,17 +135,21 @@ def _refine_zero(sd: ScatteringData, cell, root_tol) -> complex:
 
 
 def _validate(sd: ScatteringData, zeros, root_tol):
+    """Check the assumptions on the zeros; returns a and bdot at them, from
+    one batched solve."""
     for k in zeros:
         if k.imag <= 1e-8:
             raise AssumptionViolated(f"zero {k} touches the real line")
-        bdot = sd.b_deriv(k)
-        if abs(bdot) <= 1e-10:
-            raise AssumptionViolated(f"zero {k} is not simple: |bdot| = {abs(bdot):.2e}")
+    a, _, _, bdot = sd.ab_and_derivs_many(zeros)
+    for k, d in zip(zeros, bdot):
+        if abs(d) <= 1e-10:
+            raise AssumptionViolated(f"zero {k} is not simple: |bdot| = {abs(d):.2e}")
     mods = [abs(k) for k in zeros]
     for m1, m2 in zip(mods[:-1], mods[1:]):
         if (m2 - m1) / max(m2, 1e-300) <= 1e-6:
             raise AssumptionViolated(
                 f"moduli {m1} and {m2} are not pairwise distinct")
+    return a, bdot
 
 
 def default_search_box(sd: ScatteringData, halfwidth_start: float = 4.0,
@@ -161,8 +161,7 @@ def default_search_box(sd: ScatteringData, halfwidth_start: float = 4.0,
     compact pulse cluster at spectral scales set by the pulse itself, and
     callers probing farther should pass an explicit box.
     """
-    ks, _, b = sd._cache_arrays()
-    ceiling = 1e-3 * float(np.max(np.abs(b)))
+    ceiling = 1e-3 * sd.b_real_max()
     K = halfwidth_start
     while True:
         edge = []

@@ -19,9 +19,6 @@ class GammaValue:
     modulus: float
     argument: float  # radians in (-pi, pi]
 
-    def as_complex(self) -> complex:
-        return self.modulus * cmath.exp(1j * self.argument)
-
 
 def _bessel_i_series(nu: float, x: float) -> float:
     """Ascending series; all terms positive, converges for every finite x."""

@@ -6,7 +6,10 @@ The constant box pulse has closed-form coefficients
 which serve as the matrix-exponential oracle throughout.
 """
 
+import logging
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ import pytest
 from mbamp.errors import DivisionNearZero, FitRejected, Overflow
 from mbamp.numerics import Tolerances, complex_newton
 from mbamp.pulse import BoxPulse, PowerStartPulse, SmoothBumpPulse
+from mbamp import scattering
 from mbamp.scattering import ScatteringData
 
 
@@ -161,8 +165,73 @@ def test_real_zero_splits_finds_box_zeros(sd52):
     # b has real zeros at +-sqrt(pi^2/T^2 n^2 - A^2/4) for n pi/T > A/2
     expect = math.sqrt(math.pi ** 2 - 6.25)
     splits = sd52.real_zero_splits(2.5)
-    assert any(abs(s - expect) < 0.02 for s in splits)
-    assert any(abs(s + expect) < 0.02 for s in splits)
+    assert any(abs(s - expect) < 1e-6 for s in splits)
+    assert any(abs(s + expect) < 1e-6 for s in splits)
+
+
+def test_real_line_interpolant_against_closed_form(sd52):
+    ks = np.random.default_rng(20).uniform(-20.0, 20.0, 200)
+    a_exact, b_exact = zip(*(box_ab(5.0, 2.0, k) for k in ks))
+    assert np.max(np.abs(sd52.a_real(ks) - np.array(a_exact))) < 1e-9
+    assert np.max(np.abs(sd52.b_real(ks) - np.array(b_exact))) < 1e-9
+
+
+def test_real_line_queries_keep_the_input_shape(sd52):
+    assert isinstance(sd52.r_real(1.3), complex)
+    assert isinstance(sd52.a_real(-2.0), complex)
+    nodes = sd52._cache_arrays()[0]
+    assert sd52.b_real(nodes[7]) == sd52._cache_arrays()[2][7, 1]  # node hit
+    ks = np.array([[-1.0, 0.5], [2.0, nodes[3]]])
+    r = sd52.r_real(ks)
+    assert isinstance(r, np.ndarray) and r.shape == (2, 2)
+    assert r[0, 1] == pytest.approx(sd52.r_real(0.5), abs=1e-13)
+
+
+@pytest.mark.parametrize("pulse", [BoxPulse(5.0, 2.0),
+                                   SmoothBumpPulse(1.0, 2.0, 1.0)])
+def test_real_line_cache_is_small(pulse):
+    sd = ScatteringData(pulse)
+    assert len(sd._cache_arrays()[0]) <= 257
+    assert sd.cache_tail < 1e-12
+
+
+def test_real_line_cache_cap_is_reported(monkeypatch, caplog):
+    monkeypatch.setattr(scattering, "_CHEB_MAX_N", 32)
+    sd = ScatteringData(BoxPulse(5.0, 2.0))
+    with caplog.at_level(logging.WARNING, logger="mbamp.scattering"):
+        sd.r_real(0.3)
+    assert len(sd._cache_arrays()[0]) == 65
+    assert sd.cache_tail > 1e-12
+    assert any("capped at 65 nodes" in rec.getMessage()
+               for rec in caplog.records if rec.levelno == logging.WARNING)
+
+
+def test_real_line_cache_built_once_under_concurrent_first_use():
+    sd = ScatteringData(SmoothBumpPulse(1.0, 2.0, 1.0))
+    builds = []
+    build = sd._build_cache
+
+    def slow_build():
+        builds.append(threading.get_ident())
+        time.sleep(0.05)        # widen the window a second builder would hit
+        build()
+
+    sd._build_cache = slow_build
+    start = threading.Barrier(2)
+    results = [None, None]
+
+    def first_use(i):
+        start.wait(timeout=10)
+        results[i] = sd.r_real(0.7)
+
+    threads = [threading.Thread(target=first_use, args=(i,)) for i in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+    assert not any(th.is_alive() for th in threads)
+    assert len(builds) == 1
+    assert results[0] == results[1] and results[0] is not None
 
 
 def test_tail_fit_power_start():
