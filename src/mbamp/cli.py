@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -256,20 +256,14 @@ def cmd_simulate(cfg: RunConfig, out: Path, tol_scale: float,
     grid.save_binary(out / "grid.bin")
     inv = grid.invariants
     with open(out / "invariants.json", "w", encoding="utf-8") as fh:
-        json.dump({"conservation_defect": inv.conservation_defect,
-                   "causality_defect": inv.causality_defect,
-                   "boundary_error": inv.boundary_error},
-                  fh, indent=2, sort_keys=True)
+        json.dump(asdict(inv), fh, indent=2, sort_keys=True)
         fh.write("\n")
     if slice_t is not None:
         i = int(round(slice_t / grid.h))
         i = min(max(i, 0), grid.nt)
-        rows = []
-        for j in range(grid.nx + 1):
-            rows.append([_fmt(j * grid.h),
-                         _fmt(grid.E[i, j].real), _fmt(grid.E[i, j].imag),
-                         _fmt(grid.N[i, j]),
-                         _fmt(grid.rho[i, j].real), _fmt(grid.rho[i, j].imag)])
+        E, N, rho = grid.level(i)
+        rows = [[_fmt(j * grid.h), _fmt(E[j].real), _fmt(E[j].imag), _fmt(N[j]),
+                 _fmt(rho[j].real), _fmt(rho[j].imag)] for j in range(grid.nx + 1)]
         _write_csv(out / f"slice_t{i * grid.h:g}.csv",
                    ["x", "E_re", "E_im", "N", "rho_re", "rho_im"], rows)
     return 0
@@ -282,13 +276,17 @@ def cmd_compare(cfg: RunConfig, out: Path, tol_scale: float) -> int:
     box = tuple(cfg.search_box) if cfg.search_box else None
     spec = find_zeros(sd, box)
     o = cfg.oracle
+    points = cfg.grid_points()
+    # the probes' bicubic stencils reach 2h past their largest tau
+    tau_max = min(o["t_max"],
+                  max((t - x for t, x in points), default=0.0) + 3.0 * o["h"])
     grid = mb_oracle.simulate(
         pulse, t_max=o["t_max"], x_max=o["x_max"], h=o["h"],
-        nonphysical_tol=o.get("nonphysical_tol", 1e-4))
+        nonphysical_tol=o.get("nonphysical_tol", 1e-4), tau_max=tau_max)
 
     rows = []
     per_region: dict[str, list] = {}
-    for t, x in cfg.grid_points():
+    for t, x in points:
         tag = classify(t, x, params)
         if tag.variant == "unsupported":
             rows.append([_fmt(t), _fmt(x), tag.variant, "skipped", "", "", ""])

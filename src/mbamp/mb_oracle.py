@@ -13,12 +13,21 @@ medium (rho, N) by a Heun step in t at each column, driven by E at both time
 levels; one extra fixed-point sweep couples the two.  The medium flow is a
 rotation for any driving E, so the Bloch defect N^2+|rho|^2-1 measures only
 the time discretization and shrinks as O(h^2).
+
+A node depends only on nodes of smaller or equal tau = t - x, so a run
+covers the strip 0 <= tau <= tau_max (default t_max), 0 <= x <= x_max: t-level
+i marches the columns [max(0, i - U), min(i, nx)], U = ceil(tau_max / h).
+Fields are stored by (u, j) = (tau / h, x / h), shape (U + 3, nx + 1), row
+u + 2 (two trivial pad rows below u = 0); a t-level is an anti-diagonal.  The
+[0, 8]^2 box at h = 0.005 marches 1.3e6 nodes of its 2.6e6; a compare run at
+x ~ 24 with tau <= 0.48 marches 4.7e5 in place of 2.4e7.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +35,14 @@ from .errors import CFLViolation, NonPhysical, OutOfDomain
 from .pulse import Pulse
 
 _MAX_NODES_PER_DIM = 150_000
+# (t-level, column) offsets of the 4x4 stencil in a store of whole t-levels
+_SHEAR = np.add.outer(np.arange(4), np.arange(4))
+
+
+def _trivial(shape):
+    """E, N, rho arrays in the trivial state."""
+    return (np.zeros(shape, dtype=complex), np.ones(shape),
+            np.zeros(shape, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -40,8 +57,10 @@ class FieldTriple:
 @dataclass
 class InvariantReport:
     conservation_defect: float   # max |N^2 + |rho|^2 - 1|
-    causality_defect: float      # max of |E|, |rho|, |N-1| over x >= t
+    causality_defect: float      # max of |E|, |rho|, |N-1| on the row x = t
     boundary_error: float        # max |E(t_i, 0) - pulse(t_i)|, i >= 1
+    node_updates: int = 0        # nodes marched
+    defect_tx: tuple[float, float] | None = None   # (t, x) of the worst defect
 
 
 @dataclass
@@ -60,61 +79,75 @@ class Capture:
 class SimGrid:
     """Result of one oracle run; immutable once simulate() returns."""
 
-    def __init__(self, pulse, h, t_max, x_max, capture=None):
+    def __init__(self, pulse, h, t_max, x_max, capture=None, tau_max=None):
         self.pulse = pulse
         self.h = h
         self.t_max = t_max
         self.x_max = x_max
         self.nt = int(round(t_max / h))
         self.nx = int(round(x_max / h))
+        tau_max = t_max if tau_max is None else tau_max
+        self.nu = min(self.nt, max(0, math.ceil(tau_max / h - 1e-9)))
         self.capture = capture
         self.invariants: InvariantReport | None = None
         self.full = capture is None
         if self.full:
-            shape = (self.nt + 1, self.nx + 1)
+            shape = (self.nu + 3, self.nx + 1)
             bytes_needed = (16 + 16 + 8) * shape[0] * shape[1]
             if bytes_needed > 3e9:
                 raise CFLViolation(
                     f"full storage would need {bytes_needed / 1e9:.1f} GB; "
-                    "pass a Capture spec for runs this large")
-            self.E = np.zeros(shape, dtype=complex)
-            self.N = np.ones(shape)
-            self.rho = np.zeros(shape, dtype=complex)
+                    "pass tau_max or a Capture spec for runs this large")
+            self.E, self.N, self.rho = _trivial(shape)
         else:
             self.col_idx = sorted({int(round(x / h)) for x in capture.columns})
-            ncols = len(self.col_idx)
-            self.col_E = np.zeros((self.nt + 1, ncols), dtype=complex)
-            self.col_N = np.ones((self.nt + 1, ncols))
-            self.col_rho = np.zeros((self.nt + 1, ncols), dtype=complex)
+            self._cols = _trivial((self.nt + 1, len(self.col_idx)))
             margin = 8 * h
-            self._win_ranges = []
-            self._win_E, self._win_N, self._win_rho = [], [], []
-            for lo, hi in capture.t_windows:
-                i_lo = max(0, int(np.floor((lo - margin) / h)))
-                i_hi = min(self.nt, int(np.ceil((hi + margin) / h)))
-                self._win_ranges.append((i_lo, i_hi))
-                rows = i_hi - i_lo + 1
-                self._win_E.append(np.zeros((rows, self.nx + 1), dtype=complex))
-                self._win_N.append(np.ones((rows, self.nx + 1)))
-                self._win_rho.append(np.zeros((rows, self.nx + 1), dtype=complex))
+            self._win_ranges = [
+                (max(0, int(np.floor((lo - margin) / h))),
+                 min(self.nt, int(np.ceil((hi + margin) / h))))
+                for lo, hi in capture.t_windows]
+            self._wins = [_trivial((i_hi - i_lo + 1, self.nx + 1))
+                          for i_lo, i_hi in self._win_ranges]
+
+    def span(self, i: int) -> tuple[int, int]:
+        """First and last column of t-level i inside the strip."""
+        return max(0, i - self.nu), min(i, self.nx)
+
+    def _diagonal(self, arr, i):
+        """View of t-level i of a (u, j) store over the columns of span(i),
+        in ascending j: an anti-diagonal of the flat buffer."""
+        lo, hi = self.span(i)
+        start, step = (i - hi + 2) * (self.nx + 1) + hi, max(self.nx, 1)
+        return arr.reshape(-1)[start:start + (hi - lo + 1) * step:step][::-1]
 
     # --- storage during the march -------------------------------------
 
     def _store(self, i, E, N, rho):
+        """Keep t-level i; E, N, rho are the level vectors over all x (stale
+        left of span(i), where probe() never reads)."""
+        fields = (E, N, rho)
         if self.full:
-            self.E[i] = E
-            self.N[i] = N
-            self.rho[i] = rho
+            lo, hi = self.span(i)
+            for arr, f in zip((self.E, self.N, self.rho), fields):
+                self._diagonal(arr, i)[:] = f[lo:hi + 1]
             return
-        if self.col_idx:
-            self.col_E[i] = E[self.col_idx]
-            self.col_N[i] = N[self.col_idx]
-            self.col_rho[i] = rho[self.col_idx]
-        for w, (i_lo, i_hi) in enumerate(self._win_ranges):
+        for arr, f in zip(self._cols, fields):
+            arr[i] = f[self.col_idx]
+        for (i_lo, i_hi), win in zip(self._win_ranges, self._wins):
             if i_lo <= i <= i_hi:
-                self._win_E[w][i - i_lo] = E
-                self._win_N[w][i - i_lo] = N
-                self._win_rho[w][i - i_lo] = rho
+                for arr, f in zip(win, fields):
+                    arr[i - i_lo] = f
+
+    def level(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """E, N, rho over all x at t-level i of a full-storage run."""
+        lo, hi = self.span(i)
+        if not self.full or lo > 0:
+            raise OutOfDomain(f"t-level {i} is not stored whole")
+        rows = _trivial(self.nx + 1)
+        for row, arr in zip(rows, (self.E, self.N, self.rho)):
+            row[:hi + 1] = self._diagonal(arr, i)
+        return rows
 
     # --- probing --------------------------------------------------------
 
@@ -122,45 +155,34 @@ class SimGrid:
         """Field triple at (t, x), bicubic along characteristic coordinates."""
         if not (0.0 <= t <= self.t_max + 1e-9 and 0.0 <= x <= self.x_max + 1e-9):
             raise OutOfDomain(f"({t}, {x}) outside the simulated rectangle")
+        if (t - x) / self.h >= self.nu - 1 - 1e-6:   # stencil reaches u + 2
+            raise OutOfDomain(f"({t}, {x}): tau = {t - x} needs the strip "
+                              f"beyond tau_max = {self.nu * self.h}")
         if self.full:
-            return self._probe_block(t, x, self.E, self.N, self.rho, 0)
+            return self._probe_block(t, x, None)
         j = x / self.h
         jr = int(round(j))
         if abs(j - jr) < 1e-9 and jr in self.col_idx:
             c = self.col_idx.index(jr)
-            u = t / self.h
-            e = _interp1(self.col_E[:, c], u)
-            n = _interp1(self.col_N[:, c], u)
-            r = _interp1(self.col_rho[:, c], u)
+            e, n, r = (_interp1(arr[:, c], t / self.h) for arr in self._cols)
             return FieldTriple(E=complex(e), N=float(n.real), rho=complex(r))
-        i0 = int(np.floor(t / self.h))
-        for w, (i_lo, i_hi) in enumerate(self._win_ranges):
-            if i_lo + 2 <= i0 and i0 + 4 <= i_hi:
-                return self._probe_block(t, x, self._win_E[w],
-                                         self._win_N[w], self._win_rho[w], i_lo)
+        for w in range(len(self._wins)):
+            ft = self._probe_block(t, x, w)
+            if ft is not None:
+                return ft
         raise OutOfDomain(
             f"({t}, {x}) is neither on a captured column nor inside a "
             "captured time window")
 
-    def _probe_block(self, t, x, E, N, rho, i_offset):
+    def _probe_block(self, t, x, window):
+        """Bicubic probe from the (u, j) store (window None), or from
+        captured time window number ``window`` (None if it misses)."""
         h = self.h
         u = (t - x) / h           # diagonal index
         v = x / h                 # column index
-        nrows = E.shape[0]
         v0 = int(np.floor(v))
         v0 = min(max(v0, 1), self.nx - 2)
         u0 = int(np.floor(u))
-
-        def gather(arr):
-            vals = np.empty((4, 4), dtype=arr.dtype)
-            for b in range(4):
-                jj = v0 - 1 + b
-                for a in range(4):
-                    ii = (u0 - 1 + a) + jj - i_offset
-                    ii = min(max(ii, 0), nrows - 1)
-                    vals[a, b] = arr[ii, jj]
-            return vals
-
         fu = u - u0
         fv = v - v0
         # snap representation noise so nodal probes return stored values;
@@ -173,11 +195,25 @@ class SimGrid:
             fv = 0.0
         elif abs(fv - 1.0) < 1e-9:
             fv, v0 = 0.0, min(v0 + 1, self.nx - 2)
+        # stencil nodes: u in [u0 - 1, u0 + 2], j in [v0 - 1, v0 + 2]
+        if window is not None:
+            i_lo, i_hi = self._win_ranges[window]
+            i0 = u0 + v0 - 2          # its first t-level
+            if not i_lo <= i0 <= i_hi - 6:
+                return None
+            idx = (i0 - i_lo + _SHEAR, v0 - 1 + np.arange(4))
+            blocks = [arr[idx] for arr in self._wins[window]]
+        elif u0 < -1:             # the whole stencil lies in the trivial state
+            blocks = _trivial((4, 4))
+        elif u0 + v0 + 4 > self.nt:
+            raise OutOfDomain(f"({t}, {x}): the stencil needs t-levels past "
+                              f"t_max = {self.t_max}")
+        else:
+            idx = (slice(u0 + 1, u0 + 5), slice(v0 - 1, v0 + 3))
+            blocks = [arr[idx] for arr in (self.E, self.N, self.rho)]
         wu = _cubic_weights(fu)
         wv = _cubic_weights(fv)
-        e = wu @ gather(E) @ wv
-        n = wu @ gather(N) @ wv
-        r = wu @ gather(rho) @ wv
+        e, n, r = (wu @ blk @ wv for blk in blocks)
         return FieldTriple(E=complex(e), N=float(np.real(n)), rho=complex(r))
 
     # --- serialization ----------------------------------------------------
@@ -185,19 +221,17 @@ class SimGrid:
     def save_binary(self, path):
         """Write the stored grid: header (h, t_max, x_max, node count), then
         E_re, E_im, N, rho_re, rho_im per node, row-major in (t, x)."""
-        if not self.full:
-            raise OutOfDomain("binary dump requires full storage")
+        if not self.full or self.nu < self.nt:
+            raise OutOfDomain("binary dump requires full storage of the "
+                              "whole rectangle")
         nodes = (self.nt + 1) * (self.nx + 1)
         with open(path, "wb") as fh:
             fh.write(struct.pack("<dddd", self.h, self.t_max, self.x_max,
                                  float(nodes)))
-            body = np.empty((self.nt + 1, self.nx + 1, 5))
-            body[:, :, 0] = self.E.real
-            body[:, :, 1] = self.E.imag
-            body[:, :, 2] = self.N
-            body[:, :, 3] = self.rho.real
-            body[:, :, 4] = self.rho.imag
-            fh.write(body.astype("<f8").tobytes())
+            for i in range(self.nt + 1):
+                E, N, rho = self.level(i)
+                row = np.column_stack([E.real, E.imag, N, rho.real, rho.imag])
+                fh.write(row.astype("<f8").tobytes())
 
 
 def load_binary(path) -> tuple[float, float, float, np.ndarray]:
@@ -235,8 +269,10 @@ def _interp1(series: np.ndarray, u: float):
 
 def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
              capture: Capture | None = None,
-             nonphysical_tol: float = 1e-4) -> SimGrid:
-    """March the amplifier system on [0, t_max] x [0, x_max] with dt = dx = h.
+             nonphysical_tol: float = 1e-4,
+             tau_max: float | None = None) -> SimGrid:
+    """March the amplifier system on [0, t_max] x [0, x_max] with dt = dx = h,
+    restricted to the strip t - x <= tau_max (default t_max: everything).
 
     Returns the populated SimGrid with its invariant report.  Raises
     CFLViolation for grid parameters outside the scheme's envelope and
@@ -252,14 +288,12 @@ def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
         raise CFLViolation(
             f"grid {nt}x{nx} exceeds {_MAX_NODES_PER_DIM} nodes per dimension")
 
-    grid = SimGrid(pulse, h, t_max, x_max, capture)
-    E = np.zeros(nx + 1, dtype=complex)
-    N = np.ones(nx + 1)
-    rho = np.zeros(nx + 1, dtype=complex)
-    # Level 0 is pure initial data; boundary jumps at t = 0 (Box pulse) enter
-    # through the seam adjustment below, never through the stored corner, so
-    # the region x >= t stays exactly trivial.
-    grid._store(0, E, N, rho)
+    grid = SimGrid(pulse, h, t_max, x_max, capture, tau_max)
+    # Level vectors over all x, updated on the strip's columns.  Level 0 is
+    # pure initial data, as the stores already hold.  Boundary jumps at t = 0
+    # (Box pulse) enter through the seam adjustment below, never through the
+    # stored corner, so the region x >= t stays exactly trivial.
+    E, N, rho = _trivial(nx + 1)
 
     # Field discontinuities of the boundary pulse propagate unchanged along
     # grid diagonals (dt = dx = h).  Stored node values are left limits in t;
@@ -273,74 +307,75 @@ def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
             seams.append((int(steps), complex(dv)))
 
     cons_defect = 0.0
+    defect_tx = None
     caus_defect = 0.0
+    updates = 0
     half_h = 0.5 * h
 
-    for i in range(nt):
+    # levels past nu + nx hold no strip node
+    for i in range(min(nt, grid.nu + nx)):
         t_next = (i + 1) * h
+        lo, hi = grid.span(i + 1)
+        m = slice(lo, hi + 1)
+        b = int(lo == 0)                # the boundary node is marched
+        p = slice(lo - 1 + b, hi)       # left neighbours of the other nodes
         # pulse() returns left limits at interior jump times (closed support),
-        # which is exactly the stored-value convention; t = 0 never appears.
-        EB = complex(pulse(t_next))
+        # the stored-value convention; t = 0 never appears.
+        bnd = np.full(b, complex(pulse(t_next)))
 
-        E_med = E
-        adj = [(i - steps, dv) for steps, dv in seams if 0 <= i - steps <= nx]
-        if adj:
-            E_med = E.copy()
-            for j_seam, dv in adj:
-                E_med[j_seam] += dv
+        E_med = E[m].copy()
+        for steps, dv in seams:
+            if lo <= i - steps <= hi:
+                E_med[i - steps - lo] += dv
 
-        e_prev = E[:-1]
-        rho_prev = rho[:-1]
+        e_prev = E[p]
+        rho_prev = rho[p]
+        N_old = N[m]
+        rho_old = rho[m]
 
-        k1r = N * E_med
-        k1n = -(np.conj(E_med) * rho).real
-        rho_s = rho + h * k1r
-        N_s = N + h * k1n
+        k1r = N_old * E_med
+        k1n = -(np.conj(E_med) * rho_old).real
+        rho_s = rho_old + h * k1r
+        N_s = N_old + h * k1n
 
-        Epred = np.empty_like(E)
-        Epred[0] = EB
-        Epred[1:] = e_prev + h * rho_prev
+        Epred = np.concatenate((bnd, e_prev + h * rho_prev))
 
         k2r = N_s * Epred
-        k2n = -(np.conj(Epred) * rho_s).real
-        rho_n = rho + half_h * (k1r + k2r)
+        rho_n = rho_old + half_h * (k1r + k2r)
 
-        Ec = np.empty_like(E)
-        Ec[0] = EB
-        Ec[1:] = e_prev + half_h * (rho_prev + rho_n[1:])
+        Ec = np.concatenate((bnd, e_prev + half_h * (rho_prev + rho_n[b:])))
 
         # single coupling sweep: medium re-driven by the corrected field
         k2r = N_s * Ec
         k2n = -(np.conj(Ec) * rho_s).real
-        rho_new = rho + half_h * (k1r + k2r)
-        N_new = N + half_h * (k1n + k2n)
+        rho_new = rho_old + half_h * (k1r + k2r)
+        N_new = N_old + half_h * (k1n + k2n)
 
-        Enew = np.empty_like(E)
-        Enew[0] = EB
-        Enew[1:] = e_prev + half_h * (rho_prev + rho_new[1:])
-
-        E, N, rho = Enew, N_new, rho_new
+        E[m] = np.concatenate((bnd, e_prev + half_h * (rho_prev + rho_new[b:])))
+        N[m] = N_new
+        rho[m] = rho_new
         grid._store(i + 1, E, N, rho)
+        updates += hi - lo + 1
 
-        level_defect = float(np.max(np.abs(N * N + np.abs(rho) ** 2 - 1.0)))
+        defect = np.abs(N_new * N_new + np.abs(rho_new) ** 2 - 1.0)
+        worst = int(np.argmax(defect))
+        level_defect = float(defect[worst])
         if level_defect > cons_defect:
             cons_defect = level_defect
+            defect_tx = (t_next, (lo + worst) * h)
             if cons_defect > nonphysical_tol:
                 raise NonPhysical(
-                    f"Bloch defect {cons_defect:.3e} at t = {t_next:.4f} "
+                    f"Bloch defect {cons_defect:.3e} at (t, x) = "
+                    f"({t_next:.4f}, {(lo + worst) * h:.4f}) "
                     f"exceeds the guard {nonphysical_tol:.1e}")
-        if i + 1 <= nx:
-            sl = slice(i + 1, None)   # nodes with x >= t
-            caus = max(float(np.max(np.abs(E[sl]))),
-                       float(np.max(np.abs(rho[sl]))),
-                       float(np.max(np.abs(N[sl] - 1.0))))
-            caus_defect = max(caus_defect, caus)
+        if i + 1 <= nx:   # the computed row x = t; nodes past it stay unmarched
+            j = i + 1
+            caus_defect = max(caus_defect, float(max(
+                abs(E[j]), abs(rho[j]), abs(N[j] - 1.0))))
 
-    grid.invariants = InvariantReport(
-        conservation_defect=cons_defect,
-        causality_defect=caus_defect,
-        boundary_error=0.0,   # imposed exactly at every level i >= 1
-    )
+    # the boundary field is imposed exactly at every level i >= 1
+    grid.invariants = InvariantReport(cons_defect, caus_defect, 0.0,
+                                      updates, defect_tx)
     return grid
 
 

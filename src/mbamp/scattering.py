@@ -56,7 +56,7 @@ class ScatteringData:
         # (nodes, weights, [a b 1] at nodes, uniform scan, [a b] on the scan)
         self._cache = None
         self.cache_tail = None   # achieved Chebyshev tail of the cache
-        self._tail_fit = None
+        self._tail_fits: dict[tuple, TailFit] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ ODE
@@ -262,9 +262,10 @@ class ScatteringData:
         Raises FitRejected when the residual shows the reflection tail is not
         a clean power law (pulse without a power-law start).
         """
+        key = (kappa_lo, kappa_hi, npts, residual_tol)
         with self._lock:
-            if self._tail_fit is not None:
-                return self._tail_fit
+            if key in self._tail_fits:
+                return self._tail_fits[key]
             kappas = np.geomspace(kappa_lo, kappa_hi, npts)
             a, b = self.ab_many(1j * kappas)
             r = b / a
@@ -293,7 +294,7 @@ class ScatteringData:
             constant = complex(np.mean(c_vals))
             fit = TailFit(order=m_fit, constant=constant, residual=resid,
                           kappa_lo=kappa_lo, kappa_hi=kappa_hi)
-            self._tail_fit = fit
+            self._tail_fits[key] = fit
             logger.debug("tail fit: m=%.4f C=%s residual=%.2e",
                          m_fit, constant, resid)
             return fit

@@ -7,6 +7,7 @@ searched for.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -131,7 +132,10 @@ def find_zeros(sd: ScatteringData,
 
 def _refine_zero(sd: ScatteringData, cell, root_tol) -> complex:
     seed = complex(0.5 * (cell[0] + cell[1]), 0.5 * (cell[2] + cell[3]))
-    return complex_newton(lambda k: sd.ab(k)[1], sd.b_deriv, seed, root_tol)
+    # b and b' of an iterate from one variational solve
+    solve = functools.lru_cache(maxsize=1)(lambda k: sd.ab_and_derivs_many([k]))
+    return complex_newton(lambda k: complex(solve(k)[1][0]),
+                          lambda k: complex(solve(k)[3][0]), seed, root_tol)
 
 
 def _validate(sd: ScatteringData, zeros, root_tol):

@@ -166,8 +166,10 @@ def test_criterion_06_bessel_regime_convergence(sd_bump_m2):
     xs = (10.0, 20.0, 40.0)
     h = 0.00125                      # divides every probe column exactly
     cap = Capture(columns=xs)
+    # probes at tau = 0.5/x; the stencil reaches 2h past the largest
     g = simulate(pulse, t_max=40.0 + 0.5 / 40.0 + 0.01, x_max=40.0, h=h,
-                 capture=cap, nonphysical_tol=1e-3)
+                 capture=cap, nonphysical_tol=1e-3,
+                 tau_max=0.5 / xs[0] + 3.0 * h)
     scaled = []
     for x in xs:
         t = x + 0.5 / x
@@ -223,14 +225,22 @@ def test_criterion_07_internal_consistency(sd_bump_m2):
             f"{worst34:.3f} <= {5.0 / math.sqrt(lnx):.3f}")
 
 
+def _tail_window(x, tau):
+    """k0 and the half-width of the envelope window at (x + tau, x)."""
+    k0 = 0.5 * math.sqrt(x / tau)
+    return k0, 2.5 * 2.0 * math.pi / (4.0 * k0)
+
+
 @pytest.fixture(scope="module")
 def tail_run():
     pulse = SmoothBumpPulse(0.4, 2.0, 2.0)
     sd = ScatteringData(pulse)
     spec = find_zeros(sd, (-4.0, 4.0, 1e-4, 4.0))
     cap = Capture(columns=(150.0,))
-    grid = simulate(pulse, t_max=360.8, x_max=152.0, h=0.005, capture=cap,
-                    nonphysical_tol=0.06)
+    h = 0.005
+    tau_max = 200.0 + _tail_window(150.0, 200.0)[1] + 3.0 * h
+    grid = simulate(pulse, t_max=360.8, x_max=152.0, h=h, capture=cap,
+                    nonphysical_tol=0.06, tau_max=tau_max)
     return sd, spec, grid
 
 
@@ -243,12 +253,11 @@ def test_criterion_08_tail_amplitude_decay(tail_run):
     norm = {}
     for tau in (50.0, 100.0, 200.0):
         t_c = x + tau
-        k0 = 0.5 * math.sqrt(x / tau)
+        k0, w = _tail_window(x, tau)
         nul, nur = nu_pair(sd, k0)
         amp = math.sqrt(nul) + math.sqrt(nur)
         hi = 2.0 * math.sqrt(k0 / tau) * amp
         lo = 2.0 * math.sqrt(k0 / tau) * abs(math.sqrt(nul) - math.sqrt(nur))
-        w = 2.5 * 2.0 * math.pi / (4.0 * k0)
         ts = np.arange(t_c - w, t_c + w, grid.h)
         vals = [abs(grid.probe(float(tt), x).E) for tt in ts]
         env[tau] = max(vals)
@@ -327,11 +336,27 @@ def test_criterion_10_oracle_at_stated_scale():
     assert nodes <= budget, "stated tau=80 oracle check infeasible (see reason)"
 
 
+def _soliton_center(sd, spec, t):
+    """x where |w| = 1 for the first soliton at time t, by bisection."""
+    lo, hi = 85.0, 94.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if math.log(soliton_state(sd, spec, 0, t, mid).w_abs) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 @pytest.fixture(scope="module")
-def soliton_run():
-    return simulate(BoxPulse(5.0, 2.0), t_max=97.1, x_max=95.0, h=0.004,
+def soliton_run(sd_box52, spec_box52):
+    # the probes reach 3 past the soliton center at t = 97; the stencil 2h more
+    h = 0.004
+    tau_max = 97.0 - (_soliton_center(sd_box52, spec_box52, 97.0) - 3.0) \
+        + 3.0 * h
+    return simulate(BoxPulse(5.0, 2.0), t_max=97.1, x_max=95.0, h=h,
                     capture=Capture(t_windows=((96.9, 97.05),)),
-                    nonphysical_tol=0.06)
+                    nonphysical_tol=0.06, tau_max=tau_max)
 
 
 def test_criterion_10_soliton_location_reduced_scale(sd_box52, spec_box52,
@@ -340,14 +365,7 @@ def test_criterion_10_soliton_location_reduced_scale(sd_box52, spec_box52,
     # qualitative content (a localized medium signature exactly on the
     # predicted soliton line) at tau ~ 7 where the oracle is honest
     t = 97.0
-    lo, hi = 85.0, 94.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if math.log(soliton_state(sd_box52, spec_box52, 0, t, mid).w_abs) > 0:
-            hi = mid
-        else:
-            lo = mid
-    xc = 0.5 * (lo + hi)
+    xc = _soliton_center(sd_box52, spec_box52, t)
     kap = spec_box52.zeros[0].imag
 
     xs = np.arange(xc - 1.2, xc + 1.2, 0.02)

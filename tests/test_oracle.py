@@ -31,9 +31,20 @@ def test_boundary_reproduction(box_run):
 def test_probe_exact_at_nodes(box_run):
     i, j = 412, 317
     ft = box_run.probe(i * box_run.h, j * box_run.h)
-    assert ft.E == box_run.E[i, j]
-    assert ft.N == box_run.N[i, j]
-    assert ft.rho == box_run.rho[i, j]
+    # stored by (u, j) = (tau/h, x/h), row u + 2
+    assert ft.E == box_run.E[i - j + 2, j]
+    assert ft.N == box_run.N[i - j + 2, j]
+    assert ft.rho == box_run.rho[i - j + 2, j]
+
+
+def test_probe_before_light_cone_is_trivial(box_run):
+    ft = box_run.probe(2.0, 3.5)             # a node with tau < 0
+    assert (ft.E, ft.N, ft.rho) == (0j, 1.0, 0j)
+    for t, x in ((1.2345, 2.3456), (6.01, 6.4), (3.0, 3.0 + 1.7 * box_run.h)):
+        ft = box_run.probe(t, x)
+        assert ft.E == 0j and ft.rho == 0j
+        # N is the product of the bicubic weight sums, 1 up to rounding
+        assert abs(ft.N - 1.0) <= 4 * 2.0 ** -52
 
 
 def test_probe_out_of_domain(box_run):
@@ -41,6 +52,60 @@ def test_probe_out_of_domain(box_run):
         box_run.probe(9.0, 1.0)
     with pytest.raises(OutOfDomain):
         box_run.probe(1.0, -0.5)
+    with pytest.raises(OutOfDomain):
+        box_run.probe(8.0, 0.0)     # the stencil would need t-levels past t_max
+
+
+@pytest.mark.parametrize("pulse", [BoxPulse(1.0, 1.0),
+                                   SmoothBumpPulse(1.0, 2.0, 1.0)],
+                         ids=["box", "bump"])
+def test_strip_run_matches_full_run(pulse):
+    full = simulate(pulse, t_max=5.0, x_max=4.0, h=0.01)
+    strip = simulate(pulse, t_max=5.0, x_max=4.0, h=0.01, tau_max=0.7)
+    rows = strip.nu + 3
+    assert strip.nu == 70 and rows < full.E.shape[0]
+    # every stored node with tau <= tau_max, bit for bit
+    assert np.array_equal(strip.E, full.E[:rows])
+    assert np.array_equal(strip.N, full.N[:rows])
+    assert np.array_equal(strip.rho, full.rho[:rows])
+    assert strip.probe(3.3, 2.9) == full.probe(3.3, 2.9)
+    nx = 400
+    assert full.invariants.node_updates == sum(min(i, nx) + 1
+                                               for i in range(1, 501))
+    assert strip.invariants.node_updates == sum(
+        max(0, min(i, nx) - max(0, i - 70) + 1) for i in range(1, 501))
+    assert strip.invariants.causality_defect == 0.0
+    assert strip.invariants.conservation_defect \
+        <= full.invariants.conservation_defect
+
+
+def test_probe_past_tau_max_raises():
+    g = simulate(BoxPulse(1.0, 1.0), t_max=4.0, x_max=3.0, h=0.01, tau_max=0.5)
+    g.probe(3.0, 2.53)                   # tau = 0.47: stencil inside the strip
+    for t, x in ((3.0, 2.4), (3.0, 2.48), (1.0, 0.0)):
+        with pytest.raises(OutOfDomain):
+            g.probe(t, x)
+    with pytest.raises(OutOfDomain):
+        g.save_binary("unused.bin")      # the strip is not the whole rectangle
+
+
+def test_strip_with_capture_column():
+    cap = Capture(columns=(2.0,))
+    g = simulate(BoxPulse(1.0, 1.0), t_max=4.0, x_max=3.0, h=0.01,
+                 capture=cap, tau_max=0.5)
+    full = simulate(BoxPulse(1.0, 1.0), t_max=4.0, x_max=3.0, h=0.01)
+    for t in (1.7, 2.13, 2.45):
+        assert g.probe(t, 2.0) == full.probe(t, 2.0)
+    with pytest.raises(OutOfDomain):
+        g.probe(2.49, 2.0)
+
+
+def test_defect_location(box_run):
+    inv = check_invariants(box_run)
+    t, x = inv.defect_tx
+    i, j = round(t / box_run.h), round(x / box_run.h)
+    n, r = box_run.N[i - j + 2, j], box_run.rho[i - j + 2, j]
+    assert abs(n * n + abs(r) ** 2 - 1.0) == inv.conservation_defect
 
 
 def test_conservation_defect_small(box_run):
@@ -112,10 +177,16 @@ def test_binary_round_trip(tmp_path, box_run):
     box_run.save_binary(path)
     h, t_max, x_max, body = load_binary(path)
     assert h == box_run.h and t_max == box_run.t_max and x_max == box_run.x_max
-    i, j = 123, 456
-    assert body[i, j, 0] == box_run.E[i, j].real
-    assert body[i, j, 2] == box_run.N[i, j]
-    assert body[i, j, 4] == box_run.rho[i, j].imag
+    assert body.shape == (box_run.nt + 1, box_run.nx + 1, 5)
+    for i in range(box_run.nt + 1):
+        E, N, rho = box_run.level(i)
+        assert np.array_equal(body[i], np.column_stack(
+            [E.real, E.imag, N, rho.real, rho.imag]))
+    i, j = 456, 123
+    assert body[i, j, 0] == box_run.E[i - j + 2, j].real
+    assert body[i, j, 2] == box_run.N[i - j + 2, j]
+    assert body[i, j, 4] == box_run.rho[i - j + 2, j].imag
+    assert body[j, i, 2] == 1.0 and body[j, i, 0] == 0.0
 
 
 def test_smooth_pulse_tighter_defect():

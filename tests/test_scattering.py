@@ -262,6 +262,17 @@ def test_tail_fit_rejection_threshold():
         sd.tail_fit(residual_tol=1e-12)
 
 
+def test_tail_fit_memo_keyed_by_arguments():
+    sd = ScatteringData(PowerStartPulse(1.0, 2.0, 1.0))
+    first = sd.tail_fit()
+    far = sd.tail_fit(kappa_lo=20.0, kappa_hi=80.0)
+    assert (far.kappa_lo, far.kappa_hi) == (20.0, 80.0)
+    assert far.order != first.order
+    with pytest.raises(FitRejected):
+        sd.tail_fit(residual_tol=1e-12)
+    assert sd.tail_fit() is first
+
+
 def test_reflection_uhp_model_switch():
     sd = ScatteringData(PowerStartPulse(1.0, 2.0, 1.0))
     fit = sd.tail_fit()

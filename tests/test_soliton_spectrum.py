@@ -27,6 +27,28 @@ def test_box52_single_zero(spec52):
     assert abs(spec.zeros[0] - 1j * K1_BOX52) < 1e-6
 
 
+def test_newton_makes_one_solve_per_step(monkeypatch):
+    sd = ScatteringData(BoxPulse(5.0, 2.0))
+    solves = {"ab_single": 0, "variational": 0}
+    ab_many, derivs = sd.ab_many, sd.ab_and_derivs_many
+
+    def counted_ab(ks):
+        solves["ab_single"] += int(np.size(ks) == 1)
+        return ab_many(ks)
+
+    def counted_derivs(ks):
+        solves["variational"] += 1
+        return derivs(ks)
+
+    monkeypatch.setattr(sd, "ab_many", counted_ab)
+    monkeypatch.setattr(sd, "ab_and_derivs_many", counted_derivs)
+    spec = find_zeros(sd, (-3.0, 3.0, 1e-4, 3.0))
+    assert abs(spec.zeros[0] - 1j * K1_BOX52) < 1e-6
+    # b and b' of each of the 5 Newton iterates from one solve, plus the
+    # batched validation solve; no single-k solve of b alone
+    assert solves == {"ab_single": 0, "variational": 6}
+
+
 def test_box52_velocity(spec52):
     _, spec = spec52
     v = 4 * K1_BOX52 ** 2 / (1 + 4 * K1_BOX52 ** 2)
