@@ -4,7 +4,7 @@ integrator as the independent ground truth."""
 
 from .lightcone_asym import (BandParams, RegionTag, classify, eval_lightcone,
                              eval_lightcone_at_tau, predict_peaks, solve_peak_y)
-from .mb_oracle import Capture, FieldTriple, SimGrid, check_invariants, simulate
+from .mb_oracle import FieldTriple, SimGrid, check_invariants, simulate
 from .numerics import Tolerances
 from .pulse import BoxPulse, PowerStartPulse, SmoothBumpPulse, first_moment
 from .scattering import ScatteringData, TailFit
@@ -14,11 +14,10 @@ from .tail_asym import SolitonState, TailPhases, eval_tail, nu_pair, omega_pair,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandParams", "BoxPulse", "Capture", "FieldTriple", "PowerStartPulse",
-    "RegionTag", "ScatteringData", "SimGrid", "SmoothBumpPulse",
-    "SolitonSpectrum", "SolitonState", "TailFit", "TailPhases", "Tolerances",
-    "check_invariants", "classify", "eval_lightcone", "eval_lightcone_at_tau",
-    "eval_tail", "find_zeros", "first_moment", "nu_pair", "omega_pair",
-    "predict_peaks", "simulate", "solve_peak_y", "soliton_state",
-    "velocity_match",
+    "BandParams", "BoxPulse", "FieldTriple", "PowerStartPulse", "RegionTag",
+    "ScatteringData", "SimGrid", "SmoothBumpPulse", "SolitonSpectrum",
+    "SolitonState", "TailFit", "TailPhases", "Tolerances", "check_invariants",
+    "classify", "eval_lightcone", "eval_lightcone_at_tau", "eval_tail",
+    "find_zeros", "first_moment", "nu_pair", "omega_pair", "predict_peaks",
+    "simulate", "solve_peak_y", "soliton_state", "velocity_match",
 ]

@@ -8,10 +8,8 @@ fixed float formatting, newline-terminated CSV with a header row.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -128,14 +126,6 @@ def _write_csv(path, header, rows):
             fh.write(",".join(row) + "\n")
 
 
-def _thread_map(fn, items):
-    n = int(os.environ.get("MBAMP_THREADS", "1"))
-    if n <= 1:
-        return [fn(it) for it in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 # ----------------------------------------------------------------- commands
 
 def cmd_scatter(cfg: RunConfig, out: Path, tol_scale: float) -> int:
@@ -223,9 +213,8 @@ def cmd_asym(cfg: RunConfig, out: Path, tol_scale: float) -> int:
     params = cfg.make_bands(pulse)
     box = tuple(cfg.search_box) if cfg.search_box else None
     spec = find_zeros(sd, box)
-    rows = _thread_map(
-        lambda pt: _asym_row(pt, sd, spec, params, cfg.match_eps),
-        cfg.grid_points())
+    rows = [_asym_row(pt, sd, spec, params, cfg.match_eps)
+            for pt in cfg.grid_points()]
     _write_csv(out / "asym.csv", _ASYM_HEADER, rows)
     return 0
 
@@ -277,12 +266,15 @@ def cmd_compare(cfg: RunConfig, out: Path, tol_scale: float) -> int:
     spec = find_zeros(sd, box)
     o = cfg.oracle
     points = cfg.grid_points()
-    # the probes' bicubic stencils reach 2h past their largest tau
+    # the probes' bicubic stencils reach 2h past their largest tau; the store
+    # starts at their smallest x
     tau_max = min(o["t_max"],
                   max((t - x for t, x in points), default=0.0) + 3.0 * o["h"])
+    x_min = min(o["x_max"], max(0.0, min((x for _, x in points), default=0.0)))
     grid = mb_oracle.simulate(
         pulse, t_max=o["t_max"], x_max=o["x_max"], h=o["h"],
-        nonphysical_tol=o.get("nonphysical_tol", 1e-4), tau_max=tau_max)
+        nonphysical_tol=o.get("nonphysical_tol", 1e-4), tau_max=tau_max,
+        x_min=x_min)
 
     rows = []
     per_region: dict[str, list] = {}

@@ -14,13 +14,16 @@ levels; one extra fixed-point sweep couples the two.  The medium flow is a
 rotation for any driving E, so the Bloch defect N^2+|rho|^2-1 measures only
 the time discretization and shrinks as O(h^2).
 
-A node depends only on nodes of smaller or equal tau = t - x, so a run
-covers the strip 0 <= tau <= tau_max (default t_max), 0 <= x <= x_max: t-level
-i marches the columns [max(0, i - U), min(i, nx)], U = ceil(tau_max / h).
-Fields are stored by (u, j) = (tau / h, x / h), shape (U + 3, nx + 1), row
-u + 2 (two trivial pad rows below u = 0); a t-level is an anti-diagonal.  The
-[0, 8]^2 box at h = 0.005 marches 1.3e6 nodes of its 2.6e6; a compare run at
-x ~ 24 with tau <= 0.48 marches 4.7e5 in place of 2.4e7.
+A node depends only on nodes of smaller or equal tau = t - x and of smaller
+or equal x, so a run covers the strip 0 <= tau <= tau_max (default t_max),
+0 <= x <= x_max: t-level i marches the columns [max(0, i - U), min(i, nx)],
+U = ceil(tau_max / h).  Fields are stored by (u, j) = (tau / h, x / h) for
+x >= x_min (default 0), i.e. the columns j >= j0 = max(0, floor(x_min/h) - 1)
+the bicubic stencil of a probe at x_min reaches; the store has shape
+(U + 3, nx - j0 + 1), row u + 2 (two trivial pad rows below u = 0), and a
+t-level is an anti-diagonal.  The [0, 8]^2 box at h = 0.005 marches 1.3e6
+nodes of its 2.6e6; a compare run at x ~ 24 with tau <= 0.48 marches 4.7e5 in
+place of 2.4e7.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ from .errors import CFLViolation, NonPhysical, OutOfDomain
 from .pulse import Pulse
 
 _MAX_NODES_PER_DIM = 150_000
-# (t-level, column) offsets of the 4x4 stencil in a store of whole t-levels
-_SHEAR = np.add.outer(np.arange(4), np.arange(4))
 
 
 def _trivial(shape):
@@ -63,86 +64,62 @@ class InvariantReport:
     defect_tx: tuple[float, float] | None = None   # (t, x) of the worst defect
 
 
-@dataclass
-class Capture:
-    """Storage restriction for large runs.
-
-    columns: x locations whose full time series are kept (snapped to nodes).
-    t_windows: (lo, hi) time intervals in which entire levels are kept;
-    widened by a few h so that probes near the edges stay interpolable.
-    """
-
-    columns: tuple[float, ...] = ()
-    t_windows: tuple[tuple[float, float], ...] = ()
-
-
 class SimGrid:
     """Result of one oracle run; immutable once simulate() returns."""
 
-    def __init__(self, pulse, h, t_max, x_max, capture=None, tau_max=None):
+    def __init__(self, pulse, h, t_max, x_max, tau_max=None, x_min=0.0):
         self.pulse = pulse
         self.h = h
         self.t_max = t_max
         self.x_max = x_max
+        self.x_min = x_min
         self.nt = int(round(t_max / h))
         self.nx = int(round(x_max / h))
+        if not 0.0 <= x_min <= x_max:
+            raise OutOfDomain(f"x_min = {x_min} outside [0, x_max = {x_max}]")
         tau_max = t_max if tau_max is None else tau_max
         self.nu = min(self.nt, max(0, math.ceil(tau_max / h - 1e-9)))
-        self.capture = capture
+        # first stored column: the stencil of a probe at x_min reaches one left
+        self.j0 = max(0, math.floor(x_min / h) - 1)
         self.invariants: InvariantReport | None = None
-        self.full = capture is None
-        if self.full:
-            shape = (self.nu + 3, self.nx + 1)
-            bytes_needed = (16 + 16 + 8) * shape[0] * shape[1]
-            if bytes_needed > 3e9:
-                raise CFLViolation(
-                    f"full storage would need {bytes_needed / 1e9:.1f} GB; "
-                    "pass tau_max or a Capture spec for runs this large")
-            self.E, self.N, self.rho = _trivial(shape)
-        else:
-            self.col_idx = sorted({int(round(x / h)) for x in capture.columns})
-            self._cols = _trivial((self.nt + 1, len(self.col_idx)))
-            margin = 8 * h
-            self._win_ranges = [
-                (max(0, int(np.floor((lo - margin) / h))),
-                 min(self.nt, int(np.ceil((hi + margin) / h))))
-                for lo, hi in capture.t_windows]
-            self._wins = [_trivial((i_hi - i_lo + 1, self.nx + 1))
-                          for i_lo, i_hi in self._win_ranges]
+        shape = (self.nu + 3, self.nx - self.j0 + 1)
+        bytes_needed = (16 + 16 + 8) * shape[0] * shape[1]
+        if bytes_needed > 3e9:
+            raise CFLViolation(
+                f"storage would need {bytes_needed / 1e9:.1f} GB; "
+                "pass tau_max or x_min for runs this large")
+        self.E, self.N, self.rho = _trivial(shape)
 
     def span(self, i: int) -> tuple[int, int]:
         """First and last column of t-level i inside the strip."""
         return max(0, i - self.nu), min(i, self.nx)
 
     def _diagonal(self, arr, i):
-        """View of t-level i of a (u, j) store over the columns of span(i),
-        in ascending j: an anti-diagonal of the flat buffer."""
+        """View of t-level i of a (u, j) store over its stored columns
+        [max(lo, j0), hi] of span(i), in ascending j: an anti-diagonal of the
+        flat buffer."""
         lo, hi = self.span(i)
-        start, step = (i - hi + 2) * (self.nx + 1) + hi, max(self.nx, 1)
-        return arr.reshape(-1)[start:start + (hi - lo + 1) * step:step][::-1]
+        lo = max(lo, self.j0)
+        width = self.nx - self.j0 + 1
+        start = (i - hi + 2) * width + hi - self.j0
+        step = max(width - 1, 1)
+        count = max(hi - lo + 1, 0)
+        return arr.reshape(-1)[start:start + count * step:step][::-1]
 
     # --- storage during the march -------------------------------------
 
     def _store(self, i, E, N, rho):
         """Keep t-level i; E, N, rho are the level vectors over all x (stale
         left of span(i), where probe() never reads)."""
-        fields = (E, N, rho)
-        if self.full:
-            lo, hi = self.span(i)
-            for arr, f in zip((self.E, self.N, self.rho), fields):
-                self._diagonal(arr, i)[:] = f[lo:hi + 1]
-            return
-        for arr, f in zip(self._cols, fields):
-            arr[i] = f[self.col_idx]
-        for (i_lo, i_hi), win in zip(self._win_ranges, self._wins):
-            if i_lo <= i <= i_hi:
-                for arr, f in zip(win, fields):
-                    arr[i - i_lo] = f
+        lo, hi = self.span(i)
+        lo = max(lo, self.j0)
+        for arr, f in zip((self.E, self.N, self.rho), (E, N, rho)):
+            self._diagonal(arr, i)[:] = f[lo:hi + 1]
 
     def level(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """E, N, rho over all x at t-level i of a full-storage run."""
+        """E, N, rho over all x at t-level i of a run that stores it whole."""
         lo, hi = self.span(i)
-        if not self.full or lo > 0:
+        if lo > 0 or self.j0 > 0:
             raise OutOfDomain(f"t-level {i} is not stored whole")
         rows = _trivial(self.nx + 1)
         for row, arr in zip(rows, (self.E, self.N, self.rho)):
@@ -152,36 +129,21 @@ class SimGrid:
     # --- probing --------------------------------------------------------
 
     def probe(self, t: float, x: float) -> FieldTriple:
-        """Field triple at (t, x), bicubic along characteristic coordinates."""
-        if not (0.0 <= t <= self.t_max + 1e-9 and 0.0 <= x <= self.x_max + 1e-9):
-            raise OutOfDomain(f"({t}, {x}) outside the simulated rectangle")
+        """Field triple at (t, x), bicubic along characteristic coordinates;
+        exactly the trivial state on the causal side t <= x."""
+        if not (0.0 <= t <= self.t_max + 1e-9
+                and self.x_min <= x <= self.x_max + 1e-9):
+            raise OutOfDomain(f"({t}, {x}) outside the stored rectangle")
+        if t <= x:
+            return FieldTriple(E=0j, N=1.0, rho=0j)
         if (t - x) / self.h >= self.nu - 1 - 1e-6:   # stencil reaches u + 2
             raise OutOfDomain(f"({t}, {x}): tau = {t - x} needs the strip "
                               f"beyond tau_max = {self.nu * self.h}")
-        if self.full:
-            return self._probe_block(t, x, None)
-        j = x / self.h
-        jr = int(round(j))
-        if abs(j - jr) < 1e-9 and jr in self.col_idx:
-            c = self.col_idx.index(jr)
-            e, n, r = (_interp1(arr[:, c], t / self.h) for arr in self._cols)
-            return FieldTriple(E=complex(e), N=float(n.real), rho=complex(r))
-        for w in range(len(self._wins)):
-            ft = self._probe_block(t, x, w)
-            if ft is not None:
-                return ft
-        raise OutOfDomain(
-            f"({t}, {x}) is neither on a captured column nor inside a "
-            "captured time window")
-
-    def _probe_block(self, t, x, window):
-        """Bicubic probe from the (u, j) store (window None), or from
-        captured time window number ``window`` (None if it misses)."""
         h = self.h
         u = (t - x) / h           # diagonal index
         v = x / h                 # column index
         v0 = int(np.floor(v))
-        v0 = min(max(v0, 1), self.nx - 2)
+        v0 = min(max(v0, self.j0 + 1), self.nx - 2)
         u0 = int(np.floor(u))
         fu = u - u0
         fv = v - v0
@@ -196,24 +158,17 @@ class SimGrid:
         elif abs(fv - 1.0) < 1e-9:
             fv, v0 = 0.0, min(v0 + 1, self.nx - 2)
         # stencil nodes: u in [u0 - 1, u0 + 2], j in [v0 - 1, v0 + 2]
-        if window is not None:
-            i_lo, i_hi = self._win_ranges[window]
-            i0 = u0 + v0 - 2          # its first t-level
-            if not i_lo <= i0 <= i_hi - 6:
-                return None
-            idx = (i0 - i_lo + _SHEAR, v0 - 1 + np.arange(4))
-            blocks = [arr[idx] for arr in self._wins[window]]
-        elif u0 < -1:             # the whole stencil lies in the trivial state
-            blocks = _trivial((4, 4))
-        elif u0 + v0 + 4 > self.nt:
+        if u0 + v0 + 4 > self.nt:
             raise OutOfDomain(f"({t}, {x}): the stencil needs t-levels past "
                               f"t_max = {self.t_max}")
-        else:
-            idx = (slice(u0 + 1, u0 + 5), slice(v0 - 1, v0 + 3))
-            blocks = [arr[idx] for arr in (self.E, self.N, self.rho)]
+        if v0 - 1 < self.j0:
+            raise OutOfDomain(f"({t}, {x}): the stencil needs columns left "
+                              f"of x_min = {self.x_min}")
+        c0 = v0 - 1 - self.j0
+        idx = (slice(u0 + 1, u0 + 5), slice(c0, c0 + 4))
         wu = _cubic_weights(fu)
         wv = _cubic_weights(fv)
-        e, n, r = (wu @ blk @ wv for blk in blocks)
+        e, n, r = (wu @ arr[idx] @ wv for arr in (self.E, self.N, self.rho))
         return FieldTriple(E=complex(e), N=float(np.real(n)), rho=complex(r))
 
     # --- serialization ----------------------------------------------------
@@ -221,9 +176,9 @@ class SimGrid:
     def save_binary(self, path):
         """Write the stored grid: header (h, t_max, x_max, node count), then
         E_re, E_im, N, rho_re, rho_im per node, row-major in (t, x)."""
-        if not self.full or self.nu < self.nt:
-            raise OutOfDomain("binary dump requires full storage of the "
-                              "whole rectangle")
+        if self.j0 > 0 or self.nu < self.nt:
+            raise OutOfDomain("binary dump requires storage of the whole "
+                              "rectangle")
         nodes = (self.nt + 1) * (self.nx + 1)
         with open(path, "wb") as fh:
             fh.write(struct.pack("<dddd", self.h, self.t_max, self.x_max,
@@ -255,24 +210,12 @@ def _cubic_weights(f: float) -> np.ndarray:
     ])
 
 
-def _interp1(series: np.ndarray, u: float):
-    n = len(series)
-    i0 = min(max(int(np.floor(u)), 1), n - 3)
-    f = u - i0
-    if abs(f) < 1e-9:
-        f = 0.0
-    elif abs(f - 1.0) < 1e-9 and i0 + 1 <= n - 3:
-        f, i0 = 0.0, i0 + 1
-    w = _cubic_weights(f)
-    return w @ series[i0 - 1:i0 + 3]
-
-
 def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
-             capture: Capture | None = None,
              nonphysical_tol: float = 1e-4,
-             tau_max: float | None = None) -> SimGrid:
+             tau_max: float | None = None, x_min: float = 0.0) -> SimGrid:
     """March the amplifier system on [0, t_max] x [0, x_max] with dt = dx = h,
-    restricted to the strip t - x <= tau_max (default t_max: everything).
+    restricted to the strip t - x <= tau_max (default t_max: everything), and
+    store it for x >= x_min (default 0: everything).
 
     Returns the populated SimGrid with its invariant report.  Raises
     CFLViolation for grid parameters outside the scheme's envelope and
@@ -288,9 +231,9 @@ def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
         raise CFLViolation(
             f"grid {nt}x{nx} exceeds {_MAX_NODES_PER_DIM} nodes per dimension")
 
-    grid = SimGrid(pulse, h, t_max, x_max, capture, tau_max)
+    grid = SimGrid(pulse, h, t_max, x_max, tau_max, x_min)
     # Level vectors over all x, updated on the strip's columns.  Level 0 is
-    # pure initial data, as the stores already hold.  Boundary jumps at t = 0
+    # pure initial data, as the store already holds.  Boundary jumps at t = 0
     # (Box pulse) enter through the seam adjustment below, never through the
     # stored corner, so the region x >= t stays exactly trivial.
     E, N, rho = _trivial(nx + 1)

@@ -137,31 +137,6 @@ class ScatteringData:
             raise DivisionNearZero(f"|a({k})| = {abs(a):.2e}; near a zero of a")
         return b / a
 
-    def b_deriv(self, k: complex) -> complex:
-        _, _, _, bdot = self.ab_and_derivs_many([k])
-        return complex(bdot[0])
-
-    def jost_matrix(self, k: complex) -> np.ndarray:
-        """Full Jost matrix at t = 0; columns integrated in the gauges that
-        keep their own entries O(e^{T Im k}) at worst."""
-        k = complex(k)
-        self._check_growth(np.array([k]))
-        T = self.pulse.support
-
-        def rhs(t, y):
-            e = self.pulse(t)
-            chi1, chi2, p1, p2 = y
-            return np.array([
-                -(0.5 * e) * chi2,
-                2j * k * chi2 + 0.5 * np.conj(e) * chi1,
-                -2j * k * p1 - (0.5 * e) * p2,
-                0.5 * np.conj(e) * p1,
-            ])
-
-        y = ode_advance(rhs, T, 0.0, np.array([1, 0, 0, 1], dtype=complex),
-                        self.tol.ode_rel, atol=self.tol.ode_abs)
-        return np.array([[y[0], y[2]], [y[1], y[3]]])
-
     # ----------------------------------------------------- real-line cache
 
     def _build_cache(self):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from mbamp.lightcone_asym import BandParams, eval_lightcone_at_tau
-from mbamp.mb_oracle import Capture, simulate
+from mbamp.mb_oracle import simulate
 from mbamp.numerics import count_zeros_rect
 from mbamp.pulse import BoxPulse, SmoothBumpPulse
 from mbamp.scattering import ScatteringData
@@ -124,9 +124,10 @@ def test_criterion_03_soliton_spectrum(sd_box52, spec_box52):
 
 @pytest.fixture(scope="module")
 def causality_run():
-    # full quadrant march, nothing stored: invariants accumulate on the fly
+    # full quadrant march, only the last columns stored: invariants
+    # accumulate on the fly
     return simulate(BoxPulse(1.0, 1.0), t_max=40.0, x_max=40.0, h=0.005,
-                    capture=Capture(), nonphysical_tol=1e-2)
+                    x_min=40.0, nonphysical_tol=1e-2)
 
 
 def test_criterion_04_causality(causality_run):
@@ -165,11 +166,10 @@ def test_criterion_06_bessel_regime_convergence(sd_bump_m2):
     m = 2.0
     xs = (10.0, 20.0, 40.0)
     h = 0.00125                      # divides every probe column exactly
-    cap = Capture(columns=xs)
     # probes at tau = 0.5/x; the stencil reaches 2h past the largest
     g = simulate(pulse, t_max=40.0 + 0.5 / 40.0 + 0.01, x_max=40.0, h=h,
-                 capture=cap, nonphysical_tol=1e-3,
-                 tau_max=0.5 / xs[0] + 3.0 * h)
+                 nonphysical_tol=1e-3, tau_max=0.5 / xs[0] + 3.0 * h,
+                 x_min=xs[0])
     scaled = []
     for x in xs:
         t = x + 0.5 / x
@@ -236,11 +236,11 @@ def tail_run():
     pulse = SmoothBumpPulse(0.4, 2.0, 2.0)
     sd = ScatteringData(pulse)
     spec = find_zeros(sd, (-4.0, 4.0, 1e-4, 4.0))
-    cap = Capture(columns=(150.0,))
     h = 0.005
+    # the probes' stencils reach 2h past the column x = 150 and their tau
     tau_max = 200.0 + _tail_window(150.0, 200.0)[1] + 3.0 * h
-    grid = simulate(pulse, t_max=360.8, x_max=152.0, h=h, capture=cap,
-                    nonphysical_tol=0.06, tau_max=tau_max)
+    grid = simulate(pulse, t_max=360.8, x_max=150.0 + 3.0 * h, h=h,
+                    nonphysical_tol=0.06, tau_max=tau_max, x_min=150.0)
     return sd, spec, grid
 
 
@@ -350,13 +350,13 @@ def _soliton_center(sd, spec, t):
 
 @pytest.fixture(scope="module")
 def soliton_run(sd_box52, spec_box52):
-    # the probes reach 3 past the soliton center at t = 97; the stencil 2h more
+    # the probes reach 3 either side of the soliton center at t = 97; the
+    # stencil 2h more
     h = 0.004
-    tau_max = 97.0 - (_soliton_center(sd_box52, spec_box52, 97.0) - 3.0) \
-        + 3.0 * h
-    return simulate(BoxPulse(5.0, 2.0), t_max=97.1, x_max=95.0, h=h,
-                    capture=Capture(t_windows=((96.9, 97.05),)),
-                    nonphysical_tol=0.06, tau_max=tau_max)
+    xc = _soliton_center(sd_box52, spec_box52, 97.0)
+    return simulate(BoxPulse(5.0, 2.0), t_max=97.1, x_max=xc + 3.0 + 3.0 * h,
+                    h=h, nonphysical_tol=0.06,
+                    tau_max=97.0 - (xc - 3.0) + 3.0 * h, x_min=xc - 3.0)
 
 
 def test_criterion_10_soliton_location_reduced_scale(sd_box52, spec_box52,

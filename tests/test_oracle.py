@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mbamp.errors import CFLViolation, NonPhysical, OutOfDomain
-from mbamp.mb_oracle import Capture, check_invariants, load_binary, simulate
+from mbamp.mb_oracle import check_invariants, load_binary, simulate
 from mbamp.pulse import BoxPulse, SmoothBumpPulse
 
 
@@ -38,13 +38,13 @@ def test_probe_exact_at_nodes(box_run):
 
 
 def test_probe_before_light_cone_is_trivial(box_run):
-    ft = box_run.probe(2.0, 3.5)             # a node with tau < 0
-    assert (ft.E, ft.N, ft.rho) == (0j, 1.0, 0j)
-    for t, x in ((1.2345, 2.3456), (6.01, 6.4), (3.0, 3.0 + 1.7 * box_run.h)):
+    h = box_run.h
+    # nodes and points with tau < 0, down to tau = -h/2, where the bicubic
+    # stencil would reach the front jump at u = 1
+    for t, x in ((2.0, 3.5), (1.2345, 2.3456), (6.01, 6.4),
+                 (3.0, 3.0 + 1.7 * h), (3.0, 3.0 + 0.5 * h), (3.0, 3.0)):
         ft = box_run.probe(t, x)
-        assert ft.E == 0j and ft.rho == 0j
-        # N is the product of the bicubic weight sums, 1 up to rounding
-        assert abs(ft.N - 1.0) <= 4 * 2.0 ** -52
+        assert (ft.E, ft.N, ft.rho) == (0j, 1.0, 0j)
 
 
 def test_probe_out_of_domain(box_run):
@@ -56,19 +56,24 @@ def test_probe_out_of_domain(box_run):
         box_run.probe(8.0, 0.0)     # the stencil would need t-levels past t_max
 
 
-@pytest.mark.parametrize("pulse", [BoxPulse(1.0, 1.0),
-                                   SmoothBumpPulse(1.0, 2.0, 1.0)],
-                         ids=["box", "bump"])
-def test_strip_run_matches_full_run(pulse):
+@pytest.mark.parametrize("pulse, x_min", [(BoxPulse(1.0, 1.0), 0.0),
+                                          (SmoothBumpPulse(1.0, 2.0, 1.0), 0.0),
+                                          (BoxPulse(1.0, 1.0), 2.0)],
+                         ids=["box", "bump", "band"])
+def test_strip_run_matches_full_run(pulse, x_min, tmp_path):
     full = simulate(pulse, t_max=5.0, x_max=4.0, h=0.01)
-    strip = simulate(pulse, t_max=5.0, x_max=4.0, h=0.01, tau_max=0.7)
+    strip = simulate(pulse, t_max=5.0, x_max=4.0, h=0.01, tau_max=0.7,
+                     x_min=x_min)
     rows = strip.nu + 3
+    j0 = strip.j0
     assert strip.nu == 70 and rows < full.E.shape[0]
-    # every stored node with tau <= tau_max, bit for bit
-    assert np.array_equal(strip.E, full.E[:rows])
-    assert np.array_equal(strip.N, full.N[:rows])
-    assert np.array_equal(strip.rho, full.rho[:rows])
-    assert strip.probe(3.3, 2.9) == full.probe(3.3, 2.9)
+    assert j0 == max(0, round(x_min / 0.01) - 1)
+    # every stored node with tau <= tau_max and x >= x_min, bit for bit
+    assert np.array_equal(strip.E, full.E[:rows, j0:])
+    assert np.array_equal(strip.N, full.N[:rows, j0:])
+    assert np.array_equal(strip.rho, full.rho[:rows, j0:])
+    for t, x in ((3.3, 2.9), (2.13, 2.0), (2.45, 2.0), (3.0, 2.53)):
+        assert strip.probe(t, x) == full.probe(t, x)
     nx = 400
     assert full.invariants.node_updates == sum(min(i, nx) + 1
                                                for i in range(1, 501))
@@ -77,6 +82,18 @@ def test_strip_run_matches_full_run(pulse):
     assert strip.invariants.causality_defect == 0.0
     assert strip.invariants.conservation_defect \
         <= full.invariants.conservation_defect
+    if x_min > 0:
+        with pytest.raises(OutOfDomain):
+            strip.probe(2.3, x_min - 0.005)
+        with pytest.raises(OutOfDomain):
+            strip.level(50)              # inside the strip, left of x_min
+        # two stored columns: too narrow for any stencil, and no whole level
+        edge = simulate(pulse, t_max=2.0, x_max=1.0, h=0.01, x_min=1.0)
+        assert edge.E.shape == (203, 2)
+        with pytest.raises(OutOfDomain):
+            edge.probe(1.5, 1.0)
+        with pytest.raises(OutOfDomain):
+            edge.save_binary(tmp_path / "edge.bin")
 
 
 def test_probe_past_tau_max_raises():
@@ -87,17 +104,6 @@ def test_probe_past_tau_max_raises():
             g.probe(t, x)
     with pytest.raises(OutOfDomain):
         g.save_binary("unused.bin")      # the strip is not the whole rectangle
-
-
-def test_strip_with_capture_column():
-    cap = Capture(columns=(2.0,))
-    g = simulate(BoxPulse(1.0, 1.0), t_max=4.0, x_max=3.0, h=0.01,
-                 capture=cap, tau_max=0.5)
-    full = simulate(BoxPulse(1.0, 1.0), t_max=4.0, x_max=3.0, h=0.01)
-    for t in (1.7, 2.13, 2.45):
-        assert g.probe(t, 2.0) == full.probe(t, 2.0)
-    with pytest.raises(OutOfDomain):
-        g.probe(2.49, 2.0)
 
 
 def test_defect_location(box_run):
@@ -147,29 +153,6 @@ def test_nonphysical_guard_trips_on_underresolved_run():
     with pytest.raises(NonPhysical):
         simulate(BoxPulse(40.0, 1.0), t_max=6.0, x_max=6.0, h=0.02,
                  nonphysical_tol=1e-6)
-
-
-def test_capture_columns_match_full(box_run):
-    cap = Capture(columns=(2.0, 5.0))
-    g = simulate(BoxPulse(1.0, 1.0), t_max=8.0, x_max=8.0, h=0.005, capture=cap)
-    for x in (2.0, 5.0):
-        for t in (1.37, 4.92, 7.5):
-            a = g.probe(t, x)
-            b = box_run.probe(t, x)
-            assert abs(a.E - b.E) < 1e-12
-            assert abs(a.N - b.N) < 1e-12
-
-
-def test_capture_window_matches_full(box_run):
-    cap = Capture(t_windows=((4.0, 5.0),))
-    g = simulate(BoxPulse(1.0, 1.0), t_max=8.0, x_max=8.0, h=0.005, capture=cap)
-    for (t, x) in ((4.3, 1.7), (4.71, 3.33)):
-        a = g.probe(t, x)
-        b = box_run.probe(t, x)
-        assert abs(a.E - b.E) < 1e-12
-        assert abs(a.rho - b.rho) < 1e-12
-    with pytest.raises(OutOfDomain):
-        g.probe(2.0, 1.7)   # outside the captured window, off the columns
 
 
 def test_binary_round_trip(tmp_path, box_run):
