@@ -106,6 +106,17 @@ def test_probe_past_tau_max_raises():
         g.save_binary("unused.bin")      # the strip is not the whole rectangle
 
 
+def test_strip_with_capture_column():
+    # a column probe is a strip probe with x_min at the column
+    g = simulate(BoxPulse(1.0, 1.0), t_max=4.0, x_max=3.0, h=0.01,
+                 tau_max=0.5, x_min=2.0)
+    full = simulate(BoxPulse(1.0, 1.0), t_max=4.0, x_max=3.0, h=0.01)
+    for t in (1.7, 2.13, 2.45):
+        assert g.probe(t, 2.0) == full.probe(t, 2.0)
+    with pytest.raises(OutOfDomain):
+        g.probe(2.49, 2.0)
+
+
 def test_defect_location(box_run):
     inv = check_invariants(box_run)
     t, x = inv.defect_tx
@@ -153,6 +164,33 @@ def test_nonphysical_guard_trips_on_underresolved_run():
     with pytest.raises(NonPhysical):
         simulate(BoxPulse(40.0, 1.0), t_max=6.0, x_max=6.0, h=0.02,
                  nonphysical_tol=1e-6)
+
+
+def test_capture_columns_match_full(box_run):
+    # the columns x = 2 and x = 5 from one store cut at x_min = 2
+    g = simulate(BoxPulse(1.0, 1.0), t_max=8.0, x_max=8.0, h=0.005, x_min=2.0)
+    for x in (2.0, 5.0):
+        for t in (1.37, 4.92, 7.5):
+            a = g.probe(t, x)
+            b = box_run.probe(t, x)
+            assert abs(a.E - b.E) < 1e-12
+            assert abs(a.N - b.N) < 1e-12
+
+
+def test_capture_window_matches_full(box_run):
+    # a window around the probes is a strip cut at x_min and tau_max
+    h = box_run.h
+    g = simulate(BoxPulse(1.0, 1.0), t_max=8.0, x_max=8.0, h=h,
+                 tau_max=2.6 + 3.0 * h, x_min=1.7)
+    for (t, x) in ((4.3, 1.7), (4.71, 3.33)):
+        a = g.probe(t, x)
+        b = box_run.probe(t, x)
+        assert abs(a.E - b.E) < 1e-12
+        assert abs(a.rho - b.rho) < 1e-12
+    with pytest.raises(OutOfDomain):
+        g.probe(4.3, 1.0)   # left of the window
+    with pytest.raises(OutOfDomain):
+        g.probe(7.0, 1.7)   # past the window's tau_max
 
 
 def test_binary_round_trip(tmp_path, box_run):
