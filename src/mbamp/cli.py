@@ -266,8 +266,8 @@ def cmd_compare(cfg: RunConfig, out: Path, tol_scale: float) -> int:
     spec = find_zeros(sd, box)
     o = cfg.oracle
     points = cfg.grid_points()
-    # the probes' bicubic stencils reach 2h past their largest tau; the store
-    # starts at their smallest x
+    # the probes' bicubic stencils reach less than 3h past their largest tau;
+    # the store starts at their smallest x
     tau_max = min(o["t_max"],
                   max((t - x for t, x in points), default=0.0) + 3.0 * o["h"])
     x_min = min(o["x_max"], max(0.0, min((x for _, x in points), default=0.0)))

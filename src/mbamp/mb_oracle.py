@@ -3,27 +3,26 @@
     E_t + E_x = rho,   rho_t = N E,   N_t = -Re(conj(E) rho),
 
 with trivial initial data (E = rho = 0, N = 1) and boundary field E(t, 0)
-given by the input pulse.  The grid uses dt = dx = h, so the E-characteristic
-maps grid diagonals to grid diagonals exactly and the region x >= t stays
-bit-identical to the trivial state: the scheme cannot leak across the light
-cone.
+given by the input pulse.  In tau = t - x it is the Goursat problem
+E_x = rho, rho_tau = N E, N_tau = -Re(conj(E) rho) with E(tau, 0) = E1(tau)
+and rho = 0, N = 1 on tau = 0; the region tau < 0 is the trivial state, so
+the light cone is exact by construction.
 
-Field advance: E along its characteristic with a trapezoidal source; the
-medium (rho, N) by a Heun step in t at each column, driven by E at both time
-levels; one extra fixed-point sweep couples the two.  The medium flow is a
-rotation for any driving E, so the Bloch defect N^2+|rho|^2-1 measures only
-the time discretization and shrinks as O(h^2).
+The grid has dtau = dx = h and marches in tau, row u -> u + 1: the medium
+takes one Heun step, vectorized over x, with a single predictor-corrector
+coupling to the field, and E at each stage is the trapezoid of E_x = rho (a
+cumulative sum along the row).  The medium flow is a rotation for any
+driving E, so the Bloch defect N^2+|rho|^2-1 measures only the
+discretization and shrinks as O(h^2).  A pulse jump on the grid (a box pulse
+at tau = 0 and T) travels along its row, which holds the left limit: the
+step leaving the row reads row + jump, and a probe's stencil stays on its
+side of the row.
 
-A node depends only on nodes of smaller or equal tau = t - x and of smaller
-or equal x, so a run covers the strip 0 <= tau <= tau_max (default t_max),
-0 <= x <= x_max: t-level i marches the columns [max(0, i - U), min(i, nx)],
-U = ceil(tau_max / h).  Fields are stored by (u, j) = (tau / h, x / h) for
-x >= x_min (default 0), i.e. the columns j >= j0 = max(0, floor(x_min/h) - 1)
-the bicubic stencil of a probe at x_min reaches; the store has shape
-(U + 3, nx - j0 + 1), row u + 2 (two trivial pad rows below u = 0), and a
-t-level is an anti-diagonal.  The [0, 8]^2 box at h = 0.005 marches 1.3e6
-nodes of its 2.6e6; a compare run at x ~ 24 with tau <= 0.48 marches 4.7e5 in
-place of 2.4e7.
+Row u + 1 covers the columns j <= min(nx, nt - u - 1) (t <= t_max), up to
+U = ceil(tau_max / h) (default t_max).  The store keeps (u, j) = (tau/h, x/h)
+for the columns j >= j0 = max(0, floor(x_min/h) - 1) a probe at x_min
+reaches: shape (U + 3, nx - j0 + 1), row u at index u + 2 (two trivial pad
+rows), row u = 0 the initial data.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ class FieldTriple:
 @dataclass
 class InvariantReport:
     conservation_defect: float   # max |N^2 + |rho|^2 - 1|
-    causality_defect: float      # max of |E|, |rho|, |N-1| on the row x = t
+    causality_defect: float      # max of |E|, |rho|, |N-1| on stored tau <= 0
     boundary_error: float        # max |E(t_i, 0) - pulse(t_i)|, i >= 1
     node_updates: int = 0        # nodes marched
     defect_tx: tuple[float, float] | None = None   # (t, x) of the worst defect
@@ -81,6 +80,12 @@ class SimGrid:
         self.nu = min(self.nt, max(0, math.ceil(tau_max / h - 1e-9)))
         # first stored column: the stencil of a probe at x_min reaches one left
         self.j0 = max(0, math.floor(x_min / h) - 1)
+        # rows u holding a pulse jump: the stored row is the left limit, the
+        # right limit is row + jump.  Jump times off the grid cannot be
+        # compensated; they smear O(h^2 |jump|^2) into the Bloch defect.
+        self.jump_rows = {round(tj / h): complex(dv)
+                          for tj, dv in pulse.jumps()
+                          if abs(tj - round(tj / h) * h) < 1e-12 * max(1.0, tj)}
         self.invariants: InvariantReport | None = None
         shape = (self.nu + 3, self.nx - self.j0 + 1)
         bytes_needed = (16 + 16 + 8) * shape[0] * shape[1]
@@ -90,40 +95,14 @@ class SimGrid:
                 "pass tau_max or x_min for runs this large")
         self.E, self.N, self.rho = _trivial(shape)
 
-    def span(self, i: int) -> tuple[int, int]:
-        """First and last column of t-level i inside the strip."""
-        return max(0, i - self.nu), min(i, self.nx)
-
-    def _diagonal(self, arr, i):
-        """View of t-level i of a (u, j) store over its stored columns
-        [max(lo, j0), hi] of span(i), in ascending j: an anti-diagonal of the
-        flat buffer."""
-        lo, hi = self.span(i)
-        lo = max(lo, self.j0)
-        width = self.nx - self.j0 + 1
-        start = (i - hi + 2) * width + hi - self.j0
-        step = max(width - 1, 1)
-        count = max(hi - lo + 1, 0)
-        return arr.reshape(-1)[start:start + count * step:step][::-1]
-
-    # --- storage during the march -------------------------------------
-
-    def _store(self, i, E, N, rho):
-        """Keep t-level i; E, N, rho are the level vectors over all x (stale
-        left of span(i), where probe() never reads)."""
-        lo, hi = self.span(i)
-        lo = max(lo, self.j0)
-        for arr, f in zip((self.E, self.N, self.rho), (E, N, rho)):
-            self._diagonal(arr, i)[:] = f[lo:hi + 1]
-
     def level(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """E, N, rho over all x at t-level i of a run that stores it whole."""
-        lo, hi = self.span(i)
-        if lo > 0 or self.j0 > 0:
+        if i > self.nu or self.j0 > 0:
             raise OutOfDomain(f"t-level {i} is not stored whole")
+        j = np.arange(min(i, self.nx) + 1)
         rows = _trivial(self.nx + 1)
         for row, arr in zip(rows, (self.E, self.N, self.rho)):
-            row[:hi + 1] = self._diagonal(arr, i)
+            row[j] = arr[i - j + 2, j]
         return rows
 
     # --- probing --------------------------------------------------------
@@ -136,11 +115,8 @@ class SimGrid:
             raise OutOfDomain(f"({t}, {x}) outside the stored rectangle")
         if t <= x:
             return FieldTriple(E=0j, N=1.0, rho=0j)
-        if (t - x) / self.h >= self.nu - 1 - 1e-6:   # stencil reaches u + 2
-            raise OutOfDomain(f"({t}, {x}): tau = {t - x} needs the strip "
-                              f"beyond tau_max = {self.nu * self.h}")
         h = self.h
-        u = (t - x) / h           # diagonal index
+        u = (t - x) / h           # row index
         v = x / h                 # column index
         v0 = int(np.floor(v))
         v0 = min(max(v0, self.j0 + 1), self.nx - 2)
@@ -157,18 +133,33 @@ class SimGrid:
             fv = 0.0
         elif abs(fv - 1.0) < 1e-9:
             fv, v0 = 0.0, min(v0 + 1, self.nx - 2)
-        # stencil nodes: u in [u0 - 1, u0 + 2], j in [v0 - 1, v0 + 2]
-        if u0 + v0 + 4 > self.nt:
+        # stencil rows s0..s0 + 3 (u0 - 1..u0 + 2 away from jumps) stay on
+        # the probe's side of a jump row, read as its right limit from above
+        s0, jump = u0 - 1, 0j
+        for row, dv in self.jump_rows.items():
+            if s0 <= row <= s0 + 3:
+                if u0 + fu > row:
+                    s0, jump = row, dv
+                else:
+                    s0 = row - 3
+        if s0 + 3 > self.nu:
+            raise OutOfDomain(f"({t}, {x}): tau = {t - x} needs the strip "
+                              f"beyond tau_max = {self.nu * h}")
+        if s0 + v0 + 5 > self.nt:
             raise OutOfDomain(f"({t}, {x}): the stencil needs t-levels past "
                               f"t_max = {self.t_max}")
         if v0 - 1 < self.j0:
             raise OutOfDomain(f"({t}, {x}): the stencil needs columns left "
                               f"of x_min = {self.x_min}")
         c0 = v0 - 1 - self.j0
-        idx = (slice(u0 + 1, u0 + 5), slice(c0, c0 + 4))
-        wu = _cubic_weights(fu)
+        idx = (slice(s0 + 2, s0 + 6), slice(c0, c0 + 4))
+        E = self.E[idx]
+        if jump:
+            E = E.copy()
+            E[0] += jump
+        wu = _cubic_weights(fu + (u0 - 1 - s0))
         wv = _cubic_weights(fv)
-        e, n, r = (wu @ arr[idx] @ wv for arr in (self.E, self.N, self.rho))
+        e, n, r = (wu @ arr @ wv for arr in (E, self.N[idx], self.rho[idx]))
         return FieldTriple(E=complex(e), N=float(np.real(n)), rho=complex(r))
 
     # --- serialization ----------------------------------------------------
@@ -202,6 +193,7 @@ def load_binary(path) -> tuple[float, float, float, np.ndarray]:
 
 
 def _cubic_weights(f: float) -> np.ndarray:
+    """Lagrange weights of the nodes -1, 0, 1, 2 at f."""
     return np.array([
         -f * (f - 1.0) * (f - 2.0) / 6.0,
         (f + 1.0) * (f - 1.0) * (f - 2.0) / 2.0,
@@ -210,12 +202,23 @@ def _cubic_weights(f: float) -> np.ndarray:
     ])
 
 
+def _trapezoid(e1: complex, r: np.ndarray, half_h: float) -> np.ndarray:
+    """E along a row from its boundary value e1 and E_x = r: the cumulative
+    trapezoid."""
+    f = np.empty(r.size, dtype=complex)
+    f[0] = e1
+    np.add(r[:-1], r[1:], out=f[1:])
+    f[1:] *= half_h
+    return np.cumsum(f, out=f)
+
+
 def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
              nonphysical_tol: float = 1e-4,
              tau_max: float | None = None, x_min: float = 0.0) -> SimGrid:
-    """March the amplifier system on [0, t_max] x [0, x_max] with dt = dx = h,
-    restricted to the strip t - x <= tau_max (default t_max: everything), and
-    store it for x >= x_min (default 0: everything).
+    """March the amplifier system on [0, t_max] x [0, x_max] row by row in
+    tau = t - x with dtau = dx = h, restricted to the strip tau <= tau_max
+    (default t_max: everything), and store it for x >= x_min (default 0:
+    everything).
 
     Returns the populated SimGrid with its invariant report.  Raises
     CFLViolation for grid parameters outside the scheme's envelope and
@@ -232,91 +235,58 @@ def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
             f"grid {nt}x{nx} exceeds {_MAX_NODES_PER_DIM} nodes per dimension")
 
     grid = SimGrid(pulse, h, t_max, x_max, tau_max, x_min)
-    # Level vectors over all x, updated on the strip's columns.  Level 0 is
-    # pure initial data, as the store already holds.  Boundary jumps at t = 0
-    # (Box pulse) enter through the seam adjustment below, never through the
-    # stored corner, so the region x >= t stays exactly trivial.
+    j0 = grid.j0
+    half_h = 0.5 * h
+    # row u = 0: the initial data, left limits at tau = 0
     E, N, rho = _trivial(nx + 1)
-
-    # Field discontinuities of the boundary pulse propagate unchanged along
-    # grid diagonals (dt = dx = h).  Stored node values are left limits in t;
-    # the medium step starting at a seam node must be driven by the right
-    # limit, i.e. stored value + jump.  Only jump times on the grid can be
-    # compensated; others would smear O(h^2 |jump|^2) into the Bloch defect.
-    seams = []
-    for tj, dv in getattr(pulse, "jumps", lambda: ())():
-        steps = round(tj / h)
-        if abs(tj - steps * h) < 1e-12 * max(1.0, tj):
-            seams.append((int(steps), complex(dv)))
 
     cons_defect = 0.0
     defect_tx = None
-    caus_defect = 0.0
     updates = 0
-    half_h = 0.5 * h
 
-    # levels past nu + nx hold no strip node
-    for i in range(min(nt, grid.nu + nx)):
-        t_next = (i + 1) * h
-        lo, hi = grid.span(i + 1)
-        m = slice(lo, hi + 1)
-        b = int(lo == 0)                # the boundary node is marched
-        p = slice(lo - 1 + b, hi)       # left neighbours of the other nodes
-        # pulse() returns left limits at interior jump times (closed support),
-        # the stored-value convention; t = 0 never appears.
-        bnd = np.full(b, complex(pulse(t_next)))
+    for u in range(grid.nu):
+        m = min(nx, nt - u - 1) + 1     # columns of row u + 1
+        # pulse() returns left limits at interior jump times (closed
+        # support), the stored-value convention
+        e1 = complex(pulse((u + 1) * h))
+        E0 = E[:m]
+        if u in grid.jump_rows:
+            E0 = E0 + grid.jump_rows[u]
+        N0 = N[:m]
+        rho0 = rho[:m]
 
-        E_med = E[m].copy()
-        for steps, dv in seams:
-            if lo <= i - steps <= hi:
-                E_med[i - steps - lo] += dv
-
-        e_prev = E[p]
-        rho_prev = rho[p]
-        N_old = N[m]
-        rho_old = rho[m]
-
-        k1r = N_old * E_med
-        k1n = -(np.conj(E_med) * rho_old).real
-        rho_s = rho_old + h * k1r
-        N_s = N_old + h * k1n
-
-        Epred = np.concatenate((bnd, e_prev + h * rho_prev))
-
-        k2r = N_s * Epred
-        rho_n = rho_old + half_h * (k1r + k2r)
-
-        Ec = np.concatenate((bnd, e_prev + half_h * (rho_prev + rho_n[b:])))
-
+        k1r = N0 * E0
+        k1n = -(np.conj(E0) * rho0).real
+        rho_s = rho0 + h * k1r
+        N_s = N0 + h * k1n
+        rho_n = rho0 + half_h * (k1r + N_s * _trapezoid(e1, rho_s, half_h))
+        Ec = _trapezoid(e1, rho_n, half_h)
         # single coupling sweep: medium re-driven by the corrected field
-        k2r = N_s * Ec
-        k2n = -(np.conj(Ec) * rho_s).real
-        rho_new = rho_old + half_h * (k1r + k2r)
-        N_new = N_old + half_h * (k1n + k2n)
+        rho = rho0 + half_h * (k1r + N_s * Ec)
+        N = N0 + half_h * (k1n - (np.conj(Ec) * rho_s).real)
+        E = _trapezoid(e1, rho, half_h)
 
-        E[m] = np.concatenate((bnd, e_prev + half_h * (rho_prev + rho_new[b:])))
-        N[m] = N_new
-        rho[m] = rho_new
-        grid._store(i + 1, E, N, rho)
-        updates += hi - lo + 1
+        if m > j0:
+            for arr, f in zip((grid.E, grid.N, grid.rho), (E, N, rho)):
+                arr[u + 3, :m - j0] = f[j0:]
+        updates += m
 
-        defect = np.abs(N_new * N_new + np.abs(rho_new) ** 2 - 1.0)
+        defect = np.abs(N * N + np.abs(rho) ** 2 - 1.0)
         worst = int(np.argmax(defect))
-        level_defect = float(defect[worst])
-        if level_defect > cons_defect:
-            cons_defect = level_defect
-            defect_tx = (t_next, (lo + worst) * h)
+        if defect[worst] > cons_defect:
+            cons_defect = float(defect[worst])
+            defect_tx = ((u + 1 + worst) * h, worst * h)
             if cons_defect > nonphysical_tol:
                 raise NonPhysical(
                     f"Bloch defect {cons_defect:.3e} at (t, x) = "
-                    f"({t_next:.4f}, {(lo + worst) * h:.4f}) "
+                    f"({defect_tx[0]:.4f}, {defect_tx[1]:.4f}) "
                     f"exceeds the guard {nonphysical_tol:.1e}")
-        if i + 1 <= nx:   # the computed row x = t; nodes past it stay unmarched
-            j = i + 1
-            caus_defect = max(caus_defect, float(max(
-                abs(E[j]), abs(rho[j]), abs(N[j] - 1.0))))
 
-    # the boundary field is imposed exactly at every level i >= 1
+    # the stored rows tau <= 0 are never marched and must stay trivial
+    caus_defect = float(max(np.abs(grid.E[:3]).max(),
+                            np.abs(grid.rho[:3]).max(),
+                            np.abs(grid.N[:3] - 1.0).max()))
+    # the boundary field is imposed exactly on every row u >= 1
     grid.invariants = InvariantReport(cons_defect, caus_defect, 0.0,
                                       updates, defect_tx)
     return grid

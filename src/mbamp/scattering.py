@@ -25,6 +25,8 @@ logger = logging.getLogger(__name__)
 _CHEB_TAIL = 1e-12      # chop level of the trailing Chebyshev coefficients
 _CHEB_MAX_N = 4096      # node cap of the real-line interpolant (n + 1 nodes)
 _SCAN_POINTS = 8193     # uniform scan for the minima of |r| and the max of |b|
+CACHE_HALFWIDTH = 20.0      # the real-line interpolant covers [-K, K]
+_KAPPA_MODEL_SWITCH = 40.0  # |k| past which reflection_uhp uses the tail fit
 
 
 @dataclass(frozen=True)
@@ -46,13 +48,9 @@ class ScatteringData:
     afterwards.
     """
 
-    def __init__(self, pulse: Pulse, tol: Tolerances | None = None,
-                 cache_halfwidth: float = 20.0,
-                 kappa_model_switch: float = 40.0):
+    def __init__(self, pulse: Pulse, tol: Tolerances | None = None):
         self.pulse = pulse
         self.tol = tol or Tolerances()
-        self.cache_halfwidth = float(cache_halfwidth)
-        self.kappa_model_switch = float(kappa_model_switch)
         # (nodes, weights, [a b 1] at nodes, uniform scan, [a b] on the scan)
         self._cache = None
         self.cache_tail = None   # achieved Chebyshev tail of the cache
@@ -149,7 +147,7 @@ class ScatteringData:
         batched solve, so its values share one step sequence and stay a
         smooth function of k.
         """
-        K = self.cache_halfwidth
+        K = CACHE_HALFWIDTH
         n = 64
         while True:
             # K cos(pi j / n), written as a sine so that it is exactly odd
@@ -277,12 +275,12 @@ class ScatteringData:
     def reflection_uhp(self, k: complex) -> complex:
         """r(k) anywhere in the closed upper half-plane.
 
-        Direct integration up to |Im k| = kappa_model_switch; beyond that the
+        Direct integration up to |k| = _KAPPA_MODEL_SWITCH; beyond that the
         fitted power-law tail (the direct values degrade only through the
         smallness of b, but the model is cheaper and smooth at huge k).
         """
         k = complex(k)
-        if abs(k) <= self.kappa_model_switch:
+        if abs(k) <= _KAPPA_MODEL_SWITCH:
             return self.reflection(k)
         fit = self.tail_fit()
         return fit.constant * k ** (-fit.order)

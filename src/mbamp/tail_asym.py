@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .errors import ReflectionZero
 from .mb_oracle import FieldTriple
 from .numerics import adaptive_quad
-from .scattering import ScatteringData
+from .scattering import CACHE_HALFWIDTH, ScatteringData
 from .soliton_spectrum import SolitonSpectrum, velocity_match
 from .specfun import gamma_imag
 
@@ -93,7 +93,7 @@ def omega_pair(sd: ScatteringData, spec: SolitonSpectrum,
     if tau <= 0.0:
         raise ValueError("tail phases need t > x")
     k0 = 0.5 * math.sqrt(x / tau)
-    if k0 > sd.cache_halfwidth:
+    if k0 > CACHE_HALFWIDTH:
         raise ValueError(f"k0 = {k0:.3f} outside the real-line cache")
     qtol = quad_tol if quad_tol is not None else sd.tol.quad_tol
     nu_l, nu_r = nu_pair(sd, k0)
@@ -104,7 +104,7 @@ def omega_pair(sd: ScatteringData, spec: SolitonSpectrum,
         delta = 1e-7 * max(1.0, k0)
         slope = (_log_term(sd, endpoint + delta) -
                  _log_term(sd, endpoint - delta)) / (2.0 * delta) \
-            if abs(endpoint) < sd.cache_halfwidth - delta else 0.0
+            if abs(endpoint) < CACHE_HALFWIDTH - delta else 0.0
 
         def g(s: float) -> float:
             d = s - endpoint

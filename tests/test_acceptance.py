@@ -131,9 +131,17 @@ def causality_run():
 
 
 def test_criterion_04_causality(causality_run):
-    caus = causality_run.invariants.causality_defect
-    _report(4, caus <= 1e-9,
-            f"max |E|,|rho|,|N-1| over x >= t on the 40x40 grid = {caus:.2e}")
+    g = causality_run
+    caus = g.invariants.causality_defect
+    # just behind the unit front jump E = I0(2 sqrt(x tau)): the stored
+    # tau = h node at x = 39.995 (store row u + 2 = 3, column j - j0 = 0)
+    x = g.j0 * g.h
+    front = bessel_i(0.0, 2.0 * math.sqrt(x * g.h))
+    rel = abs(g.E[3, 0] - front) / front
+    _report(4, caus <= 1e-9 and rel <= 1e-3,
+            f"max |E|,|rho|,|N-1| on the stored rows tau <= 0 of the 40x40 "
+            f"grid = {caus:.2e}; "
+            f"E(tau = h, x = {x:.3f}) vs I0(2 sqrt(x h)): rel dev {rel:.1e}")
 
 
 def test_criterion_05_conservation_and_order():

@@ -111,7 +111,8 @@ def test_simulate_and_compare(tmp_path):
     assert (out / "grid.bin").exists()
     inv = json.loads((out / "invariants.json").read_text())
     assert inv["causality_defect"] == 0.0
-    assert inv["node_updates"] == sum(min(i, 800) + 1 for i in range(1, 801))
+    # rows u = 1..800, row u covering x <= t_max - tau
+    assert inv["node_updates"] == sum(801 - u for u in range(1, 801)) == 320_400
     t_d, x_d = inv["defect_tx"]
     assert 0.0 <= x_d <= t_d <= 8.0
     slice_csv = (out / "slice_t4.csv").read_text().strip().split("\n")

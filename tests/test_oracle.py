@@ -47,6 +47,22 @@ def test_probe_before_light_cone_is_trivial(box_run):
         assert (ft.E, ft.N, ft.rho) == (0j, 1.0, 0j)
 
 
+def test_probe_stays_on_its_side_of_jump_rows(box_run):
+    # the box 1/1 pulse jumps by +1 at tau = 0 and by -1 at tau = T = 1 (row
+    # 200); between two rows the probe must lie near the mean of the limits
+    # on its side, never interpolate across the jump
+    h, j = box_run.h, 600                    # the column x = 3
+    E = box_run.E[:, j]                      # row u at index u + 2
+    for tau, lo, hi in ((0.5 * h, 1.0, E[3]),
+                        (1.5 * h, E[3], E[4]),
+                        (1.0 - 0.5 * h, E[201], E[202]),
+                        (1.0 + 0.5 * h, E[202] - 1.0, E[203])):
+        got = box_run.probe(3.0 + tau, 3.0).E
+        assert abs(got - 0.5 * (lo + hi)) < 1e-3
+    # on a jump row the probe gives the stored left limit
+    assert box_run.probe(4.0, 3.0).E == E[202]
+
+
 def test_probe_out_of_domain(box_run):
     with pytest.raises(OutOfDomain):
         box_run.probe(9.0, 1.0)
@@ -74,11 +90,17 @@ def test_strip_run_matches_full_run(pulse, x_min, tmp_path):
     assert np.array_equal(strip.rho, full.rho[:rows, j0:])
     for t, x in ((3.3, 2.9), (2.13, 2.0), (2.45, 2.0), (3.0, 2.53)):
         assert strip.probe(t, x) == full.probe(t, x)
-    nx = 400
-    assert full.invariants.node_updates == sum(min(i, nx) + 1
-                                               for i in range(1, 501))
-    assert strip.invariants.node_updates == sum(
-        max(0, min(i, nx) - max(0, i - 70) + 1) for i in range(1, 501))
+    # rows u = 1..nu, row u covering the columns j <= min(nx, nt - u); the
+    # row u = 0 is initial data and stays trivial
+    nt, nx = 500, 400
+    assert full.invariants.node_updates == sum(min(nx, nt - u) + 1
+                                               for u in range(1, nt + 1))
+    assert full.invariants.node_updates == 120_300
+    assert strip.invariants.node_updates == sum(min(nx, nt - u) + 1
+                                                for u in range(1, 71))
+    for g in (full, strip):
+        assert not g.E[2].any() and not g.rho[2].any()
+        assert (g.N[2] == 1.0).all()
     assert strip.invariants.causality_defect == 0.0
     assert strip.invariants.conservation_defect \
         <= full.invariants.conservation_defect

@@ -21,7 +21,6 @@ class _StubTail:
 
     def __init__(self, r_abs):
         self.r_abs = r_abs
-        self.cache_halfwidth = 50.0
         from mbamp.numerics import Tolerances
         self.tol = Tolerances()
 
