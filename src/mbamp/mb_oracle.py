@@ -58,7 +58,6 @@ class FieldTriple:
 class InvariantReport:
     conservation_defect: float   # max |N^2 + |rho|^2 - 1|
     causality_defect: float      # max of |E|, |rho|, |N-1| on stored tau <= 0
-    boundary_error: float        # max |E(t_i, 0) - pulse(t_i)|, i >= 1
     node_updates: int = 0        # nodes marched
     defect_tx: tuple[float, float] | None = None   # (t, x) of the worst defect
 
@@ -286,9 +285,8 @@ def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
     caus_defect = float(max(np.abs(grid.E[:3]).max(),
                             np.abs(grid.rho[:3]).max(),
                             np.abs(grid.N[:3] - 1.0).max()))
-    # the boundary field is imposed exactly on every row u >= 1
-    grid.invariants = InvariantReport(cons_defect, caus_defect, 0.0,
-                                      updates, defect_tx)
+    grid.invariants = InvariantReport(cons_defect, caus_defect, updates,
+                                      defect_tx)
     return grid
 
 

@@ -1,6 +1,14 @@
 """Shared numerical kernels: adaptive quadrature, winding-number zero counts,
 complex Newton refinement, and an adaptive embedded Runge-Kutta advance.
 
+The Runge-Kutta advance (``ode_advance``) integrates an ODE whose time
+dependence sits in one coefficient ``c(t)``, such as the pulse in the Jost
+equation.  Its state is a complex array of any shape, e.g. one column per
+spectral point.  It evaluates the coefficient once per step attempt, on that
+attempt's six stage times, and the right-hand side writes each stage into
+one array of stages in place.  So a batched solve costs a fixed handful of
+NumPy calls per step, whatever the batch size.
+
 All routines are pure functions of their inputs and deterministic for fixed
 arguments, so concurrent use needs no locking.
 """
@@ -226,33 +234,45 @@ def complex_newton(f: Callable[[complex], complex],
         f"no convergence after {max_iter} iterations; last |f| = {history[-1]:.3e}")
 
 
-# Dormand-Prince 5(4) coefficients.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
+# Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6,
+# 1980): stage nodes, stage rows (the last row is the 5th-order solution, so
+# its stage is the next step's first), and the weights of the error estimate.
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _DP_E = np.array([35 / 384 - 5179 / 57600, 0.0, 500 / 1113 - 7571 / 16695,
                   125 / 192 - 393 / 640, -2187 / 6784 + 92097 / 339200,
                   11 / 84 - 187 / 2100, -1 / 40])
 
 
-def ode_advance(rhs: Callable[[float, np.ndarray], np.ndarray],
-                t0: float, t1: float, y0, tol: float,
+def ode_advance(rhs: Callable[[object, np.ndarray, np.ndarray], None],
+                coef: Callable, t0: float, t1: float, y0, tol: float,
                 atol: float | None = None,
                 max_steps: int = 2_000_000) -> np.ndarray:
-    """Advance y' = rhs(t, y) from t0 to t1 with an embedded 5(4) pair.
+    """Advance y' = f(t, y) from t0 to t1 with the Dormand-Prince 5(4) pair.
 
-    Per-step error is held at ``tol`` (relative) + ``atol`` (absolute,
-    defaults to tol*1e-2) by a PI step controller.  Supports complex state
-    vectors and backward integration (t1 < t0).
+    The time dependence of f enters through one coefficient: ``coef(t)``
+    maps a float to a value and an array of times to the array of values.
+    It is called once at t0 and then once per step attempt, on the six
+    stage times of the attempt.  ``rhs(c, y, out)`` writes f at one stage
+    into ``out`` (shaped like y), given that stage's coefficient ``c`` and
+    state ``y``; it must not keep references to either array.
+
+    The state is a complex array of any shape (a scalar becomes shape
+    (1,)); the error norm is the RMS over all its entries.  Per-step error
+    is held at ``tol`` (relative) + ``atol`` (absolute, defaults to
+    tol*1e-2) by a PI step controller.  Backward integration (t1 < t0) is
+    supported.  Raises StepUnderflow when the step falls below 1e-14 of the
+    span or after ``max_steps`` attempts.
     """
-    y = np.atleast_1d(np.asarray(y0, dtype=complex)).copy()
+    y = np.array(y0, dtype=complex, ndmin=1)
     if t1 == t0:
         return y
     if atol is None:
@@ -261,17 +281,20 @@ def ode_advance(rhs: Callable[[float, np.ndarray], np.ndarray],
     direction = 1.0 if span > 0 else -1.0
     t = t0
 
-    f0 = np.asarray(rhs(t, y), dtype=complex)
-    scale0 = atol + tol * np.abs(y)
+    # the seven stages, and a real view of them for the tableau contractions;
+    # k[0] stays valid for the current (t, y): FSAL on accept, reuse on reject
+    k = np.empty((7,) + y.shape, dtype=complex)
+    k_flat = k.reshape(7, -1).view(float)
+    rhs(coef(t), y, k[0])
+    abs_y = np.abs(y)
+    scale0 = atol + tol * abs_y
     d0 = float(np.sqrt(np.mean(np.abs(y / scale0) ** 2)))
-    d1 = float(np.sqrt(np.mean(np.abs(f0 / scale0) ** 2)))
+    d1 = float(np.sqrt(np.mean(np.abs(k[0] / scale0) ** 2)))
     h = 0.01 * d0 / d1 if (d0 > 1e-5 and d1 > 1e-5) else abs(span) * 1e-4
     h = direction * min(h, abs(span))
 
     safety, beta, expo1 = 0.9, 0.04, 0.2 - 0.04 * 0.75
     facold = 1e-4
-    k = [None] * 7
-    k[0] = f0  # stays valid for the current (t, y): FSAL on accept, reuse on reject
 
     for _ in range(max_steps):
         if (t - t1) * direction >= 0.0:
@@ -281,21 +304,22 @@ def ode_advance(rhs: Callable[[float, np.ndarray], np.ndarray],
         if (t + h - t1) * direction > 0.0:
             h = t1 - t
 
+        c = coef(t + h * _DP_C[1:])
+        h_a = h * _DP_A
         for i in range(1, 7):
-            yi = y.copy()
-            for j, aij in enumerate(_DP_A[i]):
-                if aij != 0.0:
-                    yi += (h * aij) * k[j]
-            k[i] = np.asarray(rhs(t + _DP_C[i] * h, yi), dtype=complex)
+            yi = y + (h_a[i, :i] @ k_flat[:i]).view(complex).reshape(y.shape)
+            rhs(c[i - 1], yi, k[i])
         ynew = yi  # stage 7 argument is the 5th-order solution (FSAL)
 
-        err_vec = h * sum(e * ki for e, ki in zip(_DP_E, k) if e != 0.0)
-        scale = atol + tol * np.maximum(np.abs(y), np.abs(ynew))
-        err = float(np.sqrt(np.mean(np.abs(err_vec / scale) ** 2)))
+        # RMS of |error| / scale over all entries, on the (re, im) pairs
+        abs_ynew = np.abs(ynew)
+        scale = atol + tol * np.maximum(abs_y, abs_ynew)
+        ratio = ((h * _DP_E) @ k_flat).reshape(-1, 2) / scale.reshape(-1, 1)
+        err = math.sqrt(np.vdot(ratio, ratio) / scale.size)
 
         if err <= 1.0:
             t += h
-            y = ynew
+            y, abs_y = ynew, abs_ynew
             k[0] = k[6]  # FSAL
             fac = (err ** expo1) / (facold ** beta) if err > 0 else 1e-10
             facold = max(err, 1e-4)

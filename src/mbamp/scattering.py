@@ -59,61 +59,42 @@ class ScatteringData:
 
     # ------------------------------------------------------------------ ODE
 
-    def _rhs_batch(self, ks: np.ndarray):
-        """Right-hand side for a batch of spectral points, second column."""
-        n = ks.size
-        two_ik = 2j * ks
+    def _jost(self, ks, variational: bool) -> np.ndarray:
+        """Second column psi = (p1, p2) at t = 0 on a batch of spectral
+        points, one row each, plus the rows (q1, q2) = dpsi/dk when
+        ``variational``.  All points share the adaptive steps, and the pulse
+        is evaluated once per step attempt."""
+        ks = np.atleast_1d(np.asarray(ks, dtype=complex))
+        self._check_growth(ks)
+        minus_two_ik = -2j * ks
+        y0 = np.zeros((4 if variational else 2, ks.size), dtype=complex)
+        y0[1] = 1.0
 
-        def rhs(t, y):
-            e = self.pulse(t)
-            p1 = y[:n]
-            p2 = y[n:]
-            d1 = -two_ik * p1 - (0.5 * e) * p2
-            d2 = (0.5 * np.conj(e)) * p1
-            return np.concatenate([d1, d2])
-
-        return rhs
-
-    def _rhs_batch_deriv(self, ks: np.ndarray):
-        """Second column plus its k-derivative (variational system)."""
-        n = ks.size
-        two_ik = 2j * ks
-
-        def rhs(t, y):
-            e = self.pulse(t)
+        def rhs(e, y, out):
+            # p1' = -2ik p1 - (e/2) p2 and p2' = (conj(e)/2) p1; the rows
+            # q = dp/dk obey the same system plus the source -2i p1 in q1'
             he = 0.5 * e
-            hec = 0.5 * np.conj(e)
-            p1, p2, q1, q2 = y[:n], y[n:2 * n], y[2 * n:3 * n], y[3 * n:]
-            d1 = -two_ik * p1 - he * p2
-            d2 = hec * p1
-            dq1 = -2j * p1 - two_ik * q1 - he * q2
-            dq2 = hec * q1
-            return np.concatenate([d1, d2, dq1, dq2])
+            hec = np.conj(he)
+            for r in range(0, len(y), 2):
+                d = out[r]
+                np.multiply(minus_two_ik, y[r], out=d)
+                d -= he * y[r + 1]
+                np.multiply(hec, y[r], out=out[r + 1])
+            if variational:
+                out[2] -= 2j * y[0]
 
-        return rhs
+        return ode_advance(rhs, self.pulse, self.pulse.support, 0.0, y0,
+                           self.tol.ode_rel, atol=self.tol.ode_abs)
 
     def ab_many(self, ks) -> tuple[np.ndarray, np.ndarray]:
         """a(k), b(k) on an array of spectral points (shared adaptive steps)."""
-        ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-        self._check_growth(ks)
-        n = ks.size
-        y0 = np.zeros(2 * n, dtype=complex)
-        y0[n:] = 1.0
-        y = ode_advance(self._rhs_batch(ks), self.pulse.support, 0.0, y0,
-                        self.tol.ode_rel, atol=self.tol.ode_abs)
-        return y[n:].copy(), y[:n].copy()   # a = psi2(0), b = psi1(0)
+        p1, p2 = self._jost(ks, variational=False)
+        return p2, p1   # a = psi2(0), b = psi1(0)
 
     def ab_and_derivs_many(self, ks):
         """(a, b, da/dk, db/dk) on an array of spectral points."""
-        ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-        self._check_growth(ks)
-        n = ks.size
-        y0 = np.zeros(4 * n, dtype=complex)
-        y0[n:2 * n] = 1.0
-        y = ode_advance(self._rhs_batch_deriv(ks), self.pulse.support, 0.0, y0,
-                        self.tol.ode_rel, atol=self.tol.ode_abs)
-        return (y[n:2 * n].copy(), y[:n].copy(),
-                y[3 * n:].copy(), y[2 * n:3 * n].copy())
+        p1, p2, q1, q2 = self._jost(ks, variational=True)
+        return p2, p1, q2, q1
 
     def _check_growth(self, ks):
         worst = float(np.max(np.abs(ks.imag))) * self.pulse.support

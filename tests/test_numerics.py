@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mbamp.errors import BoundaryZero, Diverged, NonConvergence
+from mbamp.errors import BoundaryZero, Diverged, NonConvergence, StepUnderflow
 from mbamp.numerics import (Tolerances, adaptive_quad, complex_newton,
                             count_zeros_rect, ode_advance)
 
@@ -110,37 +110,74 @@ def test_newton_diverges_without_reachable_root():
                        0.5 + 0j, 1e-12, max_iter=40)
 
 
+def _time(t):
+    """Identity coefficient: each stage of the right-hand side gets its time."""
+    return t
+
+
+def _grow(t, y, out):
+    np.copyto(out, y)
+
+
 def test_ode_constant():
-    y = ode_advance(lambda t, y: 0.0 * y, 0.0, 1.0, np.array([1.0 + 0j]), 1e-10)
+    y = ode_advance(lambda t, y, out: out.fill(0.0), _time, 0.0, 1.0,
+                    np.array([1.0 + 0j]), 1e-10)
     assert y[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_ode_exponential():
-    y = ode_advance(lambda t, y: y, 0.0, 1.0, np.array([1.0 + 0j]), 1e-10)
+    y = ode_advance(_grow, _time, 0.0, 1.0, np.array([1.0 + 0j]), 1e-10)
     assert abs(y[0] - math.e) < 1e-9
 
 
 def test_ode_constant_matrix_vs_eigen_oracle():
-    # frozen AKNS-type generator with constant coefficients
-    k = 0.7 + 0.3j
-    M = np.array([[-2j * k, -0.5], [0.5, 0.0]], dtype=complex)
-    w, V = np.linalg.eig(M)
-    expM = V @ np.diag(np.exp(w * 2.0)) @ np.linalg.inv(V)
-    y0 = np.array([0.2 + 0j, 1.0 + 0j])
-    oracle = expM @ y0
-    got = ode_advance(lambda t, y: M @ y, 0.0, 2.0, y0, 1e-11, atol=1e-13)
-    assert np.max(np.abs(got - oracle)) < 1e-9
+    # frozen AKNS-type generator with constant coefficients, one column per k
+    ks = np.array([0.7 + 0.3j, -1.2 + 0j, 0.4j])
+    y0 = np.array([[0.2, 1.0, -0.5j], [1.0, 0.3, 1.0]], dtype=complex)
+
+    def rhs(t, y, out):
+        out[0] = -2j * ks * y[0] - 0.5 * y[1]
+        out[1] = 0.5 * y[0]
+
+    got = ode_advance(rhs, _time, 0.0, 2.0, y0, 1e-11, atol=1e-13)
+    assert got.shape == (2, 3)
+    for col, k in enumerate(ks):
+        M = np.array([[-2j * k, -0.5], [0.5, 0.0]], dtype=complex)
+        w, V = np.linalg.eig(M)
+        expM = V @ np.diag(np.exp(w * 2.0)) @ np.linalg.inv(V)
+        oracle = expM @ y0[:, col]
+        assert np.max(np.abs(got[:, col] - oracle)) < 1e-9
 
 
 def test_ode_backward_direction():
-    y = ode_advance(lambda t, y: y, 1.0, 0.0, np.array([math.e + 0j]), 1e-10)
+    y = ode_advance(_grow, _time, 1.0, 0.0, np.array([math.e + 0j]), 1e-10)
     assert abs(y[0] - 1.0) < 1e-9
 
 
+def test_ode_time_dependent_coefficient():
+    # y' = cos(t) y, y(0) = 1: y(3) = exp(sin 3); the coefficient is
+    # evaluated on the stage times and handed to each stage
+    def rhs(c, y, out):
+        np.multiply(c, y, out=out)
+
+    y = ode_advance(rhs, np.cos, 0.0, 3.0, np.array([1.0 + 0j]), 1e-11,
+                    atol=1e-13)
+    assert abs(y[0] - math.exp(math.sin(3.0))) < 1e-9
+
+
 def test_ode_tol_halving_invariance():
-    rhs = lambda t, y: np.array([np.sin(t) * y[0] + 0.1 * y[1], -y[0]])
+    def rhs(t, y, out):
+        out[0] = np.sin(t) * y[0] + 0.1 * y[1]
+        out[1] = -y[0]
+
     y0 = np.array([1.0 + 0j, 0.5 + 0j])
     tol = 1e-9
-    a = ode_advance(rhs, 0.0, 3.0, y0, tol)
-    b = ode_advance(rhs, 0.0, 3.0, y0, tol / 2)
+    a = ode_advance(rhs, _time, 0.0, 3.0, y0, tol)
+    b = ode_advance(rhs, _time, 0.0, 3.0, y0, tol / 2)
     assert np.max(np.abs(a - b)) < 10 * tol
+
+
+def test_ode_step_budget_exhaustion_raises():
+    with pytest.raises(StepUnderflow, match="budget"):
+        ode_advance(_grow, _time, 0.0, 1.0, np.array([1.0 + 0j]), 1e-10,
+                    max_steps=5)

@@ -126,6 +126,38 @@ def test_b_deriv_against_central_difference(sd52):
     assert abs(sd52.ab_and_derivs_many([k])[3][0] - fd) < 1e-6 * abs(fd)
 
 
+class _CountingPulse:
+    """Wraps a pulse and counts its calls."""
+
+    def __init__(self, pulse):
+        self.pulse, self.support, self.calls = pulse, pulse.support, 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.pulse(t)
+
+
+@pytest.mark.parametrize("method", ["ab_many", "ab_and_derivs_many"])
+def test_jost_solve_calls_the_pulse_once_per_step_attempt(method, monkeypatch):
+    pulse = _CountingPulse(SmoothBumpPulse(1.0, 2.0, 1.0))
+    rhs_evals = 0
+    advance = scattering.ode_advance
+
+    def counting_advance(rhs, *args, **kwargs):
+        def counted(*rhs_args):
+            nonlocal rhs_evals
+            rhs_evals += 1
+            return rhs(*rhs_args)
+        return advance(counted, *args, **kwargs)
+
+    monkeypatch.setattr(scattering, "ode_advance", counting_advance)
+    getattr(ScatteringData(pulse), method)(np.array([0.5, 1.5 + 0.2j]))
+    # one right-hand side at the start, then six stages per step attempt
+    attempts, rest = divmod(rhs_evals - 1, 6)
+    assert rest == 0 and attempts > 10
+    assert pulse.calls == 1 + attempts
+
+
 def test_smallest_pulses_linearize():
     # weak pulse: a ~ 1, b scales linearly with the amplitude
     sd1 = ScatteringData(BoxPulse(1e-4, 1.0))
