@@ -1,6 +1,13 @@
 """Shared numerical kernels: adaptive quadrature, winding-number zero counts,
 complex Newton refinement, and an adaptive embedded Runge-Kutta advance.
 
+The winding count (``count_zeros_rect``) bisects the boundary steps whose
+phase change reaches pi/2.  When a pass needs midpoints not sampled yet, it
+samples the whole dyadic subtree ``_AHEAD`` levels deep under each such step
+in one call of ``f``, so a batched ``f`` (one Jost solve) is called about
+once per ``_AHEAD`` passes.  Only the samples plain bisection keeps enter the
+count and the boundary-zero check, so the count is that of plain bisection.
+
 The Runge-Kutta advance (``ode_advance``) integrates an ODE whose time
 dependence sits in one coefficient ``c(t)``, such as the pulse in the Jost
 equation.  Its state is a complex array of any shape, e.g. one column per
@@ -155,6 +162,20 @@ def adaptive_quad(f: Callable[[float], float], a: float, b: float,
     return sign * total
 
 
+_AHEAD = 4   # bisection levels of the winding count sampled per call of f
+
+
+def _bisection_tree(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
+    """Every midpoint that ``depth`` levels of bisection of the steps
+    [lo, hi] can form, each formed as bisection forms it: 0.5 * (lo + hi)."""
+    mids = []
+    for _ in range(depth):
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    return np.concatenate(mids)
+
+
 def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
                      rect: tuple[float, float, float, float],
                      root_tol: float = 1e-10,
@@ -165,6 +186,12 @@ def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
     on an adaptively refined sampling until adjacent phase steps stay below
     pi/2, which pins the continuous argument without needing f'.  ``f`` is
     called on 1-D arrays of boundary points; a scalar return is broadcast.
+
+    A pass that needs unsampled midpoints samples, in one call of ``f``, the
+    dyadic subtree ``_AHEAD`` levels deep under each step it bisects; later
+    passes take their midpoints from it.  BoundaryZero (``|f| < root_tol``)
+    is raised on the samples bisection keeps only, so neither the kept
+    samples nor the count depend on ``_AHEAD``.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     if not (re_hi > re_lo and im_hi > im_lo):
@@ -177,19 +204,22 @@ def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
     def sample(s: np.ndarray) -> np.ndarray:
         edge = np.minimum(s.astype(int), 3)
         z = corners[edge] + (s - edge) * (corners[edge + 1] - corners[edge])
-        v = np.broadcast_to(np.asarray(f(z), dtype=complex), z.shape)
+        return np.broadcast_to(np.asarray(f(z), dtype=complex), z.shape)
+
+    def kept(v: np.ndarray) -> np.ndarray:
         if np.min(np.abs(v)) < root_tol:
             raise BoundaryZero(f"|f| = {np.min(np.abs(v)):.3e} on the "
                                "contour; perturb the rectangle")
         return v
 
     # 4 samples per edge; the closure sample equals the start point.  Each
-    # pass bisects, in one call of f, every step whose phase change reaches
-    # pi/2; a step's bisection depends on its own end values only, so the
-    # final samples do not depend on the order of the passes.
+    # pass bisects every step whose phase change reaches pi/2; a step's
+    # bisection depends on its own end values only, so the final samples do
+    # not depend on the order of the passes.
     params = np.linspace(0.0, 4.0, 17)
-    values = sample(params[:-1])
+    values = kept(sample(params[:-1]))
     values = np.append(values, values[0])
+    ahead: dict[float, complex] = {}   # sampled midpoints not yet kept
     while True:
         dphi = np.angle(values[1:] / values[:-1])
         bad = np.flatnonzero(np.abs(dphi) >= 0.5 * math.pi)
@@ -197,9 +227,16 @@ def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
             break
         if len(params) > max_samples:
             raise NonConvergence("boundary phase tracking did not settle")
-        mids = 0.5 * (params[bad] + params[bad + 1])
+        lo, hi = params[bad], params[bad + 1]
+        mids = 0.5 * (lo + hi)
+        keys = mids.tolist()
+        missing = np.array([m not in ahead for m in keys])
+        if missing.any():
+            tree = _bisection_tree(lo[missing], hi[missing], _AHEAD)
+            ahead.update(zip(tree.tolist(), sample(tree).tolist()))
+        new = kept(np.array([ahead.pop(m) for m in keys]))
         params = np.insert(params, bad + 1, mids)
-        values = np.insert(values, bad + 1, sample(mids))
+        values = np.insert(values, bad + 1, new)
 
     winding = float(np.sum(dphi)) / (2.0 * math.pi)
     n = int(round(winding))

@@ -27,6 +27,7 @@ _CHEB_MAX_N = 4096      # node cap of the real-line interpolant (n + 1 nodes)
 _SCAN_POINTS = 8193     # uniform scan for the minima of |r| and the max of |b|
 CACHE_HALFWIDTH = 20.0      # the real-line interpolant covers [-K, K]
 _KAPPA_MODEL_SWITCH = 40.0  # |k| past which reflection_uhp uses the tail fit
+GROWTH_GUARD = 600.0        # largest T*|Im k| a Jost solve accepts
 
 
 @dataclass(frozen=True)
@@ -96,10 +97,16 @@ class ScatteringData:
         p1, p2, q1, q2 = self._jost(ks, variational=True)
         return p2, p1, q2, q1
 
+    def growth(self, ks) -> float:
+        """T * max |Im k| over ks; a Jost solve refuses more than
+        GROWTH_GUARD."""
+        return float(np.max(np.abs(np.imag(ks)))) * self.pulse.support
+
     def _check_growth(self, ks):
-        worst = float(np.max(np.abs(ks.imag))) * self.pulse.support
-        if worst > 600.0:
-            raise Overflow(f"T*|Im k| = {worst:.1f} exceeds the growth guard 600")
+        worst = self.growth(ks)
+        if worst > GROWTH_GUARD:
+            raise Overflow(f"T*|Im k| = {worst:.1f} exceeds the growth guard "
+                           f"{GROWTH_GUARD:.0f}")
 
     # -------------------------------------------------------- point queries
 

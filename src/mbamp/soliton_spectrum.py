@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import AmbiguousMatch, AssumptionViolated, BoundaryZero
 from .numerics import complex_newton, count_zeros_rect
-from .scattering import ScatteringData
+from .scattering import GROWTH_GUARD, ScatteringData
 
 logger = logging.getLogger(__name__)
 
@@ -87,14 +87,14 @@ def find_zeros(sd: ScatteringData,
     if total == 0:
         return SolitonSpectrum((), (), (), box=box)
 
-    zeros: list[complex] = []
+    refined: list[tuple[complex, complex, complex]] = []   # (k, a, bdot)
     stack = [(cell0, total, 0)]
     while stack:
         cell, count, depth = stack.pop()
         if count == 0:
             continue
         if count == 1:
-            zeros.append(_refine_zero(sd, cell, root_tol))
+            refined.append(_refine_zero(sd, cell, root_tol))
             continue
         if depth >= _MAX_SUBDIV:
             raise AssumptionViolated(
@@ -112,39 +112,43 @@ def find_zeros(sd: ScatteringData,
             stack.append((half_adj, c, depth + 1))
 
     # Cell perturbation can make siblings overlap; drop duplicate refinements.
-    unique: list[complex] = []
-    for z in zeros:
-        if all(abs(z - u) > 1e-8 * max(1.0, abs(z)) for u in unique):
+    unique: list[tuple[complex, complex, complex]] = []
+    for z in refined:
+        if all(abs(z[0] - u[0]) > 1e-8 * max(1.0, abs(z[0])) for u in unique):
             unique.append(z)
-    zeros = unique
-    if len(zeros) != total:
+    if len(unique) != total:
         raise AssumptionViolated(
-            f"argument principle counts {total} zeros but {len(zeros)} were "
+            f"argument principle counts {total} zeros but {len(unique)} were "
             "refined; a zero is grazing a cell boundary")
 
-    zeros.sort(key=abs)
-    a, bdot = _validate(sd, zeros, root_tol)
+    unique.sort(key=lambda z: abs(z[0]))
+    zeros = [z[0] for z in unique]
+    a, bdot = np.array([z[1:] for z in unique]).T
+    _validate(zeros, bdot)
     residues = [complex(g) for g in 1.0 / (a * bdot)]
     velocities = [velocity_of(k) for k in zeros]
     return SolitonSpectrum(tuple(zeros), tuple(residues), tuple(velocities),
                            box=box)
 
 
-def _refine_zero(sd: ScatteringData, cell, root_tol) -> complex:
+def _refine_zero(sd: ScatteringData, cell, root_tol):
+    """Newton from the cell centre; returns the zero k with a(k) and bdot(k)
+    from the variational solve that accepted it."""
     seed = complex(0.5 * (cell[0] + cell[1]), 0.5 * (cell[2] + cell[3]))
-    # b and b' of an iterate from one variational solve
-    solve = functools.lru_cache(maxsize=1)(lambda k: sd.ab_and_derivs_many([k]))
-    return complex_newton(lambda k: complex(solve(k)[1][0]),
-                          lambda k: complex(solve(k)[3][0]), seed, root_tol)
+    # a, b, a' and b' of an iterate from one variational solve
+    solve = functools.lru_cache(maxsize=1)(
+        lambda k: [complex(v[0]) for v in sd.ab_and_derivs_many([k])])
+    k = complex_newton(lambda k: solve(k)[1], lambda k: solve(k)[3], seed,
+                       root_tol)
+    a, _, _, bdot = solve(k)
+    return k, a, bdot
 
 
-def _validate(sd: ScatteringData, zeros, root_tol):
-    """Check the assumptions on the zeros; returns a and bdot at them, from
-    one batched solve."""
+def _validate(zeros, bdot):
+    """Check the assumptions on the zeros, given bdot at each of them."""
     for k in zeros:
         if k.imag <= 1e-8:
             raise AssumptionViolated(f"zero {k} touches the real line")
-    a, _, _, bdot = sd.ab_and_derivs_many(zeros)
     for k, d in zip(zeros, bdot):
         if abs(d) <= 1e-10:
             raise AssumptionViolated(f"zero {k} is not simple: |bdot| = {abs(d):.2e}")
@@ -153,7 +157,6 @@ def _validate(sd: ScatteringData, zeros, root_tol):
         if (m2 - m1) / max(m2, 1e-300) <= 1e-6:
             raise AssumptionViolated(
                 f"moduli {m1} and {m2} are not pairwise distinct")
-    return a, bdot
 
 
 def default_search_box(sd: ScatteringData, halfwidth_start: float = 4.0,
@@ -164,25 +167,34 @@ def default_search_box(sd: ScatteringData, halfwidth_start: float = 4.0,
     b can decay as slowly as 1/k, so the growth is capped: zeros of b for a
     compact pulse cluster at spectral scales set by the pulse itself, and
     callers probing farther should pass an explicit box.
+
+    The candidate halfwidths (the start, times 1.6 while within the cap) are
+    known in advance, so the edges of all of them are solved in one batched
+    call.  The box is the first candidate whose edges pass, as when growing
+    one edge at a time.  Candidates past the Jost solve's growth guard are
+    left out of the batch; reaching one raises Overflow, as growing would.
     """
     ceiling = 1e-3 * sd.b_real_max()
-    K = halfwidth_start
-    while True:
-        edge = []
-        n = 33
-        top = np.linspace(-K, K, n) + 1j * K
-        left = -K + 1j * np.linspace(_IM_FLOOR, K, n)
-        right = K + 1j * np.linspace(_IM_FLOOR, K, n)
-        for seg in (top, left, right):
-            _, bv = sd.ab_many(seg)
-            edge.append(float(np.max(np.abs(bv))))
-        if max(edge) < ceiling:
+    halfwidths = [halfwidth_start]
+    while halfwidths[-1] * 1.6 <= halfwidth_cap:
+        halfwidths.append(halfwidths[-1] * 1.6)
+    n = 33
+    edges = [np.concatenate([np.linspace(-K, K, n) + 1j * K,          # top
+                             -K + 1j * np.linspace(_IM_FLOOR, K, n),  # left
+                             K + 1j * np.linspace(_IM_FLOOR, K, n)])  # right
+             for K in halfwidths]
+    solvable = sum(sd.growth(e) <= GROWTH_GUARD for e in edges)
+    if solvable:
+        _, bv = sd.ab_many(np.concatenate(edges[:solvable]))
+        edge_max = np.max(np.abs(bv).reshape(solvable, -1), axis=1)
+    for i, K in enumerate(halfwidths):
+        if i == solvable:
+            sd.ab_many(edges[i])   # raises Overflow, as growing to K would
+        if edge_max[i] < ceiling:
             return (-K, K, _IM_FLOOR, K)
-        if K * 1.6 > halfwidth_cap:
-            logger.info("search box capped at halfwidth %.1f (|b| decays "
-                        "slowly); zeros beyond are not reported", K)
-            return (-K, K, _IM_FLOOR, K)
-        K *= 1.6
+    logger.info("search box capped at halfwidth %.1f (|b| decays "
+                "slowly); zeros beyond are not reported", K)
+    return (-K, K, _IM_FLOOR, K)
 
 
 def velocity_match(spec: SolitonSpectrum, t: float, x: float,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mbamp.errors import BoundaryZero, Diverged, NonConvergence, StepUnderflow
-from mbamp.numerics import (Tolerances, adaptive_quad, complex_newton,
+from mbamp.numerics import (_AHEAD, Tolerances, adaptive_quad, complex_newton,
                             count_zeros_rect, ode_advance)
 
 # integral of log(1+s^2)/(s+2) over [-1,1]; dense-oracle value, frozen from a
@@ -90,6 +90,80 @@ def test_count_additive_under_split():
 def test_count_boundary_zero_raises():
     with pytest.raises(BoundaryZero):
         count_zeros_rect(lambda k: k - 1j, (-1, 1, 1, 2))
+
+
+def _boundary_point(rect, s):
+    """The boundary point of parameter s in [0, 4], as count_zeros_rect
+    maps it: counterclockwise from (re_lo, im_lo), one unit per edge."""
+    re_lo, re_hi, im_lo, im_hi = rect
+    corners = np.array([complex(re_lo, im_lo), complex(re_hi, im_lo),
+                        complex(re_hi, im_hi), complex(re_lo, im_hi),
+                        complex(re_lo, im_lo)])
+    edge = np.minimum(s.astype(int), 3)
+    return corners[edge] + (s - edge) * (corners[edge + 1] - corners[edge])
+
+
+def _count_by_plain_bisection(f, rect):
+    """Reference winding count: each pass samples the midpoints of its
+    steps with a phase change of pi/2 or more, and only those, in one call
+    of f.  Returns the count, the number of passes and the kept samples."""
+    params = np.linspace(0.0, 4.0, 17)
+    values = np.asarray(f(_boundary_point(rect, params[:-1])), dtype=complex)
+    values = np.append(values, values[0])
+    passes = 0
+    while True:
+        dphi = np.angle(values[1:] / values[:-1])
+        bad = np.flatnonzero(np.abs(dphi) >= 0.5 * math.pi)
+        if bad.size == 0:
+            break
+        passes += 1
+        mids = 0.5 * (params[bad] + params[bad + 1])
+        params = np.insert(params, bad + 1, mids)
+        values = np.insert(values, bad + 1, f(_boundary_point(rect, mids)))
+    count = round(float(np.sum(dphi)) / (2.0 * math.pi))
+    return count, passes, set(_boundary_point(rect, params[:-1]).tolist())
+
+
+def _recorded(f):
+    """f, and the list of the argument arrays of its calls."""
+    calls = []
+
+    def g(z):
+        calls.append(z.tolist())
+        return f(z)
+    return g, calls
+
+
+@pytest.mark.parametrize("d", [1e-2, 1e-3, 1e-4])
+def test_count_with_prefetch_matches_plain_bisection(d):
+    # zeros at distance d from the contour, two inside and two outside, and
+    # a factor that winds the phase along the real direction
+    zeros = (0.3 + d * 1j, 0.2 + (1 - d) * 1j, 0.6 - d * 1j, 1 + d + 0.45j)
+    f = lambda k: np.exp(4j * k) * np.prod([k - z for z in zeros], axis=0)
+    rect = (0.0, 1.0, 0.0, 1.0)
+    want, passes, kept = _count_by_plain_bisection(f, rect)
+    g, calls = _recorded(f)
+    assert count_zeros_rect(g, rect) == want == 2
+    assert passes >= _AHEAD
+    assert len(calls) <= 1 + math.ceil(passes / _AHEAD)
+    # every sample plain bisection keeps is taken at the same point
+    assert kept <= {z for call in calls for z in call}
+
+
+def test_boundary_zero_only_on_kept_samples():
+    # f vanishes at one prefetched point that bisection never keeps: the
+    # count ignores it, as plain bisection, which never samples it, does
+    rect = (0.0, 1.0, 0.0, 1.0)
+    f = lambda k: k - (0.3 + 1e-3j)
+    want, _, kept = _count_by_plain_bisection(f, rect)
+    g, calls = _recorded(f)
+    count_zeros_rect(g, rect)
+    unkept = sorted({z for call in calls for z in call} - kept, key=abs)
+    assert unkept
+    trap = unkept[0]
+    f_trap = lambda k: np.where(k == trap, 0.0, k - (0.3 + 1e-3j))
+    assert count_zeros_rect(f_trap, rect) == _count_by_plain_bisection(
+        f_trap, rect)[0] == want == 1
 
 
 def test_newton_double_root_from_nearby_seed():
