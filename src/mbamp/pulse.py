@@ -111,4 +111,4 @@ Pulse = BoxPulse | PowerStartPulse | SmoothBumpPulse
 def first_moment(pulse: Pulse, tol: float = 1e-10) -> float:
     """Numerical value of integral_0^T (1+t) |E(t)| dt."""
     T = pulse.support
-    return adaptive_quad(lambda t: (1.0 + t) * abs(pulse(t)), 0.0, T, tol)
+    return adaptive_quad(lambda t: (1.0 + t) * np.abs(pulse(t)), 0.0, T, tol)

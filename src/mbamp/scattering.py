@@ -131,12 +131,13 @@ class ScatteringData:
         a and b of a compact pulse are entire of exponential type, so their
         Chebyshev coefficients decay geometrically.  The node count doubles
         until the last four coefficients of both are below _CHEB_TAIL of the
-        largest (a chop test in the style of chebfun).  Each level is one
-        batched solve, so its values share one step sequence and stay a
-        smooth function of k.
+        largest (a chop test in the style of chebfun), starting from 129
+        nodes, where both benchmark pulses stop.  Each level is one batched
+        solve, so its values share one step sequence and stay a smooth
+        function of k.
         """
         K = CACHE_HALFWIDTH
-        n = 64
+        n = 128
         while True:
             # K cos(pi j / n), written as a sine so that it is exactly odd
             nodes = K * np.sin(np.pi * np.arange(n, -n - 1, -2) / (2 * n))
@@ -195,12 +196,16 @@ class ScatteringData:
         """Real-line points inside (-k0, k0) where |r| nearly vanishes; the
         tail phase integrands have integrable log spikes there."""
         *_, scan, scan_ab = self._cache_arrays()
-        mask = (scan > -k0) & (scan < k0)
-        if not np.any(mask):
+        inside = np.flatnonzero((scan > -k0) & (scan < k0))
+        if not inside.size:
             return []
-        kk = scan[mask]
-        rr = np.abs(scan_ab[mask, 1] / scan_ab[mask, 0])
-        floor = 0.02 * max(float(np.median(rr)), 1e-6)
+        # two scan points past each end, so that a zero between the last scan
+        # point inside (-k0, k0) and the next one is an interior minimum too
+        span = slice(max(inside[0] - 2, 0), inside[-1] + 3)
+        kk = scan[span]
+        rr = np.abs(scan_ab[span, 1] / scan_ab[span, 0])
+        floor = 0.02 * max(float(np.median(np.abs(
+            scan_ab[inside, 1] / scan_ab[inside, 0]))), 1e-6)
         out = []
         for i in np.nonzero((rr[1:-1] < floor) & (rr[1:-1] <= rr[:-2])
                             & (rr[1:-1] <= rr[2:]))[0] + 1:
@@ -211,7 +216,8 @@ class ScatteringData:
                 bp, b0, bm = self.b_real(np.array([k + 1e-6, k, k - 1e-6]))
                 k = min(max(k - (b0 / ((bp - bm) / 2e-6)).real, kk[i - 1]),
                         kk[i + 1])
-            out.append(float(k))
+            if -k0 < k < k0:
+                out.append(float(k))
         return out
 
     # ------------------------------------------------------------ tail fit

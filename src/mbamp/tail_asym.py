@@ -7,6 +7,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ReflectionZero
 from .mb_oracle import FieldTriple
 from .numerics import adaptive_quad
@@ -72,22 +74,18 @@ def nu_pair(sd: ScatteringData, k0: float) -> tuple[float, float]:
     return out[0], out[1]
 
 
-def _log_term(sd: ScatteringData, s: float) -> float:
-    r = sd.r_real(s)
-    a2 = abs(r) ** 2
-    if a2 == 0.0:
-        return 80.0   # integrable log spike, clipped at the cache floor
-    return math.log1p(1.0 / a2)
+def _log_term(sd: ScatteringData, s):
+    """log(1 + |r(s)|^-2) at real s (a float or an array)."""
+    return np.log1p(np.abs(sd.r_real(s)) ** -2.0)
 
 
 def omega_pair(sd: ScatteringData, spec: SolitonSpectrum,
                t: float, x: float, quad_tol: float | None = None) -> TailPhases:
     """Fast phases of the two wave trains at (t, x) in the tail cone.
 
-    The integrand's endpoint singularity is removable (the numerator vanishes
-    there); a finite-difference limit value is substituted on a small
-    endpoint panel.  Interior log spikes at real zeros of b are integrable
-    and get dedicated panel boundaries.
+    The integrands' singularity at the endpoint is removable (the numerator
+    vanishes there), and the quadrature never samples an endpoint.  Interior
+    log spikes at real zeros of b are integrable and get panel edges.
     """
     tau = t - x
     if tau <= 0.0:
@@ -99,24 +97,13 @@ def omega_pair(sd: ScatteringData, spec: SolitonSpectrum,
     nu_l, nu_r = nu_pair(sd, k0)
     splits = sd.real_zero_splits(k0)
 
-    def reg_integrand(endpoint: float):
-        L_end = _log_term(sd, endpoint)
-        delta = 1e-7 * max(1.0, k0)
-        slope = (_log_term(sd, endpoint + delta) -
-                 _log_term(sd, endpoint - delta)) / (2.0 * delta) \
-            if abs(endpoint) < CACHE_HALFWIDTH - delta else 0.0
+    def regularized(endpoint: float):
+        log_end = _log_term(sd, endpoint)
+        return lambda s: (_log_term(sd, s) - log_end) / (s - endpoint)
 
-        def g(s: float) -> float:
-            d = s - endpoint
-            if abs(d) < delta:
-                return slope
-            return (_log_term(sd, s) - L_end) / d
-
-        return g
-
-    integral_l = adaptive_quad(reg_integrand(-k0), -k0, k0, qtol,
+    integral_l = adaptive_quad(regularized(-k0), -k0, k0, qtol,
                                split_points=splits)
-    integral_r = adaptive_quad(reg_integrand(k0), -k0, k0, qtol,
+    integral_r = adaptive_quad(regularized(k0), -k0, k0, qtol,
                                split_points=splits)
 
     phase_sum_l = 0.0

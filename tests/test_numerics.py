@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,7 +25,7 @@ def test_tolerances_defaults_and_validation():
 
 
 def test_quad_zero_integrand():
-    assert adaptive_quad(lambda s: 0.0, 0.0, 1.0, 1e-10) == 0.0
+    assert adaptive_quad(lambda s: np.zeros_like(s), 0.0, 1.0, 1e-10) == 0.0
 
 
 def test_quad_linear():
@@ -40,21 +41,20 @@ def test_quad_polynomial_exactness_degree5():
             continue
         exact = sum(c / (p + 1) * (b ** (p + 1) - a ** (p + 1))
                     for p, c in enumerate(coeffs))
-        got = adaptive_quad(lambda s: sum(c * s ** p for p, c in enumerate(coeffs)),
-                            a, b, 1e-12)
+        got = adaptive_quad(lambda s: np.polyval(coeffs[::-1], s), a, b, 1e-12)
         assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
 
 def test_quad_log_kernel_vs_dense_oracle():
-    got = adaptive_quad(lambda s: math.log1p(s * s) / (s + 2.0), -1.0, 1.0, 1e-12)
+    got = adaptive_quad(lambda s: np.log1p(s * s) / (s + 2.0), -1.0, 1.0, 1e-12)
     assert got == pytest.approx(LOG_INTEGRAL, abs=1e-11)
 
 
 def test_quad_dense_trapezoid_agreement():
     # independent oracle for a lumpier integrand
-    f = lambda s: math.exp(-s) * math.sin(7 * s)
+    f = lambda s: np.exp(-s) * np.sin(7 * s)
     s = np.linspace(0.0, 2.0, 1_000_001)
-    oracle = np.trapezoid(np.exp(-s) * np.sin(7 * s), s)
+    oracle = np.trapezoid(f(s), s)
     got = adaptive_quad(f, 0.0, 2.0, 1e-11)
     assert got == pytest.approx(oracle, abs=5e-11)
 
@@ -65,10 +65,31 @@ def test_quad_reversed_interval_sign():
     assert v1 == pytest.approx(-v2, rel=1e-12)
 
 
+def test_quad_log_endpoint_singularity():
+    # the rule never samples s = 0, where log s is -inf
+    got = adaptive_quad(np.log, 0.0, 1.0, 1e-10)
+    assert got == pytest.approx(-1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("a", [-1.3, 0.7])
+def test_quad_removable_endpoint_singularity(a):
+    # omega_pair's form (g(s) - g(a)) / (s - a), with a log spike of g at an
+    # interior split point; exact value from mpmath at 30 digits
+    z = 0.25
+    g = lambda s: np.log(np.abs(s - z)) + np.cos(3 * s)
+    gm = lambda s: mpmath.log(abs(s - z)) + mpmath.cos(3 * s)
+    with mpmath.workdps(30):
+        exact = mpmath.quad(lambda s: (gm(s) - gm(a)) / (s - a),
+                            [-1.3, z, 0.7])
+    got = adaptive_quad(lambda s: (g(s) - g(a)) / (s - a), -1.3, 0.7, 1e-10,
+                        split_points=[z])
+    assert got == pytest.approx(float(exact), abs=1e-12)
+
+
 def test_quad_budget_exhaustion_raises():
     with pytest.raises(NonConvergence):
-        adaptive_quad(lambda s: math.sin(1000.0 / (abs(s) + 1e-8)), -1.0, 1.0,
-                      1e-14, max_panels=8)
+        adaptive_quad(lambda s: np.sin(1000.0 / (np.abs(s) + 1e-8)), -1.0, 1.0,
+                      1e-14, max_level=2)
 
 
 def test_count_single_linear_zero():

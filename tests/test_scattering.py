@@ -190,6 +190,18 @@ def test_real_zero_splits_finds_box_zeros(sd52):
     assert any(abs(s + expect) < 1e-6 for s in splits)
 
 
+@pytest.mark.parametrize("k0", [1.9025, 1.90253, 1.9026, 1.9043, 1.906927])
+def test_real_zero_splits_find_a_zero_next_to_k0(sd52, k0):
+    # the zero sqrt(pi^2 - 6.25) = 1.9025258 lies past the last scan point
+    # inside (-k0, k0) (the scan step is 40/8192); it is a split iff < k0
+    expect = math.sqrt(math.pi ** 2 - 6.25)
+    splits = sd52.real_zero_splits(k0)
+    assert len(splits) == (2 if expect < k0 else 0)
+    if splits:
+        assert splits[1] == pytest.approx(expect, abs=1e-6)
+        assert splits[0] == -splits[1]
+
+
 def test_real_line_interpolant_against_closed_form(sd52):
     ks = np.random.default_rng(20).uniform(-20.0, 20.0, 200)
     a_exact, b_exact = zip(*(box_ab(5.0, 2.0, k) for k in ks))
@@ -216,14 +228,30 @@ def test_real_line_cache_is_small(pulse):
     assert sd.cache_tail < 1e-12
 
 
+@pytest.mark.parametrize("pulse", [BoxPulse(5.0, 2.0),
+                                   SmoothBumpPulse(1.0, 2.0, 1.0)])
+def test_real_line_cache_is_one_129_point_solve(pulse, monkeypatch):
+    solves = []
+    ab_many = ScatteringData.ab_many
+
+    def counted(self, ks):
+        solves.append(np.size(ks))
+        return ab_many(self, ks)
+
+    monkeypatch.setattr(ScatteringData, "ab_many", counted)
+    ScatteringData(pulse).b_real_max()
+    assert solves == [129]
+
+
 def test_real_line_cache_cap_is_reported(monkeypatch, caplog):
-    monkeypatch.setattr(scattering, "_CHEB_MAX_N", 32)
-    sd = ScatteringData(BoxPulse(5.0, 2.0))
+    # box 5/3 needs more than the 129 nodes the doubling starts from
+    monkeypatch.setattr(scattering, "_CHEB_MAX_N", 128)
+    sd = ScatteringData(BoxPulse(5.0, 3.0))
     with caplog.at_level(logging.WARNING, logger="mbamp.scattering"):
         sd.r_real(0.3)
-    assert len(sd._cache_arrays()[0]) == 65
+    assert len(sd._cache_arrays()[0]) == 129
     assert sd.cache_tail > 1e-12
-    assert any("capped at 65 nodes" in rec.getMessage()
+    assert any("capped at 129 nodes" in rec.getMessage()
                for rec in caplog.records if rec.levelno == logging.WARNING)
 
 

@@ -63,14 +63,14 @@ def counted_solves(monkeypatch):
     return calls
 
 
-def test_bump_default_box_search_makes_five_solves(counted_solves):
+def test_bump_default_box_search_makes_four_solves(counted_solves):
     sd = ScatteringData(SmoothBumpPulse(1.0, 2.0, 1.0))
     spec = find_zeros(sd)
     assert len(spec) == 0
-    # 2 levels of the real-line cache, 1 for the edges of all 3 candidate
-    # boxes, 2 for the winding count (its initial samples and one prefetch)
-    assert len(counted_solves) == 5
-    assert counted_solves[2] == 3 * 3 * 33
+    # 1 for the real-line cache, 1 for the edges of all 3 candidate boxes,
+    # 2 for the winding count (its initial samples and one prefetch)
+    assert len(counted_solves) == 4
+    assert counted_solves[1] == 3 * 3 * 33
 
 
 def test_default_search_box_makes_one_solve_beyond_the_cache(counted_solves):

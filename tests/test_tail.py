@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,21 +18,21 @@ LN2_OVER_2PI = 0.11031780007607186
 
 
 class _StubTail:
-    """Real-line scattering stub with a prescribed constant |r|."""
+    """Real-line scattering stub with a prescribed constant |r|; its
+    returns broadcast over an array of s."""
 
     def __init__(self, r_abs):
         self.r_abs = r_abs
-        from mbamp.numerics import Tolerances
         self.tol = Tolerances()
 
     def r_real(self, s):
-        return complex(self.r_abs)
+        return np.full(np.shape(s), complex(self.r_abs))
 
     def a_real(self, s):
-        return 1.0 + 0j
+        return np.full(np.shape(s), 1.0 + 0j)
 
     def b_real(self, s):
-        return complex(self.r_abs)
+        return self.r_real(s)
 
     def real_zero_splits(self, k0):
         return []
@@ -239,7 +240,8 @@ def test_away_branch_bloch_defect_decays(box11):
 
 
 class _DirectReal(ScatteringData):
-    """Real-line queries answered by Jost solves instead of the cache."""
+    """Real-line queries answered by Jost solves instead of the cache: one
+    batched solve per quadrature level."""
 
     def a_real(self, s):
         return self.ab(s)[0]
@@ -248,7 +250,8 @@ class _DirectReal(ScatteringData):
         return self.ab(s)[1]
 
     def r_real(self, s):
-        return self.reflection(s)
+        a, b = self.ab(s)
+        return b / a
 
 
 def test_tail_phases_match_direct_solves():
@@ -262,3 +265,26 @@ def test_tail_phases_match_direct_solves():
     for name in ("integral_l", "integral_r", "omega_l", "omega_r"):
         assert getattr(got, name) == pytest.approx(getattr(ref, name),
                                                    abs=1e-9)
+
+
+@pytest.mark.parametrize("k0", [1.0, 1.9449, 5.0])
+def test_tail_integrals_match_mpmath(box52, k0):
+    # independent rule over the same panel edges and the same interpolant;
+    # k0 = 5 straddles four real zeros of b
+    sd, spec = box52
+    tau = 40.0
+    x = 4.0 * k0 * k0 * tau
+    ph = omega_pair(sd, spec, x + tau, x)
+    edges = [-k0, *sd.real_zero_splits(k0), k0]
+    if k0 == 5.0:
+        assert len(edges) == 6
+
+    def log_term(s):
+        return math.log1p(abs(sd.r_real(float(s))) ** -2)
+
+    for name, end in (("integral_l", -k0), ("integral_r", k0)):
+        log_end = log_term(end)
+        # s - end in mpmath, so a node that rounds onto the end adds 0
+        ref = mpmath.quad(lambda s: (log_term(s) - log_end) / float(s - end),
+                          edges)
+        assert getattr(ph, name) == pytest.approx(float(ref), abs=1e-12)
