@@ -18,7 +18,8 @@ import numpy as np
 
 from . import mb_oracle, tail_asym
 from .errors import MbampError
-from .lightcone_asym import BandParams, classify, eval_lightcone
+from .lightcone_asym import (AsymptoticFields, BandParams, classify,
+                             eval_lightcone)
 from .numerics import Tolerances
 from .pulse import BoxPulse, PowerStartPulse, SmoothBumpPulse
 from .scattering import ScatteringData
@@ -45,6 +46,18 @@ class RunConfig:
     match_eps: float | None = None
     schema_version: int = SCHEMA_VERSION
 
+    def __post_init__(self):
+        # checked here, since the zero search runs only for tail points
+        box = self.search_box
+        if box is not None and not (
+                isinstance(box, (list, tuple)) and len(box) == 4
+                and all(type(v) in (int, float) and math.isfinite(v)
+                        for v in box)
+                and box[0] < box[1] and box[3] > max(box[2], 1e-4)):
+            raise ValueError(f"bad search_box {box!r}: expected finite "
+                             "[re_lo, re_hi, im_lo, im_hi] with re_lo < "
+                             "re_hi and im_hi > max(im_lo, 1e-4)")
+
     @classmethod
     def load(cls, path) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
@@ -56,20 +69,7 @@ class RunConfig:
         return cls(schema_version=SCHEMA_VERSION, **raw)
 
     def dump(self, path):
-        data = {
-            "schema_version": self.schema_version,
-            "pulse": self.pulse,
-            "tolerances": self.tolerances,
-            "search_box": self.search_box,
-            "bands": self.bands,
-            "oracle": self.oracle,
-            "kgrid": self.kgrid,
-            "grid": self.grid,
-            "match_eps": self.match_eps,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, asdict(self))
 
     # --- constructors for the domain objects ---
 
@@ -119,6 +119,12 @@ def _parse_grid(text: str) -> dict:
         raise ValueError(f"bad --grid '{text}', expected t0:t1:nt,x0:x1:nx") from exc
 
 
+def _write_json(path, data):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -132,14 +138,11 @@ def cmd_scatter(cfg: RunConfig, out: Path, tol_scale: float) -> int:
     pulse = cfg.make_pulse()
     sd = ScatteringData(pulse, cfg.make_tolerances(tol_scale))
     rows = []
-    segments = []
-    re_spec = cfg.kgrid.get("re")
-    if re_spec:
-        segments.append(np.linspace(re_spec[0], re_spec[1], int(re_spec[2])))
-    im_spec = cfg.kgrid.get("imag")
-    if im_spec:
-        segments.append(1j * np.linspace(im_spec[0], im_spec[1], int(im_spec[2])))
-    for ks in segments:
+    for axis, unit in (("re", 1.0), ("imag", 1j)):
+        if not cfg.kgrid.get(axis):
+            continue
+        lo, hi, n = cfg.kgrid[axis]
+        ks = unit * np.linspace(lo, hi, int(n))
         a, b = sd.ab_many(ks)
         for k, av, bv in zip(ks, a, b):
             r = bv / av if abs(av) > 1e-12 else complex(math.nan, math.nan)
@@ -168,38 +171,39 @@ def cmd_zeros(cfg: RunConfig, out: Path, tol_scale: float) -> int:
     _write_csv(out / "zeros.csv",
                ["j", "kj_re", "kj_im", "gamma_re", "gamma_im", "velocity"],
                rows)
-    meta = {"search_box": list(spec.box), "count": len(spec)}
-    with open(out / "zeros_meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "zeros_meta.json",
+                {"search_box": list(spec.box), "count": len(spec)})
     return 0
 
 
-def _asym_row(point, sd, spec, params, match_eps):
-    t, x = point
-    tag = classify(t, x, params)
-    base = [_fmt(t), _fmt(x), tag.variant,
-            str(tag.n) if tag.n is not None else ""]
-    empty = ["", "", "", "", "", ""]
-    if tag.variant == "causal":
-        return base + [_fmt(0), _fmt(0), _fmt(1), _fmt(0), _fmt(0), _fmt(0),
-                       "", "", ""]
-    if tag.variant == "unsupported":
-        return base + empty + ["", "", ""]
-    if tag.variant == "tail":
-        tf = tail_asym.eval_tail(sd, spec, t, x, match_eps)
-        f = tf.fields
-        sol = tf.soliton
-        extra = ([str(sol.index), _fmt(sol.w_abs), _fmt(sol.w_arg)]
-                 if sol is not None else ["", "", ""])
-        return base + [_fmt(f.E.real), _fmt(f.E.imag), _fmt(f.N),
-                       _fmt(f.rho.real), _fmt(f.rho.imag),
-                       _fmt(tf.error_scale)] + extra
-    af = eval_lightcone(tag, t, x, sd, params.tail_order)
-    f = af.fields
-    return base + [_fmt(f.E.real), _fmt(f.E.imag), _fmt(f.N),
-                   _fmt(f.rho.real), _fmt(f.rho.imag),
-                   _fmt(af.error_scale)] + ["", "", ""]
+_CAUSAL = AsymptoticFields(mb_oracle.FieldTriple(0j, 1.0, 0j), 0.0)
+
+
+def _asymptotics(cfg: RunConfig, sd, params, points, keep=None):
+    """Region tags of all points, and the asymptotic fields of those with a
+    formula that ``keep(i)`` (default: all) accepts, else None.
+
+    All light-cone points take r(i k0) from one batched solve, and the zero
+    search runs only when a tail point is evaluated.
+    """
+    tags = [classify(t, x, params) for t, x in points]
+    todo = [i for i, tag in enumerate(tags) if tag.variant != "unsupported"
+            and (keep is None or keep(i))]
+    cone = [i for i in todo if tags[i].variant not in ("causal", "tail")]
+    if cone:
+        r = dict(zip(cone, sd.reflection_uhp([1j * tags[i].k0 for i in cone])))
+    if any(tags[i].variant == "tail" for i in todo):
+        spec = find_zeros(sd, tuple(cfg.search_box) if cfg.search_box else None)
+    out = [None] * len(points)
+    for i in todo:
+        (t, x), tag = points[i], tags[i]
+        if tag.variant == "causal":
+            out[i] = _CAUSAL
+        elif tag.variant == "tail":
+            out[i] = tail_asym.eval_tail(sd, spec, t, x, cfg.match_eps)
+        else:
+            out[i] = eval_lightcone(tag, t, x, r[i], params.tail_order)
+    return tags, out
 
 
 _ASYM_HEADER = ["t", "x", "region", "n", "E_re", "E_im", "N",
@@ -210,11 +214,20 @@ _ASYM_HEADER = ["t", "x", "region", "n", "E_re", "E_im", "N",
 def cmd_asym(cfg: RunConfig, out: Path, tol_scale: float) -> int:
     pulse = cfg.make_pulse()
     sd = ScatteringData(pulse, cfg.make_tolerances(tol_scale))
-    params = cfg.make_bands(pulse)
-    box = tuple(cfg.search_box) if cfg.search_box else None
-    spec = find_zeros(sd, box)
-    rows = [_asym_row(pt, sd, spec, params, cfg.match_eps)
-            for pt in cfg.grid_points()]
+    points = cfg.grid_points()
+    tags, results = _asymptotics(cfg, sd, cfg.make_bands(pulse), points)
+    rows = []
+    for (t, x), tag, res in zip(points, tags, results):
+        row = [_fmt(t), _fmt(x), tag.variant,
+               str(tag.n) if tag.n is not None else ""] + [""] * 9
+        if res is not None:
+            f = res.fields
+            row[4:10] = map(_fmt, (f.E.real, f.E.imag, f.N, f.rho.real,
+                                   f.rho.imag, res.error_scale))
+        sol = res.soliton if tag.variant == "tail" else None
+        if sol is not None:
+            row[10:] = [str(sol.index), _fmt(sol.w_abs), _fmt(sol.w_arg)]
+        rows.append(row)
     _write_csv(out / "asym.csv", _ASYM_HEADER, rows)
     return 0
 
@@ -243,10 +256,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, tol_scale: float,
         pulse, t_max=o["t_max"], x_max=o["x_max"], h=o["h"],
         nonphysical_tol=o.get("nonphysical_tol", 1e-4))
     grid.save_binary(out / "grid.bin")
-    inv = grid.invariants
-    with open(out / "invariants.json", "w", encoding="utf-8") as fh:
-        json.dump(asdict(inv), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "invariants.json", asdict(grid.invariants))
     if slice_t is not None:
         i = int(round(slice_t / grid.h))
         i = min(max(i, 0), grid.nt)
@@ -262,8 +272,6 @@ def cmd_compare(cfg: RunConfig, out: Path, tol_scale: float) -> int:
     pulse = cfg.make_pulse()
     sd = ScatteringData(pulse, cfg.make_tolerances(tol_scale))
     params = cfg.make_bands(pulse)
-    box = tuple(cfg.search_box) if cfg.search_box else None
-    spec = find_zeros(sd, box)
     o = cfg.oracle
     points = cfg.grid_points()
     # the probes' bicubic stencils reach less than 3h past their largest tau;
@@ -276,64 +284,59 @@ def cmd_compare(cfg: RunConfig, out: Path, tol_scale: float) -> int:
         nonphysical_tol=o.get("nonphysical_tol", 1e-4), tau_max=tau_max,
         x_min=x_min)
 
+    # only points the oracle can probe are evaluated, so a point outside
+    # its grid cannot fail the command
+    oracle = {}
+
+    def probed(i):
+        try:
+            oracle[i] = grid.probe(*points[i])
+        except MbampError:
+            return False
+        return True
+
+    tags, results = _asymptotics(cfg, sd, params, points, keep=probed)
     rows = []
     per_region: dict[str, list] = {}
-    for t, x in points:
-        tag = classify(t, x, params)
-        if tag.variant == "unsupported":
-            rows.append([_fmt(t), _fmt(x), tag.variant, "skipped", "", "", ""])
+    for i, ((t, x), tag, res) in enumerate(zip(points, tags, results)):
+        if res is None:
+            status = "skipped" if tag.variant == "unsupported" \
+                else "outside_oracle"
+            rows.append([_fmt(t), _fmt(x), tag.variant, status, "", "", ""])
             continue
-        try:
-            orc = grid.probe(t, x)
-        except MbampError:
-            rows.append([_fmt(t), _fmt(x), tag.variant, "outside_oracle",
-                         "", "", ""])
-            continue
-        if tag.variant == "causal":
-            asym_E, asym_N, asym_rho = 0.0 + 0.0j, 1.0, 0.0 + 0.0j
-        elif tag.variant == "tail":
-            f = tail_asym.eval_tail(sd, spec, t, x, cfg.match_eps).fields
-            asym_E, asym_N, asym_rho = f.E, f.N, f.rho
-        else:
-            f = eval_lightcone(tag, t, x, sd, params.tail_order).fields
-            asym_E, asym_N, asym_rho = f.E, f.N, f.rho
+        orc, f = oracle[i], res.fields
         scale = max(abs(orc.E), abs(orc.rho), 1e-30)
-        dev = abs(asym_E - orc.E) / scale
+        dev = abs(f.E - orc.E) / scale
         rows.append([_fmt(t), _fmt(x), tag.variant, "ok", _fmt(dev),
-                     _fmt(abs(asym_N - orc.N)),
-                     _fmt(abs(asym_rho - orc.rho) / scale)])
-        tau = t - x
-        k0 = 0.5 * math.sqrt(x / tau) if tau > 0 else math.inf
-        per_region.setdefault(tag.variant, []).append((dev, tau, k0))
+                     _fmt(abs(f.N - orc.N)),
+                     _fmt(abs(f.rho - orc.rho) / scale)])
+        per_region.setdefault(tag.variant, []).append(
+            (dev, t - x if tag.variant == "tail" else tag.k0))
     _write_csv(out / "compare_points.csv",
                ["t", "x", "region", "status", "E_rel_dev", "N_abs_dev",
                 "rho_rel_dev"], rows)
 
     summary = []
     for region in sorted(per_region):
-        data = per_region[region]
-        devs = np.array([d[0] for d in data])
-        stats = [region, str(len(data)), _fmt(float(devs.max())),
-                 _fmt(float(np.median(devs)))]
+        devs, xs = np.array(per_region[region]).T
+        stats = [region, str(devs.size), _fmt(devs.max()),
+                 _fmt(np.median(devs)), ""]
         # decay-fit exponent: tail regions against tau, cone regions vs k0;
         # meaningless for the causal region where deviations are zero
-        if len(data) >= 3 and region != "causal":
-            if region == "tail":
-                xs = np.log([d[1] for d in data])
-            else:
-                xs = np.log([d[2] for d in data])
+        xs = np.log(xs)
+        if devs.size >= 3 and region != "causal" \
+                and np.all(np.isfinite(xs)) and np.ptp(xs) > 1e-9:
             ys = np.log(np.maximum(devs, 1e-300))
-            if np.all(np.isfinite(xs)) and np.ptp(xs) > 1e-9:
-                stats.append(_fmt(float(np.polyfit(xs, ys, 1)[0])))
-            else:
-                stats.append("")
-        else:
-            stats.append("")
+            stats[-1] = _fmt(np.polyfit(xs, ys, 1)[0])
         summary.append(stats)
     _write_csv(out / "compare_summary.csv",
                ["region", "points", "max_dev", "median_dev",
                 "decay_fit_exponent"], summary)
     return 0
+
+
+_COMMANDS = {"scatter": cmd_scatter, "zeros": cmd_zeros, "asym": cmd_asym,
+             "compare": cmd_compare, "regions": cmd_regions}
 
 
 def main(argv=None) -> int:
@@ -342,8 +345,7 @@ def main(argv=None) -> int:
         description="Scattering data and long-time asymptotics of an input "
                     "pulse in a two-level amplifier, with a direct PDE oracle.")
     parser.add_argument("command",
-                        choices=["scatter", "zeros", "asym", "simulate",
-                                 "compare", "regions"])
+                        choices=[*_COMMANDS, "simulate"])
     parser.add_argument("--config", required=True, help="JSON run config")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--grid", default=None,
@@ -360,19 +362,9 @@ def main(argv=None) -> int:
             cfg.grid = _parse_grid(args.grid)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "scatter":
-            return cmd_scatter(cfg, out, args.tol_scale)
-        if args.command == "zeros":
-            return cmd_zeros(cfg, out, args.tol_scale)
-        if args.command == "asym":
-            return cmd_asym(cfg, out, args.tol_scale)
-        if args.command == "regions":
-            return cmd_regions(cfg, out, args.tol_scale)
         if args.command == "simulate":
             return cmd_simulate(cfg, out, args.tol_scale, args.slice_t)
-        if args.command == "compare":
-            return cmd_compare(cfg, out, args.tol_scale)
-        raise ValueError(f"unhandled command {args.command}")
+        return _COMMANDS[args.command](cfg, out, args.tol_scale)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

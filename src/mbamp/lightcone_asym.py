@@ -109,11 +109,12 @@ class AsymptoticFields:
     error_scale: float
 
 
-def eval_lightcone(tag: RegionTag, t: float, x: float,
-                   sd: ScatteringData,
-                   tail_order: float | None = None) -> AsymptoticFields:
-    """Evaluate the near-cone formulas for the given region tag."""
-    return eval_lightcone_at_tau(tag.variant, tag.n, t - x, x, sd, tail_order)
+def eval_lightcone(tag: RegionTag, t: float, x: float, r: complex,
+                   tail_order: float) -> AsymptoticFields:
+    """Evaluate the near-cone formulas for the given region tag, with
+    r = r(i k0) at k0 = sqrt(x/(t-x))/2 handed in."""
+    _check_cone(tag.variant, t - x)
+    return _cone_fields(tag.variant, tag.n, t - x, x, r, tail_order)
 
 
 def eval_lightcone_at_tau(variant: str, n: int | None, tau: float, x: float,
@@ -124,30 +125,38 @@ def eval_lightcone_at_tau(variant: str, n: int | None, tau: float, x: float,
     At very large x the difference t - x is not representable in doubles, so
     consistency checks deep in the asymptotic regime must enter here.
     """
-    tag = RegionTag(variant, n=n)
-    if tag.variant not in ("part1", "part2", "part3", "part4"):
-        raise WrongRegion(f"no near-cone formula for region '{tag.variant}'")
+    _check_cone(variant, tau)
+    m = tail_order if tail_order is not None else float(sd.pulse.start_exponent)
+    r = sd.reflection_uhp(1j * 0.5 * math.sqrt(x / tau))
+    return _cone_fields(variant, n, tau, x, r, m)
+
+
+def _check_cone(variant: str, tau: float):
+    if variant not in ("part1", "part2", "part3", "part4"):
+        raise WrongRegion(f"no near-cone formula for region '{variant}'")
     if tau <= 0.0:
         raise WrongRegion("near-cone formulas need t > x")
-    m = tail_order if tail_order is not None else float(sd.pulse.start_exponent)
+
+
+def _cone_fields(variant: str, n: int | None, tau: float, x: float,
+                 r: complex, m: float) -> AsymptoticFields:
     k0 = 0.5 * math.sqrt(x / tau)
     xi = 2.0 * math.sqrt(x * tau)
-    r = sd.reflection_uhp(1j * k0)
 
-    if tag.variant in ("part1", "part2"):
+    if variant in ("part1", "part2"):
         i_lo = bessel_i(m - 1.0, xi)
         i_hi = bessel_i(m, xi)
         E = 4.0 * k0 * r * i_lo
         N = 1.0 - 2.0 * abs(r) ** 2 * i_hi ** 2
         rho = 2.0 * r * i_hi
-        if tag.variant == "part1":
+        if variant == "part1":
             scale = k0 ** (-m)
         else:
             p1 = m * math.log(x) - m * math.log(0.5 * xi) - xi
             scale = math.exp(-p1)
         return AsymptoticFields(FieldTriple(E, N, rho), scale)
 
-    if tag.variant == "part3":
+    if variant == "part3":
         quarter = (x * tau) ** 0.25
         growth = math.exp(xi)
         E = 2.0 * k0 * r * growth / (math.sqrt(math.pi) * quarter)
@@ -156,7 +165,7 @@ def eval_lightcone_at_tau(variant: str, n: int | None, tau: float, x: float,
         p2 = m * math.log(x) - xi - (m - 0.5) * math.log(0.5 * xi)
         return AsymptoticFields(FieldTriple(E, N, rho), math.exp(-p2))
 
-    n = tag.n if tag.n is not None else 0
+    n = n if n is not None else 0
     theta = pulse_phase(n, xi, abs(r))
     phase = cmath.exp(1j * cmath.phase(r))
     sech = _sech(theta)
@@ -175,8 +184,7 @@ def pulse_phase(n: int, xi: float, r_abs: float) -> float:
     return xi - (n + 0.5) * math.log(0.5 * xi) + chi
 
 
-def peak_seed(x: float, n: int, m: float, c_abs: float,
-              terms: int = 4) -> float:
+def peak_seed(x: float, n: int, m: float, c_abs: float) -> float:
     """Seed for the n-th pulse peak from the log-inversion expansion.
 
     Solving y - gamma ln y = z with y = sqrt(x(t-x)), gamma = (n+1/2-m)/2 and
@@ -189,14 +197,8 @@ def peak_seed(x: float, n: int, m: float, c_abs: float,
     if z <= 1.0:
         raise NoRoot(f"band {n} is empty at x = {x} (z = {z:.3f})")
     lz = math.log(z)
-    y = z
-    if terms >= 2:
-        y += gamma * lz
-    if terms >= 3:
-        y += gamma ** 2 * lz / z
-    if terms >= 4:
-        y += gamma ** 3 * (-lz * lz + 2.0 * lz) / (2.0 * z * z)
-    return y
+    return (z + gamma * lz + gamma ** 2 * lz / z
+            + gamma ** 3 * (-lz * lz + 2.0 * lz) / (2.0 * z * z))
 
 
 def solve_peak_y(x: float, n: int, sd: ScatteringData,

@@ -117,12 +117,6 @@ class ScatteringData:
             return complex(a[0]), complex(b[0])
         return a.reshape(np.shape(k)), b.reshape(np.shape(k))
 
-    def reflection(self, k: complex) -> complex:
-        a, b = self.ab(k)
-        if abs(a) < 1e-12:
-            raise DivisionNearZero(f"|a({k})| = {abs(a):.2e}; near a zero of a")
-        return b / a
-
     # ----------------------------------------------------- real-line cache
 
     def _build_cache(self):
@@ -266,18 +260,30 @@ class ScatteringData:
                          m_fit, constant, resid)
             return fit
 
-    def reflection_uhp(self, k: complex) -> complex:
-        """r(k) anywhere in the closed upper half-plane.
+    def reflection_uhp(self, k):
+        """r(k) anywhere in the closed upper half-plane: Python complex for
+        a scalar, an array of the same shape for an array.
 
-        Direct integration up to |k| = _KAPPA_MODEL_SWITCH; beyond that the
-        fitted power-law tail (the direct values degrade only through the
-        smallness of b, but the model is cheaper and smooth at huge k).
+        Direct integration up to |k| = _KAPPA_MODEL_SWITCH, all such points
+        in one batched solve; beyond that the fitted power-law tail (the
+        direct values degrade only through the smallness of b, but the model
+        is cheaper and smooth at huge k).
         """
-        k = complex(k)
-        if abs(k) <= _KAPPA_MODEL_SWITCH:
-            return self.reflection(k)
-        fit = self.tail_fit()
-        return fit.constant * k ** (-fit.order)
+        ks = np.asarray(k, dtype=complex)
+        r = np.empty_like(ks)
+        near = np.abs(ks) <= _KAPPA_MODEL_SWITCH
+        if near.any():
+            a, b = self.ab_many(ks[near])
+            for kj, aj in zip(ks[near], a):
+                if abs(aj) < 1e-12:
+                    raise DivisionNearZero(f"|a({complex(kj)})| = "
+                                           f"{abs(aj):.2e}; near a zero of a")
+            r[near] = b / a
+        if not near.all():
+            fit = self.tail_fit()
+            r[~near] = [fit.constant * complex(kj) ** (-fit.order)
+                        for kj in ks[~near]]
+        return complex(r) if r.ndim == 0 else r
 
 
 

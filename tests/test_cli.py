@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from mbamp.cli import RunConfig, main
 
 BOX52 = {
@@ -134,3 +136,77 @@ def test_bad_grid_spec(tmp_path):
     path = write_cfg(tmp_path)
     assert main(["regions", "--config", str(path), "--out", str(tmp_path),
                  "--grid", "oops"]) == 2
+
+
+# cone, causal and unsupported points only (box 5/2: tail order 1)
+CONE_GRID = "2.1:2.6:3,2:2.2:3"
+CONE_ORACLE = {"h": 0.01, "t_max": 2.7, "x_max": 2.3, "nonphysical_tol": 0.01}
+
+
+def count_solves(monkeypatch):
+    """Count the batched Jost solves, plain and variational."""
+    from mbamp.scattering import ScatteringData
+    calls = {"ab_many": 0, "ab_and_derivs_many": 0}
+    for name in calls:
+        original = getattr(ScatteringData, name)
+
+        def counted(self, ks, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, ks)
+        monkeypatch.setattr(ScatteringData, name, counted)
+    return calls
+
+
+def test_compare_without_tail_points_solves_once(tmp_path, monkeypatch):
+    path = write_cfg(tmp_path, {"oracle": CONE_ORACLE})
+    calls = count_solves(monkeypatch)
+    out = tmp_path / "oc"
+    assert main(["compare", "--config", str(path), "--out", str(out),
+                 "--grid", CONE_GRID]) == 0
+    rows = [ln.split(",") for ln in
+            (out / "compare_points.csv").read_text().strip().split("\n")[1:]]
+    assert {r[2] for r in rows} == {"part1", "causal", "unsupported"}
+    assert all(r[3] == "ok" for r in rows if r[2] != "unsupported")
+    # no zero search; the five light-cone points share one solve
+    assert calls == {"ab_many": 1, "ab_and_derivs_many": 0}
+
+
+def test_tail_point_runs_the_zero_search_once(tmp_path, monkeypatch):
+    from mbamp import cli
+    searches = []
+    find_zeros = cli.find_zeros
+    monkeypatch.setattr(cli, "find_zeros",
+                        lambda *a: searches.append(a) or find_zeros(*a))
+    calls = count_solves(monkeypatch)
+    path = write_cfg(tmp_path)
+    out = tmp_path / "ot"
+    assert main(["asym", "--config", str(path), "--out", str(out),
+                 "--grid", "2.1:2.7:4,2:2.2:3"]) == 0
+    regions = [ln.split(",")[2] for ln in
+               (out / "asym.csv").read_text().strip().split("\n")[1:]]
+    assert regions.count("tail") == 1 and regions.count("part1") == 7
+    assert len(searches) == 1
+    assert calls["ab_and_derivs_many"] > 0
+
+
+def test_compare_on_cone_points_needs_no_search_box(tmp_path):
+    # the default-box zero search diverges on box 5/2; no output reads it here
+    path = write_cfg(tmp_path, {"oracle": CONE_ORACLE})
+    cfg = json.loads(path.read_text())
+    del cfg["search_box"]
+    path.write_text(json.dumps(cfg))
+    assert main(["compare", "--config", str(path), "--out", str(tmp_path),
+                 "--grid", CONE_GRID]) == 0
+
+
+@pytest.mark.parametrize("box", [
+    [3.0, -3.0, 1e-4, 3.0], [-3.0, 3.0, 1e-4, 1e-5], [-3.0, 3.0, 2.0, 1.0],
+    [-3.0, 3.0, 1e-4], [-3.0, 3.0, 1e-4, float("inf")],
+    [-3.0, 3.0, 1e-4, "3"], [-3.0, 3.0, 1e-4, True], 3.0])
+@pytest.mark.parametrize("command", ["zeros", "asym", "compare"])
+def test_bad_search_box_is_a_usage_error(tmp_path, capsys, box, command):
+    path = write_cfg(tmp_path, {"search_box": box, "oracle": CONE_ORACLE})
+    # a causal-only grid: no tail point would ever run the zero search
+    assert main([command, "--config", str(path), "--out", str(tmp_path),
+                 "--grid", "1:2:2,2:3:2"]) == 2
+    assert "usage error" in capsys.readouterr().err

@@ -80,22 +80,20 @@ def test_band_ordering_contiguous(params_m2):
 
 
 def test_eval_zero_reflection_limit():
-    sd = _StubScattering(0.0)
     tag = classify(100.005, 100.0, BandParams(tail_order=2.0))
-    out = eval_lightcone(tag, 100.005, 100.0, sd, tail_order=2.0)
+    out = eval_lightcone(tag, 100.005, 100.0, 0j, tail_order=2.0)
     assert out.fields.E == 0j
     assert out.fields.N == 1.0
     assert out.fields.rho == 0j
 
 
 def test_eval_part1_formula_values():
-    sd = _StubScattering(0.01 + 0.02j)
+    r = 0.01 + 0.02j
     t, x = 100.005, 100.0
     tag = classify(t, x, BandParams(tail_order=2.0))
-    out = eval_lightcone(tag, t, x, sd, tail_order=2.0)
+    out = eval_lightcone(tag, t, x, r, tail_order=2.0)
     k0 = 0.5 * math.sqrt(x / (t - x))
     xi = 2.0 * math.sqrt(x * (t - x))
-    r = 0.01 + 0.02j
     assert out.fields.E == pytest.approx(4 * k0 * r * bessel_i(1.0, xi))
     assert out.fields.N == pytest.approx(1 - 2 * abs(r) ** 2 * bessel_i(2.0, xi) ** 2)
     assert out.fields.rho == pytest.approx(2 * r * bessel_i(2.0, xi))
@@ -125,15 +123,15 @@ def test_eval_pulse_center_values():
 
 
 def test_eval_wrong_region():
-    sd = _StubScattering(0.1)
     with pytest.raises(WrongRegion):
         eval_lightcone(classify(3.0, 4.0, BandParams(tail_order=2.0)),
-                       3.0, 4.0, sd)
+                       3.0, 4.0, 0.1, 2.0)
+    with pytest.raises(WrongRegion):
+        eval_lightcone_at_tau("tail", None, 1.0, 4.0, _StubScattering(0.1))
 
 
 def test_part4_leading_order_bloch_identity():
     # (1 - 2 sech^2)^2 + (2 tanh sech)^2 = 1
-    sd = _StubScattering(0.03)
     x = math.exp(11.0)
     params = BandParams(tail_order=2.0)
     for tau_scale in (0.9, 1.0, 1.1):
@@ -142,7 +140,7 @@ def test_part4_leading_order_bloch_identity():
         tag = classify(x + tau, x, params)
         if tag.variant != "part4":
             continue
-        out = eval_lightcone(tag, x + tau, x, sd, tail_order=2.0)
+        out = eval_lightcone(tag, x + tau, x, 0.03, tail_order=2.0)
         assert out.fields.N ** 2 + abs(out.fields.rho) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 

@@ -85,29 +85,42 @@ def test_real_pulse_symmetry(sd52):
 
 
 def test_reflection_symmetry_and_zero(sd52):
-    r = sd52.reflection(1.3)
-    rm = sd52.reflection(-1.3)
+    r = sd52.reflection_uhp(1.3)
+    rm = sd52.reflection_uhp(-1.3)
     assert rm == pytest.approx(np.conj(r), abs=1e-8)
     _, b = sd52.ab(1.9448904595703225j)
     assert abs(b) < 1e-6
 
 
-def test_reflection_near_zero_of_a(sd52):
-    # locate a zero of a on the positive imaginary axis, then demand refusal
+def zero_of_a(sd):
+    """A zero of a on the positive imaginary axis, by Newton from the
+    smallest |a| on a scan."""
     kappas = np.linspace(0.05, 2.49, 200)
-    a, _ = sd52.ab_many(1j * kappas)
+    a, _ = sd.ab_many(1j * kappas)
     seed = 1j * kappas[int(np.argmin(np.abs(a)))]
 
     def a_of(k):
-        return sd52.ab_and_derivs_many([k])[0][0]
+        return sd.ab_and_derivs_many([k])[0][0]
 
     def adot_of(k):
-        return sd52.ab_and_derivs_many([k])[2][0]
+        return sd.ab_and_derivs_many([k])[2][0]
 
-    k_zero = complex_newton(a_of, adot_of, seed, 1e-13)
+    return complex_newton(a_of, adot_of, seed, 1e-13)
+
+
+def test_reflection_near_zero_of_a(sd52):
+    # locate a zero of a on the positive imaginary axis, then demand refusal
+    k_zero = zero_of_a(sd52)
     assert k_zero.imag > 0
     with pytest.raises(DivisionNearZero):
-        sd52.reflection(k_zero)
+        sd52.reflection_uhp(k_zero)
+
+
+def test_reflection_uhp_batch_names_the_point_near_a_zero_of_a(sd52):
+    k_zero = zero_of_a(sd52)
+    with pytest.raises(DivisionNearZero) as info:
+        sd52.reflection_uhp(np.array([0.5j, k_zero, 1.5j]))
+    assert f"|a({complex(k_zero)})|" in str(info.value)
 
 
 def test_b_deriv_against_closed_form(sd52):
@@ -328,9 +341,41 @@ def test_reflection_uhp_model_switch():
     r_model = sd.reflection_uhp(200j)
     assert r_model == fit.constant * (200j) ** (-fit.order)
     # direct and model agree up to the next-order tail correction ~3/kappa
-    r_direct = sd.reflection(35j)
+    r_direct = sd.reflection_uhp(35j)
     r_mod = fit.constant * (35j) ** (-fit.order)
     assert abs(r_direct - r_mod) / abs(r_direct) < 0.12
+
+
+@pytest.mark.parametrize("pulse", [BoxPulse(5.0, 2.0),
+                                   SmoothBumpPulse(1.0, 2.0, 1.0)],
+                         ids=["box52", "bump"])
+def test_reflection_uhp_array_matches_scalar_calls(pulse):
+    # one batched solve below the model switch at |k| = 40, the tail-fit
+    # model past it.  Batched and single solves take different steps, so
+    # they differ by the solver's error: at default tolerances up to 4.8e-9
+    # relative on the bump, where |r| falls to 1e-4 and ode_abs = 1e-12 on b
+    # dominates; at 0.01x the tolerances, 5e-11.
+    sd = ScatteringData(pulse, Tolerances().scaled(0.01))
+    ks = 1j * np.geomspace(0.05, 60.0, 24)
+    r = sd.reflection_uhp(ks)
+    assert r.shape == ks.shape and r.dtype == complex
+    single = np.array([sd.reflection_uhp(k) for k in ks])
+    assert np.max(np.abs(r - single) / np.abs(single)) < 1e-9
+    fit = sd.tail_fit()
+    far = np.abs(ks) > scattering._KAPPA_MODEL_SWITCH
+    assert 0 < far.sum() < ks.size
+    assert list(r[far]) == [fit.constant * complex(k) ** (-fit.order)
+                            for k in ks[far]]
+    assert list(single[far]) == list(r[far])
+    grid = sd.reflection_uhp(ks.reshape(4, 6))
+    assert grid.shape == (4, 6)
+    assert np.array_equal(grid.ravel(), r)
+
+
+def test_reflection_uhp_scalar_returns_complex(sd52):
+    for k in (1.3, 0.7j, 55j):
+        assert type(sd52.reflection_uhp(k)) is complex
+    assert type(sd52.reflection_uhp(np.complex128(0.7j))) is complex
 
 
 def test_reflection_power_law_bounded_on_imag_axis():

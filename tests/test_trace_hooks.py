@@ -1,17 +1,47 @@
-"""The traced benchmark patches layer functions by name; they must exist."""
+"""The traced benchmark patches layer functions by name; they must exist,
+and the CLI must still call them."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_trace_hooks_install_and_restore():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_trace_hooks_install_and_restore():
+    tracing = load_tracing()
     from mbamp import scattering, tail_asym
     before = (tail_asym.adaptive_quad, scattering.ScatteringData.r_real)
     with tracing.installed(tracing.Tracer()):
         assert tail_asym.adaptive_quad is not before[0]
     assert (tail_asym.adaptive_quad, scattering.ScatteringData.r_real) == before
+
+
+def test_traced_compare_counts_each_light_cone_point(tmp_path):
+    # the per-layer counts of the benchmark read 0 if the CLI stops calling
+    # the patched names
+    tracing = load_tracing()
+    from mbamp.cli import main
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1,
+        "pulse": {"kind": "box", "amplitude_re": 1.0, "support": 1.0},
+        "oracle": {"h": 0.01, "t_max": 2.7, "x_max": 2.3}}))
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path),
+                     "--grid", "2.1:2.6:3,2:2.2:3"]) == 0
+    regions = [ln.split(",")[2] for ln in (tmp_path / "compare_points.csv")
+               .read_text().strip().split("\n")[1:]]
+    cone = sum(r.startswith("part") for r in regions)
+    assert cone == 5
+    assert tracer.counts["lightcone_asym.eval_lightcone.calls"] == cone
+    assert tracer.counts["scattering.reflection_uhp.calls"] == 1
+    assert tracer.counts["soliton_spectrum.find_zeros.calls"] == 0
