@@ -3,8 +3,8 @@ two-level laser amplifier (sharp-line Maxwell-Bloch), with a direct PDE
 integrator as the independent ground truth."""
 
 from .lightcone_asym import (BandParams, RegionTag, classify, eval_lightcone,
-                             eval_lightcone_at_tau, predict_peaks, solve_peak_y)
-from .mb_oracle import FieldTriple, SimGrid, check_invariants, simulate
+                             predict_peaks, solve_peak_y)
+from .mb_oracle import FieldTriple, SimGrid, simulate
 from .numerics import Tolerances
 from .pulse import BoxPulse, PowerStartPulse, SmoothBumpPulse, first_moment
 from .scattering import ScatteringData, TailFit
@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BandParams", "BoxPulse", "FieldTriple", "PowerStartPulse", "RegionTag",
     "ScatteringData", "SimGrid", "SmoothBumpPulse", "SolitonSpectrum",
-    "SolitonState", "TailFit", "TailPhases", "Tolerances", "check_invariants",
-    "classify", "eval_lightcone", "eval_lightcone_at_tau", "eval_tail",
-    "find_zeros", "first_moment", "nu_pair", "omega_pair", "predict_peaks",
-    "simulate", "solve_peak_y", "soliton_state", "velocity_match",
+    "SolitonState", "TailFit", "TailPhases", "Tolerances", "classify",
+    "eval_lightcone", "eval_tail", "find_zeros", "first_moment", "nu_pair",
+    "omega_pair", "predict_peaks", "simulate", "solve_peak_y",
+    "soliton_state", "velocity_match",
 ]

@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,10 @@ class RunConfig:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        # checked here, since the zero search runs only for tail points
+        # checked on construction: some commands never read the bands or
+        # the tolerances, and the zero search runs only for tail points
+        for name, known in (("tolerances", Tolerances), ("bands", BandParams)):
+            _check_keys(getattr(self, name), known, f"config '{name}'")
         box = self.search_box
         if box is not None and not (
                 isinstance(box, (list, tuple)) and len(box) == 4
@@ -62,6 +65,7 @@ class RunConfig:
     def load(cls, path) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        _check_keys(raw, cls, "config")
         version = raw.pop("schema_version", None)
         if version != SCHEMA_VERSION:
             raise ValueError(f"config schema_version {version} unsupported "
@@ -87,9 +91,8 @@ class RunConfig:
             return SmoothBumpPulse(amp, spec["start_exponent"], spec["support"])
         raise ValueError(f"unknown pulse kind '{kind}'")
 
-    def make_tolerances(self, scale: float = 1.0) -> Tolerances:
-        tol = Tolerances(**self.tolerances)
-        return tol.scaled(scale) if scale != 1.0 else tol
+    def make_tolerances(self) -> Tolerances:
+        return Tolerances(**self.tolerances)
 
     def make_bands(self, pulse) -> BandParams:
         spec = dict(self.bands)
@@ -106,6 +109,17 @@ class RunConfig:
         ts = np.linspace(g["t0"], g["t1"], int(g["nt"]))
         xs = np.linspace(g["x0"], g["x1"], int(g["nx"]))
         return [(float(t), float(x)) for t in ts for x in xs]
+
+
+def _check_keys(spec, cls, what: str):
+    """ValueError unless ``spec`` is a JSON object whose keys all name
+    fields of the dataclass ``cls``."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{what} must be a JSON object, not {spec!r}")
+    unknown = sorted(set(spec) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown key(s) in {what}: "
+                         + ", ".join(map(repr, unknown)))
 
 
 def _parse_grid(text: str) -> dict:
@@ -134,9 +148,9 @@ def _write_csv(path, header, rows):
 
 # ----------------------------------------------------------------- commands
 
-def cmd_scatter(cfg: RunConfig, out: Path, tol_scale: float) -> int:
+def cmd_scatter(cfg: RunConfig, out: Path) -> int:
     pulse = cfg.make_pulse()
-    sd = ScatteringData(pulse, cfg.make_tolerances(tol_scale))
+    sd = ScatteringData(pulse, cfg.make_tolerances())
     rows = []
     for axis, unit in (("re", 1.0), ("imag", 1j)):
         if not cfg.kgrid.get(axis):
@@ -158,9 +172,9 @@ def cmd_scatter(cfg: RunConfig, out: Path, tol_scale: float) -> int:
     return 0
 
 
-def cmd_zeros(cfg: RunConfig, out: Path, tol_scale: float) -> int:
+def cmd_zeros(cfg: RunConfig, out: Path) -> int:
     pulse = cfg.make_pulse()
-    sd = ScatteringData(pulse, cfg.make_tolerances(tol_scale))
+    sd = ScatteringData(pulse, cfg.make_tolerances())
     box = tuple(cfg.search_box) if cfg.search_box else None
     spec = find_zeros(sd, box)
     rows = []
@@ -202,7 +216,8 @@ def _asymptotics(cfg: RunConfig, sd, params, points, keep=None):
         elif tag.variant == "tail":
             out[i] = tail_asym.eval_tail(sd, spec, t, x, cfg.match_eps)
         else:
-            out[i] = eval_lightcone(tag, t, x, r[i], params.tail_order)
+            out[i] = eval_lightcone(tag.variant, tag.n, t - x, x, r[i],
+                                    params.tail_order)
     return tags, out
 
 
@@ -211,9 +226,9 @@ _ASYM_HEADER = ["t", "x", "region", "n", "E_re", "E_im", "N",
                 "soliton_j", "w_abs", "w_arg"]
 
 
-def cmd_asym(cfg: RunConfig, out: Path, tol_scale: float) -> int:
+def cmd_asym(cfg: RunConfig, out: Path) -> int:
     pulse = cfg.make_pulse()
-    sd = ScatteringData(pulse, cfg.make_tolerances(tol_scale))
+    sd = ScatteringData(pulse, cfg.make_tolerances())
     points = cfg.grid_points()
     tags, results = _asymptotics(cfg, sd, cfg.make_bands(pulse), points)
     rows = []
@@ -232,7 +247,7 @@ def cmd_asym(cfg: RunConfig, out: Path, tol_scale: float) -> int:
     return 0
 
 
-def cmd_regions(cfg: RunConfig, out: Path, tol_scale: float) -> int:
+def cmd_regions(cfg: RunConfig, out: Path) -> int:
     pulse = cfg.make_pulse()   # validates nontriviality
     params = cfg.make_bands(pulse)
     rows = []
@@ -248,8 +263,7 @@ def cmd_regions(cfg: RunConfig, out: Path, tol_scale: float) -> int:
     return 0
 
 
-def cmd_simulate(cfg: RunConfig, out: Path, tol_scale: float,
-                 slice_t: float | None) -> int:
+def cmd_simulate(cfg: RunConfig, out: Path, slice_t: float | None) -> int:
     pulse = cfg.make_pulse()
     o = cfg.oracle
     grid = mb_oracle.simulate(
@@ -268,9 +282,9 @@ def cmd_simulate(cfg: RunConfig, out: Path, tol_scale: float,
     return 0
 
 
-def cmd_compare(cfg: RunConfig, out: Path, tol_scale: float) -> int:
+def cmd_compare(cfg: RunConfig, out: Path) -> int:
     pulse = cfg.make_pulse()
-    sd = ScatteringData(pulse, cfg.make_tolerances(tol_scale))
+    sd = ScatteringData(pulse, cfg.make_tolerances())
     params = cfg.make_bands(pulse)
     o = cfg.oracle
     points = cfg.grid_points()
@@ -350,8 +364,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--grid", default=None,
                         help="t0:t1:nt,x0:x1:nx sweep grid (overrides config)")
-    parser.add_argument("--tol-scale", type=float, default=1.0,
-                        help="multiply all tolerances by this factor")
     parser.add_argument("--slice-t", type=float, default=None,
                         help="simulate: also emit a CSV slice at this time")
     args = parser.parse_args(argv)
@@ -363,8 +375,8 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
-            return cmd_simulate(cfg, out, args.tol_scale, args.slice_t)
-        return _COMMANDS[args.command](cfg, out, args.tol_scale)
+            return cmd_simulate(cfg, out, args.slice_t)
+        return _COMMANDS[args.command](cfg, out)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -109,37 +109,19 @@ class AsymptoticFields:
     error_scale: float
 
 
-def eval_lightcone(tag: RegionTag, t: float, x: float, r: complex,
-                   tail_order: float) -> AsymptoticFields:
-    """Evaluate the near-cone formulas for the given region tag, with
-    r = r(i k0) at k0 = sqrt(x/(t-x))/2 handed in."""
-    _check_cone(tag.variant, t - x)
-    return _cone_fields(tag.variant, tag.n, t - x, x, r, tail_order)
+def eval_lightcone(variant: str, n: int | None, tau: float, x: float,
+                   r: complex, m: float) -> AsymptoticFields:
+    """Near-cone fields of region ``variant`` (band ``n`` for part4) at the
+    cone offset tau = t - x, given r = r(i k0) at k0 = sqrt(x/tau)/2 and the
+    tail order m.
 
-
-def eval_lightcone_at_tau(variant: str, n: int | None, tau: float, x: float,
-                          sd: ScatteringData,
-                          tail_order: float | None = None) -> AsymptoticFields:
-    """Same formulas parameterized by the cone offset tau = t - x directly.
-
-    At very large x the difference t - x is not representable in doubles, so
-    consistency checks deep in the asymptotic regime must enter here.
+    The offset enters directly: at very large x the difference t - x is not
+    representable in doubles.
     """
-    _check_cone(variant, tau)
-    m = tail_order if tail_order is not None else float(sd.pulse.start_exponent)
-    r = sd.reflection_uhp(1j * 0.5 * math.sqrt(x / tau))
-    return _cone_fields(variant, n, tau, x, r, m)
-
-
-def _check_cone(variant: str, tau: float):
     if variant not in ("part1", "part2", "part3", "part4"):
         raise WrongRegion(f"no near-cone formula for region '{variant}'")
     if tau <= 0.0:
         raise WrongRegion("near-cone formulas need t > x")
-
-
-def _cone_fields(variant: str, n: int | None, tau: float, x: float,
-                 r: complex, m: float) -> AsymptoticFields:
     k0 = 0.5 * math.sqrt(x / tau)
     xi = 2.0 * math.sqrt(x * tau)
 
@@ -235,7 +217,7 @@ def predict_peaks(x: float, n: int, sd: ScatteringData,
                   tol: float = 1e-12) -> float:
     """Time of the n-th pulse peak at distance x: the zero of its phase.
 
-    The returned time carries the usual floating the representation noise of
+    The returned time carries the floating-point representation noise of
     x + y^2/x; for precision work at very large x use solve_peak_y.
     """
     y = solve_peak_y(x, n, sd, tail_order, tol)

@@ -288,10 +288,3 @@ def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
     grid.invariants = InvariantReport(cons_defect, caus_defect, updates,
                                       defect_tx)
     return grid
-
-
-def check_invariants(grid: SimGrid) -> InvariantReport:
-    """Invariant maxima accumulated over every computed node of the run."""
-    if grid.invariants is None:
-        raise OutOfDomain("grid has not been populated by simulate()")
-    return grid.invariants

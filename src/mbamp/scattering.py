@@ -28,6 +28,8 @@ _SCAN_POINTS = 8193     # uniform scan for the minima of |r| and the max of |b|
 CACHE_HALFWIDTH = 20.0      # the real-line interpolant covers [-K, K]
 _KAPPA_MODEL_SWITCH = 40.0  # |k| past which reflection_uhp uses the tail fit
 GROWTH_GUARD = 600.0        # largest T*|Im k| a Jost solve accepts
+_FIT_KAPPAS = np.geomspace(10.0, 40.0, 13)   # tail-fit window on the i-axis
+_FIT_RESIDUAL_TOL = 0.08    # largest rms log-log residual of a power law
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,6 @@ class TailFit:
     order: float
     constant: complex
     residual: float     # rms residual of the log-log fit
-    kappa_lo: float
-    kappa_hi: float
 
 
 class ScatteringData:
@@ -55,7 +55,7 @@ class ScatteringData:
         # (nodes, weights, [a b 1] at nodes, uniform scan, [a b] on the scan)
         self._cache = None
         self.cache_tail = None   # achieved Chebyshev tail of the cache
-        self._tail_fits: dict[tuple, TailFit] = {}
+        self._tail_fit = None
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ ODE
@@ -108,15 +108,6 @@ class ScatteringData:
             raise Overflow(f"T*|Im k| = {worst:.1f} exceeds the growth guard "
                            f"{GROWTH_GUARD:.0f}")
 
-    # -------------------------------------------------------- point queries
-
-    def ab(self, k):
-        """(a, b) at k: Python complex for a scalar, arrays for an array."""
-        a, b = self.ab_many(k)
-        if np.ndim(k) == 0:
-            return complex(a[0]), complex(b[0])
-        return a.reshape(np.shape(k)), b.reshape(np.shape(k))
-
     # ----------------------------------------------------- real-line cache
 
     def _build_cache(self):
@@ -163,22 +154,17 @@ class ScatteringData:
                 self._build_cache()
         return self._cache
 
-    def _ab_real(self, s):
-        """(a, b) at real s: Python complex for a scalar, arrays for arrays."""
+    def ab_real(self, s):
+        """(a, b) at real s off the interpolant: Python complex for a
+        scalar, arrays of the shape of s for an array."""
         nodes, weights, values, _, _ = self._cache_arrays()
         ab = _barycentric(nodes, weights, values, np.asarray(s, dtype=float))
         if np.ndim(s) == 0:
             return complex(ab[0]), complex(ab[1])
         return ab[..., 0], ab[..., 1]
 
-    def a_real(self, s):
-        return self._ab_real(s)[0]
-
-    def b_real(self, s):
-        return self._ab_real(s)[1]
-
     def r_real(self, s):
-        a, b = self._ab_real(s)
+        a, b = self.ab_real(s)
         return b / a
 
     def b_real_max(self) -> float:
@@ -207,7 +193,7 @@ class ScatteringData:
             # zero of b, kept inside the bracket of the scan minimum
             k = kk[i]
             for _ in range(8):
-                bp, b0, bm = self.b_real(np.array([k + 1e-6, k, k - 1e-6]))
+                bp, b0, bm = self.ab_real(np.array([k + 1e-6, k, k - 1e-6]))[1]
                 k = min(max(k - (b0 / ((bp - bm) / 2e-6)).real, kk[i - 1]),
                         kk[i + 1])
             if -k0 < k < k0:
@@ -216,18 +202,17 @@ class ScatteringData:
 
     # ------------------------------------------------------------ tail fit
 
-    def tail_fit(self, kappa_lo: float = 10.0, kappa_hi: float = 40.0,
-                 npts: int = 13, residual_tol: float = 0.08) -> TailFit:
-        """Fit r(i kappa) ~ C (i kappa)^(-m) by log-log regression.
+    def tail_fit(self) -> TailFit:
+        """Fit r(i kappa) ~ C (i kappa)^(-m) by log-log regression over the
+        window _FIT_KAPPAS; built once, under the lock.
 
         Raises FitRejected when the residual shows the reflection tail is not
         a clean power law (pulse without a power-law start).
         """
-        key = (kappa_lo, kappa_hi, npts, residual_tol)
         with self._lock:
-            if key in self._tail_fits:
-                return self._tail_fits[key]
-            kappas = np.geomspace(kappa_lo, kappa_hi, npts)
+            if self._tail_fit is not None:
+                return self._tail_fit
+            kappas = _FIT_KAPPAS
             a, b = self.ab_many(1j * kappas)
             r = b / a
             mags = np.abs(r)
@@ -243,22 +228,21 @@ class ScatteringData:
             coef, *_ = np.linalg.lstsq(design, y, rcond=None)
             m_fit = -float(coef[1])
             resid = float(np.sqrt(np.mean((y - design @ coef) ** 2)))
-            if resid > residual_tol:
+            if resid > _FIT_RESIDUAL_TOL:
                 raise FitRejected(
-                    f"log-log residual {resid:.3f} exceeds {residual_tol}; "
+                    f"log-log residual {resid:.3f} exceeds {_FIT_RESIDUAL_TOL}; "
                     "reflection tail is not a power law")
             # leading constant read off at the far end of the window, where
             # the next-order correction is smallest
-            far = kappas >= kappas[npts // 2]
+            far = kappas >= kappas[kappas.size // 2]
             c_vals = (r * (1j * kappas) ** m_fit)[far] \
                 / np.exp(coef[2] / kappas[far])
             constant = complex(np.mean(c_vals))
-            fit = TailFit(order=m_fit, constant=constant, residual=resid,
-                          kappa_lo=kappa_lo, kappa_hi=kappa_hi)
-            self._tail_fits[key] = fit
+            self._tail_fit = TailFit(order=m_fit, constant=constant,
+                                     residual=resid)
             logger.debug("tail fit: m=%.4f C=%s residual=%.2e",
                          m_fit, constant, resid)
-            return fit
+            return self._tail_fit
 
     def reflection_uhp(self, k):
         """r(k) anywhere in the closed upper half-plane: Python complex for
@@ -274,17 +258,17 @@ class ScatteringData:
         near = np.abs(ks) <= _KAPPA_MODEL_SWITCH
         if near.any():
             a, b = self.ab_many(ks[near])
-            for kj, aj in zip(ks[near], a):
-                if abs(aj) < 1e-12:
-                    raise DivisionNearZero(f"|a({complex(kj)})| = "
-                                           f"{abs(aj):.2e}; near a zero of a")
+            small = np.flatnonzero(np.abs(a) < 1e-12)
+            if small.size:
+                j = small[0]
+                raise DivisionNearZero(f"|a({complex(ks[near][j])})| = "
+                                       f"{abs(a[j]):.2e}; near a zero of a")
             r[near] = b / a
         if not near.all():
             fit = self.tail_fit()
             r[~near] = [fit.constant * complex(kj) ** (-fit.order)
                         for kj in ks[~near]]
         return complex(r) if r.ndim == 0 else r
-
 
 
 def _barycentric(nodes, weights, values, s):

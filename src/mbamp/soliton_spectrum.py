@@ -21,6 +21,8 @@ logger = logging.getLogger(__name__)
 
 _IM_FLOOR = 1e-4      # zeros below this would violate the off-axis assumption
 _MAX_SUBDIV = 14
+# default search box halfwidths: 4, then grown by 1.6 up to the cap 16
+_BOX_HALFWIDTHS = (4.0, 4.0 * 1.6, 4.0 * 1.6 * 1.6)
 
 
 @dataclass(frozen=True)
@@ -48,13 +50,14 @@ def velocity_of(k: complex) -> float:
     return q / (1.0 + q)
 
 
-def _cell_count(sd: ScatteringData, cell, root_tol):
+def _cell_count(sd: ScatteringData, cell):
     """Winding count on a cell, nudging the cell when a zero grazes it."""
     re_lo, re_hi, im_lo, im_hi = cell
-    f = lambda k: sd.ab(k)[1]
+    f = lambda k: sd.ab_many(k)[1]
     for attempt in range(6):
         try:
-            return count_zeros_rect(f, (re_lo, re_hi, im_lo, im_hi), root_tol), \
+            return count_zeros_rect(f, (re_lo, re_hi, im_lo, im_hi),
+                                    sd.tol.root_tol), \
                 (re_lo, re_hi, im_lo, im_hi)
         except BoundaryZero:
             pad = (re_hi - re_lo) * 1e-3 * (attempt + 1)
@@ -66,16 +69,16 @@ def _cell_count(sd: ScatteringData, cell, root_tol):
 
 
 def find_zeros(sd: ScatteringData,
-               box: tuple[float, float, float, float] | None = None,
-               root_tol: float | None = None) -> SolitonSpectrum:
+               box: tuple[float, float, float, float] | None = None
+               ) -> SolitonSpectrum:
     """Locate all zeros of b inside ``box`` (re_lo, re_hi, im_lo, im_hi).
 
     Quadtree subdivision by the argument principle until each cell holds at
-    most one zero, then Newton refinement with the variational derivative.
+    most one zero, then Newton refinement with the variational derivative,
+    both to ``sd.tol.root_tol``.
     Raises AssumptionViolated when the found zeros are not simple, touch the
     real line, or have coinciding moduli.
     """
-    root_tol = root_tol if root_tol is not None else sd.tol.root_tol
     if box is None:
         box = default_search_box(sd)
     re_lo, re_hi, im_lo, im_hi = box
@@ -83,7 +86,7 @@ def find_zeros(sd: ScatteringData,
     if im_hi <= im_lo:
         raise ValueError("search box must lie in Im k > 0")
 
-    total, cell0 = _cell_count(sd, (re_lo, re_hi, im_lo, im_hi), root_tol)
+    total, cell0 = _cell_count(sd, (re_lo, re_hi, im_lo, im_hi))
     if total == 0:
         return SolitonSpectrum((), (), (), box=box)
 
@@ -94,7 +97,7 @@ def find_zeros(sd: ScatteringData,
         if count == 0:
             continue
         if count == 1:
-            refined.append(_refine_zero(sd, cell, root_tol))
+            refined.append(_refine_zero(sd, cell))
             continue
         if depth >= _MAX_SUBDIV:
             raise AssumptionViolated(
@@ -108,7 +111,7 @@ def find_zeros(sd: ScatteringData,
             mid = 0.5 * (lo_im + hi_im)
             halves = [(lo_re, hi_re, lo_im, mid), (lo_re, hi_re, mid, hi_im)]
         for half in halves:
-            c, half_adj = _cell_count(sd, half, root_tol)
+            c, half_adj = _cell_count(sd, half)
             stack.append((half_adj, c, depth + 1))
 
     # Cell perturbation can make siblings overlap; drop duplicate refinements.
@@ -131,7 +134,7 @@ def find_zeros(sd: ScatteringData,
                            box=box)
 
 
-def _refine_zero(sd: ScatteringData, cell, root_tol):
+def _refine_zero(sd: ScatteringData, cell):
     """Newton from the cell centre; returns the zero k with a(k) and bdot(k)
     from the variational solve that accepted it."""
     seed = complex(0.5 * (cell[0] + cell[1]), 0.5 * (cell[2] + cell[3]))
@@ -139,7 +142,7 @@ def _refine_zero(sd: ScatteringData, cell, root_tol):
     solve = functools.lru_cache(maxsize=1)(
         lambda k: [complex(v[0]) for v in sd.ab_and_derivs_many([k])])
     k = complex_newton(lambda k: solve(k)[1], lambda k: solve(k)[3], seed,
-                       root_tol)
+                       sd.tol.root_tol)
     a, _, _, bdot = solve(k)
     return k, a, bdot
 
@@ -159,8 +162,7 @@ def _validate(zeros, bdot):
                 f"moduli {m1} and {m2} are not pairwise distinct")
 
 
-def default_search_box(sd: ScatteringData, halfwidth_start: float = 4.0,
-                       halfwidth_cap: float = 16.0) -> tuple[float, float, float, float]:
+def default_search_box(sd: ScatteringData) -> tuple[float, float, float, float]:
     """Grow a symmetric box until |b| on its far edges is negligible
     compared to the real-line maximum of |b|.
 
@@ -168,26 +170,23 @@ def default_search_box(sd: ScatteringData, halfwidth_start: float = 4.0,
     compact pulse cluster at spectral scales set by the pulse itself, and
     callers probing farther should pass an explicit box.
 
-    The candidate halfwidths (the start, times 1.6 while within the cap) are
-    known in advance, so the edges of all of them are solved in one batched
-    call.  The box is the first candidate whose edges pass, as when growing
-    one edge at a time.  Candidates past the Jost solve's growth guard are
-    left out of the batch; reaching one raises Overflow, as growing would.
+    The candidate halfwidths _BOX_HALFWIDTHS are known in advance, so the
+    edges of all of them are solved in one batched call.  The box is the
+    first candidate whose edges pass, as when growing one edge at a time.
+    Candidates past the Jost solve's growth guard are left out of the
+    batch; reaching one raises Overflow, as growing would.
     """
     ceiling = 1e-3 * sd.b_real_max()
-    halfwidths = [halfwidth_start]
-    while halfwidths[-1] * 1.6 <= halfwidth_cap:
-        halfwidths.append(halfwidths[-1] * 1.6)
     n = 33
     edges = [np.concatenate([np.linspace(-K, K, n) + 1j * K,          # top
                              -K + 1j * np.linspace(_IM_FLOOR, K, n),  # left
                              K + 1j * np.linspace(_IM_FLOOR, K, n)])  # right
-             for K in halfwidths]
+             for K in _BOX_HALFWIDTHS]
     solvable = sum(sd.growth(e) <= GROWTH_GUARD for e in edges)
     if solvable:
         _, bv = sd.ab_many(np.concatenate(edges[:solvable]))
         edge_max = np.max(np.abs(bv).reshape(solvable, -1), axis=1)
-    for i, K in enumerate(halfwidths):
+    for i, K in enumerate(_BOX_HALFWIDTHS):
         if i == solvable:
             sd.ab_many(edges[i])   # raises Overflow, as growing to K would
         if edge_max[i] < ceiling:

@@ -62,16 +62,18 @@ def _arg_gamma(nu: float) -> float:
     return gamma_imag(min(nu, 50.0)).argument
 
 
+def _nu(s: float, r: complex) -> float:
+    """Slow amplitude nu = ln(1 + |r|^-2)/(2 pi), given r = r(s)."""
+    if abs(r) < 1e-12:
+        raise ReflectionZero(
+            f"|r({s})| = {abs(r):.2e}: the point sits on a real zero of b")
+    return math.log1p(1.0 / abs(r) ** 2) / (2.0 * math.pi)
+
+
 def nu_pair(sd: ScatteringData, k0: float) -> tuple[float, float]:
-    """Slow amplitudes nu = ln(1 + |r|^-2)/(2 pi) at -k0 (left) and k0."""
-    out = []
-    for s in (-k0, k0):
-        r = sd.r_real(s)
-        if abs(r) < 1e-12:
-            raise ReflectionZero(
-                f"|r({s})| = {abs(r):.2e}: the point sits on a real zero of b")
-        out.append(math.log1p(1.0 / abs(r) ** 2) / (2.0 * math.pi))
-    return out[0], out[1]
+    """Slow amplitudes nu at -k0 (left) and k0."""
+    r_l, r_r = sd.r_real(np.array([-k0, k0]))
+    return _nu(-k0, r_l), _nu(k0, r_r)
 
 
 def _log_term(sd: ScatteringData, s):
@@ -80,8 +82,9 @@ def _log_term(sd: ScatteringData, s):
 
 
 def omega_pair(sd: ScatteringData, spec: SolitonSpectrum,
-               t: float, x: float, quad_tol: float | None = None) -> TailPhases:
-    """Fast phases of the two wave trains at (t, x) in the tail cone.
+               t: float, x: float) -> TailPhases:
+    """Fast phases of the two wave trains at (t, x) in the tail cone, with
+    the log integrals to ``sd.tol.quad_tol``.
 
     The integrands' singularity at the endpoint is removable (the numerator
     vanishes there), and the quadrature never samples an endpoint.  Interior
@@ -93,17 +96,20 @@ def omega_pair(sd: ScatteringData, spec: SolitonSpectrum,
     k0 = 0.5 * math.sqrt(x / tau)
     if k0 > CACHE_HALFWIDTH:
         raise ValueError(f"k0 = {k0:.3f} outside the real-line cache")
-    qtol = quad_tol if quad_tol is not None else sd.tol.quad_tol
-    nu_l, nu_r = nu_pair(sd, k0)
+    qtol = sd.tol.quad_tol
+    # a, b and r at -k0 and k0, from one read of the real-line cache
+    a, b = sd.ab_real(np.array([-k0, k0]))
+    r = b / a
+    nu_l, nu_r = _nu(-k0, r[0]), _nu(k0, r[1])
+    log_ends = np.log1p(np.abs(r) ** -2.0)
     splits = sd.real_zero_splits(k0)
 
-    def regularized(endpoint: float):
-        log_end = _log_term(sd, endpoint)
+    def regularized(endpoint: float, log_end: float):
         return lambda s: (_log_term(sd, s) - log_end) / (s - endpoint)
 
-    integral_l = adaptive_quad(regularized(-k0), -k0, k0, qtol,
+    integral_l = adaptive_quad(regularized(-k0, log_ends[0]), -k0, k0, qtol,
                                split_points=splits)
-    integral_r = adaptive_quad(regularized(k0), -k0, k0, qtol,
+    integral_r = adaptive_quad(regularized(k0, log_ends[1]), -k0, k0, qtol,
                                split_points=splits)
 
     phase_sum_l = 0.0
@@ -113,18 +119,13 @@ def omega_pair(sd: ScatteringData, spec: SolitonSpectrum,
             phase_sum_l += cmath.phase((k0 + kj.conjugate()) / (k0 + kj))
             phase_sum_r += cmath.phase((k0 - kj.conjugate()) / (k0 - kj))
 
-    a_m = sd.a_real(-k0)
-    b_m = sd.b_real(-k0)
-    a_p = sd.a_real(k0)
-    b_p = sd.b_real(k0)
-
     fast = 4.0 * tau * k0
     slow = math.log(16.0 * tau * k0)
     omega_l = (fast - nu_l * slow - integral_l / math.pi
-               + cmath.phase(a_m * b_m) + _arg_gamma(nu_l)
+               + cmath.phase(a[0] * b[0]) + _arg_gamma(nu_l)
                + 2.0 * phase_sum_l - 0.25 * math.pi)
     omega_r = (-fast + nu_r * slow - integral_r / math.pi
-               + cmath.phase(a_p * b_p) - _arg_gamma(nu_r)
+               + cmath.phase(a[1] * b[1]) - _arg_gamma(nu_r)
                + 2.0 * phase_sum_r + 0.25 * math.pi)
     return TailPhases(nu_l, nu_r, omega_l, omega_r,
                       integral_l, integral_r, phase_sum_l, phase_sum_r)

@@ -1,10 +1,17 @@
 """CLI: config round-trip, subcommand outputs, determinism."""
 
+import contextlib
+import io
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mbamp.cli import RunConfig, main
+from mbamp.lightcone_asym import BandParams
+from mbamp.numerics import Tolerances
 
 BOX52 = {
     "schema_version": 1,
@@ -210,3 +217,42 @@ def test_bad_search_box_is_a_usage_error(tmp_path, capsys, box, command):
     assert main([command, "--config", str(path), "--out", str(tmp_path),
                  "--grid", "1:2:2,2:3:2"]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+def _with_unknown_key(section, known):
+    """BOX52 plus one drawn key that ``known`` lacks, at the top level
+    (section None) or inside ``section``; returns (config, key)."""
+    names = {f.name for f in fields(known)}
+
+    def build(key):
+        cfg = dict(BOX52)
+        if section is None:
+            cfg[key] = 1.0
+        else:
+            cfg[section] = {key: 1.0}
+        return cfg, key
+
+    return st.text(max_size=12).filter(lambda k: k not in names).map(build)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(case=st.one_of(_with_unknown_key(None, RunConfig),
+                      _with_unknown_key("tolerances", Tolerances),
+                      _with_unknown_key("bands", BandParams)))
+@example(case=([1, 2], None))
+@example(case=(3, None))
+@example(case=(None, None))
+def test_unknown_config_keys_are_usage_errors(tmp_path_factory, case):
+    raw, key = case
+    work = tmp_path_factory.mktemp("cfg")
+    path = work / "cfg.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["scatter", "--config", str(path), "--out", str(work)])
+    assert rc == 2
+    assert err.getvalue().startswith("usage error")
+    if key is None:
+        assert "must be a JSON object" in err.getvalue()
+    else:
+        assert repr(key) in err.getvalue()

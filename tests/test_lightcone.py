@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from mbamp.errors import WrongRegion
+from mbamp.errors import NoRoot, WrongRegion
 from mbamp.lightcone_asym import (BandParams, classify, eval_lightcone,
-                                  eval_lightcone_at_tau, peak_seed,
-                                  predict_peaks, pulse_phase, solve_peak_y)
+                                  peak_seed, predict_peaks, pulse_phase,
+                                  solve_peak_y)
 from mbamp.pulse import PowerStartPulse
-from mbamp.scattering import ScatteringData
+from mbamp.scattering import ScatteringData, TailFit
 from mbamp.specfun import bessel_i
 
 
@@ -20,14 +20,18 @@ def params_m2():
 
 
 class _StubScattering:
-    """Minimal stand-in exposing a prescribed reflection coefficient."""
+    """Minimal stand-in exposing a prescribed reflection coefficient and a
+    prescribed tail fit."""
 
-    def __init__(self, r_value, start_exponent=2.0):
+    def __init__(self, r_value, fit=None):
         self.r_value = complex(r_value)
-        self.pulse = type("P", (), {"start_exponent": start_exponent})()
+        self.fit = fit
 
     def reflection_uhp(self, k):
         return self.r_value
+
+    def tail_fit(self):
+        return self.fit
 
 
 def test_causal_classification(params_m2):
@@ -81,7 +85,7 @@ def test_band_ordering_contiguous(params_m2):
 
 def test_eval_zero_reflection_limit():
     tag = classify(100.005, 100.0, BandParams(tail_order=2.0))
-    out = eval_lightcone(tag, 100.005, 100.0, 0j, tail_order=2.0)
+    out = eval_lightcone(tag.variant, tag.n, 100.005 - 100.0, 100.0, 0j, 2.0)
     assert out.fields.E == 0j
     assert out.fields.N == 1.0
     assert out.fields.rho == 0j
@@ -91,7 +95,7 @@ def test_eval_part1_formula_values():
     r = 0.01 + 0.02j
     t, x = 100.005, 100.0
     tag = classify(t, x, BandParams(tail_order=2.0))
-    out = eval_lightcone(tag, t, x, r, tail_order=2.0)
+    out = eval_lightcone(tag.variant, tag.n, t - x, x, r, 2.0)
     k0 = 0.5 * math.sqrt(x / (t - x))
     xi = 2.0 * math.sqrt(x * (t - x))
     assert out.fields.E == pytest.approx(4 * k0 * r * bessel_i(1.0, xi))
@@ -103,7 +107,6 @@ def test_eval_part1_formula_values():
 def test_eval_pulse_center_values():
     # at the pulse center the phase vanishes: N = -1, |E| = 2 sqrt(x/tau),
     # rho = 0
-    sd = _StubScattering(0.05)
     x = math.exp(12.0)
     m = 2.0
     # choose tau so that the n = 0 pulse phase vanishes, given |r| = 0.05
@@ -116,7 +119,7 @@ def test_eval_pulse_center_values():
             hi = mid
     y0 = 0.5 * (lo + hi)
     tau = y0 * y0 / x
-    out = eval_lightcone_at_tau("part4", 0, tau, x, sd, tail_order=m)
+    out = eval_lightcone("part4", 0, tau, x, 0.05, m)
     assert out.fields.N == pytest.approx(-1.0, abs=1e-10)
     assert abs(out.fields.E) == pytest.approx(2 * math.sqrt(x / tau), rel=1e-10)
     assert abs(out.fields.rho) < 1e-9
@@ -124,10 +127,11 @@ def test_eval_pulse_center_values():
 
 def test_eval_wrong_region():
     with pytest.raises(WrongRegion):
-        eval_lightcone(classify(3.0, 4.0, BandParams(tail_order=2.0)),
-                       3.0, 4.0, 0.1, 2.0)
+        eval_lightcone("causal", None, 3.0 - 4.0, 4.0, 0.1, 2.0)
     with pytest.raises(WrongRegion):
-        eval_lightcone_at_tau("tail", None, 1.0, 4.0, _StubScattering(0.1))
+        eval_lightcone("part1", None, 0.0, 4.0, 0.1, 2.0)
+    with pytest.raises(WrongRegion):
+        eval_lightcone("tail", None, 1.0, 4.0, 0.1, 2.0)
 
 
 def test_part4_leading_order_bloch_identity():
@@ -140,14 +144,14 @@ def test_part4_leading_order_bloch_identity():
         tag = classify(x + tau, x, params)
         if tag.variant != "part4":
             continue
-        out = eval_lightcone(tag, x + tau, x, 0.03, tail_order=2.0)
+        out = eval_lightcone(tag.variant, tag.n, tau, x, 0.03, 2.0)
         assert out.fields.N ** 2 + abs(out.fields.rho) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_part2_part3_consistent_via_bessel_asymptotics():
     # on their shared edge the formulas differ by the Bessel correction,
     # within the stated error scales
-    sd = _StubScattering(1e-7)   # magnitude irrelevant, scales relative
+    r = 1e-7   # magnitude irrelevant, scales relative
     m = 2.0
     params = BandParams(tail_order=m)
     for lx in (14.0, 20.0, 26.0):
@@ -155,8 +159,8 @@ def test_part2_part3_consistent_via_bessel_asymptotics():
         llx = math.log(lx)
         xi = m * lx - params.K * llx
         tau = xi * xi / (4 * x)
-        out2 = eval_lightcone_at_tau("part2", None, tau, x, sd, tail_order=m)
-        out3 = eval_lightcone_at_tau("part3", None, tau, x, sd, tail_order=m)
+        out2 = eval_lightcone("part2", None, tau, x, r, m)
+        out3 = eval_lightcone("part3", None, tau, x, r, m)
         p1 = m * lx - m * math.log(xi / 2) - xi
         scale2 = math.exp(-p1)
         scale3 = abs(out3.fields.E) * (1.0 / lx + out3.error_scale)
@@ -169,15 +173,15 @@ def _force(tag, variant):
 
 
 def test_part3_equals_part4_n0_in_overlap():
-    sd = _StubScattering(2e-6)
+    r = 2e-6
     m = 2.0
     x = math.exp(20.0)
     lnx, llx = 20.0, math.log(20.0)
     # midpoint of the overlap band [m lnx - m llx, m lnx - (m - 1/4) llx]
     xi = m * lnx - (m - 0.125) * llx
     tau = xi * xi / (4 * x)
-    out3 = eval_lightcone_at_tau("part3", None, tau, x, sd, tail_order=m)
-    out4 = eval_lightcone_at_tau("part4", 0, tau, x, sd, tail_order=m)
+    out3 = eval_lightcone("part3", None, tau, x, r, m)
+    out4 = eval_lightcone("part4", 0, tau, x, r, m)
     rel = abs(out3.fields.E - out4.fields.E) / abs(out3.fields.E)
     assert rel <= 5.0 / math.sqrt(lnx)
 
@@ -232,3 +236,17 @@ def test_pulse_phase_increasing_in_t(sd_power):
             if prev is not None:
                 assert th > prev
             prev = th
+
+
+def test_peak_seed_on_an_empty_band_raises_no_root():
+    # at x = 1 the log-inversion variable is z = 0.29 < 1: no n = 0 pulse yet
+    with pytest.raises(NoRoot, match="band 0 is empty"):
+        peak_seed(1.0, 0, 2.0, 1.0)
+
+
+def test_solve_peak_y_leaving_its_band_raises_no_root():
+    # |r| = 1e-300 puts the pulse phase near -690 at the seed, so the first
+    # Newton step is far longer than half of y
+    sd = _StubScattering(1e-300, TailFit(order=2.0, constant=1.0, residual=0.0))
+    with pytest.raises(NoRoot, match="left the band"):
+        solve_peak_y(math.exp(10.0), 0, sd)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mbamp.errors import CFLViolation, NonPhysical, OutOfDomain
-from mbamp.mb_oracle import check_invariants, load_binary, simulate
+from mbamp.mb_oracle import load_binary, simulate
 from mbamp.pulse import BoxPulse, SmoothBumpPulse
 
 
@@ -16,7 +16,7 @@ def box_run():
 
 
 def test_causal_region_exactly_trivial(box_run):
-    inv = check_invariants(box_run)
+    inv = box_run.invariants
     assert inv.causality_defect == 0.0
     ft = box_run.probe(3.0, 4.0)
     assert ft.E == 0j and ft.N == 1.0 and ft.rho == 0j
@@ -138,7 +138,7 @@ def test_strip_with_capture_column():
 
 
 def test_defect_location(box_run):
-    inv = check_invariants(box_run)
+    inv = box_run.invariants
     t, x = inv.defect_tx
     i, j = round(t / box_run.h), round(x / box_run.h)
     n, r = box_run.N[i - j + 2, j], box_run.rho[i - j + 2, j]
@@ -147,7 +147,7 @@ def test_defect_location(box_run):
 
 def test_conservation_defect_small(box_run):
     # the amplified front out to x = 8 dominates the defect at this step
-    assert check_invariants(box_run).conservation_defect < 5e-5
+    assert box_run.invariants.conservation_defect < 5e-5
 
 
 def test_field_richardson_second_order():

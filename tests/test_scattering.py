@@ -38,20 +38,26 @@ def box_bdot(A, T, k):
         + 1j * T * np.sin(w * T) / w)
 
 
+def ab(sd, k):
+    """(a, b) at one spectral point, from a one-point batched solve."""
+    a, b = sd.ab_many([k])
+    return complex(a[0]), complex(b[0])
+
+
 @pytest.fixture(scope="module")
 def sd52():
     return ScatteringData(BoxPulse(5.0, 2.0))
 
 
 def test_box_values_at_origin(sd52):
-    a, b = sd52.ab(0.0)
+    a, b = ab(sd52, 0.0)
     assert a == pytest.approx(math.cos(5.0), abs=1e-9)
     assert b == pytest.approx(math.sin(5.0), abs=1e-9)
 
 
 def test_box_closed_form_various_k(sd52):
     for k in (0.3, -7.5, 2j, 0.5 + 2j, 1.9448904595703225j, 100j):
-        a, b = sd52.ab(k)
+        a, b = ab(sd52, k)
         ae, be = box_ab(5.0, 2.0, k)
         assert abs(a - ae) < 1e-9 * max(1.0, abs(ae))
         assert abs(b - be) < 1e-9 * max(1.0, abs(be))
@@ -67,13 +73,13 @@ def test_unitarity_on_real_grid(sd52):
 def test_a_tends_to_one(sd52):
     # a - 1 decays like A^2 T / (8k) for the box
     for k in (80.0, 200.0, 60j):
-        a, _ = sd52.ab(k)
+        a, _ = ab(sd52, k)
         assert abs(a - 1.0) < 8.0 / abs(complex(k))
 
 
 def test_jost_overflow_guard(sd52):
     with pytest.raises(Overflow):
-        sd52.ab(400j)
+        sd52.ab_many([400j])
 
 
 def test_real_pulse_symmetry(sd52):
@@ -88,7 +94,7 @@ def test_reflection_symmetry_and_zero(sd52):
     r = sd52.reflection_uhp(1.3)
     rm = sd52.reflection_uhp(-1.3)
     assert rm == pytest.approx(np.conj(r), abs=1e-8)
-    _, b = sd52.ab(1.9448904595703225j)
+    _, b = ab(sd52, 1.9448904595703225j)
     assert abs(b) < 1e-6
 
 
@@ -133,8 +139,8 @@ def test_b_deriv_against_closed_form(sd52):
 def test_b_deriv_against_central_difference(sd52):
     k = 0.3 + 0.5j
     h = 1e-5
-    _, b1 = sd52.ab(k + h)
-    _, b2 = sd52.ab(k - h)
+    _, b1 = ab(sd52, k + h)
+    _, b2 = ab(sd52, k - h)
     fd = (b1 - b2) / (2 * h)
     assert abs(sd52.ab_and_derivs_many([k])[3][0] - fd) < 1e-6 * abs(fd)
 
@@ -175,8 +181,8 @@ def test_smallest_pulses_linearize():
     # weak pulse: a ~ 1, b scales linearly with the amplitude
     sd1 = ScatteringData(BoxPulse(1e-4, 1.0))
     sd2 = ScatteringData(BoxPulse(2e-4, 1.0))
-    a1, b1 = sd1.ab(0.7)
-    _, b2 = sd2.ab(0.7)
+    a1, b1 = ab(sd1, 0.7)
+    _, b2 = ab(sd2, 0.7)
     assert abs(a1 - 1.0) < 1e-6
     assert abs(b2 / b1 - 2.0) < 1e-4
 
@@ -190,8 +196,9 @@ def test_real_line_cache_interpolation(sd52):
     ks = np.array([-7.31, -0.42, 3.17, 11.93])
     a_direct, b_direct = sd52.ab_many(ks)
     for k, ad, bd in zip(ks, a_direct, b_direct):
-        assert abs(sd52.a_real(k) - ad) < 1e-8
-        assert abs(sd52.b_real(k) - bd) < 1e-8
+        a, b = sd52.ab_real(k)
+        assert abs(a - ad) < 1e-8
+        assert abs(b - bd) < 1e-8
         assert abs(sd52.r_real(k) - bd / ad) < 1e-7
 
 
@@ -218,15 +225,16 @@ def test_real_zero_splits_find_a_zero_next_to_k0(sd52, k0):
 def test_real_line_interpolant_against_closed_form(sd52):
     ks = np.random.default_rng(20).uniform(-20.0, 20.0, 200)
     a_exact, b_exact = zip(*(box_ab(5.0, 2.0, k) for k in ks))
-    assert np.max(np.abs(sd52.a_real(ks) - np.array(a_exact))) < 1e-9
-    assert np.max(np.abs(sd52.b_real(ks) - np.array(b_exact))) < 1e-9
+    a, b = sd52.ab_real(ks)
+    assert np.max(np.abs(a - np.array(a_exact))) < 1e-9
+    assert np.max(np.abs(b - np.array(b_exact))) < 1e-9
 
 
 def test_real_line_queries_keep_the_input_shape(sd52):
     assert isinstance(sd52.r_real(1.3), complex)
-    assert isinstance(sd52.a_real(-2.0), complex)
+    assert all(type(v) is complex for v in sd52.ab_real(-2.0))
     nodes = sd52._cache_arrays()[0]
-    assert sd52.b_real(nodes[7]) == sd52._cache_arrays()[2][7, 1]  # node hit
+    assert sd52.ab_real(nodes[7])[1] == sd52._cache_arrays()[2][7, 1]  # node hit
     ks = np.array([[-1.0, 0.5], [2.0, nodes[3]]])
     r = sd52.r_real(ks)
     assert isinstance(r, np.ndarray) and r.shape == (2, 2)
@@ -318,21 +326,11 @@ def test_tail_fit_stable_under_tolerance_refinement():
     assert abs(m1 - m2) < 1e-6
 
 
-def test_tail_fit_rejection_threshold():
+def test_tail_fit_rejection_threshold(monkeypatch):
+    monkeypatch.setattr(scattering, "_FIT_RESIDUAL_TOL", 1e-12)
     sd = ScatteringData(PowerStartPulse(1.0, 2.0, 1.0))
     with pytest.raises(FitRejected):
-        sd.tail_fit(residual_tol=1e-12)
-
-
-def test_tail_fit_memo_keyed_by_arguments():
-    sd = ScatteringData(PowerStartPulse(1.0, 2.0, 1.0))
-    first = sd.tail_fit()
-    far = sd.tail_fit(kappa_lo=20.0, kappa_hi=80.0)
-    assert (far.kappa_lo, far.kappa_hi) == (20.0, 80.0)
-    assert far.order != first.order
-    with pytest.raises(FitRejected):
-        sd.tail_fit(residual_tol=1e-12)
-    assert sd.tail_fit() is first
+        sd.tail_fit()
 
 
 def test_reflection_uhp_model_switch():

@@ -125,7 +125,7 @@ def test_count_finds_the_four_zeros_of_the_bump_default_box():
     # and +-8.9113497+0.2466207i; a dense edge winding gives 4 (next test).
     sd = ScatteringData(SmoothBumpPulse(1.0, 2.0, 1.0))
     box = default_search_box(sd)
-    assert count_zeros_rect(lambda k: sd.ab(k)[1], box) == 4
+    assert count_zeros_rect(lambda k: sd.ab_many(k)[1], box) == 4
 
 
 def test_dense_edge_winding_of_the_bump_default_box_is_four():
@@ -188,7 +188,7 @@ def test_box11_empty_spectrum():
 def test_count_matches_refined_on_subrectangles(spec52):
     sd, spec = spec52
     rng = np.random.default_rng(3)
-    b_of = lambda k: sd.ab(k)[1]
+    b_of = lambda k: sd.ab_many(k)[1]
     for _ in range(8):
         re_lo = rng.uniform(-3, 2.0)
         re_hi = re_lo + rng.uniform(0.5, 1.5)
