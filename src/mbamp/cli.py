@@ -51,11 +51,21 @@ class RunConfig:
         # the tolerances, and the zero search runs only for tail points
         for name, known in (("tolerances", Tolerances), ("bands", BandParams)):
             _check_keys(getattr(self, name), known, f"config '{name}'")
+        for name in ("pulse", "tolerances", "bands", "oracle", "grid"):
+            if name != "grid" or self.grid is not None:
+                _check_numbers(getattr(self, name), f"config '{name}'")
+        for axis, spec in _as_object(self.kgrid, "config 'kgrid'").items():
+            if spec and not (isinstance(spec, list) and len(spec) == 3
+                             and all(map(_is_number, spec))):
+                raise ValueError(f"bad kgrid '{axis}' {spec!r}: expected "
+                                 "[lo, hi, n] or nothing")
+        if self.match_eps is not None and not _is_number(self.match_eps):
+            raise ValueError(f"config 'match_eps' must be a number, not "
+                             f"{self.match_eps!r}")
         box = self.search_box
         if box is not None and not (
                 isinstance(box, (list, tuple)) and len(box) == 4
-                and all(type(v) in (int, float) and math.isfinite(v)
-                        for v in box)
+                and all(map(_is_number, box))
                 and box[0] < box[1] and box[3] > max(box[2], 1e-4)):
             raise ValueError(f"bad search_box {box!r}: expected finite "
                              "[re_lo, re_hi, im_lo, im_hi] with re_lo < "
@@ -66,6 +76,8 @@ class RunConfig:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         _check_keys(raw, cls, "config")
+        if "pulse" not in raw:
+            raise ValueError("config has no 'pulse'")
         version = raw.pop("schema_version", None)
         if version != SCHEMA_VERSION:
             raise ValueError(f"config schema_version {version} unsupported "
@@ -111,12 +123,32 @@ class RunConfig:
         return [(float(t), float(x)) for t in ts for x in xs]
 
 
+def _as_object(spec, what: str) -> dict:
+    if not isinstance(spec, dict):
+        raise ValueError(f"{what} must be a JSON object, not {spec!r}")
+    return spec
+
+
+def _is_number(v) -> bool:
+    """A finite JSON number (true and false are not numbers)."""
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _check_numbers(spec, what: str):
+    """ValueError unless ``spec`` is a JSON object whose values, but a
+    pulse's ``kind``, are all finite numbers."""
+    bad = [k for k, v in _as_object(spec, what).items()
+           if k != "kind" and not _is_number(v)]
+    if bad:
+        raise ValueError(f"non-numeric value(s) in {what}: " + ", ".join(
+            f"{k!r}: {spec[k]!r}" for k in bad))
+
+
 def _check_keys(spec, cls, what: str):
     """ValueError unless ``spec`` is a JSON object whose keys all name
     fields of the dataclass ``cls``."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"{what} must be a JSON object, not {spec!r}")
-    unknown = sorted(set(spec) - {f.name for f in fields(cls)})
+    known = {f.name for f in fields(cls)}
+    unknown = sorted(set(_as_object(spec, what)) - known)
     if unknown:
         raise ValueError(f"unknown key(s) in {what}: "
                          + ", ".join(map(repr, unknown)))

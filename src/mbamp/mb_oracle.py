@@ -37,6 +37,7 @@ from .errors import CFLViolation, NonPhysical, OutOfDomain
 from .pulse import Pulse
 
 _MAX_NODES_PER_DIM = 150_000
+_SAVE_LEVELS = 16     # t-levels save_binary gathers per write
 
 
 def _trivial(shape):
@@ -98,11 +99,16 @@ class SimGrid:
         """E, N, rho over all x at t-level i of a run that stores it whole."""
         if i > self.nu or self.j0 > 0:
             raise OutOfDomain(f"t-level {i} is not stored whole")
-        j = np.arange(min(i, self.nx) + 1)
-        rows = _trivial(self.nx + 1)
-        for row, arr in zip(rows, (self.E, self.N, self.rho)):
-            row[j] = arr[i - j + 2, j]
-        return rows
+        return self._levels(i)
+
+    def _levels(self, i):
+        """E, N, rho at the t-levels ``i`` (an int or an array of them), one
+        row of all columns each: t-level i at column j is row u = i - j,
+        stored at index u + 2, and past the cone (u < 0) the index lands on
+        the trivial pad rows 0 and 1."""
+        j = np.arange(self.nx + 1)
+        u = np.maximum(np.asarray(i)[..., None] - j + 2, 0)
+        return self.E[u, j], self.N[u, j], self.rho[u, j]
 
     # --- probing --------------------------------------------------------
 
@@ -170,13 +176,18 @@ class SimGrid:
             raise OutOfDomain("binary dump requires storage of the whole "
                               "rectangle")
         nodes = (self.nt + 1) * (self.nx + 1)
+        buf = np.empty((_SAVE_LEVELS, self.nx + 1, 5), dtype="<f8")
         with open(path, "wb") as fh:
             fh.write(struct.pack("<dddd", self.h, self.t_max, self.x_max,
                                  float(nodes)))
-            for i in range(self.nt + 1):
-                E, N, rho = self.level(i)
-                row = np.column_stack([E.real, E.imag, N, rho.real, rho.imag])
-                fh.write(row.astype("<f8").tobytes())
+            for i0 in range(0, self.nt + 1, _SAVE_LEVELS):
+                E, N, rho = self._levels(
+                    np.arange(i0, min(i0 + _SAVE_LEVELS, self.nt + 1)))
+                block = buf[:len(N)]
+                block[..., 0], block[..., 1] = E.real, E.imag
+                block[..., 2] = N
+                block[..., 3], block[..., 4] = rho.real, rho.imag
+                fh.write(block.tobytes())
 
 
 def load_binary(path) -> tuple[float, float, float, np.ndarray]:

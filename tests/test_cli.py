@@ -3,7 +3,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -256,3 +260,64 @@ def test_unknown_config_keys_are_usage_errors(tmp_path_factory, case):
         assert "must be a JSON object" in err.getvalue()
     else:
         assert repr(key) in err.getvalue()
+
+
+# every config value the CLI reads as a number, as (section, key); a section
+# of None is the top level
+_NUMBER_SLOTS = ([("pulse", k) for k in ("amplitude_re", "amplitude_im",
+                                         "support", "start_exponent")]
+                 + [("tolerances", f.name) for f in fields(Tolerances)]
+                 + [("bands", f.name) for f in fields(BandParams)]
+                 + [("oracle", k) for k in CONE_ORACLE]
+                 + [("grid", k) for k in ("t0", "t1", "nt", "x0", "x1", "nx")]
+                 + [(None, "match_eps")])
+_NOT_NUMBERS = st.one_of(
+    st.text(max_size=8), st.booleans(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=1))
+
+
+def _with_bad_value(slot, value):
+    """BOX52 with ``value`` in one number slot; returns (config, key)."""
+    section, key = slot
+    cfg = json.loads(json.dumps(BOX52))
+    if section is None:
+        cfg[key] = value
+    else:
+        cfg.setdefault(section, {})[key] = value
+    return cfg, key
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(case=st.builds(_with_bad_value, st.sampled_from(_NUMBER_SLOTS),
+                      _NOT_NUMBERS))
+@example(case=_with_bad_value(("pulse", "amplitude_re"), "5"))
+@example(case=_with_bad_value(("tolerances", "quad_tol"), "x"))
+@example(case=_with_bad_value(("tolerances", "ode_rel"), None))
+@example(case=_with_bad_value(("kgrid", "re"), [-3.0, 3.0, "25"]))
+@example(case=_with_bad_value((None, "pulse"), [1]))
+@example(case=_with_bad_value((None, "pulse"), None))
+@example(case=_with_bad_value((None, "oracle"), None))
+@example(case=({"schema_version": 1}, "pulse"))
+def test_wrong_typed_config_values_are_usage_errors(tmp_path_factory, case):
+    raw, key = case
+    work = tmp_path_factory.mktemp("cfg")
+    path = work / "cfg.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["scatter", "--config", str(path), "--out", str(work)])
+    assert rc == 2
+    assert err.getvalue().startswith("usage error")
+    assert repr(key) in err.getvalue()
+
+
+def test_the_cli_runs_on_numpy_alone():
+    # the method coefficients are literals; a scipy import would add about
+    # 0.7 s and 45 MB to every command
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    subprocess.run([sys.executable, "-c", "import mbamp.cli, sys; "
+                    "assert 'scipy' not in sys.modules"],
+                   env=env, cwd=root, check=True)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from mbamp.errors import BoundaryZero, Diverged, NonConvergence, StepUnderflow
-from mbamp.numerics import (_AHEAD, Tolerances, adaptive_quad, complex_newton,
-                            count_zeros_rect, ode_advance)
+from mbamp.numerics import (_AHEAD, _DOP_A, _DOP_C, _DOP_E, Tolerances,
+                            adaptive_quad, complex_newton, count_zeros_rect,
+                            ode_advance)
 
 # integral of log(1+s^2)/(s+2) over [-1,1]; dense-oracle value, frozen from a
 # 1e6-panel trapezoid cross-checked against mpmath.quad at 40 digits.
@@ -17,7 +18,7 @@ LOG_INTEGRAL = 0.31014910540009094
 
 def test_tolerances_defaults_and_validation():
     tol = Tolerances()
-    assert tol.ode_rel == 1e-10 and tol.quad_tol == 1e-10
+    assert tol.ode_rel == 1e-11 and tol.quad_tol == 1e-10
     with pytest.raises(ValueError):
         Tolerances(ode_rel=0.0)
     with pytest.raises(ValueError):
@@ -203,6 +204,19 @@ def test_newton_diverges_without_reachable_root():
     with pytest.raises(Diverged):
         complex_newton(lambda z: z * z + 1.0, lambda z: 2.0 * z,
                        0.5 + 0j, 1e-12, max_iter=40)
+
+
+def test_dop853_tableau_is_consistent():
+    # rows sum to the nodes; the quadrature conditions of order 1..8 hold
+    # (and the 9th does not); each error estimate is a difference of two
+    # weight vectors that both sum to 1
+    A, c = _DOP_A, _DOP_C
+    assert np.max(np.abs(A.sum(axis=1) - c)) < 1e-14
+    b = A[12]   # the solution weights, the argument of the FSAL stage
+    for q in range(1, 9):
+        assert abs(b @ c ** (q - 1) - 1.0 / q) < 1e-14
+    assert abs(b @ c ** 8 - 1.0 / 9) > 1e-6
+    assert np.max(np.abs(_DOP_E.sum(axis=1))) < 1e-14
 
 
 def _time(t):

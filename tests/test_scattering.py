@@ -24,8 +24,9 @@ from mbamp.scattering import ScatteringData
 def box_ab(A, T, k):
     k = complex(k)
     w = np.sqrt(k * k + A * A / 4.0 + 0j)
-    a = np.exp(1j * k * T) * (np.cos(w * T) - 1j * (k / w) * np.sin(w * T))
-    b = (A / (2.0 * w)) * np.sin(w * T) * np.exp(1j * k * T)
+    sinc = np.sin(w * T) / w if w != 0 else T   # its limit at w = 0
+    a = np.exp(1j * k * T) * (np.cos(w * T) - 1j * k * sinc)
+    b = (A / 2.0) * sinc * np.exp(1j * k * T)
     return a, b
 
 
@@ -171,10 +172,28 @@ def test_jost_solve_calls_the_pulse_once_per_step_attempt(method, monkeypatch):
 
     monkeypatch.setattr(scattering, "ode_advance", counting_advance)
     getattr(ScatteringData(pulse), method)(np.array([0.5, 1.5 + 0.2j]))
-    # one right-hand side at the start, then six stages per step attempt
-    attempts, rest = divmod(rhs_evals - 1, 6)
+    # one right-hand side at the start, then twelve stages per step attempt
+    attempts, rest = divmod(rhs_evals - 1, 12)
     assert rest == 0 and attempts > 10
     assert pulse.calls == 1 + attempts
+
+
+def test_box_solve_to_k20_in_few_steps_near_the_closed_form():
+    # the step count at the largest |k| sets the cost of a batched solve;
+    # a 5th-order pair takes about 1760 attempts on the real grid and lands
+    # 3e-10 off the closed form
+    pulse = _CountingPulse(BoxPulse(5.0, 2.0))
+    sd = ScatteringData(pulse)
+    attempts = []
+    for ks in (np.linspace(-20.0, 20.0, 401),
+               1j * np.linspace(0.05, 6.0, 120)):
+        calls = pulse.calls
+        a, b = sd.ab_many(ks)
+        attempts.append(pulse.calls - calls - 1)   # one call per attempt
+        exact = np.array([box_ab(5.0, 2.0, k) for k in ks])
+        assert np.max(np.abs(a - exact[:, 0])) < 5e-11
+        assert np.max(np.abs(b - exact[:, 1])) < 5e-11
+    assert attempts[0] <= 400
 
 
 def test_smallest_pulses_linearize():
@@ -350,9 +369,9 @@ def test_reflection_uhp_model_switch():
 def test_reflection_uhp_array_matches_scalar_calls(pulse):
     # one batched solve below the model switch at |k| = 40, the tail-fit
     # model past it.  Batched and single solves take different steps, so
-    # they differ by the solver's error: at default tolerances up to 4.8e-9
-    # relative on the bump, where |r| falls to 1e-4 and ode_abs = 1e-12 on b
-    # dominates; at 0.01x the tolerances, 5e-11.
+    # they differ by the solver's error: at default tolerances up to 3.4e-11
+    # relative on the box and 2.3e-11 on the bump, where |r| falls to 1e-4
+    # and ode_abs on b dominates; at 0.01x the tolerances, 2.5e-12.
     sd = ScatteringData(pulse, Tolerances().scaled(0.01))
     ks = 1j * np.geomspace(0.05, 60.0, 24)
     r = sd.reflection_uhp(ks)
