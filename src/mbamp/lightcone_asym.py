@@ -15,33 +15,35 @@ from .scattering import ScatteringData
 from .specfun import bessel_i
 
 
+# Constants of the classification bands.  _EPS1 and _EPS2 sit inside their
+# allowed ranges, _EPS2 in (0, 1/2); the strip cap constant bounds how many
+# pulse bands are classified before the gap region begins.
+_EPS1 = 0.25
+_EPS2 = 0.25
+_CAP_CONSTANT = 8.0
+
+
 @dataclass(frozen=True)
 class BandParams:
-    """Free constants of the classification bands.
+    """Free parameters of the classification bands.
 
-    eps1/eps2 sit inside their allowed ranges; K is pinned to m + eps1 so the
-    exponential-layer band starts exactly where the Bessel band ends.  The
-    strip cap constant bounds how many pulse bands are classified before the
-    gap region begins; sigma is the tail-cone aperture.
+    tail_order is the start exponent m of the pulse; K is pinned to
+    m + _EPS1 so the exponential-layer band starts exactly where the Bessel
+    band ends.  sigma is the tail-cone aperture.
     """
 
     tail_order: float
-    eps1: float = 0.25
-    eps2: float = 0.25
-    cap_constant: float = 8.0
     sigma: float = 0.25
 
     def __post_init__(self):
         if not (self.tail_order > 0):
             raise ValueError("tail order must be positive")
-        if not (0 < self.eps2 < 0.5):
-            raise ValueError("eps2 must lie in (0, 1/2)")
         if not (0 < self.sigma < 0.5):
             raise ValueError("sigma must lie in (0, 1/2)")
 
     @property
     def K(self) -> float:
-        return self.tail_order + self.eps1
+        return self.tail_order + _EPS1
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ def classify(t: float, x: float, params: BandParams) -> RegionTag:
         lnx = math.log(x)
         llx = math.log(lnx)
         if llx > 0.0:
-            xi_cap_sq = m * m * lnx * lnx + params.cap_constant * lnx * llx
+            xi_cap_sq = m * m * lnx * lnx + _CAP_CONSTANT * lnx * llx
             xi_iv0 = m * lnx - m * llx
             if xi >= xi_iv0 and xi * xi <= xi_cap_sq:
                 n = int(math.floor((xi - m * lnx) / llx + m))
@@ -81,10 +83,10 @@ def classify(t: float, x: float, params: BandParams) -> RegionTag:
                                  band=(m * lnx + (n - m) * llx,
                                        m * lnx + (n + 1 - m) * llx))
             xi3_lo = m * lnx - params.K * llx
-            xi3_hi = m * lnx - (m + params.eps2 - 0.5) * llx
+            xi3_hi = m * lnx - (m + _EPS2 - 0.5) * llx
             if xi3_lo > 0.0 and xi3_lo <= xi <= min(xi3_hi, xi_iv0):
                 return RegionTag("part3", k0=k0, xi=xi, band=(xi3_lo, xi3_hi))
-            xi2_hi = m * lnx - (m + params.eps1) * llx
+            xi2_hi = m * lnx - (m + _EPS1) * llx
             if xi2_hi > 0.0 and tau >= 1.0 / x and xi <= xi2_hi:
                 return RegionTag("part2", k0=k0, xi=xi, band=(2.0, xi2_hi))
     if tau <= 1.0 / x:

@@ -222,22 +222,24 @@ def complex_newton(f: Callable[[complex], complex],
                    df: Callable[[complex], complex],
                    seed: complex, tol: float,
                    max_iter: int = 60) -> complex:
-    """Refine a zero of ``f`` from ``seed``; returns z with |f(z)| <= tol."""
+    """Refine a zero of ``f`` from ``seed``.  Returns the Newton step from
+    the first iterate with |f(z)| <= tol: near a simple zero that step
+    lands about as close as ``f`` is accurate, where the iterate is only
+    tol / |f'| close."""
     z = complex(seed)
     history = []
     for it in range(max_iter):
         fz = f(z)
         history.append(abs(fz))
+        dfz = df(z)
+        step = fz / dfz if dfz != 0 else complex(math.inf)
+        finite = np.isfinite(abs(step))
         if abs(fz) <= tol:
             logger.debug("newton converged in %d steps, residuals %s",
                          it, ["%.2e" % h for h in history[-4:]])
-            return z
-        dfz = df(z)
-        if dfz == 0 or not np.isfinite(abs(dfz)):
-            raise Diverged(f"derivative vanished/blew up at {z}")
-        step = fz / dfz
-        if not np.isfinite(abs(step)):
-            raise Diverged(f"non-finite Newton step at {z}")
+            return z - step if finite else z
+        if not finite:
+            raise Diverged(f"non-finite Newton step at {z}: f' = {dfz}")
         z = z - step
     raise Diverged(
         f"no convergence after {max_iter} iterations; last |f| = {history[-1]:.3e}")

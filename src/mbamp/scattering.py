@@ -24,7 +24,7 @@ logger = logging.getLogger(__name__)
 
 _CHEB_TAIL = 1e-12      # chop level of the trailing Chebyshev coefficients
 _CHEB_MAX_N = 4096      # node cap of the real-line interpolant (n + 1 nodes)
-_SCAN_POINTS = 8193     # uniform scan for the minima of |r| and the max of |b|
+_SCAN_POINTS = 8193     # uniform scan for the minima of |r|
 CACHE_HALFWIDTH = 20.0      # the real-line interpolant covers [-K, K]
 _KAPPA_MODEL_SWITCH = 40.0  # |k| past which reflection_uhp uses the tail fit
 GROWTH_GUARD = 600.0        # largest T*|Im k| a Jost solve accepts
@@ -97,13 +97,8 @@ class ScatteringData:
         p1, p2, q1, q2 = self._jost(ks, variational=True)
         return p2, p1, q2, q1
 
-    def growth(self, ks) -> float:
-        """T * max |Im k| over ks; a Jost solve refuses more than
-        GROWTH_GUARD."""
-        return float(np.max(np.abs(np.imag(ks)))) * self.pulse.support
-
     def _check_growth(self, ks):
-        worst = self.growth(ks)
+        worst = float(np.max(np.abs(np.imag(ks)))) * self.pulse.support
         if worst > GROWTH_GUARD:
             raise Overflow(f"T*|Im k| = {worst:.1f} exceeds the growth guard "
                            f"{GROWTH_GUARD:.0f}")
@@ -166,11 +161,6 @@ class ScatteringData:
     def r_real(self, s):
         a, b = self.ab_real(s)
         return b / a
-
-    def b_real_max(self) -> float:
-        """max |b| over the real line [-K, K], read off the interpolant."""
-        *_, scan_ab = self._cache_arrays()
-        return float(np.max(np.abs(scan_ab[:, 1])))
 
     def real_zero_splits(self, k0: float) -> list[float]:
         """Real-line points inside (-k0, k0) where |r| nearly vanishes; the

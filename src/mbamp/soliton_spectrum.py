@@ -7,8 +7,7 @@ searched for.
 
 from __future__ import annotations
 
-import functools
-import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,12 +16,9 @@ from .errors import AmbiguousMatch, AssumptionViolated, BoundaryZero
 from .numerics import complex_newton, count_zeros_rect
 from .scattering import GROWTH_GUARD, ScatteringData
 
-logger = logging.getLogger(__name__)
-
 _IM_FLOOR = 1e-4      # zeros below this would violate the off-axis assumption
 _MAX_SUBDIV = 14
-# default search box halfwidths: 4, then grown by 1.6 up to the cap 16
-_BOX_HALFWIDTHS = (4.0, 4.0 * 1.6, 4.0 * 1.6 * 1.6)
+_BOX_HALFWIDTH = 4.0 * 1.6 * 1.6   # of the default search box
 
 
 @dataclass(frozen=True)
@@ -135,15 +131,20 @@ def find_zeros(sd: ScatteringData,
 
 
 def _refine_zero(sd: ScatteringData, cell):
-    """Newton from the cell centre; returns the zero k with a(k) and bdot(k)
-    from the variational solve that accepted it."""
+    """Newton from the cell centre; returns the zero k with a and bdot from
+    the last variational solve, at the iterate of Newton's final step."""
     seed = complex(0.5 * (cell[0] + cell[1]), 0.5 * (cell[2] + cell[3]))
-    # a, b, a' and b' of an iterate from one variational solve
-    solve = functools.lru_cache(maxsize=1)(
-        lambda k: [complex(v[0]) for v in sd.ab_and_derivs_many([k])])
+    last = {}   # the iterate of the latest variational solve, its a, b, a', b'
+
+    def solve(k):
+        if last.get("k") != k:
+            last["k"] = k
+            last["ab"] = [complex(v[0]) for v in sd.ab_and_derivs_many([k])]
+        return last["ab"]
+
     k = complex_newton(lambda k: solve(k)[1], lambda k: solve(k)[3], seed,
                        sd.tol.root_tol)
-    a, _, _, bdot = solve(k)
+    a, _, _, bdot = last["ab"]
     return k, a, bdot
 
 
@@ -163,36 +164,16 @@ def _validate(zeros, bdot):
 
 
 def default_search_box(sd: ScatteringData) -> tuple[float, float, float, float]:
-    """Grow a symmetric box until |b| on its far edges is negligible
-    compared to the real-line maximum of |b|.
+    """The box (-K, K, _IM_FLOOR, K) with K = _BOX_HALFWIDTH, clipped so
+    that T K stays within the Jost solve's growth guard.
 
-    b can decay as slowly as 1/k, so the growth is capped: zeros of b for a
-    compact pulse cluster at spectral scales set by the pulse itself, and
-    callers probing farther should pass an explicit box.
-
-    The candidate halfwidths _BOX_HALFWIDTHS are known in advance, so the
-    edges of all of them are solved in one batched call.  The box is the
-    first candidate whose edges pass, as when growing one edge at a time.
-    Candidates past the Jost solve's growth guard are left out of the
-    batch; reaching one raises Overflow, as growing would.
+    Zeros of b for a compact pulse cluster at spectral scales set by the
+    pulse itself; callers probing farther should pass an explicit box.
     """
-    ceiling = 1e-3 * sd.b_real_max()
-    n = 33
-    edges = [np.concatenate([np.linspace(-K, K, n) + 1j * K,          # top
-                             -K + 1j * np.linspace(_IM_FLOOR, K, n),  # left
-                             K + 1j * np.linspace(_IM_FLOOR, K, n)])  # right
-             for K in _BOX_HALFWIDTHS]
-    solvable = sum(sd.growth(e) <= GROWTH_GUARD for e in edges)
-    if solvable:
-        _, bv = sd.ab_many(np.concatenate(edges[:solvable]))
-        edge_max = np.max(np.abs(bv).reshape(solvable, -1), axis=1)
-    for i, K in enumerate(_BOX_HALFWIDTHS):
-        if i == solvable:
-            sd.ab_many(edges[i])   # raises Overflow, as growing to K would
-        if edge_max[i] < ceiling:
-            return (-K, K, _IM_FLOOR, K)
-    logger.info("search box capped at halfwidth %.1f (|b| decays "
-                "slowly); zeros beyond are not reported", K)
+    T = sd.pulse.support
+    K = min(_BOX_HALFWIDTH, GROWTH_GUARD / T)
+    while K * T > GROWTH_GUARD:     # the quotient can round up
+        K = math.nextafter(K, 0.0)
     return (-K, K, _IM_FLOOR, K)
 
 

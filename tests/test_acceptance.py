@@ -20,9 +20,11 @@ from mbamp.mb_oracle import simulate
 from mbamp.numerics import count_zeros_rect
 from mbamp.pulse import BoxPulse, SmoothBumpPulse
 from mbamp.scattering import ScatteringData
-from mbamp.soliton_spectrum import find_zeros
+from mbamp.soliton_spectrum import find_zeros, velocity_of
 from mbamp.specfun import bessel_i, gamma_imag
 from mbamp.tail_asym import nu_pair, omega_pair, soliton_state
+
+from test_scattering import zero_of_a
 
 K1_BOX52 = 1.9448904595703225
 
@@ -399,6 +401,35 @@ def test_criterion_10_soliton_location_reduced_scale(sd_box52, spec_box52,
             f"closed form gives +1, not a dip); peak |E| = {e_peak:.2f} "
             f"vs 4 Im k = {4 * kap:.2f}; off-line N = "
             + ", ".join(f"{nv:.3f}" for nv in offline))
+
+
+def test_criterion_10_zero_of_a_makes_no_soliton(sd_box52, soliton_run):
+    # the paper's second half: a zero of a (a pole of the transmission
+    # coefficient) is no soliton.  Box 5/2 has one at 2.1367i, whose line
+    # crosses t = 97 inside the window the 10c run stores; along it the
+    # medium stays inverted and |E| stays at the radiation's two-phase
+    # bound of criterion 8, with criterion 8's 30% margin
+    t = 97.0
+    k_a = zero_of_a(sd_box52)
+    x_a = velocity_of(k_a) * t
+    xs = np.arange(x_a - 0.5, x_a + 0.5, 0.02)
+    probes = [soliton_run.probe(t, float(xx)) for xx in xs]
+    n_max = max(p.N for p in probes)
+    e_max = max(abs(p.E) for p in probes)
+    ratio = 0.0          # largest |E| over the bound at the same x
+    for xx, p in zip(xs, probes):
+        tau = t - xx
+        k0 = 0.5 * math.sqrt(xx / tau)
+        nul, nur = nu_pair(sd_box52, k0)
+        bound = 2.0 * math.sqrt(k0 / tau) * (math.sqrt(nul) + math.sqrt(nur))
+        ratio = max(ratio, abs(p.E) / bound)
+    ok = abs(sd_box52.ab_many([k_a])[0][0]) < 1e-10 and n_max < -0.5 \
+        and ratio < 1.3
+    _report("10d", ok,
+            f"zero of a at {k_a.imag:.9f}i, line x = {x_a:.3f} at t = {t:.0f}; "
+            f"within 0.5 of it max N = {n_max:.3f} < -0.5, max |E| = "
+            f"{e_max:.2f}, at most {ratio:.3f} of the two-phase bound "
+            f"(< 1.3)")
 
 
 def test_criterion_11_special_functions():

@@ -6,6 +6,7 @@ The constant box pulse has closed-form coefficients
 which serve as the matrix-exponential oracle throughout.
 """
 
+import cmath
 import logging
 import math
 import threading
@@ -13,6 +14,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbamp.errors import DivisionNearZero, FitRejected, Overflow
 from mbamp.numerics import Tolerances, complex_newton
@@ -89,6 +92,54 @@ def test_real_pulse_symmetry(sd52):
     am, bm = sd52.ab_many(-ks)
     assert np.max(np.abs(am - np.conj(ap))) < 1e-8
     assert np.max(np.abs(bm - np.conj(bp))) < 1e-8
+
+
+# Symmetries of the Jost solve on the smooth bump c1 t^(m-1) g(t/T), drawn
+# at k in a box of the closed upper half-plane; each relates two solves
+# that an error in the right-hand side or the start at T would break.
+BUMP = SmoothBumpPulse(1.0, 2.0, 1.0)
+_SPECTRAL_POINTS = st.builds(complex, st.floats(-4.0, 4.0),
+                             st.floats(0.0, 4.0))
+_SYMMETRY = settings(max_examples=20, deadline=None, database=None)
+
+
+def _close(got, want):
+    return all(abs(g - w) <= 1e-12 * max(1.0, abs(w))
+               for g, w in zip(got, want))
+
+
+@_SYMMETRY
+@given(beta=st.floats(0.5, 2.0), k=_SPECTRAL_POINTS)
+def test_scaling_maps_a_and_b_to_k_over_beta(beta, k):
+    # beta E(beta t) is the bump with c1 beta^m on [0, T / beta]; t -> beta t
+    # turns its Jost system at k into the original one at k / beta
+    c1, m, T = BUMP.amplitude, BUMP.start_exponent, BUMP.support
+    scaled = SmoothBumpPulse(c1 * beta ** m, m, T / beta)
+    got = ScatteringData(scaled).ab_many([k])
+    want = ScatteringData(BUMP).ab_many([k / beta])
+    assert _close(np.ravel(got), np.ravel(want))
+
+
+@_SYMMETRY
+@given(k=_SPECTRAL_POINTS)
+def test_real_pulse_conjugation_symmetry(k):
+    # for real E, conjugating the Jost system maps k to -conj(k)
+    sd = ScatteringData(BUMP)
+    a, b = sd.ab_many([k, -k.conjugate()])
+    assert _close([a[1], b[1]], np.conj([a[0], b[0]]))
+
+
+@_SYMMETRY
+@given(phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+       k=_SPECTRAL_POINTS)
+def test_phase_rotation_leaves_a_and_turns_b(phi, k):
+    # E -> e^{i phi} E is undone by p1 -> e^{i phi} p1
+    turn = cmath.exp(1j * phi)
+    rotated = SmoothBumpPulse(BUMP.amplitude * turn, BUMP.start_exponent,
+                              BUMP.support)
+    a, b = ScatteringData(BUMP).ab_many([k])
+    a_rot, b_rot = ScatteringData(rotated).ab_many([k])
+    assert _close([a_rot[0], b_rot[0]], [a[0], turn * b[0]])
 
 
 def test_reflection_symmetry_and_zero(sd52):
@@ -279,7 +330,7 @@ def test_real_line_cache_is_one_129_point_solve(pulse, monkeypatch):
         return ab_many(self, ks)
 
     monkeypatch.setattr(ScatteringData, "ab_many", counted)
-    ScatteringData(pulse).b_real_max()
+    ScatteringData(pulse).r_real(0.0)
     assert solves == [129]
 
 

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from mbamp.errors import AmbiguousMatch, AssumptionViolated, Overflow
+from mbamp.errors import AmbiguousMatch, AssumptionViolated
 from mbamp.numerics import Tolerances, count_zeros_rect
 from mbamp.pulse import BoxPulse, SmoothBumpPulse
-from mbamp.scattering import ScatteringData
+from mbamp.scattering import GROWTH_GUARD, ScatteringData
 from mbamp.soliton_spectrum import (SolitonSpectrum, default_search_box,
                                     find_zeros, velocity_match, velocity_of)
 
@@ -25,6 +25,13 @@ def test_box52_single_zero(spec52):
     _, spec = spec52
     assert len(spec) == 1
     assert abs(spec.zeros[0] - 1j * K1_BOX52) < 1e-6
+
+
+def test_box52_zero_matches_the_closed_form(spec52):
+    # Newton's last step from |b| <= root_tol lands on the zero, not
+    # root_tol / |b'| (about 2e-10) away from it
+    _, spec = spec52
+    assert abs(spec.zeros[0] - 1j * K1_BOX52) < 1e-12
 
 
 def test_newton_makes_one_solve_per_step(monkeypatch):
@@ -63,58 +70,38 @@ def counted_solves(monkeypatch):
     return calls
 
 
-def test_bump_default_box_search_makes_four_solves(counted_solves):
+def test_bump_default_box_search_makes_two_solves(counted_solves):
     sd = ScatteringData(SmoothBumpPulse(1.0, 2.0, 1.0))
     spec = find_zeros(sd)
     assert len(spec) == 0
-    # 1 for the real-line cache, 1 for the edges of all 3 candidate boxes,
-    # 2 for the winding count (its initial samples and one prefetch)
-    assert len(counted_solves) == 4
-    assert counted_solves[1] == 3 * 3 * 33
+    # the winding count's initial samples and one prefetch; the box needs
+    # no solve and the real-line cache is never built
+    assert len(counted_solves) == 2
+    assert sd._cache is None
 
 
-def test_default_search_box_makes_one_solve_beyond_the_cache(counted_solves):
-    sd = ScatteringData(SmoothBumpPulse(1.0, 2.0, 1.0))
-    sd.b_real_max()
-    cache_solves = len(counted_solves)
-    assert default_search_box(sd) == (-4 * 1.6 * 1.6, 4 * 1.6 * 1.6, 1e-4,
-                                      4 * 1.6 * 1.6)
-    assert len(counted_solves) == cache_solves + 1
+CAP = 4.0 * 1.6 * 1.6
 
 
-def _box_grown_edge_by_edge(sd, K=4.0, cap=16.0):
-    """The box growth as it was before the batched solve: one solve per
-    edge per halfwidth, up to the first halfwidth whose edges pass."""
-    ceiling = 1e-3 * sd.b_real_max()
-    while True:
-        edge = [np.max(np.abs(sd.ab_many(seg)[1])) for seg in (
-            np.linspace(-K, K, 33) + 1j * K,
-            -K + 1j * np.linspace(1e-4, K, 33),
-            K + 1j * np.linspace(1e-4, K, 33))]
-        if max(edge) < ceiling or K * 1.6 > cap:
-            return (-K, K, 1e-4, K)
-        K *= 1.6
+@pytest.mark.parametrize("pulse", [BoxPulse(5.0, 2.0),
+                                   SmoothBumpPulse(1.0, 2.0, 1.0)])
+def test_default_search_box_is_the_cap_without_a_solve(counted_solves, pulse):
+    sd = ScatteringData(pulse)
+    assert default_search_box(sd) == (-CAP, CAP, 1e-4, CAP)
+    assert counted_solves == []
+    assert sd._cache is None
 
 
-@pytest.mark.parametrize("b_max, want", [(0.6, 4.0), (0.05, 6.4), (0.01, None)])
-def test_long_support_growth_matches_edge_by_edge_growth(monkeypatch, b_max,
-                                                         want):
-    # T = 60: the candidates 4 and 6.4 are solvable, while 10.24 trips the
-    # growth guard (T |Im k| = 614 > 600).  |b| on the edges is 7.8e-5 at
-    # K = 4 and 3.1e-5 at K = 6.4.  The real-line maximum of |b| (0.599 for
-    # this pulse) is set by hand, since its cache takes seconds to build, so
-    # each candidate gets its turn to be the first that passes.
-    sd = ScatteringData(SmoothBumpPulse(0.01, 2.0, 60.0))
-    monkeypatch.setattr(sd, "b_real_max", lambda: b_max)
-    if want is None:
-        with pytest.raises(Overflow):
-            _box_grown_edge_by_edge(sd)
-        with pytest.raises(Overflow):
-            default_search_box(sd)
-    else:
-        box = default_search_box(sd)
-        assert box == _box_grown_edge_by_edge(sd)
-        assert box[1] == pytest.approx(want)
+@pytest.mark.parametrize("T", [60.0, 64.972898])
+def test_long_support_box_is_clipped_to_the_growth_guard(counted_solves, T):
+    # (600 / T) * T rounds above 600 for T = 64.972898
+    assert (GROWTH_GUARD / 64.972898) * 64.972898 > GROWTH_GUARD
+    sd = ScatteringData(SmoothBumpPulse(0.01, 2.0, T))
+    re_lo, re_hi, im_lo, im_hi = default_search_box(sd)
+    assert re_hi == im_hi == -re_lo and im_lo == 1e-4
+    assert im_hi * T <= GROWTH_GUARD
+    assert im_hi == pytest.approx(GROWTH_GUARD / T, rel=1e-15)
+    assert counted_solves == []
 
 
 @pytest.mark.xfail(strict=True, reason=(

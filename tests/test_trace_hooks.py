@@ -45,3 +45,22 @@ def test_traced_compare_counts_each_light_cone_point(tmp_path):
     assert tracer.counts["lightcone_asym.eval_lightcone.calls"] == cone
     assert tracer.counts["scattering.reflection_uhp.calls"] == 1
     assert tracer.counts["soliton_spectrum.find_zeros.calls"] == 0
+
+
+def test_traced_default_box_zeros_builds_no_cache(tmp_path):
+    # the default search box is a constant: the bump's zero search makes
+    # only the winding count's 2 solves and never builds the real-line cache
+    tracing = load_tracing()
+    from mbamp.cli import main
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1,
+        "pulse": {"kind": "smooth_bump", "amplitude_re": 1.0,
+                  "start_exponent": 2.0, "support": 1.0}}))
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        assert main(["zeros", "--config", str(cfg), "--out",
+                     str(tmp_path)]) == 0
+    assert tracer.counts["soliton_spectrum.default_search_box.calls"] == 1
+    assert tracer.counts["scattering.cache_build.calls"] == 0
+    assert tracer.counts["scattering.ab_many.calls"] == 2
