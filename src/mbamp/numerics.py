@@ -5,8 +5,9 @@ Runge-Kutta advance.
 The quadrature (``adaptive_quad``) is a tanh-sinh rule with one panel
 between consecutive split points, so integrable singularities at the split
 points and at the ends need no special case: no node lands on a panel edge.
-Its integrand takes an array.  Each level calls it once, on the new nodes of
-all panels, and halves the step until two levels agree.
+Its integrand takes an array, and may stack several.  Each level calls it
+once, on the new nodes of all panels, and halves the step until two levels
+agree.
 
 The winding count (``count_zeros_rect``) bisects the boundary steps whose
 phase change reaches pi/2.  When a pass needs midpoints not sampled yet, it
@@ -95,7 +96,7 @@ def _tanh_sinh_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                   tol: float, max_level: int = 6,
-                  split_points: Sequence[float] | None = None) -> float:
+                  split_points: Sequence[float] | None = None):
     """Integrate ``f`` over ``[a, b]`` to |error| <= tol*(1+|result|).
 
     Level-adaptive tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9, 1974)
@@ -103,9 +104,11 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     integrable singularities there, as at the ends, are panel edges.  The
     rule never samples an edge: a node that rounds onto one is dropped.
     ``f`` is called once per level, on a 1-D array of the new nodes of all
-    panels; a scalar return is broadcast.  The step in t halves, reusing
-    the nodes of the coarser levels, until two levels agree; past
-    ``max_level`` halvings it raises NonConvergence.
+    panels; it returns a scalar (broadcast), N values, or an ``(m, N)``
+    stack of m integrands, whose m integrals come back as an array.  The
+    step in t halves, reusing the nodes of the coarser levels, until two
+    levels agree in every component; past ``max_level`` halvings it raises
+    NonConvergence.
     """
     if a == b:
         return 0.0
@@ -124,14 +127,15 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         s = np.where(side > 0, hi - half * c, lo + half * c)
         keep = (s > lo) & (s < hi)
         s, w = s[keep], (half * w)[keep]
-        fs = np.broadcast_to(np.asarray(f(s), dtype=float), s.shape)
-        prev, total = total, 0.5 * total + _TS_H0 / 2 ** level * float(fs @ w)
-        if level > 0 and abs(total - prev) <= tol * (1.0 + abs(total)):
-            return sign * total
+        fs = np.asarray(f(s), dtype=float) + np.zeros_like(s)  # broadcast
+        prev, total = total, 0.5 * total + _TS_H0 / 2 ** level * (fs @ w)
+        diff = np.abs(total - prev)
+        if level > 0 and np.all(diff <= tol * (1.0 + np.abs(total))):
+            return sign * (total if np.ndim(total) else float(total))
     raise NonConvergence(
-        f"quadrature levels differ by {abs(total - prev):.3e} at step "
-        f"{_TS_H0 / 2 ** max_level:.1e} (target {tol:.1e}); integrand is "
-        "likely pathological")
+        f"quadrature levels differ by {np.max(diff):.3e} in component "
+        f"{np.argmax(diff)} at step {_TS_H0 / 2 ** max_level:.1e} (target "
+        f"{tol:.1e}); integrand is likely pathological")
 
 
 _AHEAD = 4   # bisection levels of the winding count sampled per call of f

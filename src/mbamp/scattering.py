@@ -24,7 +24,8 @@ logger = logging.getLogger(__name__)
 
 _CHEB_TAIL = 1e-12      # chop level of the trailing Chebyshev coefficients
 _CHEB_MAX_N = 4096      # node cap of the real-line interpolant (n + 1 nodes)
-_SCAN_POINTS = 8193     # uniform scan for the minima of |r|
+_SCAN_POINTS = 8193     # uniform scan for the minima of |b|
+_REAL_ZERO_TOL = 1e-8   # polished |b| below which a scan minimum is a zero
 CACHE_HALFWIDTH = 20.0      # the real-line interpolant covers [-K, K]
 _KAPPA_MODEL_SWITCH = 40.0  # |k| past which reflection_uhp uses the tail fit
 GROWTH_GUARD = 600.0        # largest T*|Im k| a Jost solve accepts
@@ -52,7 +53,7 @@ class ScatteringData:
     def __init__(self, pulse: Pulse, tol: Tolerances | None = None):
         self.pulse = pulse
         self.tol = tol or Tolerances()
-        # (nodes, weights, [a b 1] at nodes, uniform scan, [a b] on the scan)
+        # (nodes, weights, [a b 1] at nodes, real zeros of b in [-K, K])
         self._cache = None
         self.cache_tail = None   # achieved Chebyshev tail of the cache
         self._tail_fit = None
@@ -106,7 +107,7 @@ class ScatteringData:
     # ----------------------------------------------------- real-line cache
 
     def _build_cache(self):
-        """Chebyshev-Lobatto interpolant of a and b on [-K, K].
+        """Chebyshev-Lobatto interpolant of a and b on [-K, K]; b's real zeros.
 
         a and b of a compact pulse are entire of exponential type, so their
         Chebyshev coefficients decay geometrically.  The node count doubles
@@ -137,11 +138,8 @@ class ScatteringData:
         weights = np.where(np.arange(n + 1) % 2, -1.0, 1.0)
         weights[[0, -1]] *= 0.5
         values = np.column_stack([ab, np.ones(n + 1)])
-        # scanned in n parts, so each distance matrix has ~_SCAN_POINTS entries
-        scan = np.linspace(-K, K, _SCAN_POINTS)
-        scan_ab = np.concatenate([_barycentric(nodes, weights, values, part)
-                                  for part in np.array_split(scan, n)])
-        self._cache = (nodes, weights, values, scan, scan_ab)
+        self._cache = (nodes, weights, values,
+                       _real_zeros(nodes, weights, values))
 
     def _cache_arrays(self):
         with self._lock:
@@ -152,7 +150,7 @@ class ScatteringData:
     def ab_real(self, s):
         """(a, b) at real s off the interpolant: Python complex for a
         scalar, arrays of the shape of s for an array."""
-        nodes, weights, values, _, _ = self._cache_arrays()
+        nodes, weights, values, _ = self._cache_arrays()
         ab = _barycentric(nodes, weights, values, np.asarray(s, dtype=float))
         if np.ndim(s) == 0:
             return complex(ab[0]), complex(ab[1])
@@ -163,32 +161,9 @@ class ScatteringData:
         return b / a
 
     def real_zero_splits(self, k0: float) -> list[float]:
-        """Real-line points inside (-k0, k0) where |r| nearly vanishes; the
-        tail phase integrands have integrable log spikes there."""
-        *_, scan, scan_ab = self._cache_arrays()
-        inside = np.flatnonzero((scan > -k0) & (scan < k0))
-        if not inside.size:
-            return []
-        # two scan points past each end, so that a zero between the last scan
-        # point inside (-k0, k0) and the next one is an interior minimum too
-        span = slice(max(inside[0] - 2, 0), inside[-1] + 3)
-        kk = scan[span]
-        rr = np.abs(scan_ab[span, 1] / scan_ab[span, 0])
-        floor = 0.02 * max(float(np.median(np.abs(
-            scan_ab[inside, 1] / scan_ab[inside, 0]))), 1e-6)
-        out = []
-        for i in np.nonzero((rr[1:-1] < floor) & (rr[1:-1] <= rr[:-2])
-                            & (rr[1:-1] <= rr[2:]))[0] + 1:
-            # Gauss-Newton on |b|^2 from the scan minimum: exact at a real
-            # zero of b, kept inside the bracket of the scan minimum
-            k = kk[i]
-            for _ in range(8):
-                bp, b0, bm = self.ab_real(np.array([k + 1e-6, k, k - 1e-6]))[1]
-                k = min(max(k - (b0 / ((bp - bm) / 2e-6)).real, kk[i - 1]),
-                        kk[i + 1])
-            if -k0 < k < k0:
-                out.append(float(k))
-        return out
+        """Real zeros of b in (-k0, k0), the tail integrands' log spikes."""
+        zeros = self._cache_arrays()[3]
+        return zeros[(zeros > -k0) & (zeros < k0)].tolist()
 
     # ------------------------------------------------------------ tail fit
 
@@ -279,3 +254,25 @@ def _barycentric(nodes, weights, values, s):
         out = np.where(hit.any(axis=-1)[..., None],
                        values[hit.argmax(axis=-1), :-1], out)
     return out
+
+
+def _real_zeros(nodes, weights, values) -> np.ndarray:
+    """Real zeros of the interpolated b: the local minima of |b| on a scan
+    (an end counts too), polished together by Gauss-Newton on |b|^2 within
+    the scan points beside each, where |b| ends below _REAL_ZERO_TOL."""
+    def b_at(s):
+        return _barycentric(nodes, weights, values, s)[:, 1]
+
+    scan = np.linspace(-CACHE_HALFWIDTH, CACHE_HALFWIDTH, _SCAN_POINTS)
+    # in parts, so each distance matrix has ~_SCAN_POINTS entries
+    mag = np.abs(np.concatenate([b_at(part) for part in
+                                 np.array_split(scan, len(nodes) - 1)]))
+    padded = np.pad(mag, 1, constant_values=np.inf)
+    i = np.flatnonzero((mag < padded[:-2]) & (mag <= padded[2:]))
+    ends = np.pad(scan, 1, mode="edge")
+    k, lo, hi = scan[i], ends[i], ends[i + 2]
+    for _ in range(8):
+        bp, b0, bm = b_at(np.concatenate([k + 1e-6, k, k - 1e-6])
+                          ).reshape(3, -1)
+        k = np.clip(k - (b0 / ((bp - bm) / 2e-6)).real, lo, hi)
+    return k[np.abs(b_at(k)) < _REAL_ZERO_TOL]

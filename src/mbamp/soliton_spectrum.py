@@ -47,20 +47,25 @@ def velocity_of(k: complex) -> float:
 
 
 def _cell_count(sd: ScatteringData, cell):
-    """Winding count on a cell, nudging the cell when a zero grazes it."""
+    """Winding count on a cell, nudging the cell when a zero grazes it; a
+    nudge moves the top edge only while it stays within the growth guard."""
     re_lo, re_hi, im_lo, im_hi = cell
     f = lambda k: sd.ab_many(k)[1]
     for attempt in range(6):
         try:
-            return count_zeros_rect(f, (re_lo, re_hi, im_lo, im_hi),
-                                    sd.tol.root_tol), \
-                (re_lo, re_hi, im_lo, im_hi)
+            n = count_zeros_rect(f, (re_lo, re_hi, im_lo, im_hi),
+                                 sd.tol.root_tol)
         except BoundaryZero:
             pad = (re_hi - re_lo) * 1e-3 * (attempt + 1)
-            re_lo -= pad
-            re_hi += pad
+            re_lo, re_hi = re_lo - pad, re_hi + pad
             im_lo = max(_IM_FLOOR * 0.5, im_lo - pad)
-            im_hi += pad
+            if (im_hi + pad) * sd.pulse.support <= GROWTH_GUARD:
+                im_hi += pad
+            continue
+        if n < 0:
+            raise AssumptionViolated(f"winding count {n} on cell {cell}: b "
+                                     "has no poles; the contour is undersampled")
+        return n, (re_lo, re_hi, im_lo, im_hi)
     raise BoundaryZero(f"could not clear the boundary of cell {cell}")
 
 

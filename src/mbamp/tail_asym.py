@@ -96,21 +96,17 @@ def omega_pair(sd: ScatteringData, spec: SolitonSpectrum,
     k0 = 0.5 * math.sqrt(x / tau)
     if k0 > CACHE_HALFWIDTH:
         raise ValueError(f"k0 = {k0:.3f} outside the real-line cache")
-    qtol = sd.tol.quad_tol
     # a, b and r at -k0 and k0, from one read of the real-line cache
     a, b = sd.ab_real(np.array([-k0, k0]))
     r = b / a
     nu_l, nu_r = _nu(-k0, r[0]), _nu(k0, r[1])
     log_ends = np.log1p(np.abs(r) ** -2.0)
-    splits = sd.real_zero_splits(k0)
-
-    def regularized(endpoint: float, log_end: float):
-        return lambda s: (_log_term(sd, s) - log_end) / (s - endpoint)
-
-    integral_l = adaptive_quad(regularized(-k0, log_ends[0]), -k0, k0, qtol,
-                               split_points=splits)
-    integral_r = adaptive_quad(regularized(k0, log_ends[1]), -k0, k0, qtol,
-                               split_points=splits)
+    # both log integrands, (L(s) - L(e)) / (s - e) for the ends e = -k0 and
+    # k0 with L(s) = log(1 + |r(s)|^-2), in one quadrature
+    integral_l, integral_r = adaptive_quad(
+        lambda s: (_log_term(sd, s) - log_ends[:, None]) / (s + [[k0], [-k0]]),
+        -k0, k0, sd.tol.quad_tol, split_points=sd.real_zero_splits(k0)
+    ).tolist()
 
     phase_sum_l = 0.0
     phase_sum_r = 0.0
@@ -146,15 +142,12 @@ def soliton_state(sd: ScatteringData, spec: SolitonSpectrum, j: int,
     gamma_j = spec.residues[j]          # 1/(a(k_j) bdot(k_j))
     abdot_abs = 1.0 / abs(gamma_j)
     abdot_arg = -cmath.phase(gamma_j)
-    qtol = sd.tol.quad_tol
-    splits = sd.real_zero_splits(k0)
-
-    pois = adaptive_quad(
-        lambda s: _log_term(sd, s) / ((s - re) ** 2 + kap * kap),
-        -k0, k0, qtol, split_points=splits)
-    pois_arg = adaptive_quad(
-        lambda s: (s - re) * _log_term(sd, s) / ((s - re) ** 2 + kap * kap),
-        -k0, k0, qtol, split_points=splits)
+    # the Poisson integrals of L(s) = log(1 + |r(s)|^-2), in one quadrature
+    pois, pois_arg = adaptive_quad(
+        lambda s: np.stack([np.ones_like(s), s - re]) * _log_term(sd, s)
+        / ((s - re) ** 2 + kap * kap),
+        -k0, k0, sd.tol.quad_tol, split_points=sd.real_zero_splits(k0)
+    ).tolist()
 
     blaschke_log = 0.0
     blaschke_arg = 0.0

@@ -87,6 +87,33 @@ def test_quad_removable_endpoint_singularity(a):
     assert got == pytest.approx(float(exact), abs=1e-12)
 
 
+def test_quad_stacked_integrands_match_separate_calls():
+    # one call per level for all three; each must agree with its own call
+    fs = (lambda s: np.log(np.abs(s - 0.25)) + np.cos(3 * s),
+          lambda s: np.exp(-s) * np.sin(7 * s),
+          lambda s: np.log1p(s * s) / (s + 2.0))
+    tol = 1e-10
+    got = adaptive_quad(lambda s: np.stack([f(s) for f in fs]), -1.0, 1.0,
+                        tol, split_points=[0.25])
+    assert got.shape == (3,)
+    for value, f in zip(got, fs):
+        alone = adaptive_quad(f, -1.0, 1.0, tol, split_points=[0.25])
+        assert abs(value - alone) <= tol * (1.0 + abs(alone))
+
+
+def test_quad_scalar_return_broadcasts():
+    got = adaptive_quad(lambda s: 2.0, 0.5, 3.0, 1e-12)
+    assert type(got) is float
+    assert got == pytest.approx(5.0, abs=1e-12)
+
+
+def test_quad_non_convergence_names_the_worst_component():
+    wild = lambda s: np.sin(1000.0 / (np.abs(s) + 1e-8))
+    with pytest.raises(NonConvergence, match="in component 1"):
+        adaptive_quad(lambda s: np.stack([s * s, wild(s)]), -1.0, 1.0,
+                      1e-14, max_level=2)
+
+
 def test_quad_budget_exhaustion_raises():
     with pytest.raises(NonConvergence):
         adaptive_quad(lambda s: np.sin(1000.0 / (np.abs(s) + 1e-8)), -1.0, 1.0,

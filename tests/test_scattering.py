@@ -14,14 +14,14 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mbamp.errors import DivisionNearZero, FitRejected, Overflow
 from mbamp.numerics import Tolerances, complex_newton
 from mbamp.pulse import BoxPulse, PowerStartPulse, SmoothBumpPulse
 from mbamp import scattering
-from mbamp.scattering import ScatteringData
+from mbamp.scattering import CACHE_HALFWIDTH, ScatteringData
 
 
 def box_ab(A, T, k):
@@ -290,6 +290,64 @@ def test_real_zero_splits_find_a_zero_next_to_k0(sd52, k0):
     if splits:
         assert splits[1] == pytest.approx(expect, abs=1e-6)
         assert splits[0] == -splits[1]
+
+
+def box_real_zeros(A, T, K=CACHE_HALFWIDTH):
+    """The real zeros +-sqrt((n pi/T)^2 - A^2/4) of the box's b in (-K, K),
+    ascending."""
+    n = np.arange(1, math.ceil(T * math.hypot(K, A / 2.0) / math.pi) + 1)
+    q = (n * math.pi / T) ** 2 - A * A / 4.0
+    k = np.sqrt(q[q > 0.0])
+    k = k[k < K]
+    return np.sort(np.concatenate([-k, k]))
+
+
+def _real_zeros(sd):
+    return np.array(sd.real_zero_splits(CACHE_HALFWIDTH))
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(A=st.floats(0.5, 8.0), T=st.floats(0.5, 3.0))
+def test_real_zeros_of_a_box_are_the_closed_form(A, T):
+    # AT/(2 pi) near an integer puts a zero pair near k = 0 (and b(0) ~ 0);
+    # a zero within a scan step of the cache end is not a split either way
+    assume(0.1 < (A * T / (2.0 * math.pi)) % 1.0 < 0.9)
+    expect = box_real_zeros(A, T)
+    assume(expect.size == 0 or np.max(np.abs(expect)) < CACHE_HALFWIDTH - 0.01)
+    got = _real_zeros(ScatteringData(BoxPulse(A, T)))
+    assert got.shape == expect.shape
+    assert np.max(np.abs(got - expect), initial=0.0) < 1e-8
+
+
+@pytest.mark.parametrize("A, T", [(5.0, 2.0), (3.3, 2.0), (5.0, 6.0),
+                                  (1.0, 1.0), (7.0, 2.0)])
+def test_every_real_zero_of_the_box_is_found(A, T):
+    # box 3.3/2 has a zero at +-2.6734069 where |r| is just above the
+    # floor of a scan that kept only minima below 0.02 x median |r|
+    got = _real_zeros(ScatteringData(BoxPulse(A, T)))
+    expect = box_real_zeros(A, T)
+    assert got.shape == expect.shape
+    assert np.max(np.abs(got - expect)) < 1e-9
+
+
+@pytest.mark.parametrize("pulse", [SmoothBumpPulse(1.0, 2.0, 1.0),
+                                   SmoothBumpPulse(0.4, 2.0, 2.0),
+                                   PowerStartPulse(1.0, 2.0, 1.0)])
+def test_smooth_pulses_have_no_real_zeros(pulse):
+    # their minima of |b| polish to |b| >= 8.5e-5
+    assert _real_zeros(ScatteringData(pulse)).size == 0
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0])
+def test_real_zeros_scale_with_the_pulse(sd52, beta):
+    # a[beta E1(beta t)](k) = a[E1](k / beta), and likewise b, so
+    # BoxPulse(beta A, T / beta) has beta times the zeros of BoxPulse(A, T)
+    K = CACHE_HALFWIDTH * min(1.0, beta)
+    scaled = np.array(ScatteringData(BoxPulse(5.0 * beta, 2.0 / beta))
+                      .real_zero_splits(K))
+    base = np.array(sd52.real_zero_splits(K / beta))
+    assert scaled.size == base.size > 0
+    assert np.max(np.abs(scaled - beta * base)) < 1e-8 * beta
 
 
 def test_real_line_interpolant_against_closed_form(sd52):

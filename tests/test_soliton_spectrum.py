@@ -104,6 +104,25 @@ def test_long_support_box_is_clipped_to_the_growth_guard(counted_solves, T):
     assert counted_solves == []
 
 
+def test_nudged_cell_stays_within_the_growth_guard():
+    # a boundary zero on this half of the default box nudges the cell
+    # outward; its top edge, at the guard already, must not move up
+    from mbamp.soliton_spectrum import _cell_count
+    sd = ScatteringData(SmoothBumpPulse(0.01, 2.0, 60.0))
+    count, cell = _cell_count(sd, (-10.0, 0.0, 1e-4, 10.0))
+    assert count >= 0
+    assert cell[0] < -10.0 and cell[3] * 60.0 <= GROWTH_GUARD
+
+
+def test_negative_winding_count_is_reported_as_undersampling():
+    # b is entire, so a count of -1 on the long pulse means the contour's
+    # first samples are too coarse for b's 1/T scale
+    sd = ScatteringData(SmoothBumpPulse(0.01, 2.0, 60.0))
+    with pytest.raises(AssumptionViolated,
+                       match=r"winding count -1 .* undersampled"):
+        find_zeros(sd, (-4.0, 4.0, 1e-4, 4.0))
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "the 4 initial samples per edge sit 5.12 apart on the bottom edge and "
     "miss its 2 pi wraps, so the count reads 0"))

@@ -260,17 +260,27 @@ def test_tail_phases_match_direct_solves():
                                                    abs=1e-9)
 
 
-@pytest.mark.parametrize("k0", [1.0, 1.9449, 5.0])
-def test_tail_integrals_match_mpmath(box52, k0):
+@pytest.fixture(scope="module")
+def box56():
+    return ScatteringData(BoxPulse(5.0, 6.0)), SolitonSpectrum((), (), ())
+
+
+@pytest.mark.parametrize("case, k0, n_splits", [
+    pytest.param("box52", 1.0, 0, id="1.0"),
+    pytest.param("box52", 1.9449, 2, id="1.9449"),
+    pytest.param("box52", 5.0, 4, id="5.0"),
+    pytest.param("box56", 12.0, 38, id="box56-12.0"),
+])
+def test_tail_integrals_match_mpmath(request, case, k0, n_splits):
     # independent rule over the same panel edges and the same interpolant;
-    # k0 = 5 straddles four real zeros of b
-    sd, spec = box52
+    # k0 = 5 straddles four real zeros of b on box 5/2, and k0 = 12 straddles
+    # 38 on box 5/6
+    sd, spec = request.getfixturevalue(case)
     tau = 40.0
     x = 4.0 * k0 * k0 * tau
     ph = omega_pair(sd, spec, x + tau, x)
     edges = [-k0, *sd.real_zero_splits(k0), k0]
-    if k0 == 5.0:
-        assert len(edges) == 6
+    assert len(edges) == n_splits + 2
 
     def log_term(s):
         return math.log1p(abs(sd.r_real(float(s))) ** -2)
@@ -281,3 +291,16 @@ def test_tail_integrals_match_mpmath(box52, k0):
         ref = mpmath.quad(lambda s: (log_term(s) - log_end) / float(s - end),
                           edges)
         assert getattr(ph, name) == pytest.approx(float(ref), abs=1e-12)
+
+
+@pytest.mark.parametrize("k0", [19.79, 19.89])
+def test_omega_pair_converges_past_every_real_zero(k0):
+    # a real zero of b left out of the splits is a log spike inside a panel,
+    # and the quadrature then raises NonConvergence; box 3.3/2 has one at
+    # +-2.6734069 where |r| is small but not tiny
+    sd = ScatteringData(BoxPulse(3.3, 2.0))
+    tau = 40.0
+    x = 4.0 * k0 * k0 * tau
+    ph = omega_pair(sd, SolitonSpectrum((), (), ()), x + tau, x)
+    # the pulse is real, so |r| is even on the real line
+    assert ph.integral_l == pytest.approx(-ph.integral_r, abs=1e-9)
