@@ -298,6 +298,9 @@ def cmd_regions(cfg: RunConfig, out: Path) -> int:
 def cmd_simulate(cfg: RunConfig, out: Path, slice_t: float | None) -> int:
     pulse = cfg.make_pulse()
     o = cfg.oracle
+    if slice_t is not None and not 0.0 <= slice_t <= o["t_max"]:
+        raise ValueError(f"--slice-t {slice_t} outside [0, t_max = "
+                         f"{o['t_max']}]")
     grid = mb_oracle.simulate(
         pulse, t_max=o["t_max"], x_max=o["x_max"], h=o["h"],
         nonphysical_tol=o.get("nonphysical_tol", 1e-4))
@@ -305,7 +308,6 @@ def cmd_simulate(cfg: RunConfig, out: Path, slice_t: float | None) -> int:
     _write_json(out / "invariants.json", asdict(grid.invariants))
     if slice_t is not None:
         i = int(round(slice_t / grid.h))
-        i = min(max(i, 0), grid.nt)
         E, N, rho = grid.level(i)
         rows = [[_fmt(j * grid.h), _fmt(E[j].real), _fmt(E[j].imag), _fmt(N[j]),
                  _fmt(rho[j].real), _fmt(rho[j].imag)] for j in range(grid.nx + 1)]
@@ -320,15 +322,9 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
     params = cfg.make_bands(pulse)
     o = cfg.oracle
     points = cfg.grid_points()
-    # the probes' bicubic stencils reach less than 3h past their largest tau;
-    # the store starts at their smallest x
-    tau_max = min(o["t_max"],
-                  max((t - x for t, x in points), default=0.0) + 3.0 * o["h"])
-    x_min = min(o["x_max"], max(0.0, min((x for _, x in points), default=0.0)))
     grid = mb_oracle.simulate(
         pulse, t_max=o["t_max"], x_max=o["x_max"], h=o["h"],
-        nonphysical_tol=o.get("nonphysical_tol", 1e-4), tau_max=tau_max,
-        x_min=x_min)
+        nonphysical_tol=o.get("nonphysical_tol", 1e-4), probes=points)
 
     # only points the oracle can probe are evaluated, so a point outside
     # its grid cannot fail the command
@@ -390,8 +386,7 @@ def main(argv=None) -> int:
         prog="mbamp",
         description="Scattering data and long-time asymptotics of an input "
                     "pulse in a two-level amplifier, with a direct PDE oracle.")
-    parser.add_argument("command",
-                        choices=[*_COMMANDS, "simulate"])
+    parser.add_argument("command", choices=[*_COMMANDS, "simulate"])
     parser.add_argument("--config", required=True, help="JSON run config")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--grid", default=None,

@@ -18,17 +18,20 @@ at tau = 0 and T) travels along its row, which holds the left limit: the
 step leaving the row reads row + jump, and a probe's stencil stays on its
 side of the row.
 
-Row u + 1 covers the columns j <= min(nx, nt - u - 1) (t <= t_max), up to
-U = ceil(tau_max / h) (default t_max).  The store keeps (u, j) = (tau/h, x/h)
-for the columns j >= j0 = max(0, floor(x_min/h) - 1) a probe at x_min
-reaches: shape (U + 3, nx - j0 + 1), row u at index u + 2 (two trivial pad
-rows), row u = 0 the initial data.
+Row u + 1 covers the columns j <= min(nx, nt - u - 1) (t <= t_max).  The
+store keeps (u, j) = (tau/h, x/h).  Without probes it is the whole
+rectangle, shape (nt + 3, nx + 1), row u at index u + 2 (two trivial pad
+rows), row u = 0 the initial data.  Given probes, it is exactly the (u, j)
+bounding box of their bicubic stencils and the march stops at its last row;
+a probe the run cannot serve (causal, outside the rectangle, or with a
+stencil past t_max) is left out.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,20 +69,16 @@ class InvariantReport:
 class SimGrid:
     """Result of one oracle run; immutable once simulate() returns."""
 
-    def __init__(self, pulse, h, t_max, x_max, tau_max=None, x_min=0.0):
+    def __init__(self, pulse, h, t_max, x_max, probes=None):
         self.pulse = pulse
         self.h = h
         self.t_max = t_max
         self.x_max = x_max
-        self.x_min = x_min
         self.nt = int(round(t_max / h))
         self.nx = int(round(x_max / h))
-        if not 0.0 <= x_min <= x_max:
-            raise OutOfDomain(f"x_min = {x_min} outside [0, x_max = {x_max}]")
-        tau_max = t_max if tau_max is None else tau_max
-        self.nu = min(self.nt, max(0, math.ceil(tau_max / h - 1e-9)))
-        # first stored column: the stencil of a probe at x_min reaches one left
-        self.j0 = max(0, math.floor(x_min / h) - 1)
+        if self.nt > _MAX_NODES_PER_DIM or self.nx > _MAX_NODES_PER_DIM:
+            raise CFLViolation(f"grid {self.nt}x{self.nx} exceeds "
+                               f"{_MAX_NODES_PER_DIM} nodes per dimension")
         # rows u holding a pulse jump: the stored row is the left limit, the
         # right limit is row + jump.  Jump times off the grid cannot be
         # compensated; they smear O(h^2 |jump|^2) into the Bloch defect.
@@ -87,57 +86,57 @@ class SimGrid:
                           for tj, dv in pulse.jumps()
                           if abs(tj - round(tj / h) * h) < 1e-12 * max(1.0, tj)}
         self.invariants: InvariantReport | None = None
-        shape = (self.nu + 3, self.nx - self.j0 + 1)
+        self.whole = probes is None
+        if self.whole:
+            # (u0, j0): the (u, j) of the store's first row and column
+            self.u0, self.j0 = -2, 0
+            shape = (self.nt + 3, self.nx + 1)
+        else:
+            corners = []
+            for t, x in probes:
+                with suppress(OutOfDomain):      # probe() raises for it too
+                    st = self._stencil(t, x)
+                    corners += [st[:2]] if st else []
+            rows, cols = zip(*corners) if corners else ((0,), (0,))
+            self.u0, self.j0 = min(rows), min(cols)
+            shape = ((max(rows) + 4 - self.u0, max(cols) + 4 - self.j0)
+                     if corners else (0, 0))
         bytes_needed = (16 + 16 + 8) * shape[0] * shape[1]
         if bytes_needed > 3e9:
             raise CFLViolation(
                 f"storage would need {bytes_needed / 1e9:.1f} GB; "
-                "pass tau_max or x_min for runs this large")
+                "pass probes for runs this large")
         self.E, self.N, self.rho = _trivial(shape)
 
-    def level(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """E, N, rho over all x at t-level i of a run that stores it whole."""
-        if i > self.nu or self.j0 > 0:
+    def level(self, i):
+        """E, N, rho over all x at the t-levels ``i`` (an int or an array of
+        them) of a run that stores the whole rectangle: t-level i at column
+        j is row u = i - j, stored at index u + 2, and past the cone (u < 0)
+        the index lands on the trivial pad rows 0 and 1."""
+        i = np.asarray(i)
+        if not (self.whole and 0 <= i.min() and i.max() <= self.nt):
             raise OutOfDomain(f"t-level {i} is not stored whole")
-        return self._levels(i)
-
-    def _levels(self, i):
-        """E, N, rho at the t-levels ``i`` (an int or an array of them), one
-        row of all columns each: t-level i at column j is row u = i - j,
-        stored at index u + 2, and past the cone (u < 0) the index lands on
-        the trivial pad rows 0 and 1."""
         j = np.arange(self.nx + 1)
-        u = np.maximum(np.asarray(i)[..., None] - j + 2, 0)
+        u = np.maximum(i[..., None] - j + 2, 0)
         return self.E[u, j], self.N[u, j], self.rho[u, j]
 
     # --- probing --------------------------------------------------------
 
-    def probe(self, t: float, x: float) -> FieldTriple:
-        """Field triple at (t, x), bicubic along characteristic coordinates;
-        exactly the trivial state on the causal side t <= x."""
+    def _stencil(self, t: float, x: float):
+        """Row s0 and column c0 where the bicubic stencil of (t, x) starts
+        (it spans s0..s0 + 3, c0..c0 + 3), the offsets of (t, x) from row
+        s0 + 1 and column c0 + 1, and the jump row s0 reads; None if t <= x.
+        OutOfDomain where (t, x) or the stencil leaves the rectangle."""
         if not (0.0 <= t <= self.t_max + 1e-9
-                and self.x_min <= x <= self.x_max + 1e-9):
+                and 0.0 <= x <= self.x_max + 1e-9):
             raise OutOfDomain(f"({t}, {x}) outside the stored rectangle")
         if t <= x:
-            return FieldTriple(E=0j, N=1.0, rho=0j)
-        h = self.h
-        u = (t - x) / h           # row index
-        v = x / h                 # column index
-        v0 = int(np.floor(v))
-        v0 = min(max(v0, self.j0 + 1), self.nx - 2)
-        u0 = int(np.floor(u))
-        fu = u - u0
-        fv = v - v0
-        # snap representation noise so nodal probes return stored values;
-        # edge-clipped stencils (f outside [0,1]) are left alone
-        if abs(fu) < 1e-9:
-            fu = 0.0
-        elif abs(fu - 1.0) < 1e-9:
-            fu, u0 = 0.0, u0 + 1
-        if abs(fv) < 1e-9:
-            fv = 0.0
-        elif abs(fv - 1.0) < 1e-9:
-            fv, v0 = 0.0, min(v0 + 1, self.nx - 2)
+            return None
+        u0, fu = _split((t - x) / self.h)
+        v0, fv = _split(x / self.h)
+        # at the edge columns the stencil moves inward, f leaves [0, 1]
+        c0 = min(max(v0, 1), self.nx - 2) - 1
+        fv += v0 - 1 - c0
         # stencil rows s0..s0 + 3 (u0 - 1..u0 + 2 away from jumps) stay on
         # the probe's side of a jump row, read as its right limit from above
         s0, jump = u0 - 1, 0j
@@ -147,23 +146,28 @@ class SimGrid:
                     s0, jump = row, dv
                 else:
                     s0 = row - 3
-        if s0 + 3 > self.nu:
-            raise OutOfDomain(f"({t}, {x}): tau = {t - x} needs the strip "
-                              f"beyond tau_max = {self.nu * h}")
-        if s0 + v0 + 5 > self.nt:
-            raise OutOfDomain(f"({t}, {x}): the stencil needs t-levels past "
-                              f"t_max = {self.t_max}")
-        if v0 - 1 < self.j0:
-            raise OutOfDomain(f"({t}, {x}): the stencil needs columns left "
-                              f"of x_min = {self.x_min}")
-        c0 = v0 - 1 - self.j0
-        idx = (slice(s0 + 2, s0 + 6), slice(c0, c0 + 4))
+        if c0 < 0 or s0 + c0 + 6 > self.nt:
+            raise OutOfDomain(f"({t}, {x}): the stencil leaves [0, t_max = "
+                              f"{self.t_max}] x [0, x_max = {self.x_max}]")
+        return s0, c0, fu + (u0 - 1 - s0), fv, jump
+
+    def probe(self, t: float, x: float) -> FieldTriple:
+        """Field triple at (t, x), bicubic along characteristic coordinates;
+        exactly the trivial state on the causal side t <= x."""
+        st = self._stencil(t, x)
+        if st is None:
+            return FieldTriple(E=0j, N=1.0, rho=0j)
+        s0, c0, fu, fv, jump = st
+        i, j = s0 - self.u0, c0 - self.j0
+        if min(i, j) < 0 or i + 4 > self.N.shape[0] or j + 4 > self.N.shape[1]:
+            raise OutOfDomain(f"({t}, {x}): the stencil is outside the "
+                              "stored window")
+        idx = (slice(i, i + 4), slice(j, j + 4))
         E = self.E[idx]
         if jump:
             E = E.copy()
             E[0] += jump
-        wu = _cubic_weights(fu + (u0 - 1 - s0))
-        wv = _cubic_weights(fv)
+        wu, wv = _cubic_weights(fu), _cubic_weights(fv)
         e, n, r = (wu @ arr @ wv for arr in (E, self.N[idx], self.rho[idx]))
         return FieldTriple(E=complex(e), N=float(np.real(n)), rho=complex(r))
 
@@ -172,16 +176,15 @@ class SimGrid:
     def save_binary(self, path):
         """Write the stored grid: header (h, t_max, x_max, node count), then
         E_re, E_im, N, rho_re, rho_im per node, row-major in (t, x)."""
-        if self.j0 > 0 or self.nu < self.nt:
+        if not self.whole:
             raise OutOfDomain("binary dump requires storage of the whole "
                               "rectangle")
-        nodes = (self.nt + 1) * (self.nx + 1)
         buf = np.empty((_SAVE_LEVELS, self.nx + 1, 5), dtype="<f8")
         with open(path, "wb") as fh:
             fh.write(struct.pack("<dddd", self.h, self.t_max, self.x_max,
-                                 float(nodes)))
+                                 float((self.nt + 1) * (self.nx + 1))))
             for i0 in range(0, self.nt + 1, _SAVE_LEVELS):
-                E, N, rho = self._levels(
+                E, N, rho = self.level(
                     np.arange(i0, min(i0 + _SAVE_LEVELS, self.nt + 1)))
                 block = buf[:len(N)]
                 block[..., 0], block[..., 1] = E.real, E.imag
@@ -202,14 +205,19 @@ def load_binary(path) -> tuple[float, float, float, np.ndarray]:
     return h, t_max, x_max, body
 
 
+def _split(v: float) -> tuple[int, float]:
+    """Integer part and fraction of v, with representation noise snapped
+    away so that a nodal probe lands on its node."""
+    i = math.floor(v + 1e-9)
+    f = v - i
+    return i, (f if f >= 1e-9 else 0.0)
+
+
 def _cubic_weights(f: float) -> np.ndarray:
     """Lagrange weights of the nodes -1, 0, 1, 2 at f."""
-    return np.array([
-        -f * (f - 1.0) * (f - 2.0) / 6.0,
-        (f + 1.0) * (f - 1.0) * (f - 2.0) / 2.0,
-        -(f + 1.0) * f * (f - 2.0) / 2.0,
-        (f + 1.0) * f * (f - 1.0) / 6.0,
-    ])
+    a, b, c, d = f + 1.0, f, f - 1.0, f - 2.0
+    return np.array([-b * c * d / 6.0, a * c * d / 2.0, -a * b * d / 2.0,
+                     a * b * c / 6.0])
 
 
 def _trapezoid(e1: complex, r: np.ndarray, half_h: float) -> np.ndarray:
@@ -223,12 +231,11 @@ def _trapezoid(e1: complex, r: np.ndarray, half_h: float) -> np.ndarray:
 
 
 def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
-             nonphysical_tol: float = 1e-4,
-             tau_max: float | None = None, x_min: float = 0.0) -> SimGrid:
+             nonphysical_tol: float = 1e-4, probes=None) -> SimGrid:
     """March the amplifier system on [0, t_max] x [0, x_max] row by row in
-    tau = t - x with dtau = dx = h, restricted to the strip tau <= tau_max
-    (default t_max: everything), and store it for x >= x_min (default 0:
-    everything).
+    tau = t - x with dtau = dx = h.  Given ``probes``, a list of (t, x)
+    points, the run stores only the window their stencils read and marches
+    up to its last row; by default it stores the whole rectangle.
 
     Returns the populated SimGrid with its invariant report.  Raises
     CFLViolation for grid parameters outside the scheme's envelope and
@@ -238,14 +245,9 @@ def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
     T = pulse.support
     if h > 0.02 * min(1.0, T):
         raise CFLViolation(f"h = {h} exceeds 0.02*min(1, T) = {0.02 * min(1.0, T)}")
-    nt = int(round(t_max / h))
-    nx = int(round(x_max / h))
-    if nt > _MAX_NODES_PER_DIM or nx > _MAX_NODES_PER_DIM:
-        raise CFLViolation(
-            f"grid {nt}x{nx} exceeds {_MAX_NODES_PER_DIM} nodes per dimension")
-
-    grid = SimGrid(pulse, h, t_max, x_max, tau_max, x_min)
-    j0 = grid.j0
+    grid = SimGrid(pulse, h, t_max, x_max, probes)
+    nt, nx, u0, j0 = grid.nt, grid.nx, grid.u0, grid.j0
+    rows, cols = grid.N.shape
     half_h = 0.5 * h
     # row u = 0: the initial data, left limits at tau = 0
     E, N, rho = _trivial(nx + 1)
@@ -254,7 +256,7 @@ def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
     defect_tx = None
     updates = 0
 
-    for u in range(grid.nu):
+    for u in range(max(0, u0 + rows - 1)):
         m = min(nx, nt - u - 1) + 1     # columns of row u + 1
         # pulse() returns left limits at interior jump times (closed
         # support), the stored-value convention
@@ -276,9 +278,10 @@ def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
         N = N0 + half_h * (k1n - (np.conj(Ec) * rho_s).real)
         E = _trapezoid(e1, rho, half_h)
 
-        if m > j0:
+        if u + 1 >= u0:             # a window's columns all lie in the row
+            hi = min(m, j0 + cols)
             for arr, f in zip((grid.E, grid.N, grid.rho), (E, N, rho)):
-                arr[u + 3, :m - j0] = f[j0:]
+                arr[u + 1 - u0, :hi - j0] = f[j0:hi]
         updates += m
 
         defect = np.abs(N * N + np.abs(rho) ** 2 - 1.0)
@@ -293,9 +296,10 @@ def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
                     f"exceeds the guard {nonphysical_tol:.1e}")
 
     # the stored rows tau <= 0 are never marched and must stay trivial
-    caus_defect = float(max(np.abs(grid.E[:3]).max(),
-                            np.abs(grid.rho[:3]).max(),
-                            np.abs(grid.N[:3] - 1.0).max()))
+    pre = slice(0, max(0, 1 - u0))
+    caus_defect = float(max(np.abs(grid.E[pre]).max(initial=0.0),
+                            np.abs(grid.rho[pre]).max(initial=0.0),
+                            np.abs(grid.N[pre] - 1.0).max(initial=0.0)))
     grid.invariants = InvariantReport(cons_defect, caus_defect, updates,
                                       defect_tx)
     return grid

@@ -130,22 +130,17 @@ def test_criterion_03_soliton_spectrum(sd_box52, spec_box52):
             f"winding count matched refined zeros on {agree}/{total} boxes")
 
 
-@pytest.fixture(scope="module")
-def causality_run():
-    # full quadrant march, only the last columns stored: invariants
-    # accumulate on the fly
-    return simulate(BoxPulse(1.0, 1.0), t_max=40.0, x_max=40.0, h=0.005,
-                    x_min=40.0, nonphysical_tol=1e-2)
-
-
-def test_criterion_04_causality(causality_run):
-    g = causality_run
+def test_criterion_04_causality():
+    # just behind the unit front jump E = I0(2 sqrt(x tau)): the node
+    # tau = h at x = 39.995, read through probe; the run marches only the
+    # rows its stencil reads, and t_max leaves the stencil its 4h past t
+    h = 0.005
+    x = 39.995
+    g = simulate(BoxPulse(1.0, 1.0), t_max=40.0 + 4.0 * h, x_max=40.0, h=h,
+                 probes=[(x + h, x)])
     caus = g.invariants.causality_defect
-    # just behind the unit front jump E = I0(2 sqrt(x tau)): the stored
-    # tau = h node at x = 39.995 (store row u + 2 = 3, column j - j0 = 0)
-    x = g.j0 * g.h
-    front = bessel_i(0.0, 2.0 * math.sqrt(x * g.h))
-    rel = abs(g.E[3, 0] - front) / front
+    front = bessel_i(0.0, 2.0 * math.sqrt(x * h))
+    rel = abs(g.probe(x + h, x).E - front) / front
     _report(4, caus <= 1e-9 and rel <= 1e-3,
             f"max |E|,|rho|,|N-1| on the stored rows tau <= 0 of the 40x40 "
             f"grid = {caus:.2e}; "
@@ -182,13 +177,11 @@ def test_criterion_06_bessel_regime_convergence(sd_bump_m2):
     m = 2.0
     xs = (10.0, 20.0, 40.0)
     h = 0.00125                      # divides every probe column exactly
-    # probes at tau = 0.5/x; the stencil reaches 2h past the largest
+    probes = [(x + 0.5 / x, x) for x in xs]
     g = simulate(pulse, t_max=40.0 + 0.5 / 40.0 + 0.01, x_max=40.0, h=h,
-                 nonphysical_tol=1e-3, tau_max=0.5 / xs[0] + 3.0 * h,
-                 x_min=xs[0])
+                 nonphysical_tol=1e-3, probes=probes)
     scaled = []
-    for x in xs:
-        t = x + 0.5 / x
+    for t, x in probes:
         k0 = 0.5 * math.sqrt(x / (t - x))
         xi = 2.0 * math.sqrt(x * (t - x))
         E_form = 4.0 * k0 * sd_bump_m2.reflection_uhp(1j * k0) * bessel_i(m - 1, xi)
@@ -247,16 +240,27 @@ def _tail_window(x, tau):
     return k0, 2.5 * 2.0 * math.pi / (4.0 * k0)
 
 
+_TAIL_TAUS = (50.0, 100.0, 200.0)
+
+
+def _envelope_ts(x, tau, h):
+    """The t-levels criterion 8 probes in the envelope window at (x + tau, x)."""
+    w = _tail_window(x, tau)[1]
+    return np.arange(x + tau - w, x + tau + w, h)
+
+
 @pytest.fixture(scope="module")
 def tail_run():
     pulse = SmoothBumpPulse(0.4, 2.0, 2.0)
     sd = ScatteringData(pulse)
     spec = find_zeros(sd, (-4.0, 4.0, 1e-4, 4.0))
     h = 0.005
-    # the probes' stencils reach 2h past the column x = 150 and their tau
-    tau_max = 200.0 + _tail_window(150.0, 200.0)[1] + 3.0 * h
-    grid = simulate(pulse, t_max=360.8, x_max=150.0 + 3.0 * h, h=h,
-                    nonphysical_tol=0.06, tau_max=tau_max, x_min=150.0)
+    x = 150.0
+    probes = [(float(t), x) for tau in _TAIL_TAUS
+              for t in _envelope_ts(x, tau, h)] + [(300.0, x)]
+    # x_max keeps the stencils of the column x = 150 off the edge
+    grid = simulate(pulse, t_max=360.8, x_max=x + 3.0 * h, h=h,
+                    nonphysical_tol=0.06, probes=probes)
     return sd, spec, grid
 
 
@@ -267,15 +271,14 @@ def test_criterion_08_tail_amplitude_decay(tail_run):
     env = {}
     bounds = {}
     norm = {}
-    for tau in (50.0, 100.0, 200.0):
-        t_c = x + tau
-        k0, w = _tail_window(x, tau)
+    for tau in _TAIL_TAUS:
+        k0 = _tail_window(x, tau)[0]
         nul, nur = nu_pair(sd, k0)
         amp = math.sqrt(nul) + math.sqrt(nur)
         hi = 2.0 * math.sqrt(k0 / tau) * amp
         lo = 2.0 * math.sqrt(k0 / tau) * abs(math.sqrt(nul) - math.sqrt(nur))
-        ts = np.arange(t_c - w, t_c + w, grid.h)
-        vals = [abs(grid.probe(float(tt), x).E) for tt in ts]
+        vals = [abs(grid.probe(float(tt), x).E)
+                for tt in _envelope_ts(x, tau, grid.h)]
         env[tau] = max(vals)
         bounds[tau] = (lo, hi)
         norm[tau] = env[tau] / (2.0 * math.sqrt(k0) * amp)
@@ -366,13 +369,13 @@ def _soliton_center(sd, spec, t):
 
 @pytest.fixture(scope="module")
 def soliton_run(sd_box52, spec_box52):
-    # the probes reach 3 either side of the soliton center at t = 97; the
-    # stencil 2h more
+    # 10c's outermost probes, 3 either side of the soliton center at t = 97:
+    # their window holds every probe of 10c and 10d
     h = 0.004
     xc = _soliton_center(sd_box52, spec_box52, 97.0)
     return simulate(BoxPulse(5.0, 2.0), t_max=97.1, x_max=xc + 3.0 + 3.0 * h,
                     h=h, nonphysical_tol=0.06,
-                    tau_max=97.0 - (xc - 3.0) + 3.0 * h, x_min=xc - 3.0)
+                    probes=[(97.0, xc - 3.0), (97.0, xc + 3.0)])
 
 
 def test_criterion_10_soliton_location_reduced_scale(sd_box52, spec_box52,

@@ -143,6 +143,19 @@ def test_simulate_and_compare(tmp_path):
     assert (out / "compare_summary.csv").exists()
 
 
+@pytest.mark.parametrize("slice_t", ["50", "-3"])
+def test_slice_outside_the_run_is_a_usage_error(tmp_path, capsys, slice_t):
+    path = write_cfg(tmp_path, {
+        "pulse": {"kind": "box", "amplitude_re": 1.0, "support": 1.0},
+        "oracle": {"h": 0.01, "t_max": 2.0, "x_max": 1.0}})
+    out = tmp_path / "os"
+    assert main(["simulate", "--config", str(path), "--out", str(out),
+                 "--slice-t", slice_t]) == 2
+    assert f"--slice-t {float(slice_t)} outside [0, t_max = 2.0]" \
+        in capsys.readouterr().err
+    assert not list(out.glob("slice_t*.csv"))
+
+
 def test_bad_grid_spec(tmp_path):
     path = write_cfg(tmp_path)
     assert main(["regions", "--config", str(path), "--out", str(tmp_path),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbamp.errors import CFLViolation, NonPhysical, OutOfDomain
 from mbamp.mb_oracle import load_binary, simulate
@@ -70,71 +72,151 @@ def test_probe_out_of_domain(box_run):
         box_run.probe(8.0, 0.0)     # the stencil would need t-levels past t_max
 
 
-@pytest.mark.parametrize("pulse, x_min", [(BoxPulse(1.0, 1.0), 0.0),
-                                          (SmoothBumpPulse(1.0, 2.0, 1.0), 0.0),
-                                          (BoxPulse(1.0, 1.0), 2.0)],
+# probes at tau <= 0.47 beside the columns x = 2..2.9, and the probe that
+# sets each run's window edge: tau = 0.7 at x = 0, or at x = 2 for the band
+_STRIP_PROBES = [(3.3, 2.9), (2.13, 2.0), (2.45, 2.0), (3.0, 2.53)]
+
+
+@pytest.mark.parametrize("pulse, edge", [(BoxPulse(1.0, 1.0), (0.7, 0.0)),
+                                         (SmoothBumpPulse(1.0, 2.0, 1.0),
+                                          (0.7, 0.0)),
+                                         (BoxPulse(1.0, 1.0), (2.7, 2.0))],
                          ids=["box", "bump", "band"])
-def test_strip_run_matches_full_run(pulse, x_min, tmp_path):
+def test_strip_run_matches_full_run(pulse, edge, tmp_path):
     full = simulate(pulse, t_max=5.0, x_max=4.0, h=0.01)
-    strip = simulate(pulse, t_max=5.0, x_max=4.0, h=0.01, tau_max=0.7,
-                     x_min=x_min)
-    rows = strip.nu + 3
-    j0 = strip.j0
-    assert strip.nu == 70 and rows < full.E.shape[0]
-    assert j0 == max(0, round(x_min / 0.01) - 1)
-    # every stored node with tau <= tau_max and x >= x_min, bit for bit
-    assert np.array_equal(strip.E, full.E[:rows, j0:])
-    assert np.array_equal(strip.N, full.N[:rows, j0:])
-    assert np.array_equal(strip.rho, full.rho[:rows, j0:])
-    for t, x in ((3.3, 2.9), (2.13, 2.0), (2.45, 2.0), (3.0, 2.53)):
-        assert strip.probe(t, x) == full.probe(t, x)
-    # rows u = 1..nu, row u covering the columns j <= min(nx, nt - u); the
+    win = simulate(pulse, t_max=5.0, x_max=4.0, h=0.01,
+                   probes=_STRIP_PROBES + [edge])
+    rows, cols = win.N.shape
+    # stencil rows 12 (tau = 0.13) to 72 (tau = 0.7), columns from one left
+    # of the edge probe's to 292 (x = 2.9)
+    j0 = 0 if edge[1] == 0.0 else 199
+    assert (win.u0, win.j0) == (12, j0)
+    assert (rows, cols) == (61, 293 - j0)
+    # every stored node, bit for bit: row u at index u + 2 of the full store
+    window = (slice(win.u0 + 2, win.u0 + 2 + rows), slice(j0, j0 + cols))
+    assert np.array_equal(win.E, full.E[window])
+    assert np.array_equal(win.N, full.N[window])
+    assert np.array_equal(win.rho, full.rho[window])
+    for t, x in _STRIP_PROBES + [edge]:
+        assert win.probe(t, x) == full.probe(t, x)
+    # rows u = 1..last, row u covering the columns j <= min(nx, nt - u); the
     # row u = 0 is initial data and stays trivial
     nt, nx = 500, 400
     assert full.invariants.node_updates == sum(min(nx, nt - u) + 1
                                                for u in range(1, nt + 1))
     assert full.invariants.node_updates == 120_300
-    assert strip.invariants.node_updates == sum(min(nx, nt - u) + 1
-                                                for u in range(1, 71))
-    for g in (full, strip):
-        assert not g.E[2].any() and not g.rho[2].any()
-        assert (g.N[2] == 1.0).all()
-    assert strip.invariants.causality_defect == 0.0
-    assert strip.invariants.conservation_defect \
+    assert win.invariants.node_updates == sum(min(nx, nt - u) + 1
+                                              for u in range(1, 73))
+    assert not full.E[2].any() and not full.rho[2].any()
+    assert (full.N[2] == 1.0).all()
+    assert win.invariants.causality_defect == 0.0
+    assert win.invariants.conservation_defect \
         <= full.invariants.conservation_defect
-    if x_min > 0:
+    with pytest.raises(OutOfDomain):
+        win.level(50)                    # no t-level is stored whole
+    with pytest.raises(OutOfDomain):
+        win.save_binary(tmp_path / "win.bin")
+    if j0 > 0:
         with pytest.raises(OutOfDomain):
-            strip.probe(2.3, x_min - 0.005)
+            win.probe(2.3, 1.995)        # left of the window
+    # probes the run cannot serve (causal, outside the rectangle, past
+    # t_max) store nothing, and probe() still raises for them
+    empty = simulate(pulse, t_max=2.0, x_max=1.0, h=0.01,
+                     probes=[(0.5, 1.0), (2.5, 1.0), (2.0, 0.5)])
+    assert empty.E.shape == (0, 0) and empty.invariants.node_updates == 0
+    ft = empty.probe(0.5, 1.0)
+    assert (ft.E, ft.N, ft.rho) == (0j, 1.0, 0j)
+    for t, x in ((1.5, 1.0), (2.5, 1.0), (2.0, 0.5)):
         with pytest.raises(OutOfDomain):
-            strip.level(50)              # inside the strip, left of x_min
-        # two stored columns: too narrow for any stencil, and no whole level
-        edge = simulate(pulse, t_max=2.0, x_max=1.0, h=0.01, x_min=1.0)
-        assert edge.E.shape == (203, 2)
-        with pytest.raises(OutOfDomain):
-            edge.probe(1.5, 1.0)
-        with pytest.raises(OutOfDomain):
-            edge.save_binary(tmp_path / "edge.bin")
+            empty.probe(t, x)
 
 
 def test_probe_past_tau_max_raises():
-    g = simulate(BoxPulse(1.0, 1.0), t_max=4.0, x_max=3.0, h=0.01, tau_max=0.5)
-    g.probe(3.0, 2.53)                   # tau = 0.47: stencil inside the strip
+    g = simulate(BoxPulse(1.0, 1.0), t_max=4.0, x_max=3.0, h=0.01,
+                 probes=[(3.0, 2.53)])
+    assert g.N.shape == (4, 4)           # one stencil
+    g.probe(3.0, 2.53)
+    # tau = 0.6 and 0.52 need rows past the last one marched
     for t, x in ((3.0, 2.4), (3.0, 2.48), (1.0, 0.0)):
         with pytest.raises(OutOfDomain):
             g.probe(t, x)
     with pytest.raises(OutOfDomain):
-        g.save_binary("unused.bin")      # the strip is not the whole rectangle
+        g.save_binary("unused.bin")      # the window is not the whole rectangle
 
 
 def test_strip_with_capture_column():
-    # a column probe is a strip probe with x_min at the column
+    # a column probe: the window of probes on the column x = 2
     g = simulate(BoxPulse(1.0, 1.0), t_max=4.0, x_max=3.0, h=0.01,
-                 tau_max=0.5, x_min=2.0)
+                 probes=[(t, 2.0) for t in (1.7, 2.13, 2.45)])
     full = simulate(BoxPulse(1.0, 1.0), t_max=4.0, x_max=3.0, h=0.01)
     for t in (1.7, 2.13, 2.45):
         assert g.probe(t, 2.0) == full.probe(t, 2.0)
     with pytest.raises(OutOfDomain):
         g.probe(2.49, 2.0)
+
+
+def test_probe_exact_at_last_columns():
+    # nodal probes at the four columns by the x_max edge, where the stencil
+    # is shifted inward and the offset leaves [0, 1)
+    g = simulate(BoxPulse(1.0, 1.0), t_max=4.0, x_max=2.0, h=0.01)
+    u = 50
+    for j in range(g.nx - 3, g.nx + 1):
+        ft = g.probe((u + j) * g.h, j * g.h)
+        assert ft.E == g.E[u + 2, j]
+        assert ft.N == g.N[u + 2, j]
+        assert ft.rho == g.rho[u + 2, j]
+
+
+_H = 0.01
+
+
+@pytest.fixture(scope="module")
+def full_runs():
+    """Whole-rectangle reference runs, shared by the drawn examples."""
+    return {kind: simulate(pulse, t_max=3.0, x_max=2.0, h=_H)
+            for kind, pulse in (("box", BoxPulse(1.0, 1.0)),
+                                ("bump", SmoothBumpPulse(1.0, 2.0, 1.0)))}
+
+
+# probes anywhere near the rectangle [0, 3] x [0, 2] (causal ones and ones
+# outside it included), on nodes, and within 1.5h of the box's jump rows
+_POINTS = st.one_of(
+    st.tuples(st.floats(-0.2, 3.2), st.floats(-0.2, 2.2)),
+    st.builds(lambda i, j: (i * _H, j * _H), st.integers(0, 300),
+              st.integers(0, 200)),
+    st.builds(lambda tau, k, x: (x + tau + k * _H, x),
+              st.sampled_from([0.0, 1.0]),
+              st.sampled_from([-1.5, -0.5, 0.0, 0.5, 1.5]),
+              st.floats(0.0, 2.0)))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(kind=st.sampled_from(["box", "bump"]),
+       probes=st.lists(_POINTS, min_size=1, max_size=6))
+def test_window_serves_its_probes_bit_for_bit(full_runs, kind, probes):
+    full = full_runs[kind]
+    win = simulate(full.pulse, t_max=3.0, x_max=2.0, h=_H, probes=probes)
+    served = []
+    for t, x in probes:
+        try:
+            want = full.probe(t, x)
+        except OutOfDomain:
+            with pytest.raises(OutOfDomain):
+                win.probe(t, x)
+            continue
+        assert win.probe(t, x) == want
+        if t > x:
+            served.append((t, x))
+    if not served:
+        assert win.N.size == 0
+        return
+    # the window is the stencils' bounding box: each of its edge rows and
+    # columns is read by some probe (NaN there reaches its result)
+    for edge in (np.s_[0], np.s_[-1], np.s_[:, 0], np.s_[:, -1]):
+        saved = win.N[edge].copy()
+        win.N[edge] = np.nan
+        assert any(np.isnan(win.probe(t, x).N) for t, x in served)
+        win.N[edge] = saved
 
 
 def test_defect_location(box_run):
@@ -187,21 +269,20 @@ def test_nonphysical_guard_trips_on_underresolved_run():
 
 
 def test_capture_columns_match_full(box_run):
-    # the columns x = 2 and x = 5 from one store cut at x_min = 2
-    g = simulate(BoxPulse(1.0, 1.0), t_max=8.0, x_max=8.0, h=0.005, x_min=2.0)
-    for x in (2.0, 5.0):
-        for t in (1.37, 4.92, 7.5):
-            a = g.probe(t, x)
-            b = box_run.probe(t, x)
-            assert abs(a.E - b.E) < 1e-12
-            assert abs(a.N - b.N) < 1e-12
+    # the columns x = 2 and x = 5 from one window
+    probes = [(t, x) for x in (2.0, 5.0) for t in (1.37, 4.92, 7.5)]
+    g = simulate(BoxPulse(1.0, 1.0), t_max=8.0, x_max=8.0, h=0.005,
+                 probes=probes)
+    for t, x in probes:
+        a = g.probe(t, x)
+        b = box_run.probe(t, x)
+        assert abs(a.E - b.E) < 1e-12
+        assert abs(a.N - b.N) < 1e-12
 
 
 def test_capture_window_matches_full(box_run):
-    # a window around the probes is a strip cut at x_min and tau_max
-    h = box_run.h
-    g = simulate(BoxPulse(1.0, 1.0), t_max=8.0, x_max=8.0, h=h,
-                 tau_max=2.6 + 3.0 * h, x_min=1.7)
+    g = simulate(BoxPulse(1.0, 1.0), t_max=8.0, x_max=8.0, h=box_run.h,
+                 probes=[(4.3, 1.7), (4.71, 3.33)])
     for (t, x) in ((4.3, 1.7), (4.71, 3.33)):
         a = g.probe(t, x)
         b = box_run.probe(t, x)
@@ -210,7 +291,7 @@ def test_capture_window_matches_full(box_run):
     with pytest.raises(OutOfDomain):
         g.probe(4.3, 1.0)   # left of the window
     with pytest.raises(OutOfDomain):
-        g.probe(7.0, 1.7)   # past the window's tau_max
+        g.probe(7.0, 1.7)   # past the window's last row
 
 
 def test_binary_round_trip(tmp_path, box_run):

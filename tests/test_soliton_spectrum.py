@@ -171,6 +171,20 @@ def test_box52_residue_closed_form(spec52):
     assert abs(spec.residues[0]) > 0
 
 
+@pytest.mark.parametrize("beta", [0.5, 2.0])
+def test_zeros_and_residues_scale_with_the_pulse(spec52, beta):
+    # b[beta E1(beta t)](k) = b[E1](k / beta) and likewise a, so
+    # BoxPulse(beta A, T / beta) has the zeros beta k_j, and with
+    # b'(k) scaled by 1 / beta the residues 1 / (a b') scale by beta
+    _, spec = spec52
+    box = tuple(beta * c for c in (-3.0, 3.0, 1e-4, 3.0))
+    scaled = find_zeros(ScatteringData(BoxPulse(5.0 * beta, 2.0 / beta)), box)
+    assert len(scaled) == len(spec) == 1
+    k, gamma = beta * spec.zeros[0], beta * spec.residues[0]
+    assert abs(scaled.zeros[0] - k) <= 1e-10 * abs(k)
+    assert abs(scaled.residues[0] - gamma) <= 1e-10 * abs(gamma)
+
+
 def test_box72_two_imaginary_zeros():
     sd = ScatteringData(BoxPulse(7.0, 2.0))
     spec = find_zeros(sd, (-4.0, 4.0, 1e-4, 4.0))

@@ -38,11 +38,16 @@ def test_traced_compare_counts_each_light_cone_point(tmp_path):
     with tracing.installed(tracer):
         assert main(["compare", "--config", str(cfg), "--out", str(tmp_path),
                      "--grid", "2.1:2.6:3,2:2.2:3"]) == 0
-    regions = [ln.split(",")[2] for ln in (tmp_path / "compare_points.csv")
-               .read_text().strip().split("\n")[1:]]
-    cone = sum(r.startswith("part") for r in regions)
+    rows = [ln.split(",") for ln in (tmp_path / "compare_points.csv")
+            .read_text().strip().split("\n")[1:]]
+    cone = sum(r[2].startswith("part") for r in rows)
     assert cone == 5
     assert tracer.counts["lightcone_asym.eval_lightcone.calls"] == cone
+    # one oracle run, sized from the points without probing them; then one
+    # probe per supported point
+    supported = sum(r[3] != "skipped" for r in rows)
+    assert tracer.counts["mb_oracle.simulate.calls"] == 1
+    assert tracer.counts["mb_oracle.probe.calls"] == supported
     assert tracer.counts["scattering.reflection_uhp.calls"] == 1
     assert tracer.counts["soliton_spectrum.find_zeros.calls"] == 0
 
