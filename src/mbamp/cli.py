@@ -26,6 +26,10 @@ from .scattering import ScatteringData
 from .soliton_spectrum import find_zeros
 
 SCHEMA_VERSION = 1
+_PULSES = {"box": BoxPulse, "power_start": PowerStartPulse,
+           "smooth_bump": SmoothBumpPulse}
+_ORACLE_KEYS = ("h", "t_max", "x_max", "nonphysical_tol")  # the last optional
+_GRID_KEYS = ("t0", "t1", "nt", "x0", "x1", "nx")
 
 
 def _fmt(v: float) -> str:
@@ -47,14 +51,29 @@ class RunConfig:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        # checked on construction: some commands never read the bands or
-        # the tolerances, and the zero search runs only for tail points
-        for name, known in (("tolerances", Tolerances), ("bands", BandParams)):
-            _check_keys(getattr(self, name), known, f"config '{name}'")
+        # checked on construction: some commands never read the bands, the
+        # tolerances or the oracle, and the zero search runs only for tail
+        # points
         for name in ("pulse", "tolerances", "bands", "oracle", "grid"):
             if name != "grid" or self.grid is not None:
                 _check_numbers(getattr(self, name), f"config '{name}'")
-        for axis, spec in _as_object(self.kgrid, "config 'kgrid'").items():
+        kind = self.pulse.get("kind")
+        cls = _PULSES.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise ValueError(f"unknown pulse kind {kind!r}")
+        slots = [f.name for f in fields(cls) if f.name != "amplitude"]
+        _check_keys(self.pulse, ["kind", "amplitude_re", "amplitude_im"]
+                    + slots, "config 'pulse'",
+                    required=["amplitude_re"] + slots)
+        _check_keys(self.tolerances, [f.name for f in fields(Tolerances)],
+                    "config 'tolerances'")
+        _check_keys(self.bands, ["sigma"], "config 'bands'")
+        _check_keys(self.oracle, _ORACLE_KEYS, "config 'oracle'")
+        if self.grid is not None:
+            _check_keys(self.grid, _GRID_KEYS, "config 'grid'",
+                        required=_GRID_KEYS)
+        _check_keys(self.kgrid, ["re", "imag"], "config 'kgrid'")
+        for axis, spec in self.kgrid.items():
             if spec and not (isinstance(spec, list) and len(spec) == 3
                              and all(map(_is_number, spec))):
                 raise ValueError(f"bad kgrid '{axis}' {spec!r}: expected "
@@ -75,9 +94,8 @@ class RunConfig:
     def load(cls, path) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        _check_keys(raw, cls, "config")
-        if "pulse" not in raw:
-            raise ValueError("config has no 'pulse'")
+        _check_keys(raw, [f.name for f in fields(cls)], "config",
+                    required=["pulse"])
         version = raw.pop("schema_version", None)
         if version != SCHEMA_VERSION:
             raise ValueError(f"config schema_version {version} unsupported "
@@ -91,27 +109,23 @@ class RunConfig:
 
     def make_pulse(self):
         spec = dict(self.pulse)
-        kind = spec.pop("kind")
+        cls = _PULSES[spec.pop("kind")]
         amp = complex(spec.pop("amplitude_re"), spec.pop("amplitude_im", 0.0))
         if amp == 0:
             raise ValueError("pulse must be nontrivial (amplitude != 0)")
-        if kind == "box":
-            return BoxPulse(amp, spec["support"])
-        if kind == "power_start":
-            return PowerStartPulse(amp, spec["start_exponent"], spec["support"])
-        if kind == "smooth_bump":
-            return SmoothBumpPulse(amp, spec["start_exponent"], spec["support"])
-        raise ValueError(f"unknown pulse kind '{kind}'")
+        return cls(amplitude=amp, **spec)
 
     def make_tolerances(self) -> Tolerances:
         return Tolerances(**self.tolerances)
 
     def make_bands(self, pulse) -> BandParams:
-        spec = dict(self.bands)
-        order = spec.pop("tail_order", None)
-        if order is None:
-            order = float(pulse.start_exponent)
-        return BandParams(tail_order=order, **spec)
+        return BandParams(tail_order=float(pulse.start_exponent), **self.bands)
+
+    def oracle_args(self) -> dict:
+        """Keyword arguments of mb_oracle.simulate from 'oracle'."""
+        _check_keys(self.oracle, _ORACLE_KEYS, "config 'oracle'",
+                    required=_ORACLE_KEYS[:-1])
+        return dict(self.oracle)
 
     def grid_points(self):
         g = self.grid
@@ -144,14 +158,17 @@ def _check_numbers(spec, what: str):
             f"{k!r}: {spec[k]!r}" for k in bad))
 
 
-def _check_keys(spec, cls, what: str):
-    """ValueError unless ``spec`` is a JSON object whose keys all name
-    fields of the dataclass ``cls``."""
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(_as_object(spec, what)) - known)
+def _check_keys(spec, known, what: str, required=()):
+    """ValueError unless ``spec`` is a JSON object whose keys are all in
+    ``known`` and include all of ``required``."""
+    unknown = sorted(set(_as_object(spec, what)) - set(known))
     if unknown:
         raise ValueError(f"unknown key(s) in {what}: "
                          + ", ".join(map(repr, unknown)))
+    missing = [k for k in required if k not in spec]
+    if missing:
+        raise ValueError(f"{what} lacks key(s) "
+                         + ", ".join(map(repr, missing)))
 
 
 def _parse_grid(text: str) -> dict:
@@ -297,13 +314,11 @@ def cmd_regions(cfg: RunConfig, out: Path) -> int:
 
 def cmd_simulate(cfg: RunConfig, out: Path, slice_t: float | None) -> int:
     pulse = cfg.make_pulse()
-    o = cfg.oracle
+    o = cfg.oracle_args()
     if slice_t is not None and not 0.0 <= slice_t <= o["t_max"]:
         raise ValueError(f"--slice-t {slice_t} outside [0, t_max = "
                          f"{o['t_max']}]")
-    grid = mb_oracle.simulate(
-        pulse, t_max=o["t_max"], x_max=o["x_max"], h=o["h"],
-        nonphysical_tol=o.get("nonphysical_tol", 1e-4))
+    grid = mb_oracle.simulate(pulse, **o)
     grid.save_binary(out / "grid.bin")
     _write_json(out / "invariants.json", asdict(grid.invariants))
     if slice_t is not None:
@@ -320,11 +335,8 @@ def cmd_compare(cfg: RunConfig, out: Path) -> int:
     pulse = cfg.make_pulse()
     sd = ScatteringData(pulse, cfg.make_tolerances())
     params = cfg.make_bands(pulse)
-    o = cfg.oracle
     points = cfg.grid_points()
-    grid = mb_oracle.simulate(
-        pulse, t_max=o["t_max"], x_max=o["x_max"], h=o["h"],
-        nonphysical_tol=o.get("nonphysical_tol", 1e-4), probes=points)
+    grid = mb_oracle.simulate(pulse, **cfg.oracle_args(), probes=points)
 
     # only points the oracle can probe are evaluated, so a point outside
     # its grid cannot fail the command

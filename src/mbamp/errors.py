@@ -39,10 +39,6 @@ class DivisionNearZero(MbampError):
     """Reflection coefficient requested too close to a zero of a(k)."""
 
 
-class FitRejected(MbampError):
-    """Power-law tail fit of r residual exceeds the acceptance threshold."""
-
-
 class AssumptionViolated(MbampError):
     """Zero configuration breaks simplicity / distinct-moduli requirements."""
 

@@ -186,15 +186,14 @@ def peak_seed(x: float, n: int, m: float, c_abs: float) -> float:
 
 
 def solve_peak_y(x: float, n: int, sd: ScatteringData,
-                 tail_order: float | None = None,
                  tol: float = 1e-12) -> float:
     """Zero of the n-th pulse phase in the variable y = sqrt(x(t-x)).
 
-    Newton from the log-inversion seed; the derivative uses the fitted
-    power-law slope of the reflection tail.
+    Newton from the log-inversion seed; the derivative uses the power-law
+    slope m of the reflection tail.
     """
     fit = sd.tail_fit()
-    m = tail_order if tail_order is not None else float(fit.order)
+    m = fit.order
 
     def theta_of_y(y: float) -> float:
         k0 = x / (2.0 * y)
@@ -215,12 +214,11 @@ def solve_peak_y(x: float, n: int, sd: ScatteringData,
 
 
 def predict_peaks(x: float, n: int, sd: ScatteringData,
-                  tail_order: float | None = None,
                   tol: float = 1e-12) -> float:
     """Time of the n-th pulse peak at distance x: the zero of its phase.
 
     The returned time carries the floating-point representation noise of
     x + y^2/x; for precision work at very large x use solve_peak_y.
     """
-    y = solve_peak_y(x, n, sd, tail_order, tol)
+    y = solve_peak_y(x, n, sd, tol)
     return x + y * y / x

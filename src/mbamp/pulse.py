@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,7 +29,7 @@ class BoxPulse:
     amplitude: complex
     support: float
 
-    start_exponent: float = 1.0
+    start_exponent: ClassVar[float] = 1.0
 
     def __post_init__(self):
         _validate(self.amplitude, self.support)

@@ -4,19 +4,20 @@ The time-equation Jost solution is fixed by its value at the support end T
 and integrated backward to t = 0.  Working with the gauge-rescaled second
 column (psi = column * e^{-ikt}) keeps every coefficient bounded by
 max(2|k|, |E|/2), so the integration is well conditioned on the whole closed
-upper half-plane, including far up the imaginary axis where the reflection
-tail is fitted.
+upper half-plane, including far up the imaginary axis, where the power-law
+reflection tail takes over.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisionNearZero, FitRejected, Overflow
+from .errors import DivisionNearZero, Overflow
 from .numerics import Tolerances, ode_advance
 from .pulse import Pulse
 
@@ -27,27 +28,24 @@ _CHEB_MAX_N = 4096      # node cap of the real-line interpolant (n + 1 nodes)
 _SCAN_POINTS = 8193     # uniform scan for the minima of |b|
 _REAL_ZERO_TOL = 1e-8   # polished |b| below which a scan minimum is a zero
 CACHE_HALFWIDTH = 20.0      # the real-line interpolant covers [-K, K]
-_KAPPA_MODEL_SWITCH = 40.0  # |k| past which reflection_uhp uses the tail fit
+_KAPPA_MODEL_SWITCH = 40.0  # |k| on the i-axis past which r is the tail model
 GROWTH_GUARD = 600.0        # largest T*|Im k| a Jost solve accepts
-_FIT_KAPPAS = np.geomspace(10.0, 40.0, 13)   # tail-fit window on the i-axis
-_FIT_RESIDUAL_TOL = 0.08    # largest rms log-log residual of a power law
 
 
 @dataclass(frozen=True)
 class TailFit:
-    """Power-law model r(k) ~ constant * k^(-order) for large |k|, Im k >= 0."""
+    """Power-law model r(k) ~ constant * k^(-order) far up the imaginary
+    axis."""
 
     order: float
     constant: complex
-    residual: float     # rms residual of the log-log fit
 
 
 class ScatteringData:
     """Evaluators for a(k), b(k), r(k) = b/a and derived quantities.
 
-    Evaluations at distinct k are independent; the real-line cache and the
-    tail fit are built once, under a lock, on first use and are read-only
-    afterwards.
+    Evaluations at distinct k are independent; the real-line cache is
+    built once, under a lock, on first use and is read-only afterwards.
     """
 
     def __init__(self, pulse: Pulse, tol: Tolerances | None = None):
@@ -56,7 +54,6 @@ class ScatteringData:
         # (nodes, weights, [a b 1] at nodes, real zeros of b in [-K, K])
         self._cache = None
         self.cache_tail = None   # achieved Chebyshev tail of the cache
-        self._tail_fit = None
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ ODE
@@ -165,62 +162,29 @@ class ScatteringData:
         zeros = self._cache_arrays()[3]
         return zeros[(zeros > -k0) & (zeros < k0)].tolist()
 
-    # ------------------------------------------------------------ tail fit
+    # ---------------------------------------------------------- tail model
 
     def tail_fit(self) -> TailFit:
-        """Fit r(i kappa) ~ C (i kappa)^(-m) by log-log regression over the
-        window _FIT_KAPPAS; built once, under the lock.
-
-        Raises FitRejected when the residual shows the reflection tail is not
-        a clean power law (pulse without a power-law start).
-        """
-        with self._lock:
-            if self._tail_fit is not None:
-                return self._tail_fit
-            kappas = _FIT_KAPPAS
-            a, b = self.ab_many(1j * kappas)
-            r = b / a
-            mags = np.abs(r)
-            if np.any(mags == 0.0):
-                raise FitRejected("reflection vanishes on the fit ray")
-            # ln|r| = ln|C| - m ln(kappa) + c/kappa: the correction column
-            # models exactly the next-order term the power-law hypothesis
-            # allows, and removes the slope bias it would otherwise cause at
-            # finite kappa.
-            x = np.log(kappas)
-            y = np.log(mags)
-            design = np.column_stack([np.ones_like(x), x, 1.0 / kappas])
-            coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-            m_fit = -float(coef[1])
-            resid = float(np.sqrt(np.mean((y - design @ coef) ** 2)))
-            if resid > _FIT_RESIDUAL_TOL:
-                raise FitRejected(
-                    f"log-log residual {resid:.3f} exceeds {_FIT_RESIDUAL_TOL}; "
-                    "reflection tail is not a power law")
-            # leading constant read off at the far end of the window, where
-            # the next-order correction is smallest
-            far = kappas >= kappas[kappas.size // 2]
-            c_vals = (r * (1j * kappas) ** m_fit)[far] \
-                / np.exp(coef[2] / kappas[far])
-            constant = complex(np.mean(c_vals))
-            self._tail_fit = TailFit(order=m_fit, constant=constant,
-                                     residual=resid)
-            logger.debug("tail fit: m=%.4f C=%s residual=%.2e",
-                         m_fit, constant, resid)
-            return self._tail_fit
+        """r(k) ~ C k^(-m) for a pulse starting as c1 t^(m-1): the first Born
+        term gives b ~ (c1/2) Gamma(m) (-2ik)^(-m), and a -> 1."""
+        m = float(self.pulse.start_exponent)
+        c1 = complex(self.pulse.amplitude)
+        return TailFit(order=m,
+                       constant=0.5 * c1 * math.gamma(m) * (-2j) ** -m)
 
     def reflection_uhp(self, k):
         """r(k) anywhere in the closed upper half-plane: Python complex for
         a scalar, an array of the same shape for an array.
 
-        Direct integration up to |k| = _KAPPA_MODEL_SWITCH, all such points
-        in one batched solve; beyond that the fitted power-law tail (the
-        direct values degrade only through the smallness of b, but the model
-        is cheaper and smooth at huge k).
+        Points on the imaginary axis past |k| = _KAPPA_MODEL_SWITCH take
+        the power-law tail (the direct values degrade only through the
+        smallness of b, but the model is cheaper and smooth at huge k); all
+        others go into one batched direct solve.  Off the axis the far-end
+        term e^{2ikT} of b does not decay, and the model does not hold.
         """
         ks = np.asarray(k, dtype=complex)
         r = np.empty_like(ks)
-        near = np.abs(ks) <= _KAPPA_MODEL_SWITCH
+        near = (ks.real != 0.0) | (np.abs(ks) <= _KAPPA_MODEL_SWITCH)
         if near.any():
             a, b = self.ab_many(ks[near])
             small = np.flatnonzero(np.abs(a) < 1e-12)

@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mbamp.cli import RunConfig, main
-from mbamp.lightcone_asym import BandParams
 from mbamp.numerics import Tolerances
 
 BOX52 = {
@@ -23,6 +22,8 @@ BOX52 = {
     "kgrid": {"re": [-3.0, 3.0, 25]},
     "search_box": [-3.0, 3.0, 1e-4, 3.0],
 }
+BUMP = {**BOX52, "pulse": {"kind": "smooth_bump", "amplitude_re": 1.0,
+                           "start_exponent": 2.0, "support": 1.0}}
 
 
 def write_cfg(tmp_path, extra=None, name="cfg.json"):
@@ -143,6 +144,20 @@ def test_simulate_and_compare(tmp_path):
     assert (out / "compare_summary.csv").exists()
 
 
+def test_compare_past_the_tail_switch_matches_the_oracle(tmp_path):
+    # k0 = 42.8 > 40: r(i k0) comes from the tail model, and E agrees with
+    # the oracle far inside the part1 error scale 1/k0
+    path = write_cfg(tmp_path, {
+        "pulse": {"kind": "box", "amplitude_re": 1.0, "support": 1.0},
+        "oracle": {"h": 0.01, "t_max": 2.7, "x_max": 2.3}})
+    assert main(["compare", "--config", str(path), "--out", str(tmp_path),
+                 "--grid", "2.2003:2.2003:1,2.2:2.2:1"]) == 0
+    row = (tmp_path / "compare_points.csv").read_text().split("\n")[1]
+    region, status, e_dev = row.split(",")[2:5]
+    assert (region, status) == ("part1", "ok")
+    assert float(e_dev) <= 1e-6
+
+
 @pytest.mark.parametrize("slice_t", ["50", "-3"])
 def test_slice_outside_the_run_is_a_usage_error(tmp_path, capsys, slice_t):
     path = write_cfg(tmp_path, {
@@ -236,29 +251,40 @@ def test_bad_search_box_is_a_usage_error(tmp_path, capsys, box, command):
     assert "usage error" in capsys.readouterr().err
 
 
-def _with_unknown_key(section, known):
-    """BOX52 plus one drawn key that ``known`` lacks, at the top level
-    (section None) or inside ``section``; returns (config, key)."""
-    names = {f.name for f in fields(known)}
+def _with_key(section, key, base=BOX52):
+    """``base`` with ``key`` set to 1.0 at the top level (section None) or
+    inside ``section``; returns (config, key)."""
+    cfg = json.loads(json.dumps(base))
+    (cfg if section is None else cfg.setdefault(section, {}))[key] = 1.0
+    return cfg, key
 
-    def build(key):
-        cfg = dict(BOX52)
-        if section is None:
-            cfg[key] = 1.0
-        else:
-            cfg[section] = {key: 1.0}
-        return cfg, key
 
-    return st.text(max_size=12).filter(lambda k: k not in names).map(build)
+def _with_unknown_key(section, names, base=BOX52):
+    """``base`` plus one drawn key that is not in ``names``."""
+    return st.text(max_size=12).filter(lambda k: k not in names).map(
+        lambda key: _with_key(section, key, base))
+
+
+_GRID_KEYS = ("t0", "t1", "nt", "x0", "x1", "nx")
 
 
 @settings(max_examples=50, deadline=None, database=None)
-@given(case=st.one_of(_with_unknown_key(None, RunConfig),
-                      _with_unknown_key("tolerances", Tolerances),
-                      _with_unknown_key("bands", BandParams)))
+@given(case=st.one_of(
+    _with_unknown_key(None, [f.name for f in fields(RunConfig)]),
+    _with_unknown_key("tolerances", [f.name for f in fields(Tolerances)]),
+    _with_unknown_key("bands", ["sigma"]),
+    _with_unknown_key("pulse", BOX52["pulse"]),
+    _with_unknown_key("pulse", BUMP["pulse"], BUMP),
+    _with_unknown_key("oracle", CONE_ORACLE),
+    _with_unknown_key("grid", _GRID_KEYS),
+    _with_unknown_key("kgrid", ["re", "imag"])))
 @example(case=([1, 2], None))
 @example(case=(3, None))
 @example(case=(None, None))
+@example(case=_with_key("bands", "tail_order"))
+@example(case=_with_key("pulse", "start_exponent"))
+@example(case=_with_key("oracle", "nonphysicl_tol"))
+@example(case=_with_key("kgrid", "real"))
 def test_unknown_config_keys_are_usage_errors(tmp_path_factory, case):
     raw, key = case
     work = tmp_path_factory.mktemp("cfg")
@@ -275,14 +301,32 @@ def test_unknown_config_keys_are_usage_errors(tmp_path_factory, case):
         assert repr(key) in err.getvalue()
 
 
+@pytest.mark.parametrize("command, raw, what", [
+    ("simulate", {**BOX52, "oracle": {"h": 0.01, "x_max": 1.0}},
+     "config 'oracle' lacks key(s) 't_max'"),
+    ("compare", BOX52, "config 'oracle' lacks key(s) 'h', 't_max', 'x_max'"),
+    ("scatter", {**BUMP, "pulse": {"kind": "smooth_bump", "support": 1.0,
+                                   "amplitude_re": 1.0}},
+     "config 'pulse' lacks key(s) 'start_exponent'"),
+    ("regions", {**BOX52, "grid": {k: 1 for k in _GRID_KEYS[1:]}},
+     "config 'grid' lacks key(s) 't0'")])
+def test_missing_config_keys_name_their_section(tmp_path, capsys, command,
+                                                raw, what):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(tmp_path),
+                 "--grid", CONE_GRID]) == 2
+    assert what in capsys.readouterr().err
+
+
 # every config value the CLI reads as a number, as (section, key); a section
 # of None is the top level
 _NUMBER_SLOTS = ([("pulse", k) for k in ("amplitude_re", "amplitude_im",
                                          "support", "start_exponent")]
                  + [("tolerances", f.name) for f in fields(Tolerances)]
-                 + [("bands", f.name) for f in fields(BandParams)]
+                 + [("bands", "sigma")]
                  + [("oracle", k) for k in CONE_ORACLE]
-                 + [("grid", k) for k in ("t0", "t1", "nt", "x0", "x1", "nx")]
+                 + [("grid", k) for k in _GRID_KEYS]
                  + [(None, "match_eps")])
 _NOT_NUMBERS = st.one_of(
     st.text(max_size=8), st.booleans(),

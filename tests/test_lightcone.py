@@ -247,6 +247,6 @@ def test_peak_seed_on_an_empty_band_raises_no_root():
 def test_solve_peak_y_leaving_its_band_raises_no_root():
     # |r| = 1e-300 puts the pulse phase near -690 at the seed, so the first
     # Newton step is far longer than half of y
-    sd = _StubScattering(1e-300, TailFit(order=2.0, constant=1.0, residual=0.0))
+    sd = _StubScattering(1e-300, TailFit(order=2.0, constant=1.0))
     with pytest.raises(NoRoot, match="left the band"):
         solve_peak_y(math.exp(10.0), 0, sd)

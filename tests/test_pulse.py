@@ -69,6 +69,12 @@ def test_start_exponent_exceeds_one():
         SmoothBumpPulse(1.0, 0.5, 1.0)
 
 
+def test_box_start_exponent_is_not_an_init_field():
+    assert BoxPulse(5.0, 2.0).start_exponent == 1.0
+    with pytest.raises(TypeError):
+        BoxPulse(5.0, 2.0, 3.0)
+
+
 def test_box_jump_list():
     p = BoxPulse(2.0, 1.5)
     assert p.jumps() == ((0.0, 2.0 + 0j), (1.5, -2.0 - 0j))

@@ -52,6 +52,27 @@ def test_traced_compare_counts_each_light_cone_point(tmp_path):
     assert tracer.counts["soliton_spectrum.find_zeros.calls"] == 0
 
 
+def test_traced_compare_past_the_tail_switch_solves_once(tmp_path):
+    # k0 = 42.8 > 40 takes r from the tail model, which solves nothing: the
+    # one batched solve is that of the other cone point
+    tracing = load_tracing()
+    from mbamp.cli import main
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1,
+        "pulse": {"kind": "box", "amplitude_re": 1.0, "support": 1.0},
+        "oracle": {"h": 0.01, "t_max": 2.7, "x_max": 2.3}}))
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path),
+                     "--grid", "2.2003:2.3:2,2.2:2.2:1"]) == 0
+    regions = [ln.split(",")[2] for ln in (tmp_path / "compare_points.csv")
+               .read_text().strip().split("\n")[1:]]
+    assert regions == ["part1", "part1"]
+    assert tracer.counts["scattering.tail_fit.calls"] >= 1
+    assert tracer.counts["scattering.ab_many.calls"] == 1
+
+
 def test_traced_default_box_zeros_builds_no_cache(tmp_path):
     # the default search box is a constant: the bump's zero search makes
     # only the winding count's 2 solves and never builds the real-line cache
