@@ -18,13 +18,14 @@ at tau = 0 and T) travels along its row, which holds the left limit: the
 step leaving the row reads row + jump, and a probe's stencil stays on its
 side of the row.
 
-Row u + 1 covers the columns j <= min(nx, nt - u - 1) (t <= t_max).  The
-store keeps (u, j) = (tau/h, x/h).  Without probes it is the whole
-rectangle, shape (nt + 3, nx + 1), row u at index u + 2 (two trivial pad
-rows), row u = 0 the initial data.  Given probes, it is exactly the (u, j)
-bounding box of their bicubic stencils and the march stops at its last row;
-a probe the run cannot serve (causal, outside the rectangle, or with a
-stencil past t_max) is left out.
+Row u + 1 covers the columns j <= min(nx, nt - u - 1) (t <= t_max), and the
+store keeps no more: its ragged row r, u = u0 + r, holds (u, j) = (tau/h,
+x/h) for j = j0 .. min(j1, nt - u) from start[r] of the flat E, N and rho,
+and SimGrid.at is the one accessor.  Without probes, u = -2 .. nt (two
+trivial pad rows, then the initial data u = 0) and j = 0 .. nx.  Given
+probes, (u, j) spans the bounding box of their bicubic stencils and the
+march stops at its last row; a probe the run cannot serve (causal, outside
+the rectangle, or with a stencil past t_max) is left out.
 """
 
 from __future__ import annotations
@@ -88,9 +89,7 @@ class SimGrid:
         self.invariants: InvariantReport | None = None
         self.whole = probes is None
         if self.whole:
-            # (u0, j0): the (u, j) of the store's first row and column
-            self.u0, self.j0 = -2, 0
-            shape = (self.nt + 3, self.nx + 1)
+            self.u0, u1, self.j0, j1 = -2, self.nt, 0, self.nx
         else:
             corners = []
             for t, x in probes:
@@ -99,40 +98,51 @@ class SimGrid:
                     corners += [st[:2]] if st else []
             rows, cols = zip(*corners) if corners else ((0,), (0,))
             self.u0, self.j0 = min(rows), min(cols)
-            shape = ((max(rows) + 4 - self.u0, max(cols) + 4 - self.j0)
-                     if corners else (0, 0))
-        bytes_needed = (16 + 16 + 8) * shape[0] * shape[1]
+            u1, j1 = (max(rows) + 3, max(cols) + 3) if corners else (-1, 0)
+        u = np.arange(self.u0, u1 + 1)
+        self.lens = np.maximum(np.minimum(j1, self.nt - u) - self.j0 + 1, 0)
+        self.start = np.concatenate([[0], np.cumsum(self.lens)])
+        bytes_needed = (16 + 16 + 8) * int(self.start[-1])
         if bytes_needed > 3e9:
             raise CFLViolation(
                 f"storage would need {bytes_needed / 1e9:.1f} GB; "
                 "pass probes for runs this large")
-        self.E, self.N, self.rho = _trivial(shape)
+        self.E, self.N, self.rho = _trivial(self.start[-1])
+
+    def at(self, r, c):
+        """E, N, rho at store rows ``r`` and column offsets ``c`` (integer
+        arrays that broadcast; c < lens[r]): the nodes (u0 + r, j0 + c)."""
+        if not np.all(c < self.lens[r]):
+            raise IndexError("column offset past the stored row")
+        k = self.start[r] + c
+        return self.E[k], self.N[k], self.rho[k]
 
     def level(self, i):
         """E, N, rho over all x at the t-levels ``i`` (an int or an array of
         them) of a run that stores the whole rectangle: t-level i at column
-        j is row u = i - j, stored at index u + 2, and past the cone (u < 0)
-        the index lands on the trivial pad rows 0 and 1."""
+        j is row u = i - j, store row u + 2.  Past the cone (u < -1) it reads
+        the trivial node (-2, 0), which every whole run stores."""
         i = np.asarray(i)
         if not (self.whole and 0 <= i.min() and i.max() <= self.nt):
             raise OutOfDomain(f"t-level {i} is not stored whole")
         j = np.arange(self.nx + 1)
-        u = np.maximum(i[..., None] - j + 2, 0)
-        return self.E[u, j], self.N[u, j], self.rho[u, j]
+        r = np.maximum(i[..., None] - j + 2, 0)
+        return self.at(r, np.where(r > 0, j, 0))
 
     # --- probing --------------------------------------------------------
 
     def _stencil(self, t: float, x: float):
         """Row s0 and column c0 where the bicubic stencil of (t, x) starts
         (it spans s0..s0 + 3, c0..c0 + 3), the offsets of (t, x) from row
-        s0 + 1 and column c0 + 1, and the jump row s0 reads; None if t <= x.
-        OutOfDomain where (t, x) or the stencil leaves the rectangle."""
+        s0 + 1 and column c0 + 1, and the jump row s0 reads; None if t <= x
+        or tau = t - x snaps onto the trivial row u = 0.  OutOfDomain where
+        (t, x) or the stencil leaves the rectangle."""
         if not (0.0 <= t <= self.t_max + 1e-9
                 and 0.0 <= x <= self.x_max + 1e-9):
             raise OutOfDomain(f"({t}, {x}) outside the stored rectangle")
-        if t <= x:
-            return None
         u0, fu = _split((t - x) / self.h)
+        if u0 + fu <= 0:
+            return None
         v0, fv = _split(x / self.h)
         # at the edge columns the stencil moves inward, f leaves [0, 1]
         c0 = min(max(v0, 1), self.nx - 2) - 1
@@ -159,16 +169,15 @@ class SimGrid:
             return FieldTriple(E=0j, N=1.0, rho=0j)
         s0, c0, fu, fv, jump = st
         i, j = s0 - self.u0, c0 - self.j0
-        if min(i, j) < 0 or i + 4 > self.N.shape[0] or j + 4 > self.N.shape[1]:
+        if (min(i, j) < 0 or i + 4 > self.lens.size
+                or j + 4 > self.lens[i:i + 4].min()):
             raise OutOfDomain(f"({t}, {x}): the stencil is outside the "
                               "stored window")
-        idx = (slice(i, i + 4), slice(j, j + 4))
-        E = self.E[idx]
+        E, N, rho = self.at(np.arange(i, i + 4)[:, None], np.arange(j, j + 4))
         if jump:
-            E = E.copy()
             E[0] += jump
         wu, wv = _cubic_weights(fu), _cubic_weights(fv)
-        e, n, r = (wu @ arr @ wv for arr in (E, self.N[idx], self.rho[idx]))
+        e, n, r = (wu @ arr @ wv for arr in (E, N, rho))
         return FieldTriple(E=complex(e), N=float(np.real(n)), rho=complex(r))
 
     # --- serialization ----------------------------------------------------
@@ -247,7 +256,6 @@ def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
         raise CFLViolation(f"h = {h} exceeds 0.02*min(1, T) = {0.02 * min(1.0, T)}")
     grid = SimGrid(pulse, h, t_max, x_max, probes)
     nt, nx, u0, j0 = grid.nt, grid.nx, grid.u0, grid.j0
-    rows, cols = grid.N.shape
     half_h = 0.5 * h
     # row u = 0: the initial data, left limits at tau = 0
     E, N, rho = _trivial(nx + 1)
@@ -256,7 +264,7 @@ def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
     defect_tx = None
     updates = 0
 
-    for u in range(max(0, u0 + rows - 1)):
+    for u in range(max(0, u0 + grid.lens.size - 1)):
         m = min(nx, nt - u - 1) + 1     # columns of row u + 1
         # pulse() returns left limits at interior jump times (closed
         # support), the stored-value convention
@@ -278,10 +286,10 @@ def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
         N = N0 + half_h * (k1n - (np.conj(Ec) * rho_s).real)
         E = _trapezoid(e1, rho, half_h)
 
-        if u + 1 >= u0:             # a window's columns all lie in the row
-            hi = min(m, j0 + cols)
+        if u + 1 >= u0:             # j1 <= nx, so lens[r] <= m - j0
+            r = u + 1 - u0
             for arr, f in zip((grid.E, grid.N, grid.rho), (E, N, rho)):
-                arr[u + 1 - u0, :hi - j0] = f[j0:hi]
+                arr[grid.start[r]:grid.start[r + 1]] = f[j0:j0 + grid.lens[r]]
         updates += m
 
         defect = np.abs(N * N + np.abs(rho) ** 2 - 1.0)
@@ -296,7 +304,7 @@ def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
                     f"exceeds the guard {nonphysical_tol:.1e}")
 
     # the stored rows tau <= 0 are never marched and must stay trivial
-    pre = slice(0, max(0, 1 - u0))
+    pre = slice(0, grid.start[np.clip(1 - u0, 0, grid.lens.size)])
     caus_defect = float(max(np.abs(grid.E[pre]).max(initial=0.0),
                             np.abs(grid.rho[pre]).max(initial=0.0),
                             np.abs(grid.N[pre] - 1.0).max(initial=0.0)))

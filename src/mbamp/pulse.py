@@ -45,6 +45,10 @@ class BoxPulse:
         return ((0.0, complex(self.amplitude)),
                 (self.support, -complex(self.amplitude)))
 
+    def start_terms(self) -> tuple[tuple[complex, float], ...]:
+        """(c, p) pairs with E(t) = sum c t^(p-1) as t -> 0+."""
+        return ((complex(self.amplitude), 1.0),)
+
 
 @dataclass(frozen=True)
 class PowerStartPulse:
@@ -71,6 +75,12 @@ class PowerStartPulse:
 
     def jumps(self) -> tuple[tuple[float, complex], ...]:
         return ()
+
+    def start_terms(self) -> tuple[tuple[complex, float], ...]:
+        """The whole polynomial, c1 t^(m-1) (1 - t/T)^3 expanded in t."""
+        return tuple((complex(self.amplitude) * math.comb(3, n)
+                      * (-1.0 / self.support) ** n, self.start_exponent + n)
+                     for n in range(4))
 
 
 @dataclass(frozen=True)
@@ -104,6 +114,9 @@ class SmoothBumpPulse:
 
     def jumps(self) -> tuple[tuple[float, complex], ...]:
         return ()
+
+    def start_terms(self) -> tuple[tuple[complex, float], ...]:
+        return ((complex(self.amplitude), float(self.start_exponent)),)
 
 
 Pulse = BoxPulse | PowerStartPulse | SmoothBumpPulse

@@ -167,10 +167,13 @@ class ScatteringData:
     def tail_fit(self) -> TailFit:
         """r(k) ~ C k^(-m) for a pulse starting as c1 t^(m-1): the first Born
         term gives b ~ (c1/2) Gamma(m) (-2ik)^(-m), and a -> 1."""
-        m = float(self.pulse.start_exponent)
-        c1 = complex(self.pulse.amplitude)
-        return TailFit(order=m,
-                       constant=0.5 * c1 * math.gamma(m) * (-2j) ** -m)
+        return self._tail_terms()[0]
+
+    def _tail_terms(self) -> list[TailFit]:
+        """The first Born term of each of the pulse's start terms c t^(p-1);
+        their sum is r far up the imaginary axis."""
+        return [TailFit(order=p, constant=0.5 * c * math.gamma(p) * (-2j) ** -p)
+                for c, p in self.pulse.start_terms()]
 
     def reflection_uhp(self, k):
         """r(k) anywhere in the closed upper half-plane: Python complex for
@@ -194,9 +197,10 @@ class ScatteringData:
                                        f"{abs(a[j]):.2e}; near a zero of a")
             r[near] = b / a
         if not near.all():
-            fit = self.tail_fit()
-            r[~near] = [fit.constant * complex(kj) ** (-fit.order)
-                        for kj in ks[~near]]
+            self.tail_fit()     # the leading term: the tail model's trace span
+            terms = self._tail_terms()
+            r[~near] = [sum(f.constant * kj ** -f.order for f in terms)
+                        for kj in map(complex, ks[~near])]
         return complex(r) if r.ndim == 0 else r
 
 

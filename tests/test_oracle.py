@@ -1,5 +1,7 @@
 """Direct integrator: causality, Bloch-sphere defect, convergence, probing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,12 @@ from hypothesis import strategies as st
 from mbamp.errors import CFLViolation, NonPhysical, OutOfDomain
 from mbamp.mb_oracle import load_binary, simulate
 from mbamp.pulse import BoxPulse, SmoothBumpPulse
+
+
+def _stored_nodes(grid):
+    """Store row and column offset of every stored node, in storage order."""
+    r = np.repeat(np.arange(grid.lens.size), grid.lens)
+    return r, np.arange(r.size) - grid.start[r]
 
 
 @pytest.fixture(scope="module")
@@ -32,9 +40,7 @@ def test_probe_exact_at_nodes(box_run):
     i, j = 412, 317
     ft = box_run.probe(i * box_run.h, j * box_run.h)
     # stored by (u, j) = (tau/h, x/h), row u + 2
-    assert ft.E == box_run.E[i - j + 2, j]
-    assert ft.N == box_run.N[i - j + 2, j]
-    assert ft.rho == box_run.rho[i - j + 2, j]
+    assert (ft.E, ft.N, ft.rho) == box_run.at(i - j + 2, j)
 
 
 def test_probe_before_light_cone_is_trivial(box_run):
@@ -47,12 +53,24 @@ def test_probe_before_light_cone_is_trivial(box_run):
         assert (ft.E, ft.N, ft.rho) == (0j, 1.0, 0j)
 
 
+def test_probe_a_hair_inside_the_cone_reads_row_zero(box_run):
+    # tau below the snap of _split lands on row u = 0 (the left limit, the
+    # trivial state), in the whole run as in a window
+    for t, x in ((1e-13, 0.0), (1.4e-45, 0.0), (3.0 + 1e-12, 3.0)):
+        win = simulate(box_run.pulse, t_max=8.0, x_max=8.0, h=box_run.h,
+                       probes=[(t, x)])
+        ft = box_run.probe(t, x)
+        assert (ft.E, ft.N, ft.rho) == (0j, 1.0, 0j)
+        assert win.probe(t, x) == ft
+
+
 def test_probe_stays_on_its_side_of_jump_rows(box_run):
     # the box 1/1 pulse jumps by +1 at tau = 0 and by -1 at tau = T = 1 (row
     # 200); between two rows the probe must lie near the mean of the limits
     # on its side, never interpolate across the jump
     h, j = box_run.h, 600                    # the column x = 3
-    E = box_run.E[:, j]                      # row u at index u + 2
+    # the rows u <= nt - j that store the column, row u at index u + 2
+    E = box_run.at(np.arange(box_run.nt - j + 3), j)[0]
     for tau, lo, hi in ((0.5 * h, 1.0, E[3]),
                         (1.5 * h, E[3], E[4]),
                         (1.0 - 0.5 * h, E[201], E[202]),
@@ -86,17 +104,17 @@ def test_strip_run_matches_full_run(pulse, edge, tmp_path):
     full = simulate(pulse, t_max=5.0, x_max=4.0, h=0.01)
     win = simulate(pulse, t_max=5.0, x_max=4.0, h=0.01,
                    probes=_STRIP_PROBES + [edge])
-    rows, cols = win.N.shape
+    rows, cols = win.lens.size, win.lens.max()
     # stencil rows 12 (tau = 0.13) to 72 (tau = 0.7), columns from one left
     # of the edge probe's to 292 (x = 2.9)
     j0 = 0 if edge[1] == 0.0 else 199
     assert (win.u0, win.j0) == (12, j0)
     assert (rows, cols) == (61, 293 - j0)
     # every stored node, bit for bit: row u at index u + 2 of the full store
-    window = (slice(win.u0 + 2, win.u0 + 2 + rows), slice(j0, j0 + cols))
-    assert np.array_equal(win.E, full.E[window])
-    assert np.array_equal(win.N, full.N[window])
-    assert np.array_equal(win.rho, full.rho[window])
+    r, c = _stored_nodes(win)
+    for got, want in zip((win.E, win.N, win.rho),
+                         full.at(r + win.u0 + 2, c + j0)):
+        assert np.array_equal(got, want)
     for t, x in _STRIP_PROBES + [edge]:
         assert win.probe(t, x) == full.probe(t, x)
     # rows u = 1..last, row u covering the columns j <= min(nx, nt - u); the
@@ -107,8 +125,9 @@ def test_strip_run_matches_full_run(pulse, edge, tmp_path):
     assert full.invariants.node_updates == 120_300
     assert win.invariants.node_updates == sum(min(nx, nt - u) + 1
                                               for u in range(1, 73))
-    assert not full.E[2].any() and not full.rho[2].any()
-    assert (full.N[2] == 1.0).all()
+    E0, N0, rho0 = full.at(2, np.arange(nx + 1))
+    assert not E0.any() and not rho0.any()
+    assert (N0 == 1.0).all()
     assert win.invariants.causality_defect == 0.0
     assert win.invariants.conservation_defect \
         <= full.invariants.conservation_defect
@@ -123,7 +142,7 @@ def test_strip_run_matches_full_run(pulse, edge, tmp_path):
     # t_max) store nothing, and probe() still raises for them
     empty = simulate(pulse, t_max=2.0, x_max=1.0, h=0.01,
                      probes=[(0.5, 1.0), (2.5, 1.0), (2.0, 0.5)])
-    assert empty.E.shape == (0, 0) and empty.invariants.node_updates == 0
+    assert empty.E.size == 0 and empty.invariants.node_updates == 0
     ft = empty.probe(0.5, 1.0)
     assert (ft.E, ft.N, ft.rho) == (0j, 1.0, 0j)
     for t, x in ((1.5, 1.0), (2.5, 1.0), (2.0, 0.5)):
@@ -134,7 +153,7 @@ def test_strip_run_matches_full_run(pulse, edge, tmp_path):
 def test_probe_past_tau_max_raises():
     g = simulate(BoxPulse(1.0, 1.0), t_max=4.0, x_max=3.0, h=0.01,
                  probes=[(3.0, 2.53)])
-    assert g.N.shape == (4, 4)           # one stencil
+    assert g.lens.tolist() == [4, 4, 4, 4]     # one stencil
     g.probe(3.0, 2.53)
     # tau = 0.6 and 0.52 need rows past the last one marched
     for t, x in ((3.0, 2.4), (3.0, 2.48), (1.0, 0.0)):
@@ -162,9 +181,7 @@ def test_probe_exact_at_last_columns():
     u = 50
     for j in range(g.nx - 3, g.nx + 1):
         ft = g.probe((u + j) * g.h, j * g.h)
-        assert ft.E == g.E[u + 2, j]
-        assert ft.N == g.N[u + 2, j]
-        assert ft.rho == g.rho[u + 2, j]
+        assert (ft.E, ft.N, ft.rho) == g.at(u + 2, j)
 
 
 _H = 0.01
@@ -205,14 +222,17 @@ def test_window_serves_its_probes_bit_for_bit(full_runs, kind, probes):
                 win.probe(t, x)
             continue
         assert win.probe(t, x) == want
-        if t > x:
+        # a point within _split's snap of 1e-9 h inside the cone is on row
+        # u = 0 and reads no stored node
+        if (t - x) / _H >= 1e-9:
             served.append((t, x))
     if not served:
         assert win.N.size == 0
         return
     # the window is the stencils' bounding box: each of its edge rows and
     # columns is read by some probe (NaN there reaches its result)
-    for edge in (np.s_[0], np.s_[-1], np.s_[:, 0], np.s_[:, -1]):
+    r, c = _stored_nodes(win)
+    for edge in (r == 0, r == r[-1], c == 0, c == c.max()):
         saved = win.N[edge].copy()
         win.N[edge] = np.nan
         assert any(np.isnan(win.probe(t, x).N) for t, x in served)
@@ -223,7 +243,7 @@ def test_defect_location(box_run):
     inv = box_run.invariants
     t, x = inv.defect_tx
     i, j = round(t / box_run.h), round(x / box_run.h)
-    n, r = box_run.N[i - j + 2, j], box_run.rho[i - j + 2, j]
+    _, n, r = box_run.at(i - j + 2, j)
     assert abs(n * n + abs(r) ** 2 - 1.0) == inv.conservation_defect
 
 
@@ -259,6 +279,30 @@ def test_cfl_guards():
         simulate(BoxPulse(1.0, 1.0), t_max=1.0, x_max=1.0, h=0.05)
     with pytest.raises(CFLViolation):
         simulate(BoxPulse(1.0, 1.0), t_max=1e5, x_max=1.0, h=0.01)
+
+
+def test_whole_run_stores_only_marched_rows():
+    # the two pad rows and row u = 0 whole, then row u up to column
+    # min(nx, nt - u): exactly the nodes the march updates
+    g = simulate(BoxPulse(1.0, 1.0), t_max=3.0, x_max=3.0, h=0.01)
+    nt, nx = g.nt, g.nx
+    marched = sum(min(nx, nt - u) + 1 for u in range(nt + 1))
+    assert g.E.size == g.N.size == g.rho.size == 2 * (nx + 1) + marched
+    assert g.E.size == 3 * (nx + 1) + g.invariants.node_updates
+    assert g.lens.size == nt + 3 and g.start[-1] == g.E.size
+
+
+def test_storage_guard_counts_stored_nodes():
+    # 120001 x 120001 nodes: the rectangle would take 576 GB, the stored
+    # triangle about half; the guard raises before any field is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(CFLViolation, match="would need 288.0 GB"):
+            simulate(BoxPulse(1.0, 1.0), t_max=600.0, x_max=600.0, h=0.005)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_nonphysical_guard_trips_on_underresolved_run():
@@ -305,10 +349,26 @@ def test_binary_round_trip(tmp_path, box_run):
         assert np.array_equal(body[i], np.column_stack(
             [E.real, E.imag, N, rho.real, rho.imag]))
     i, j = 456, 123
-    assert body[i, j, 0] == box_run.E[i - j + 2, j].real
-    assert body[i, j, 2] == box_run.N[i - j + 2, j]
-    assert body[i, j, 4] == box_run.rho[i - j + 2, j].imag
+    E, N, rho = box_run.at(i - j + 2, j)
+    assert body[i, j, 0] == E.real
+    assert body[i, j, 2] == N
+    assert body[i, j, 4] == rho.imag
     assert body[j, i, 2] == 1.0 and body[j, i, 0] == 0.0
+
+
+def test_wide_whole_run_is_trivial_on_the_causal_side(tmp_path):
+    # x_max = 4 t_max: the pad rows end at column nt + 2, far short of nx,
+    # and every node with t <= x must still read the trivial state
+    g = simulate(BoxPulse(1.0, 1.0), t_max=1.0, x_max=4.0, h=0.01)
+    E, N, rho = g.level(0)
+    assert not E.any() and not rho.any() and (N == 1.0).all()
+    g.save_binary(tmp_path / "grid.bin")
+    body = load_binary(tmp_path / "grid.bin")[3]
+    causal = np.arange(g.nt + 1)[:, None] <= np.arange(g.nx + 1)
+    assert (body[causal] == [0.0, 0.0, 1.0, 0.0, 0.0]).all()
+    assert np.abs(body[..., 0][~causal]).max() > 0.5
+    with pytest.raises(IndexError):         # past pad row 0's columns
+        g.at(0, g.lens[0])
 
 
 def test_smooth_pulse_tighter_defect():
