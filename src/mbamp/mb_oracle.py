@@ -19,13 +19,17 @@ step leaving the row reads row + jump, and a probe's stencil stays on its
 side of the row.
 
 Row u + 1 covers the columns j <= min(nx, nt - u - 1) (t <= t_max), and the
-store keeps no more: its ragged row r, u = u0 + r, holds (u, j) = (tau/h,
-x/h) for j = j0 .. min(j1, nt - u) from start[r] of the flat E, N and rho,
-and SimGrid.at is the one accessor.  Without probes, u = -2 .. nt (two
-trivial pad rows, then the initial data u = 0) and j = 0 .. nx.  Given
-probes, (u, j) spans the bounding box of their bicubic stencils and the
-march stops at its last row; a probe the run cannot serve (causal, outside
-the rectangle, or with a stencil past t_max) is left out.
+store keeps no more: the nodes (u, j) = (tau/h, x/h) of its box u = u0 .. u1,
+j = j0 .. j1 with t-level i = u + j <= nt.  They lie in grid.bin's order: by
+t-level, level i holding the columns jlo(i) = max(j0, i - u1) .. min(j1,
+i - u0) in turn, each node one packed record (E_re, E_im, N, rho_re, rho_im)
+of which E, N and rho are strided views; SimGrid.at is the one accessor.
+Without probes, u = -2 .. nt (two trivial pad rows, then the initial data
+u = 0) and j = 0 .. nx, so t-level i >= 0 stores the columns j <= i + 2 and
+the columns past them are causal and trivial.  Given probes, (u, j) spans the
+bounding box of their bicubic stencils and the march stops at its last row; a
+probe the run cannot serve (causal, outside the rectangle, or with a stencil
+past t_max) is left out.
 """
 
 from __future__ import annotations
@@ -41,13 +45,15 @@ from .errors import CFLViolation, NonPhysical, OutOfDomain
 from .pulse import Pulse
 
 _MAX_NODES_PER_DIM = 150_000
-_SAVE_LEVELS = 16     # t-levels save_binary gathers per write
+# one node of the store and of grid.bin: E_re, E_im, N, rho_re, rho_im
+_NODE = np.dtype([("E", "<c16"), ("N", "<f8"), ("rho", "<c16")])
 
 
-def _trivial(shape):
-    """E, N, rho arrays in the trivial state."""
-    return (np.zeros(shape, dtype=complex), np.ones(shape),
-            np.zeros(shape, dtype=complex))
+def _trivial(n):
+    """n nodes in the trivial state."""
+    nodes = np.zeros(n, dtype=_NODE)
+    nodes["N"] = 1.0
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,7 @@ class SimGrid:
         self.invariants: InvariantReport | None = None
         self.whole = probes is None
         if self.whole:
-            self.u0, u1, self.j0, j1 = -2, self.nt, 0, self.nx
+            self.u0, self.u1, self.j0, self.j1 = -2, self.nt, 0, self.nx
         else:
             corners = []
             for t, x in probes:
@@ -98,36 +104,57 @@ class SimGrid:
                     corners += [st[:2]] if st else []
             rows, cols = zip(*corners) if corners else ((0,), (0,))
             self.u0, self.j0 = min(rows), min(cols)
-            u1, j1 = (max(rows) + 3, max(cols) + 3) if corners else (-1, 0)
-        u = np.arange(self.u0, u1 + 1)
-        self.lens = np.maximum(np.minimum(j1, self.nt - u) - self.j0 + 1, 0)
-        self.start = np.concatenate([[0], np.cumsum(self.lens)])
-        bytes_needed = (16 + 16 + 8) * int(self.start[-1])
+            self.u1, self.j1 = ((max(rows) + 3, max(cols) + 3) if corners
+                                else (-1, 0))
+        # t-level u0 + j0 + k starts at level_start[k]; level i holds the
+        # columns jlo(i) = max(j0, i - u1) .. jhi(i) = min(j1, i - u0)
+        i = np.arange(self.u0 + self.j0, min(self.u1 + self.j1, self.nt) + 1)
+        size = (np.minimum(self.j1, i - self.u0)
+                - np.maximum(self.j0, i - self.u1) + 1)
+        self.level_start = np.concatenate([[0], np.cumsum(size)])
+        bytes_needed = _NODE.itemsize * int(self.level_start[-1])
         if bytes_needed > 3e9:
             raise CFLViolation(
                 f"storage would need {bytes_needed / 1e9:.1f} GB; "
                 "pass probes for runs this large")
-        self.E, self.N, self.rho = _trivial(self.start[-1])
+        self.nodes = _trivial(self.level_start[-1])
+        self.E, self.N, self.rho = (self.nodes[f] for f in _NODE.names)
+
+    def _offsets(self, r, c):
+        """Store offsets of the nodes (u, j) = (u0 + r, j0 + c): t-level
+        i = u + j is level r + c of the store, and (u, j) is its node
+        j - jlo(i) = min(c, u1 - u)."""
+        return self.level_start[r + c] + np.minimum(c, self.u1 - self.u0 - r)
+
+    def _row(self, r):
+        """Store offsets of row u = u0 + r, its columns j0 .. min(j1, nt - u):
+        _offsets(r, c) for c = 0 .. n - 1, whose levels r + c are a slice."""
+        n = max(min(self.j1, self.nt - self.u0 - r) - self.j0 + 1, 0)
+        return (self.level_start[r:r + n]
+                + np.minimum(np.arange(n), self.u1 - self.u0 - r))
 
     def at(self, r, c):
         """E, N, rho at store rows ``r`` and column offsets ``c`` (integer
-        arrays that broadcast; c < lens[r]): the nodes (u0 + r, j0 + c)."""
-        if not np.all(c < self.lens[r]):
-            raise IndexError("column offset past the stored row")
-        k = self.start[r] + c
+        arrays that broadcast): the nodes (u0 + r, j0 + c).  IndexError for a
+        node outside the store."""
+        r, c = np.asarray(r), np.asarray(c)
+        if (min(r.min(), c.min()) < 0 or r.max() > self.u1 - self.u0
+                or c.max() > self.j1 - self.j0
+                or (r + c).max() > self.nt - self.u0 - self.j0):
+            raise IndexError("node outside the store")
+        k = self._offsets(r, c)
         return self.E[k], self.N[k], self.rho[k]
 
-    def level(self, i):
-        """E, N, rho over all x at the t-levels ``i`` (an int or an array of
-        them) of a run that stores the whole rectangle: t-level i at column
-        j is row u = i - j, store row u + 2.  Past the cone (u < -1) it reads
-        the trivial node (-2, 0), which every whole run stores."""
-        i = np.asarray(i)
-        if not (self.whole and 0 <= i.min() and i.max() <= self.nt):
+    def level(self, i: int):
+        """E, N, rho over all x at the t-level ``i`` of a run that stores
+        the whole rectangle: its stored columns j <= i + 2, then the trivial
+        state past the cone."""
+        if not (self.whole and 0 <= i <= self.nt):
             raise OutOfDomain(f"t-level {i} is not stored whole")
-        j = np.arange(self.nx + 1)
-        r = np.maximum(i[..., None] - j + 2, 0)
-        return self.at(r, np.where(r > 0, j, 0))
+        a, b = self.level_start[i + 2:i + 4]     # the store's level i + 2
+        nodes = np.concatenate([self.nodes[a:b],
+                                _trivial(self.nx + 1 - (b - a))])
+        return nodes["E"], nodes["N"], nodes["rho"]
 
     # --- probing --------------------------------------------------------
 
@@ -169,11 +196,12 @@ class SimGrid:
             return FieldTriple(E=0j, N=1.0, rho=0j)
         s0, c0, fu, fv, jump = st
         i, j = s0 - self.u0, c0 - self.j0
-        if (min(i, j) < 0 or i + 4 > self.lens.size
-                or j + 4 > self.lens[i:i + 4].min()):
+        try:
+            E, N, rho = self.at(np.arange(i, i + 4)[:, None],
+                                np.arange(j, j + 4))
+        except IndexError:
             raise OutOfDomain(f"({t}, {x}): the stencil is outside the "
-                              "stored window")
-        E, N, rho = self.at(np.arange(i, i + 4)[:, None], np.arange(j, j + 4))
+                              "stored window") from None
         if jump:
             E[0] += jump
         wu, wv = _cubic_weights(fu), _cubic_weights(fv)
@@ -184,33 +212,44 @@ class SimGrid:
 
     def save_binary(self, path):
         """Write the stored grid: header (h, t_max, x_max, node count), then
-        E_re, E_im, N, rho_re, rho_im per node, row-major in (t, x)."""
+        E_re, E_im, N, rho_re, rho_im per node, row-major in (t, x): each
+        t-level's stored columns as they lie in the store, then the trivial
+        state past the cone."""
         if not self.whole:
             raise OutOfDomain("binary dump requires storage of the whole "
                               "rectangle")
-        buf = np.empty((_SAVE_LEVELS, self.nx + 1, 5), dtype="<f8")
+        tail = _trivial(self.nx + 1)
         with open(path, "wb") as fh:
             fh.write(struct.pack("<dddd", self.h, self.t_max, self.x_max,
                                  float((self.nt + 1) * (self.nx + 1))))
-            for i0 in range(0, self.nt + 1, _SAVE_LEVELS):
-                E, N, rho = self.level(
-                    np.arange(i0, min(i0 + _SAVE_LEVELS, self.nt + 1)))
-                block = buf[:len(N)]
-                block[..., 0], block[..., 1] = E.real, E.imag
-                block[..., 2] = N
-                block[..., 3], block[..., 4] = rho.real, rho.imag
-                fh.write(block.tobytes())
+            for i in range(self.nt + 1):
+                a, b = self.level_start[i + 2:i + 4]
+                fh.write(self.nodes[a:b])
+                fh.write(tail[:self.nx + 1 - (b - a)])
 
 
 def load_binary(path) -> tuple[float, float, float, np.ndarray]:
-    """Read a grid dump; returns (h, t_max, x_max, array[(nt+1), (nx+1), 5])."""
+    """Read a grid dump; returns (h, t_max, x_max, array[(nt+1), (nx+1), 5]).
+    OutOfDomain for a header that disagrees with itself or with the size of
+    the body."""
     with open(path, "rb") as fh:
-        h, t_max, x_max, nodes = struct.unpack("<dddd", fh.read(32))
+        header = fh.read(32)
+        if len(header) < 32:
+            raise OutOfDomain(f"grid dump {path} has no header")
+        h, t_max, x_max, nodes = struct.unpack("<dddd", header)
+        if not (h > 0.0 and 0.0 <= t_max < math.inf
+                and 0.0 <= x_max < math.inf):
+            raise OutOfDomain(f"grid dump {path}: (h, t_max, x_max) = "
+                              f"({h}, {t_max}, {x_max}) is not a grid")
         nt = int(round(t_max / h))
         nx = int(round(x_max / h))
-        body = np.frombuffer(fh.read(), dtype="<f8").reshape(nt + 1, nx + 1, 5)
-    if (nt + 1) * (nx + 1) != int(nodes):
-        raise OutOfDomain("node count in header disagrees with dimensions")
+        if (nt + 1) * (nx + 1) != nodes:
+            raise OutOfDomain("node count in header disagrees with dimensions")
+        raw = fh.read()
+    if len(raw) != _NODE.itemsize * int(nodes):
+        raise OutOfDomain(f"grid dump {path} holds {len(raw)} bytes of nodes, "
+                          f"its header promises {_NODE.itemsize * int(nodes)}")
+    body = np.frombuffer(raw, dtype="<f8").reshape(nt + 1, nx + 1, 5)
     return h, t_max, x_max, body
 
 
@@ -258,17 +297,20 @@ def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
     nt, nx, u0, j0 = grid.nt, grid.nx, grid.u0, grid.j0
     half_h = 0.5 * h
     # row u = 0: the initial data, left limits at tau = 0
-    E, N, rho = _trivial(nx + 1)
+    E, N, rho = (np.zeros(nx + 1, dtype=complex), np.ones(nx + 1),
+                 np.zeros(nx + 1, dtype=complex))
+    rows = max(0, grid.u1)
+    # pulse() returns left limits at interior jump times (closed support),
+    # the stored-value convention
+    e1s = pulse(np.arange(1, rows + 1) * h)
 
     cons_defect = 0.0
     defect_tx = None
     updates = 0
 
-    for u in range(max(0, u0 + grid.lens.size - 1)):
+    for u in range(rows):
         m = min(nx, nt - u - 1) + 1     # columns of row u + 1
-        # pulse() returns left limits at interior jump times (closed
-        # support), the stored-value convention
-        e1 = complex(pulse((u + 1) * h))
+        e1 = e1s[u]
         E0 = E[:m]
         if u in grid.jump_rows:
             E0 = E0 + grid.jump_rows[u]
@@ -286,28 +328,32 @@ def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
         N = N0 + half_h * (k1n - (np.conj(Ec) * rho_s).real)
         E = _trapezoid(e1, rho, half_h)
 
-        if u + 1 >= u0:             # j1 <= nx, so lens[r] <= m - j0
-            r = u + 1 - u0
-            for arr, f in zip((grid.E, grid.N, grid.rho), (E, N, rho)):
-                arr[grid.start[r]:grid.start[r + 1]] = f[j0:j0 + grid.lens[r]]
+        r = u + 1 - u0
+        if r >= 0:
+            k = grid._row(r)
+            grid.E[k] = E[j0:j0 + k.size]
+            grid.N[k] = N[j0:j0 + k.size]
+            grid.rho[k] = rho[j0:j0 + k.size]
         updates += m
 
         defect = np.abs(N * N + np.abs(rho) ** 2 - 1.0)
-        worst = int(np.argmax(defect))
-        if defect[worst] > cons_defect:
+        worst = int(np.argmax(defect))       # the first NaN, if any
+        if not defect[worst] <= cons_defect:
             cons_defect = float(defect[worst])
             defect_tx = ((u + 1 + worst) * h, worst * h)
-            if cons_defect > nonphysical_tol:
+            if not cons_defect <= nonphysical_tol:
                 raise NonPhysical(
                     f"Bloch defect {cons_defect:.3e} at (t, x) = "
                     f"({defect_tx[0]:.4f}, {defect_tx[1]:.4f}) "
                     f"exceeds the guard {nonphysical_tol:.1e}")
 
     # the stored rows tau <= 0 are never marched and must stay trivial
-    pre = slice(0, grid.start[np.clip(1 - u0, 0, grid.lens.size)])
-    caus_defect = float(max(np.abs(grid.E[pre]).max(initial=0.0),
-                            np.abs(grid.rho[pre]).max(initial=0.0),
-                            np.abs(grid.N[pre] - 1.0).max(initial=0.0)))
+    pre = grid.nodes[np.concatenate(
+        [grid._row(r) for r in range(min(-u0, grid.u1 - u0) + 1)]
+        + [np.zeros(0, dtype=int)])]
+    caus_defect = float(max(np.abs(pre["E"]).max(initial=0.0),
+                            np.abs(pre["rho"]).max(initial=0.0),
+                            np.abs(pre["N"] - 1.0).max(initial=0.0)))
     grid.invariants = InvariantReport(cons_defect, caus_defect, updates,
                                       defect_tx)
     return grid

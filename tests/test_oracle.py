@@ -1,5 +1,6 @@
 """Direct integrator: causality, Bloch-sphere defect, convergence, probing."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -8,14 +9,59 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbamp.errors import CFLViolation, NonPhysical, OutOfDomain
-from mbamp.mb_oracle import load_binary, simulate
+from mbamp.mb_oracle import InvariantReport, load_binary, simulate
 from mbamp.pulse import BoxPulse, SmoothBumpPulse
 
 
 def _stored_nodes(grid):
-    """Store row and column offset of every stored node, in storage order."""
-    r = np.repeat(np.arange(grid.lens.size), grid.lens)
-    return r, np.arange(r.size) - grid.start[r]
+    """Store row r and column offset c of every stored node, in storage
+    order: the nodes (u, j) = (u0 + r, j0 + c) of the box with t <= t_max,
+    by t-level u + j, then by column."""
+    r, c = np.meshgrid(np.arange(grid.u1 - grid.u0 + 1),
+                       np.arange(grid.j1 - grid.j0 + 1), indexing="ij")
+    keep = grid.u0 + r + grid.j0 + c <= grid.nt
+    order = np.lexsort((c[keep], r[keep] + c[keep]))
+    return r[keep][order], c[keep][order]
+
+
+def _reference_march(pulse, t_max, x_max, h, rows, nonphysical_tol):
+    """The oracle's row step, one row at a time with the pulse sampled per
+    row, for pulses whose jumps lie on the grid: E, N, rho on the rows
+    u = -2 .. rows (at index u + 2; NaN past t_max) and the invariants."""
+    nt, nx, half_h = round(t_max / h), round(x_max / h), 0.5 * h
+    jumps = {round(tj / h): dv for tj, dv in pulse.jumps()}
+    out = np.full((3, rows + 3, nx + 1), np.nan, dtype=complex)
+    (E, rho), N = np.zeros((2, nx + 1), dtype=complex), np.ones(nx + 1)
+    out[:, :3] = np.array([E, N, rho])[:, None]
+    cons, tx = 0.0, None
+
+    def trapezoid(e1, r):
+        return np.cumsum(np.concatenate([[e1], (r[:-1] + r[1:]) * half_h]))
+
+    for u in range(rows):
+        m = min(nx, nt - u - 1) + 1
+        e1 = complex(pulse((u + 1) * h))
+        E0, N0, rho0 = E[:m], N[:m], rho[:m]
+        if u in jumps:
+            E0 = E0 + jumps[u]
+        k1r, k1n = N0 * E0, -(np.conj(E0) * rho0).real
+        rho_s, N_s = rho0 + h * k1r, N0 + h * k1n
+        rho_n = rho0 + half_h * (k1r + N_s * trapezoid(e1, rho_s))
+        Ec = trapezoid(e1, rho_n)
+        rho = rho0 + half_h * (k1r + N_s * Ec)
+        N = N0 + half_h * (k1n - (np.conj(Ec) * rho_s).real)
+        E = trapezoid(e1, rho)
+        out[:, u + 3, :m] = E, N, rho
+        defect = np.abs(N * N + np.abs(rho) ** 2 - 1.0)
+        if defect.max() > cons:
+            cons, j = float(defect.max()), int(np.argmax(defect))
+            tx = ((u + 1 + j) * h, j * h)
+            if cons > nonphysical_tol:
+                raise NonPhysical(
+                    f"Bloch defect {cons:.3e} at (t, x) = ({tx[0]:.4f}, "
+                    f"{tx[1]:.4f}) exceeds the guard {nonphysical_tol:.1e}")
+    updates = sum(min(nx, nt - u - 1) + 1 for u in range(rows))
+    return out, InvariantReport(cons, 0.0, updates, tx)
 
 
 @pytest.fixture(scope="module")
@@ -104,14 +150,14 @@ def test_strip_run_matches_full_run(pulse, edge, tmp_path):
     full = simulate(pulse, t_max=5.0, x_max=4.0, h=0.01)
     win = simulate(pulse, t_max=5.0, x_max=4.0, h=0.01,
                    probes=_STRIP_PROBES + [edge])
-    rows, cols = win.lens.size, win.lens.max()
+    r, c = _stored_nodes(win)
+    rows, cols = r.max() + 1, c.max() + 1
     # stencil rows 12 (tau = 0.13) to 72 (tau = 0.7), columns from one left
     # of the edge probe's to 292 (x = 2.9)
     j0 = 0 if edge[1] == 0.0 else 199
     assert (win.u0, win.j0) == (12, j0)
     assert (rows, cols) == (61, 293 - j0)
     # every stored node, bit for bit: row u at index u + 2 of the full store
-    r, c = _stored_nodes(win)
     for got, want in zip((win.E, win.N, win.rho),
                          full.at(r + win.u0 + 2, c + j0)):
         assert np.array_equal(got, want)
@@ -153,7 +199,7 @@ def test_strip_run_matches_full_run(pulse, edge, tmp_path):
 def test_probe_past_tau_max_raises():
     g = simulate(BoxPulse(1.0, 1.0), t_max=4.0, x_max=3.0, h=0.01,
                  probes=[(3.0, 2.53)])
-    assert g.lens.tolist() == [4, 4, 4, 4]     # one stencil
+    assert np.bincount(_stored_nodes(g)[0]).tolist() == [4] * 4  # one stencil
     g.probe(3.0, 2.53)
     # tau = 0.6 and 0.52 need rows past the last one marched
     for t, x in ((3.0, 2.4), (3.0, 2.48), (1.0, 0.0)):
@@ -232,7 +278,7 @@ def test_window_serves_its_probes_bit_for_bit(full_runs, kind, probes):
     # the window is the stencils' bounding box: each of its edge rows and
     # columns is read by some probe (NaN there reaches its result)
     r, c = _stored_nodes(win)
-    for edge in (r == 0, r == r[-1], c == 0, c == c.max()):
+    for edge in (r == 0, r == r.max(), c == 0, c == c.max()):
         saved = win.N[edge].copy()
         win.N[edge] = np.nan
         assert any(np.isnan(win.probe(t, x).N) for t, x in served)
@@ -289,7 +335,11 @@ def test_whole_run_stores_only_marched_rows():
     marched = sum(min(nx, nt - u) + 1 for u in range(nt + 1))
     assert g.E.size == g.N.size == g.rho.size == 2 * (nx + 1) + marched
     assert g.E.size == 3 * (nx + 1) + g.invariants.node_updates
-    assert g.lens.size == nt + 3 and g.start[-1] == g.E.size
+    assert np.bincount(_stored_nodes(g)[0]).size == nt + 3
+    # by t-level: level i = -2 .. nt holds the columns j <= min(nx, i + 2)
+    assert np.diff(g.level_start).tolist() == [min(nx, i + 2) + 1
+                                               for i in range(-2, nt + 1)]
+    assert g.level_start[-1] == g.E.size
 
 
 def test_storage_guard_counts_stored_nodes():
@@ -368,7 +418,86 @@ def test_wide_whole_run_is_trivial_on_the_causal_side(tmp_path):
     assert (body[causal] == [0.0, 0.0, 1.0, 0.0, 0.0]).all()
     assert np.abs(body[..., 0][~causal]).max() > 0.5
     with pytest.raises(IndexError):         # past pad row 0's columns
-        g.at(0, g.lens[0])
+        g.at(0, g.nt + 3)
+
+
+def test_tall_whole_run_round_trip(tmp_path):
+    # t_max = 3 x_max: the t-levels i >= nx - 2 store every column and have
+    # no trivial tail, the levels below store the columns j <= i + 2
+    g = simulate(BoxPulse(1.0, 1.0), t_max=3.0, x_max=1.0, h=0.01)
+    assert np.diff(g.level_start).tolist() == [
+        min(g.nx, i + 2) + 1 for i in range(-2, g.nt + 1)]
+    g.save_binary(tmp_path / "grid.bin")
+    h, t_max, x_max, body = load_binary(tmp_path / "grid.bin")
+    assert (h, t_max, x_max) == (0.01, 3.0, 1.0)
+    assert body.shape == (g.nt + 1, g.nx + 1, 5)
+    for i in range(g.nt + 1):
+        E, N, rho = g.level(i)
+        assert np.array_equal(body[i], np.column_stack(
+            [E.real, E.imag, N, rho.real, rho.imag]))
+    for r, c in ((-1, 0), (0, -1), (g.nt + 3, 0), (g.nt + 2, 1)):
+        with pytest.raises(IndexError):     # outside the store
+            g.at(r, c)
+
+
+def test_malformed_dump_is_out_of_domain(tmp_path):
+    g = simulate(BoxPulse(1.0, 1.0), t_max=1.0, x_max=1.0, h=0.01)
+    path = tmp_path / "grid.bin"
+    g.save_binary(path)
+    data = path.read_bytes()
+    assert len(data) == 32 + 40 * 101 * 101
+
+    def header(*values):
+        return struct.pack("<dddd", *values) + data[32:]
+
+    for bad, match in ((data[:-40], "holds 408000 bytes of nodes, its "
+                                    "header promises 408040"),
+                       (data + bytes(8), "holds 408048 bytes"),
+                       (data[:20], "has no header"),
+                       (header(0.0, 1.0, 1.0, 10201.0), "is not a grid"),
+                       (header(0.01, np.nan, 1.0, 10201.0), "is not a grid"),
+                       (header(0.01, 1.0, 1.0, np.nan), "node count")):
+        path.write_bytes(bad)
+        with pytest.raises(OutOfDomain, match=match):
+            load_binary(path)
+
+
+class _NaNPastHalf(BoxPulse):
+    """A box whose samples past t = 0.5 are NaN."""
+
+    def __call__(self, t):
+        return np.where(np.asarray(t) > 0.5, np.nan, super().__call__(t))
+
+
+def test_nonphysical_guard_trips_on_nan():
+    with pytest.raises(NonPhysical, match=r"Bloch defect nan at \(t, x\) = "
+                                          r"\(0\.5100, 0\.0000\)"):
+        simulate(_NaNPastHalf(1.0, 1.0), 2.0, 2.0, 0.01, nonphysical_tol=1e-2)
+
+
+@pytest.mark.parametrize("probes", [None, _STRIP_PROBES + [(0.7, 0.0)]],
+                         ids=["whole", "window"])
+@pytest.mark.parametrize("pulse", [BoxPulse(1.0, 1.0),
+                                   SmoothBumpPulse(1.0, 2.0, 1.0)],
+                         ids=["box", "bump"])
+def test_march_matches_the_reference_bit_for_bit(pulse, probes):
+    # the box's jump rows u = 0 and 100 lie on the grid
+    g = simulate(pulse, t_max=5.0, x_max=4.0, h=0.01, probes=probes)
+    ref, inv = _reference_march(pulse, 5.0, 4.0, 0.01, g.u1, 1e-4)
+    assert g.invariants == inv
+    r, c = _stored_nodes(g)
+    assert r.size == g.E.size
+    for got, want in zip((g.E, g.N, g.rho), ref[:, g.u0 + 2 + r, g.j0 + c]):
+        assert np.array_equal(got, want)
+
+
+def test_underresolved_run_trips_the_guard_as_the_reference():
+    args = (BoxPulse(40.0, 1.0), 6.0, 6.0, 0.02)
+    with pytest.raises(NonPhysical) as want:
+        _reference_march(*args, rows=300, nonphysical_tol=1e-6)
+    with pytest.raises(NonPhysical) as got:
+        simulate(*args, nonphysical_tol=1e-6)
+    assert str(got.value) == str(want.value)
 
 
 def test_smooth_pulse_tighter_defect():
