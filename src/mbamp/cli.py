@@ -225,7 +225,7 @@ def cmd_zeros(cfg: RunConfig, out: Path) -> int:
     pulse = cfg.make_pulse()
     sd = ScatteringData(pulse, cfg.make_tolerances())
     box = tuple(cfg.search_box) if cfg.search_box else None
-    spec = find_zeros(sd, box)
+    spec = find_zeros(sd, box, cfg.make_bands(pulse).sigma)
     rows = []
     for j, (k, g, v) in enumerate(zip(spec.zeros, spec.residues,
                                       spec.velocities)):
@@ -256,7 +256,8 @@ def _asymptotics(cfg: RunConfig, sd, params, points, keep=None):
     if cone:
         r = dict(zip(cone, sd.reflection_uhp([1j * tags[i].k0 for i in cone])))
     if any(tags[i].variant == "tail" for i in todo):
-        spec = find_zeros(sd, tuple(cfg.search_box) if cfg.search_box else None)
+        box = tuple(cfg.search_box) if cfg.search_box else None
+        spec = find_zeros(sd, box, params.sigma)
     out = [None] * len(points)
     for i in todo:
         (t, x), tag = points[i], tags[i]

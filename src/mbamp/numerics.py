@@ -155,13 +155,16 @@ def _bisection_tree(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
 def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
                      rect: tuple[float, float, float, float],
                      root_tol: float = 1e-10,
-                     max_samples: int = 200000) -> int:
+                     max_samples: int = 200000,
+                     spacing: float = math.inf) -> int:
     """Count zeros of analytic ``f`` inside the rectangle by winding number.
 
     ``rect`` is (re_lo, re_hi, im_lo, im_hi).  The boundary phase is tracked
     on an adaptively refined sampling until adjacent phase steps stay below
     pi/2, which pins the continuous argument without needing f'.  ``f`` is
     called on 1-D arrays of boundary points; a scalar return is broadcast.
+    The first samples, at least 4 per edge, are at most ``spacing`` apart:
+    bisection refines only the phase changes these samples show.
 
     A pass that needs unsampled midpoints samples, in one call of ``f``, the
     dyadic subtree ``_AHEAD`` levels deep under each step it bisects; later
@@ -188,11 +191,13 @@ def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
                                "contour; perturb the rectangle")
         return v
 
-    # 4 samples per edge; the closure sample equals the start point.  Each
-    # pass bisects every step whose phase change reaches pi/2; a step's
-    # bisection depends on its own end values only, so the final samples do
-    # not depend on the order of the passes.
-    params = np.linspace(0.0, 4.0, 17)
+    # The closure sample equals the start point.  Each pass bisects every
+    # step whose phase change reaches pi/2; a step's bisection depends on
+    # its own end values only, so the final samples do not depend on the
+    # order of the passes.
+    steps = np.maximum(4, np.ceil(np.abs(np.diff(corners)) / spacing))
+    params = np.concatenate([edge + np.arange(m) / m
+                             for edge, m in enumerate(steps)] + [[4.0]])
     values = kept(sample(params[:-1]))
     values = np.append(values, values[0])
     ahead: dict[float, complex] = {}   # sampled midpoints not yet kept

@@ -95,6 +95,33 @@ class ScatteringData:
         p1, p2, q1, q2 = self._jost(ks, variational=True)
         return p2, p1, q2, q1
 
+    def pencil_zeros(self, n: int, shift: complex) -> np.ndarray:
+        """Every finite eigenvalue k of the Jost system's pencil: b(k) = 0
+        when ``_jost``'s system has a solution with p1(0) = 0 = p1(T), a
+        problem linear in k.  p1 and p2 live on n + 1 Lobatto points of
+        [0, T]; each equation is resampled on the n first-kind Chebyshev
+        points (rectangular collocation, Driscoll & Hale, IMA J. Numer.
+        Anal. 36, 2016), and the two boundary rows close A v = k B v.  Then
+        k = shift + 1/mu for the eigenvalues mu of (A - shift B)^{-1} B, all
+        in its p1 block, since B acts on p1 only.  Spurious eigenvalues move
+        with n; zeros do not."""
+        T = self.pulse.support
+        x, w = _lobatto(n)
+        first = np.sin(np.pi * np.arange(n - 1, -n, -2) / (2 * n))
+        resample = np.eye(n + 1, n + 2, dtype=complex)
+        resample[:, -1] = 1.0
+        P = _barycentric(x, w, resample, first).real
+        d = np.subtract.outer(first, x)   # for d/dt of P's Lagrange basis
+        PD = P * ((P / d).sum(axis=1, keepdims=True) - 1.0 / d) * (2.0 / T)
+        he = 0.5 * self.pulse(0.5 * T * (1.0 + first))[:, None] * P
+        # rows p1' + 2ik p1 + (E/2) p2, p2' - (conj(E)/2) p1, p1(T), p1(0)
+        ends = np.zeros((2, 2 * n + 2))
+        ends[0, 0] = ends[1, n] = 1.0
+        A = np.block([[PD + 2j * shift * P, he], [-np.conj(he), PD], [ends]])
+        B = np.vstack([-2j * P, np.zeros((n + 2, n + 1))])
+        mu = np.linalg.eigvals(np.linalg.solve(A, B)[:n + 1])
+        return shift + 1.0 / mu[np.abs(mu) > 1e-12]   # mu = 0: k infinite
+
     def _check_growth(self, ks):
         worst = float(np.max(np.abs(np.imag(ks)))) * self.pulse.support
         if worst > GROWTH_GUARD:
@@ -114,11 +141,10 @@ class ScatteringData:
         solve, so its values share one step sequence and stay a smooth
         function of k.
         """
-        K = CACHE_HALFWIDTH
         n = 128
         while True:
-            # K cos(pi j / n), written as a sine so that it is exactly odd
-            nodes = K * np.sin(np.pi * np.arange(n, -n - 1, -2) / (2 * n))
+            x, weights = _lobatto(n)
+            nodes = CACHE_HALFWIDTH * x
             ab = np.column_stack(self.ab_many(nodes))
             # Chebyshev coefficients (times n) by an FFT of the even extension
             coef = np.abs(np.fft.fft(np.concatenate([ab, ab[-2:0:-1]]),
@@ -132,8 +158,6 @@ class ScatteringData:
             logger.warning("real-line cache capped at %d nodes, Chebyshev "
                            "tail %.2e", n + 1, tail)
         self.cache_tail = tail
-        weights = np.where(np.arange(n + 1) % 2, -1.0, 1.0)
-        weights[[0, -1]] *= 0.5
         values = np.column_stack([ab, np.ones(n + 1)])
         self._cache = (nodes, weights, values,
                        _real_zeros(nodes, weights, values))
@@ -202,6 +226,15 @@ class ScatteringData:
             r[~near] = [sum(f.constant * kj ** -f.order for f in terms)
                         for kj in map(complex, ks[~near])]
         return complex(r) if r.ndim == 0 else r
+
+
+def _lobatto(n):
+    """Chebyshev-Lobatto points cos(pi j / n) and barycentric weights."""
+    # written as a sine so that it is exactly odd
+    nodes = np.sin(np.pi * np.arange(n, -n - 1, -2) / (2 * n))
+    weights = np.where(np.arange(n + 1) % 2, -1.0, 1.0)
+    weights[[0, -1]] *= 0.5
+    return nodes, weights
 
 
 def _barycentric(nodes, weights, values, s):

@@ -12,13 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AmbiguousMatch, AssumptionViolated, BoundaryZero
+from .errors import AmbiguousMatch, AssumptionViolated
+from .lightcone_asym import BandParams
 from .numerics import complex_newton, count_zeros_rect
-from .scattering import GROWTH_GUARD, ScatteringData
+from .scattering import ScatteringData
 
 _IM_FLOOR = 1e-4      # zeros below this would violate the off-axis assumption
-_MAX_SUBDIV = 14
-_BOX_HALFWIDTH = 4.0 * 1.6 * 1.6   # of the default search box
 
 
 @dataclass(frozen=True)
@@ -46,88 +45,52 @@ def velocity_of(k: complex) -> float:
     return q / (1.0 + q)
 
 
-def _cell_count(sd: ScatteringData, cell):
-    """Winding count on a cell, nudging the cell when a zero grazes it; a
-    nudge moves the top edge only while it stays within the growth guard."""
-    re_lo, re_hi, im_lo, im_hi = cell
-    f = lambda k: sd.ab_many(k)[1]
-    for attempt in range(6):
-        try:
-            n = count_zeros_rect(f, (re_lo, re_hi, im_lo, im_hi),
-                                 sd.tol.root_tol)
-        except BoundaryZero:
-            pad = (re_hi - re_lo) * 1e-3 * (attempt + 1)
-            re_lo, re_hi = re_lo - pad, re_hi + pad
-            im_lo = max(_IM_FLOOR * 0.5, im_lo - pad)
-            if (im_hi + pad) * sd.pulse.support <= GROWTH_GUARD:
-                im_hi += pad
-            continue
-        if n < 0:
-            raise AssumptionViolated(f"winding count {n} on cell {cell}: b "
-                                     "has no poles; the contour is undersampled")
-        return n, (re_lo, re_hi, im_lo, im_hi)
-    raise BoundaryZero(f"could not clear the boundary of cell {cell}")
-
-
 def find_zeros(sd: ScatteringData,
-               box: tuple[float, float, float, float] | None = None
-               ) -> SolitonSpectrum:
-    """Locate all zeros of b inside ``box`` (re_lo, re_hi, im_lo, im_hi).
+               box: tuple[float, float, float, float] | None = None,
+               sigma: float = BandParams.sigma) -> SolitonSpectrum:
+    """Locate all zeros of b inside ``box`` (re_lo, re_hi, im_lo, im_hi),
+    by default ``default_search_box(sd, sigma)``.
 
-    Quadtree subdivision by the argument principle until each cell holds at
-    most one zero, then Newton refinement with the variational derivative,
-    both to ``sd.tol.root_tol``.
-    Raises AssumptionViolated when the found zeros are not simple, touch the
-    real line, or have coinciding moduli.
+    They are the eigenvalues of the Jost system's pencil
+    (``ScatteringData.pencil_zeros``) at n = max(32, ceil(1.6 T R)) nodes,
+    R the box's farthest corner, that the pencil at 1.5 n reproduces to
+    1e-6; the others are spurious (Boyd, Chebyshev and Fourier Spectral
+    Methods, ch. 7).  A winding count over the box, its first samples
+    1/(2T) apart, certifies their number; Newton with the variational
+    derivative polishes each to ``sd.tol.root_tol``.  Raises
+    AssumptionViolated when the count and the pencil disagree, or when the
+    zeros are not simple, touch the real line, or have coinciding moduli.
     """
     if box is None:
-        box = default_search_box(sd)
+        box = default_search_box(sd, sigma)
     re_lo, re_hi, im_lo, im_hi = box
     im_lo = max(im_lo, _IM_FLOOR)
     if im_hi <= im_lo:
         raise ValueError("search box must lie in Im k > 0")
+    T = sd.pulse.support
+    n = max(32, math.ceil(1.6 * T * math.hypot(max(-re_lo, re_hi), im_hi)))
+    shift = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
+    coarse = sd.pencil_zeros(n, shift)
+    fine = sd.pencil_zeros(3 * n // 2, shift)
+    coarse = coarse[(coarse.real > re_lo) & (coarse.real < re_hi)
+                    & (coarse.imag > im_lo) & (coarse.imag < im_hi)]
+    nearest = fine[np.argmin(np.abs(np.subtract.outer(coarse, fine)), axis=1)]
+    seeds = nearest[np.abs(nearest - coarse)
+                    <= 1e-6 * np.maximum(1.0, np.abs(coarse))]
 
-    total, cell0 = _cell_count(sd, (re_lo, re_hi, im_lo, im_hi))
-    if total == 0:
-        return SolitonSpectrum((), (), (), box=box)
-
-    refined: list[tuple[complex, complex, complex]] = []   # (k, a, bdot)
-    stack = [(cell0, total, 0)]
-    while stack:
-        cell, count, depth = stack.pop()
-        if count == 0:
-            continue
-        if count == 1:
-            refined.append(_refine_zero(sd, cell))
-            continue
-        if depth >= _MAX_SUBDIV:
-            raise AssumptionViolated(
-                f"cell {cell} still holds {count} zeros at max subdivision; "
-                "zeros are clustered or multiple")
-        lo_re, hi_re, lo_im, hi_im = cell
-        if hi_re - lo_re >= hi_im - lo_im:
-            mid = 0.5 * (lo_re + hi_re)
-            halves = [(lo_re, mid, lo_im, hi_im), (mid, hi_re, lo_im, hi_im)]
-        else:
-            mid = 0.5 * (lo_im + hi_im)
-            halves = [(lo_re, hi_re, lo_im, mid), (lo_re, hi_re, mid, hi_im)]
-        for half in halves:
-            c, half_adj = _cell_count(sd, half)
-            stack.append((half_adj, c, depth + 1))
-
-    # Cell perturbation can make siblings overlap; drop duplicate refinements.
-    unique: list[tuple[complex, complex, complex]] = []
-    for z in refined:
-        if all(abs(z[0] - u[0]) > 1e-8 * max(1.0, abs(z[0])) for u in unique):
-            unique.append(z)
-    if len(unique) != total:
+    count = count_zeros_rect(lambda k: sd.ab_many(k)[1],
+                             (re_lo, re_hi, im_lo, im_hi), sd.tol.root_tol,
+                             spacing=0.5 / T)
+    if count != len(seeds):
         raise AssumptionViolated(
-            f"argument principle counts {total} zeros but {len(unique)} were "
-            "refined; a zero is grazing a cell boundary")
+            f"winding count {count} on {box} but the pencil keeps "
+            f"{len(seeds)} zeros" + (": b has no poles; the contour is "
+                                     "undersampled" if count < 0 else ""))
 
-    unique.sort(key=lambda z: abs(z[0]))
-    zeros = [z[0] for z in unique]
-    a, bdot = np.array([z[1:] for z in unique]).T
+    refined = sorted((_refine_zero(sd, k) for k in seeds),
+                     key=lambda z: abs(z[0]))
+    zeros = [z[0] for z in refined]
+    a, bdot = np.array([z[1:] for z in refined]).reshape(-1, 2).T
     _validate(zeros, bdot)
     residues = [complex(g) for g in 1.0 / (a * bdot)]
     velocities = [velocity_of(k) for k in zeros]
@@ -135,10 +98,9 @@ def find_zeros(sd: ScatteringData,
                            box=box)
 
 
-def _refine_zero(sd: ScatteringData, cell):
-    """Newton from the cell centre; returns the zero k with a and bdot from
-    the last variational solve, at the iterate of Newton's final step."""
-    seed = complex(0.5 * (cell[0] + cell[1]), 0.5 * (cell[2] + cell[3]))
+def _refine_zero(sd: ScatteringData, seed: complex):
+    """Newton from ``seed``; returns the zero k with a and bdot from the
+    last variational solve, at the iterate of Newton's final step."""
     last = {}   # the iterate of the latest variational solve, its a, b, a', b'
 
     def solve(k):
@@ -168,17 +130,15 @@ def _validate(zeros, bdot):
                 f"moduli {m1} and {m2} are not pairwise distinct")
 
 
-def default_search_box(sd: ScatteringData) -> tuple[float, float, float, float]:
-    """The box (-K, K, _IM_FLOOR, K) with K = _BOX_HALFWIDTH, clipped so
-    that T K stays within the Jost solve's growth guard.
-
-    Zeros of b for a compact pulse cluster at spectral scales set by the
-    pulse itself; callers probing farther should pass an explicit box.
-    """
-    T = sd.pulse.support
-    K = min(_BOX_HALFWIDTH, GROWTH_GUARD / T)
-    while K * T > GROWTH_GUARD:     # the quotient can round up
-        K = math.nextafter(K, 0.0)
+def default_search_box(sd: ScatteringData, sigma: float = BandParams.sigma
+                       ) -> tuple[float, float, float, float]:
+    """The box (-K, K, _IM_FLOOR, K) of every zero whose soliton reaches the
+    tail cone x/t <= 1 - sigma past any match window: velocity_of(k) <= v
+    = 1 - sigma/2, that is |k| <= K = sqrt(v / (1 - v)) / 2.  It does not
+    depend on the pulse.  Some pulses have infinitely many zeros, so no
+    finite box holds them all."""
+    v = 1.0 - 0.5 * sigma
+    K = 0.5 * math.sqrt(v / (1.0 - v))
     return (-K, K, _IM_FLOOR, K)
 
 

@@ -253,7 +253,9 @@ def _envelope_ts(x, tau, h):
 def tail_run():
     pulse = SmoothBumpPulse(0.4, 2.0, 2.0)
     sd = ScatteringData(pulse)
-    spec = find_zeros(sd, (-4.0, 4.0, 1e-4, 4.0))
+    # the default region: every probe has k0 <= 0.91 < sqrt(7)/2, and the
+    # zeros +-2.6158+0.2145i of b lie outside it
+    spec = find_zeros(sd)
     h = 0.005
     x = 150.0
     probes = [(float(t), x) for tau in _TAIL_TAUS

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -93,6 +94,31 @@ def test_zeros_csv(tmp_path):
     assert abs(float(vel) - 0.938) < 1e-3
     meta = json.loads((out / "zeros_meta.json").read_text())
     assert meta["count"] == 1
+
+
+@pytest.mark.parametrize("sigma, K, zeros", [
+    (None, math.sqrt(7.0) / 2.0, []),
+    (0.05, math.sqrt(39.0) / 2.0, [1.9448904595703225])])
+def test_zeros_without_search_box_lists_the_tail_cone(tmp_path, sigma, K,
+                                                      zeros):
+    # the default region holds the zeros |k| <= K whose soliton velocity
+    # 4|k|^2/(1 + 4|k|^2) <= 1 - sigma/2 reaches the tail cone; box 5/2's
+    # zero (velocity 0.938) is in it only for the narrower cone edge
+    cfg = {k: v for k, v in BOX52.items() if k != "search_box"}
+    if sigma is not None:
+        cfg["bands"] = {"sigma": sigma}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "oz"
+    assert main(["zeros", "--config", str(path), "--out", str(out)]) == 0
+    meta = json.loads((out / "zeros_meta.json").read_text())
+    assert meta["search_box"] == pytest.approx([-K, K, 1e-4, K], rel=1e-15)
+    assert meta["count"] == len(zeros)
+    rows = [ln.split(",") for ln in
+            (out / "zeros.csv").read_text().strip().split("\n")[1:]]
+    assert len(rows) == len(zeros)
+    for row, k in zip(rows, zeros):
+        assert abs(complex(float(row[1]), float(row[2])) - 1j * k) < 1e-10
 
 
 def test_regions_and_asym(tmp_path):
@@ -229,7 +255,7 @@ def test_tail_point_runs_the_zero_search_once(tmp_path, monkeypatch):
 
 
 def test_compare_on_cone_points_needs_no_search_box(tmp_path):
-    # the default-box zero search diverges on box 5/2; no output reads it here
+    # no point is in the tail cone, so no zero search runs
     path = write_cfg(tmp_path, {"oracle": CONE_ORACLE})
     cfg = json.loads(path.read_text())
     del cfg["search_box"]

@@ -136,6 +136,15 @@ def test_count_additive_under_split():
     assert whole == left + right == 3
 
 
+def test_count_first_spacing_resolves_a_fast_winding():
+    # sin(8k) has the 15 zeros j pi/8, |j| <= 7, in the box; 4 samples per
+    # edge, 1.5 apart, miss the bottom edge's pi/8 wraps and read -1
+    f = lambda k: np.sin(8.0 * k)
+    rect = (-3.0, 3.0, -0.1, 1.0)
+    assert count_zeros_rect(f, rect) == -1
+    assert count_zeros_rect(f, rect, spacing=0.5) == 15
+
+
 def test_count_boundary_zero_raises():
     with pytest.raises(BoundaryZero):
         count_zeros_rect(lambda k: k - 1j, (-1, 1, 1, 2))

@@ -364,6 +364,55 @@ def test_smooth_pulses_have_no_real_zeros(pulse):
     assert _real_zeros(ScatteringData(pulse)).size == 0
 
 
+def _pencil_zeros_in_disk(sd, R):
+    """The pencil's eigenvalues in |k| < R at the node count find_zeros
+    takes for a box of corner R, kept where the pencil at 1.5 n reproduces
+    them to 1e-6."""
+    n = max(32, math.ceil(1.6 * sd.pulse.support * R))
+    k = sd.pencil_zeros(n, 0.5j * R)
+    fine = sd.pencil_zeros(3 * n // 2, 0.5j * R)
+    k = k[np.abs(k) < R]
+    return np.array([z for z in k
+                     if np.min(np.abs(fine - z)) <= 1e-6 * max(1.0, abs(z))])
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(A=st.floats(0.5, 12.0), T=st.floats(0.3, 3.0))
+def test_pencil_eigenvalues_of_a_box_are_the_closed_form(A, T):
+    # b = 0 where w T = n pi: k = i sqrt(A^2/4 - (n pi/T)^2) above the real
+    # line and +-sqrt((n pi/T)^2 - A^2/4) on it; AT/(2 pi) near an integer
+    # puts a double zero near k = 0
+    assume(0.05 < (A * T / (2.0 * math.pi)) % 1.0 < 0.95)
+    R = 4.0
+    sd = ScatteringData(BoxPulse(A, T))
+    k = _pencil_zeros_in_disk(sd, R)
+    w = np.arange(1, math.floor(A * T / (2.0 * math.pi)) + 1) * math.pi / T
+    upper = 1j * np.sort(np.sqrt(A * A / 4.0 - w * w))
+    upper = upper[np.abs(upper) < R]
+    real = box_real_zeros(A, T, R)
+    # a zero within the pencil's accuracy of |k| = R may fall either side
+    assume(np.all(np.abs(np.abs(np.concatenate([upper, real])) - R) > 1e-6))
+    got_upper = k[k.imag > 1e-6]
+    got_upper = got_upper[np.argsort(got_upper.imag)]
+    got_real = np.sort(k[np.abs(k.imag) <= 1e-6].real)
+    assert got_upper.shape == upper.shape and got_real.shape == real.shape
+    assert np.max(np.abs(got_upper - upper), initial=0.0) < 1e-8
+    assert np.max(np.abs(got_real - real), initial=0.0) < 1e-8
+    cached = np.array(sd.real_zero_splits(R))
+    assert cached.shape == got_real.shape
+    assert np.max(np.abs(cached - got_real), initial=0.0) < 1e-8
+
+
+def test_pencil_eigenvalues_of_a_real_pulse_come_in_pairs():
+    # for real E, b(-conj k) = conj b(k): the zeros of the bump, here
+    # +-5.2357850+0.4292924i and +-8.9113497+0.2466207i, pair up across the
+    # imaginary axis
+    k = _pencil_zeros_in_disk(ScatteringData(SmoothBumpPulse(1.0, 2.0, 1.0)),
+                              10.24)
+    assert k.size >= 4
+    assert max(np.min(np.abs(k + np.conj(z))) for z in k) < 1e-12
+
+
 @pytest.mark.parametrize("beta", [0.5, 2.0])
 def test_real_zeros_scale_with_the_pulse(sd52, beta):
     # a[beta E1(beta t)](k) = a[E1](k / beta), and likewise b, so

@@ -51,9 +51,10 @@ def test_newton_makes_one_solve_per_step(monkeypatch):
     monkeypatch.setattr(sd, "ab_and_derivs_many", counted_derivs)
     spec = find_zeros(sd, (-3.0, 3.0, 1e-4, 3.0))
     assert abs(spec.zeros[0] - 1j * K1_BOX52) < 1e-6
-    # b and b' of each of the 5 Newton iterates from one solve; the last
-    # one's a and b' also serve the validation; no single-k solve of b alone
-    assert solves == {"ab_single": 0, "variational": 5}
+    # Newton starts at the pencil's eigenvalue, where |b| <= root_tol
+    # already: one solve gives b and b' for the last step and a and b' for
+    # the validation; no single-k solve of b alone
+    assert solves == {"ab_single": 0, "variational": 1}
 
 
 @pytest.fixture
@@ -70,73 +71,76 @@ def counted_solves(monkeypatch):
     return calls
 
 
-def test_bump_default_box_search_makes_two_solves(counted_solves):
-    sd = ScatteringData(SmoothBumpPulse(1.0, 2.0, 1.0))
-    spec = find_zeros(sd)
-    assert len(spec) == 0
-    # the winding count's initial samples and one prefetch; the box needs
-    # no solve and the real-line cache is never built
-    assert len(counted_solves) == 2
-    assert sd._cache is None
-
-
-CAP = 4.0 * 1.6 * 1.6
+K_TAIL = math.sqrt(7.0) / 2.0   # the default box at sigma = 0.25
+BUMP_BOX = (-10.24, 10.24, 1e-4, 10.24)
 
 
 @pytest.mark.parametrize("pulse", [BoxPulse(5.0, 2.0),
                                    SmoothBumpPulse(1.0, 2.0, 1.0)])
 def test_default_search_box_is_the_cap_without_a_solve(counted_solves, pulse):
+    # velocity_of(K) = 1 - sigma/2: the tail cone x/t <= 1 - sigma and a
+    # match window past it
     sd = ScatteringData(pulse)
-    assert default_search_box(sd) == (-CAP, CAP, 1e-4, CAP)
+    box = default_search_box(sd)
+    assert box == pytest.approx((-K_TAIL, K_TAIL, 1e-4, K_TAIL), rel=1e-15)
+    assert velocity_of(1j * box[3]) == pytest.approx(1.0 - 0.25 / 2)
     assert counted_solves == []
     assert sd._cache is None
 
 
 @pytest.mark.parametrize("T", [60.0, 64.972898])
 def test_long_support_box_is_clipped_to_the_growth_guard(counted_solves, T):
-    # (600 / T) * T rounds above 600 for T = 64.972898
-    assert (GROWTH_GUARD / 64.972898) * 64.972898 > GROWTH_GUARD
+    # the box does not depend on T, so it stays far inside the guard
     sd = ScatteringData(SmoothBumpPulse(0.01, 2.0, T))
     re_lo, re_hi, im_lo, im_hi = default_search_box(sd)
     assert re_hi == im_hi == -re_lo and im_lo == 1e-4
     assert im_hi * T <= GROWTH_GUARD
-    assert im_hi == pytest.approx(GROWTH_GUARD / T, rel=1e-15)
+    assert im_hi == pytest.approx(K_TAIL, rel=1e-15)
     assert counted_solves == []
 
 
-def test_nudged_cell_stays_within_the_growth_guard():
-    # a boundary zero on this half of the default box nudges the cell
-    # outward; its top edge, at the guard already, must not move up
-    from mbamp.soliton_spectrum import _cell_count
-    sd = ScatteringData(SmoothBumpPulse(0.01, 2.0, 60.0))
-    count, cell = _cell_count(sd, (-10.0, 0.0, 1e-4, 10.0))
-    assert count >= 0
-    assert cell[0] < -10.0 and cell[3] * 60.0 <= GROWTH_GUARD
-
-
-def test_negative_winding_count_is_reported_as_undersampling():
-    # b is entire, so a count of -1 on the long pulse means the contour's
-    # first samples are too coarse for b's 1/T scale
-    sd = ScatteringData(SmoothBumpPulse(0.01, 2.0, 60.0))
+def test_negative_winding_count_is_reported_as_undersampling(monkeypatch):
+    # b is entire, so a negative winding count means the contour is too
+    # coarsely sampled; the certificate never passes it on as a count
+    from mbamp import soliton_spectrum
+    sd = ScatteringData(BoxPulse(5.0, 2.0))
+    monkeypatch.setattr(soliton_spectrum, "count_zeros_rect",
+                        lambda *args, **kwargs: -1)
     with pytest.raises(AssumptionViolated,
                        match=r"winding count -1 .* undersampled"):
-        find_zeros(sd, (-4.0, 4.0, 1e-4, 4.0))
+        find_zeros(sd, (-3.0, 3.0, 1e-4, 3.0))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the 4 initial samples per edge sit 5.12 apart on the bottom edge and "
-    "miss its 2 pi wraps, so the count reads 0"))
+def test_long_pulse_count_agrees_with_the_pencil():
+    # The first samples 1/(2T) apart resolve b's 1/T scale: the count reads
+    # 5, where 4 samples per edge read -1.  find_zeros gets past its
+    # certificate, the count equal to the pencil's, and then rejects the
+    # pairs (k, -conj k) of equal moduli among the 5 zeros.
+    sd = ScatteringData(SmoothBumpPulse(0.01, 2.0, 60.0))
+    box = (-4.0, 4.0, 1e-4, 4.0)
+    count = count_zeros_rect(lambda k: sd.ab_many(k)[1], box,
+                             spacing=1.0 / 120.0)
+    assert count == 5
+    with pytest.raises(AssumptionViolated, match="moduli"):
+        find_zeros(sd, box)
+
+
 def test_count_finds_the_four_zeros_of_the_bump_default_box():
-    # The bump's default box holds 4 zeros of b, at +-5.2357850+0.4292924i
-    # and +-8.9113497+0.2466207i; a dense edge winding gives 4 (next test).
+    # The 10.24 box, the default before the tail cone's, holds the bump's
+    # zeros +-5.2357850+0.4292924i and +-8.9113497+0.2466207i.  With the
+    # first samples 1/(2T) apart, not 5.12, the count sees every 2 pi wrap
+    # of the bottom edge, as the dense winding of the next test does.
     sd = ScatteringData(SmoothBumpPulse(1.0, 2.0, 1.0))
-    box = default_search_box(sd)
-    assert count_zeros_rect(lambda k: sd.ab_many(k)[1], box) == 4
+    assert count_zeros_rect(lambda k: sd.ab_many(k)[1], BUMP_BOX,
+                            spacing=0.5) == 4
+    inside = [k for k in sd.pencil_zeros(64, 5j)
+              if abs(k.real) < 10.24 and 1e-4 < k.imag < 10.24]
+    assert len(inside) == 4
 
 
 def test_dense_edge_winding_of_the_bump_default_box_is_four():
     sd = ScatteringData(SmoothBumpPulse(1.0, 2.0, 1.0))
-    re_lo, re_hi, im_lo, im_hi = default_search_box(sd)
+    re_lo, re_hi, im_lo, im_hi = BUMP_BOX
     corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
                complex(re_hi, im_hi), complex(re_lo, im_hi),
                complex(re_lo, im_lo)]
@@ -151,6 +155,13 @@ def test_dense_edge_winding_of_the_bump_default_box_is_four():
     # bottom, right, top, left
     assert per_edge == pytest.approx([4.855, -0.179, -0.498, -0.179], abs=1e-3)
     assert np.sum(per_edge) == pytest.approx(4.0, abs=1e-6)
+
+
+def test_bump_default_box_holds_no_zero():
+    # the bump's zeros all have |k| >= 5.24: none reaches the tail cone
+    spec = find_zeros(ScatteringData(SmoothBumpPulse(1.0, 2.0, 1.0)))
+    assert len(spec) == 0
+    assert spec.box == pytest.approx((-K_TAIL, K_TAIL, 1e-4, K_TAIL))
 
 
 def test_box52_velocity(spec52):
@@ -229,10 +240,17 @@ def test_spectrum_stable_under_tolerance_halving():
 
 
 def test_default_box_contains_zero(spec52):
+    # the soliton of velocity 0.938 reaches the tail cone x/t <= 0.95 of
+    # sigma = 0.05, not the x/t <= 0.75 of the default sigma
     sd, spec = spec52
-    box = default_search_box(sd)
     k = spec.zeros[0]
-    assert box[0] < k.real < box[1] and box[2] < k.imag < box[3]
+    for sigma, inside in ((0.05, True), (0.25, False)):
+        box = default_search_box(sd, sigma)
+        assert (box[0] < k.real < box[1] and box[2] < k.imag < box[3]) \
+            == inside
+    wide = find_zeros(sd, None, 0.05)
+    assert wide.box == default_search_box(sd, 0.05)
+    assert wide.zeros == pytest.approx(spec.zeros, abs=1e-12)
 
 
 def test_velocity_match_hit_and_miss(spec52):

@@ -74,8 +74,10 @@ def test_traced_compare_past_the_tail_switch_solves_once(tmp_path):
 
 
 def test_traced_default_box_zeros_builds_no_cache(tmp_path):
-    # the default search box is a constant: the bump's zero search makes
-    # only the winding count's 2 solves and never builds the real-line cache
+    # the default search box needs no solve, and the pencil none: the
+    # bump's zero search makes only the winding count's one solve, which
+    # certifies that the tail cone's box holds no zero, and never builds the
+    # real-line cache
     tracing = load_tracing()
     from mbamp.cli import main
     cfg = tmp_path / "cfg.json"
@@ -89,4 +91,6 @@ def test_traced_default_box_zeros_builds_no_cache(tmp_path):
                      str(tmp_path)]) == 0
     assert tracer.counts["soliton_spectrum.default_search_box.calls"] == 1
     assert tracer.counts["scattering.cache_build.calls"] == 0
-    assert tracer.counts["scattering.ab_many.calls"] == 2
+    assert tracer.counts["numerics.count_zeros_rect.calls"] == 1
+    assert tracer.counts["numerics.complex_newton.calls"] == 0
+    assert tracer.counts["scattering.ab_many.calls"] == 1
