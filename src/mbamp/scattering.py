@@ -103,8 +103,8 @@ class ScatteringData:
         points (rectangular collocation, Driscoll & Hale, IMA J. Numer.
         Anal. 36, 2016), and the two boundary rows close A v = k B v.  Then
         k = shift + 1/mu for the eigenvalues mu of (A - shift B)^{-1} B, all
-        in its p1 block, since B acts on p1 only.  Spurious eigenvalues move
-        with n; zeros do not."""
+        in its p1 block, since B acts on p1 only.  Some are spurious, and
+        not zeros of b at all: ``find_zeros`` lets Newton on b decide."""
         T = self.pulse.support
         x, w = _lobatto(n)
         first = np.sin(np.pi * np.arange(n - 1, -n, -2) / (2 * n))

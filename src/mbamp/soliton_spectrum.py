@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AmbiguousMatch, AssumptionViolated
+from .errors import AmbiguousMatch, AssumptionViolated, Diverged, Overflow
 from .lightcone_asym import BandParams
 from .numerics import complex_newton, count_zeros_rect
 from .scattering import ScatteringData
@@ -51,15 +51,14 @@ def find_zeros(sd: ScatteringData,
     """Locate all zeros of b inside ``box`` (re_lo, re_hi, im_lo, im_hi),
     by default ``default_search_box(sd, sigma)``.
 
-    They are the eigenvalues of the Jost system's pencil
-    (``ScatteringData.pencil_zeros``) at n = max(32, ceil(1.6 T R)) nodes,
-    R the box's farthest corner, that the pencil at 1.5 n reproduces to
-    1e-6; the others are spurious (Boyd, Chebyshev and Fourier Spectral
-    Methods, ch. 7).  A winding count over the box, its first samples
-    1/(2T) apart, certifies their number; Newton with the variational
-    derivative polishes each to ``sd.tol.root_tol``.  Raises
-    AssumptionViolated when the count and the pencil disagree, or when the
-    zeros are not simple, touch the real line, or have coinciding moduli.
+    Newton with the variational derivative starts from each eigenvalue in
+    the box of the Jost system's pencil (``ScatteringData.pencil_zeros``)
+    at n = max(32, ceil(1.6 T R)) nodes, R the box's farthest corner, and
+    decides: seeds that diverge or leave the box are spurious, and limits
+    within 1e-8 max(1, |k|) are one zero.  A winding count over the box,
+    its first samples 1/(2T) apart, certifies their number.  Raises
+    AssumptionViolated when the count and Newton disagree, or when the
+    zeros are not simple, touch the real line, or share a modulus.
     """
     if box is None:
         box = default_search_box(sd, sigma)
@@ -69,26 +68,26 @@ def find_zeros(sd: ScatteringData,
         raise ValueError("search box must lie in Im k > 0")
     T = sd.pulse.support
     n = max(32, math.ceil(1.6 * T * math.hypot(max(-re_lo, re_hi), im_hi)))
-    shift = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
-    coarse = sd.pencil_zeros(n, shift)
-    fine = sd.pencil_zeros(3 * n // 2, shift)
-    coarse = coarse[(coarse.real > re_lo) & (coarse.real < re_hi)
-                    & (coarse.imag > im_lo) & (coarse.imag < im_hi)]
-    nearest = fine[np.argmin(np.abs(np.subtract.outer(coarse, fine)), axis=1)]
-    seeds = nearest[np.abs(nearest - coarse)
-                    <= 1e-6 * np.maximum(1.0, np.abs(coarse))]
 
+    def inside(k):
+        return re_lo < k.real < re_hi and im_lo < k.imag < im_hi
+
+    seeds = sd.pencil_zeros(n, 0.5 * complex(re_lo + re_hi, im_lo + im_hi))
+    refined = []
+    for z in (_refine_zero(sd, k) for k in seeds if inside(k)):
+        if z and inside(z[0]) and all(
+                abs(z[0] - y[0]) > 1e-8 * max(1.0, abs(z[0])) for y in refined):
+            refined.append(z)
     count = count_zeros_rect(lambda k: sd.ab_many(k)[1],
                              (re_lo, re_hi, im_lo, im_hi), sd.tol.root_tol,
                              spacing=0.5 / T)
-    if count != len(seeds):
+    if count != len(refined):
         raise AssumptionViolated(
-            f"winding count {count} on {box} but the pencil keeps "
-            f"{len(seeds)} zeros" + (": b has no poles; the contour is "
-                                     "undersampled" if count < 0 else ""))
+            f"winding count {count} on {box} but Newton from the pencil finds "
+            f"{len(refined)} zeros" + (": b has no poles; the contour is "
+                                       "undersampled" if count < 0 else ""))
 
-    refined = sorted((_refine_zero(sd, k) for k in seeds),
-                     key=lambda z: abs(z[0]))
+    refined.sort(key=lambda z: abs(z[0]))
     zeros = [z[0] for z in refined]
     a, bdot = np.array([z[1:] for z in refined]).reshape(-1, 2).T
     _validate(zeros, bdot)
@@ -99,8 +98,8 @@ def find_zeros(sd: ScatteringData,
 
 
 def _refine_zero(sd: ScatteringData, seed: complex):
-    """Newton from ``seed``; returns the zero k with a and bdot from the
-    last variational solve, at the iterate of Newton's final step."""
+    """Newton from ``seed``: the zero k, with a and bdot at Newton's last
+    iterate, or None if Newton diverges or passes the growth guard."""
     last = {}   # the iterate of the latest variational solve, its a, b, a', b'
 
     def solve(k):
@@ -109,18 +108,19 @@ def _refine_zero(sd: ScatteringData, seed: complex):
             last["ab"] = [complex(v[0]) for v in sd.ab_and_derivs_many([k])]
         return last["ab"]
 
-    k = complex_newton(lambda k: solve(k)[1], lambda k: solve(k)[3], seed,
-                       sd.tol.root_tol)
-    a, _, _, bdot = last["ab"]
-    return k, a, bdot
+    try:
+        k = complex_newton(lambda k: solve(k)[1], lambda k: solve(k)[3], seed,
+                           sd.tol.root_tol)
+    except (Diverged, Overflow):
+        return None
+    return k, last["ab"][0], last["ab"][3]
 
 
 def _validate(zeros, bdot):
     """Check the assumptions on the zeros, given bdot at each of them."""
-    for k in zeros:
+    for k, d in zip(zeros, bdot):
         if k.imag <= 1e-8:
             raise AssumptionViolated(f"zero {k} touches the real line")
-    for k, d in zip(zeros, bdot):
         if abs(d) <= 1e-10:
             raise AssumptionViolated(f"zero {k} is not simple: |bdot| = {abs(d):.2e}")
     mods = [abs(k) for k in zeros]

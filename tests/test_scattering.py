@@ -367,7 +367,8 @@ def test_smooth_pulses_have_no_real_zeros(pulse):
 def _pencil_zeros_in_disk(sd, R):
     """The pencil's eigenvalues in |k| < R at the node count find_zeros
     takes for a box of corner R, kept where the pencil at 1.5 n reproduces
-    them to 1e-6."""
+    them to 1e-6: these tests' own filter of spurious eigenvalues, which
+    keeps the real zeros too (find_zeros lets Newton decide instead)."""
     n = max(32, math.ceil(1.6 * sd.pulse.support * R))
     k = sd.pencil_zeros(n, 0.5j * R)
     fine = sd.pencil_zeros(3 * n // 2, 0.5j * R)

@@ -7,7 +7,7 @@ import pytest
 
 from mbamp.errors import AmbiguousMatch, AssumptionViolated
 from mbamp.numerics import Tolerances, count_zeros_rect
-from mbamp.pulse import BoxPulse, SmoothBumpPulse
+from mbamp.pulse import BoxPulse, PowerStartPulse, SmoothBumpPulse
 from mbamp.scattering import GROWTH_GUARD, ScatteringData
 from mbamp.soliton_spectrum import (SolitonSpectrum, default_search_box,
                                     find_zeros, velocity_match, velocity_of)
@@ -55,6 +55,46 @@ def test_newton_makes_one_solve_per_step(monkeypatch):
     # already: one solve gives b and b' for the last step and a and b' for
     # the validation; no single-k solve of b alone
     assert solves == {"ab_single": 0, "variational": 1}
+
+
+def test_newton_decides_which_eigenvalues_are_zeros(spec52, monkeypatch):
+    # Three eigenvalues in the box that are not new zeros: Newton from
+    # 2.9+0.01i passes the growth guard, from 2+0.001i it converges to the
+    # real zero 1.90 below the box, and the near-duplicate of the zero
+    # converges to it.  One pencil solve, and the spectrum is unchanged.
+    _, spec = spec52
+    pencil, solves = ScatteringData.pencil_zeros, []
+
+    def padded(self, n, shift):
+        solves.append(n)
+        return np.append(pencil(self, n, shift),
+                         [2.9 + 0.01j, 2.0 + 0.001j, 1e-8 + 1.9449j])
+
+    monkeypatch.setattr(ScatteringData, "pencil_zeros", padded)
+    got = find_zeros(ScatteringData(BoxPulse(5.0, 2.0)), (-3.0, 3.0, 1e-4, 3.0))
+    assert len(solves) == 1
+    assert len(got) == 1
+    assert abs(got.zeros[0] - 1j * K1_BOX52) < 1e-12
+    assert got.residues == spec.residues
+
+
+def test_zero_of_a_pulse_with_a_power_law_start(monkeypatch):
+    # E = 100 sqrt(t) (1 - t)^3 is not smooth at t = 0, so the pencil's
+    # eigenvalues converge slowly in n: a second solve at 1.5 n does not
+    # reproduce the zero to 1e-6, while Newton from the one solve finds it
+    from mbamp import soliton_spectrum
+    counts = []
+
+    def counted(*args, **kwargs):
+        counts.append(count_zeros_rect(*args, **kwargs))
+        return counts[-1]
+
+    monkeypatch.setattr(soliton_spectrum, "count_zeros_rect", counted)
+    spec = find_zeros(ScatteringData(PowerStartPulse(100.0, 1.5, 1.0)),
+                      (-8.0, 8.0, 1e-4, 8.0))
+    assert counts == [1]
+    assert len(spec) == 1
+    assert abs(spec.zeros[0] - 7.0780167127j) < 1e-8
 
 
 @pytest.fixture
