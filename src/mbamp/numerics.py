@@ -157,7 +157,13 @@ def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
                      root_tol: float = 1e-10,
                      max_samples: int = 200000,
                      spacing: float = math.inf) -> int:
-    """Count zeros of analytic ``f`` inside the rectangle by winding number.
+    """Count zeros of ``f`` inside the rectangle by winding number.
+
+    ``f`` need only be continuous and nonzero on the contour: the count is
+    its winding number, which for an analytic ``f`` is its number of zeros
+    inside.  A caller may multiply an analytic function by phase factors
+    that wind zero times, as ``find_zeros`` does to take the fast phase
+    turn of a zero just outside the rectangle out of the samples.
 
     ``rect`` is (re_lo, re_hi, im_lo, im_hi).  The boundary phase is tracked
     on an adaptively refined sampling until adjacent phase steps stay below

@@ -12,12 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AmbiguousMatch, AssumptionViolated, Diverged, Overflow
+from .errors import (AmbiguousMatch, AssumptionViolated, Diverged,
+                     DomainError, Overflow)
 from .lightcone_asym import BandParams
 from .numerics import complex_newton, count_zeros_rect
 from .scattering import ScatteringData
 
 _IM_FLOOR = 1e-4      # zeros below this would violate the off-axis assumption
+_PENCIL_MAX_N = 1024  # the dense pencil takes seconds and 350 MB past this
 
 
 @dataclass(frozen=True)
@@ -54,10 +56,16 @@ def find_zeros(sd: ScatteringData,
     Newton with the variational derivative starts from each eigenvalue in
     the box of the Jost system's pencil (``ScatteringData.pencil_zeros``)
     at n = max(32, ceil(1.6 T R)) nodes, R the box's farthest corner, and
-    decides: seeds that diverge or leave the box are spurious, and limits
-    within 1e-8 max(1, |k|) are one zero.  A winding count over the box,
-    its first samples 1/(2T) apart, certifies their number.  Raises
-    AssumptionViolated when the count and Newton disagree, or when the
+    decides: seeds that diverge, or whose iterates stray more than d =
+    1/(2T) from the box, are spurious, limits outside the box are dropped,
+    and limits within 1e-8 max(1, |k|) are one zero.  A winding count over
+    the box, its first samples d apart, certifies their number.  It counts
+    b times the phase factor conj(k - x)/|k - x| of each eigenvalue x
+    strictly outside the closed box and within d of it: |f| = |b|, and the
+    factors wind zero times, but they take the fast turn of b's phase at a
+    zero just outside the box (the real zeros under the bottom edge) out
+    of the samples.  Raises DomainError when n > 1024, before any solve,
+    and AssumptionViolated when the count and Newton disagree, or when the
     zeros are not simple, touch the real line, or share a modulus.
     """
     if box is None:
@@ -67,20 +75,38 @@ def find_zeros(sd: ScatteringData,
     if im_hi <= im_lo:
         raise ValueError("search box must lie in Im k > 0")
     T = sd.pulse.support
-    n = max(32, math.ceil(1.6 * T * math.hypot(max(-re_lo, re_hi), im_hi)))
+    R = math.hypot(max(-re_lo, re_hi), im_hi)
+    n = max(32, math.ceil(1.6 * T * R))
+    if n > _PENCIL_MAX_N:
+        raise DomainError(
+            f"the pencil for T = {T} and R = {R:.6g} needs n = {n} nodes, "
+            f"past its limit {_PENCIL_MAX_N}; search a smaller box")
+    d = 0.5 / T
 
     def inside(k):
         return re_lo < k.real < re_hi and im_lo < k.imag < im_hi
 
-    seeds = sd.pencil_zeros(n, 0.5 * complex(re_lo + re_hi, im_lo + im_hi))
+    def gap(k):   # distance from k to the closed box
+        return math.hypot(max(re_lo - k.real, 0.0, k.real - re_hi),
+                          max(im_lo - k.imag, 0.0, k.imag - im_hi))
+
+    def near(k):
+        return gap(k) <= d
+
+    eigs = sd.pencil_zeros(n, 0.5 * complex(re_lo + re_hi, im_lo + im_hi))
     refined = []
-    for z in (_refine_zero(sd, k) for k in seeds if inside(k)):
+    for z in (_refine_zero(sd, k, near) for k in eigs if inside(k)):
         if z and inside(z[0]) and all(
                 abs(z[0] - y[0]) > 1e-8 * max(1.0, abs(z[0])) for y in refined):
             refined.append(z)
-    count = count_zeros_rect(lambda k: sd.ab_many(k)[1],
-                             (re_lo, re_hi, im_lo, im_hi), sd.tol.root_tol,
-                             spacing=0.5 / T)
+    outside = np.array([x for x in eigs if 0.0 < gap(x) <= d])
+
+    def deflated_b(k):
+        u = np.subtract.outer(k, outside)
+        return sd.ab_many(k)[1] * np.prod(np.conj(u) / np.abs(u), axis=-1)
+
+    count = count_zeros_rect(deflated_b, (re_lo, re_hi, im_lo, im_hi),
+                             sd.tol.root_tol, spacing=d)
     if count != len(refined):
         raise AssumptionViolated(
             f"winding count {count} on {box} but Newton from the pencil finds "
@@ -97,13 +123,16 @@ def find_zeros(sd: ScatteringData,
                            box=box)
 
 
-def _refine_zero(sd: ScatteringData, seed: complex):
+def _refine_zero(sd: ScatteringData, seed: complex, near):
     """Newton from ``seed``: the zero k, with a and bdot at Newton's last
-    iterate, or None if Newton diverges or passes the growth guard."""
+    iterate, or None if Newton diverges, passes the growth guard or takes
+    an iterate where ``near`` is false."""
     last = {}   # the iterate of the latest variational solve, its a, b, a', b'
 
     def solve(k):
         if last.get("k") != k:
+            if not near(k):
+                raise Diverged(f"Newton strayed from the search box to {k}")
             last["k"] = k
             last["ab"] = [complex(v[0]) for v in sd.ab_and_derivs_many([k])]
         return last["ab"]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mbamp.errors import AmbiguousMatch, AssumptionViolated
+from mbamp.errors import AmbiguousMatch, AssumptionViolated, DomainError
 from mbamp.numerics import Tolerances, count_zeros_rect
 from mbamp.pulse import BoxPulse, PowerStartPulse, SmoothBumpPulse
 from mbamp.scattering import GROWTH_GUARD, ScatteringData
@@ -59,9 +59,10 @@ def test_newton_makes_one_solve_per_step(monkeypatch):
 
 def test_newton_decides_which_eigenvalues_are_zeros(spec52, monkeypatch):
     # Three eigenvalues in the box that are not new zeros: Newton from
-    # 2.9+0.01i passes the growth guard, from 2+0.001i it converges to the
-    # real zero 1.90 below the box, and the near-duplicate of the zero
-    # converges to it.  One pencil solve, and the spectrum is unchanged.
+    # 2.9+0.01i strays more than 1/(2T) from the box, from 2+0.001i it
+    # converges to the real zero 1.90 below the box, and the near-duplicate
+    # of the zero converges to it.  One pencil solve, and the spectrum is
+    # unchanged.
     _, spec = spec52
     pencil, solves = ScatteringData.pencil_zeros, []
 
@@ -76,6 +77,112 @@ def test_newton_decides_which_eigenvalues_are_zeros(spec52, monkeypatch):
     assert len(got) == 1
     assert abs(got.zeros[0] - 1j * K1_BOX52) < 1e-12
     assert got.residues == spec.residues
+
+
+def _variational_solves(monkeypatch, extra):
+    """The spectrum of box 5/2 and its count of variational solves, with
+    ``extra`` eigenvalues appended to the pencil's."""
+    pencil, derivs = ScatteringData.pencil_zeros, ScatteringData.ab_and_derivs_many
+    solves = []
+
+    def counted(self, ks):
+        solves.append(np.size(ks))
+        return derivs(self, ks)
+
+    monkeypatch.setattr(ScatteringData, "pencil_zeros",
+                        lambda self, n, shift: np.append(pencil(self, n, shift),
+                                                         extra))
+    monkeypatch.setattr(ScatteringData, "ab_and_derivs_many", counted)
+    spec = find_zeros(ScatteringData(BoxPulse(5.0, 2.0)), (-3.0, 3.0, 1e-4, 3.0))
+    return spec, len(solves)
+
+
+def test_newton_gives_up_once_it_leaves_the_enlarged_box(spec52, monkeypatch):
+    # Newton from 2.5+2.5i wanders to the real zero -12.3152 in 59
+    # variational solves when nothing stops it; an iterate more than
+    # 1/(2T) from the box ends it at once
+    _, spec = spec52
+    _, plain = _variational_solves(monkeypatch, [])
+    got, padded = _variational_solves(monkeypatch, [2.5 + 2.5j])
+    assert padded - plain <= 2
+    assert got.zeros == spec.zeros and got.residues == spec.residues
+
+
+def _count_runs(monkeypatch):
+    """Record each count's function, its calls of f and its result."""
+    from mbamp import soliton_spectrum
+    runs = []
+
+    def counted(f, *args, **kwargs):
+        run = {"f": f, "calls": 0}
+
+        def g(k):
+            run["calls"] += 1
+            return f(k)
+
+        run["count"] = count_zeros_rect(g, *args, **kwargs)
+        runs.append(run)
+        return run["count"]
+
+    monkeypatch.setattr(soliton_spectrum, "count_zeros_rect", counted)
+    return runs
+
+
+def test_certificate_deflates_eigenvalues_just_outside_the_box(spec52,
+                                                               monkeypatch):
+    # 0.5-1e-3i lies under the bottom edge and 3.1+1i right of the right
+    # edge, both within 1/(2T) = 0.25 of the box: the count divides out
+    # their phase and still reads 1.  0.5+1e-4i lies on the bottom edge, at
+    # one of its first samples: deflating it would make f NaN there, and
+    # Newton does not start from it.
+    _, spec = spec52
+    runs = _count_runs(monkeypatch)
+    _, plain = _variational_solves(monkeypatch, [])
+    outside = np.array([0.5 - 1e-3j, 3.1 + 1.0j])
+    got, padded = _variational_solves(monkeypatch,
+                                      np.append(outside, 0.5 + 1e-4j))
+    assert [run["count"] for run in runs] == [1, 1]
+    assert padded == plain
+    assert got.zeros == spec.zeros and got.residues == spec.residues
+    k = np.array([-3.0 + 1e-4j, 0.5 + 2.0j, 3.0 + 1.0j, 0.5 + 1e-4j])
+    u = np.subtract.outer(k, outside)
+    phase = np.prod(np.conj(u) / np.abs(u), axis=1)
+    assert runs[1]["f"](k) == pytest.approx(runs[0]["f"](k) * phase,
+                                            rel=1e-14)
+
+
+@pytest.mark.parametrize("pulse, box", [
+    (BoxPulse(5.0, 2.0), (-3.0, 3.0, 1e-4, 3.0)),
+    (BoxPulse(7.0, 2.0), (-4.0, 4.0, 1e-4, 4.0)),
+    (BoxPulse(3.3, 2.0), (-3.0, 3.0, 1e-4, 3.0)),
+    (BoxPulse(5.0, 6.0), (-3.0, 3.0, 1e-4, 3.0)),
+    (BoxPulse(1.0, 1.0), (-3.0, 3.0, 1e-4, 3.0)),
+    (SmoothBumpPulse(1.0, 2.0, 1.0), None)],
+    ids=["box52", "box72", "box3.3_2", "box56", "box11", "bump-default"])
+def test_deflated_count_needs_one_call_of_f(monkeypatch, pulse, box):
+    # the real zeros of a box pulse's b lie 1e-4 under the bottom edge;
+    # with their pencil eigenvalues divided out the first samples resolve
+    # the phase, where b alone needs 4 calls of f
+    sd = ScatteringData(pulse)
+    runs = _count_runs(monkeypatch)
+    spec = find_zeros(sd, box)
+    assert [run["calls"] for run in runs] == [1]
+    assert runs[0]["count"] == len(spec) == count_zeros_rect(
+        lambda k: sd.ab_many(k)[1], spec.box, sd.tol.root_tol,
+        spacing=0.5 / pulse.support)
+
+
+def test_pencil_past_its_size_limit_raises_before_any_solve(monkeypatch):
+    # T = 60 and the corner 11+11i need n = ceil(1.6 T R) = 1494 > 1024
+    # nodes: the dense pencil would take seconds and gigabytes
+    def unsolved(*args):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(ScatteringData, "pencil_zeros", unsolved)
+    monkeypatch.setattr(ScatteringData, "ab_many", unsolved)
+    sd = ScatteringData(SmoothBumpPulse(0.01, 2.0, 60.0))
+    with pytest.raises(DomainError, match=r"T = 60.* R = 15\.556.* n = 1494"):
+        find_zeros(sd, (-11.0, 11.0, 1e-4, 11.0))
 
 
 def test_zero_of_a_pulse_with_a_power_law_start(monkeypatch):

@@ -94,3 +94,24 @@ def test_traced_default_box_zeros_builds_no_cache(tmp_path):
     assert tracer.counts["numerics.count_zeros_rect.calls"] == 1
     assert tracer.counts["numerics.complex_newton.calls"] == 0
     assert tracer.counts["scattering.ab_many.calls"] == 1
+
+
+def test_traced_explicit_box_zeros_counts_in_one_solve(tmp_path):
+    # box 5/2's real zeros +-1.9025 lie 1e-4 under the bottom edge; the
+    # count divides out their pencil eigenvalues, so its first samples
+    # settle the phase in one solve, and Newton from the eigenvalue at the
+    # zero makes one variational solve
+    tracing = load_tracing()
+    from mbamp.cli import main
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1,
+        "pulse": {"kind": "box", "amplitude_re": 5.0, "support": 2.0},
+        "search_box": [-3.0, 3.0, 1e-4, 3.0]}))
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        assert main(["zeros", "--config", str(cfg), "--out",
+                     str(tmp_path)]) == 0
+    assert tracer.counts["scattering.ab_many.calls"] == 1
+    assert tracer.counts["numerics.count_zeros_rect.f_evals"] == 1
+    assert tracer.counts["scattering.ab_and_derivs_many.calls"] == 1
