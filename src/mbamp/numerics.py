@@ -156,7 +156,8 @@ def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
                      rect: tuple[float, float, float, float],
                      root_tol: float = 1e-10,
                      max_samples: int = 200000,
-                     spacing: float = math.inf) -> int:
+                     spacing: float = math.inf,
+                     anchors: Sequence[complex] = ()) -> int:
     """Count zeros of ``f`` inside the rectangle by winding number.
 
     ``f`` need only be continuous and nonzero on the contour: the count is
@@ -169,8 +170,14 @@ def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
     on an adaptively refined sampling until adjacent phase steps stay below
     pi/2, which pins the continuous argument without needing f'.  ``f`` is
     called on 1-D arrays of boundary points; a scalar return is broadcast.
-    The first samples, at least 4 per edge, are at most ``spacing`` apart:
-    bisection refines only the phase changes these samples show.
+    The first samples, at least 4 per edge, are at most ``spacing`` apart,
+    and hold the contour point nearest each of ``anchors``: bisection
+    refines only the phase changes these samples show.  Along its edge, a
+    factor conj(k - x)/|k - x| turns by less than pi/2 on either side of
+    the contour point nearest an outside x.  With that point a sample, a
+    zero of f just inside and such an x just outside next to it turn f by
+    less than 3pi/2 per step, and bisection resolves their 2pi turn, which
+    samples far apart read as none.
 
     A pass that needs unsampled midpoints samples, in one call of ``f``, the
     dyadic subtree ``_AHEAD`` levels deep under each step it bisects; later
@@ -202,8 +209,18 @@ def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
     # its own end values only, so the final samples do not depend on the
     # order of the passes.
     steps = np.maximum(4, np.ceil(np.abs(np.diff(corners)) / spacing))
-    params = np.concatenate([edge + np.arange(m) / m
-                             for edge, m in enumerate(steps)] + [[4.0]])
+    grid = np.concatenate([edge + np.arange(m) / m
+                           for edge, m in enumerate(steps)])
+    # each anchor's nearest contour point: its projection onto each edge,
+    # clipped to the edge, on the nearest of the four
+    x = np.asarray(anchors, dtype=complex).reshape(-1, 1)
+    a, ab = corners[:-1], np.diff(corners)
+    t = np.clip(((x - a) * np.conj(ab)).real / np.abs(ab) ** 2, 0.0, 1.0)
+    edge = np.argmin(np.abs(x - a - t * ab), axis=1)
+    nearest = (edge + t[np.arange(len(x)), edge]) % 4.0
+    # sorted without repeats; np.unique would import numpy.ma, about 1 MB
+    params = np.sort(np.concatenate([grid, nearest, [4.0]]))
+    params = params[np.append(True, np.diff(params) > 0.0)]
     values = kept(sample(params[:-1]))
     values = np.append(values, values[0])
     ahead: dict[float, complex] = {}   # sampled midpoints not yet kept

@@ -64,9 +64,12 @@ def find_zeros(sd: ScatteringData,
     strictly outside the closed box and within d of it: |f| = |b|, and the
     factors wind zero times, but they take the fast turn of b's phase at a
     zero just outside the box (the real zeros under the bottom edge) out
-    of the samples.  Raises DomainError when n > 1024, before any solve,
-    and AssumptionViolated when the count and Newton disagree, or when the
-    zeros are not simple, touch the real line, or share a modulus.
+    of the samples.  The contour point nearest each such x is a first
+    sample, so a zero just inside whose eigenvalue the pencil put just
+    outside is still counted, and Newton's missing it raises.  Raises
+    DomainError when n > 1024, before any solve, and AssumptionViolated
+    when the count and Newton disagree, or when the zeros are not simple,
+    touch the real line, or share a modulus.
     """
     if box is None:
         box = default_search_box(sd, sigma)
@@ -106,7 +109,7 @@ def find_zeros(sd: ScatteringData,
         return sd.ab_many(k)[1] * np.prod(np.conj(u) / np.abs(u), axis=-1)
 
     count = count_zeros_rect(deflated_b, (re_lo, re_hi, im_lo, im_hi),
-                             sd.tol.root_tol, spacing=d)
+                             sd.tol.root_tol, spacing=d, anchors=outside)
     if count != len(refined):
         raise AssumptionViolated(
             f"winding count {count} on {box} but Newton from the pencil finds "

@@ -145,6 +145,37 @@ def test_count_first_spacing_resolves_a_fast_winding():
     assert count_zeros_rect(f, rect, spacing=0.5) == 15
 
 
+@pytest.mark.parametrize("z, x", [
+    (0.1 + 1e-4j, 0.103 - 1e-3j), (0.1 + 1e-4j, 0.097 - 1e-5j),
+    (0.1 + 1e-4j, 0.1 - 0.2j), (1.9999 + 0.4j, 2.001 + 0.4003j),
+    (-1.9999 + 0.6j, -2.1 + 0.58j)])
+def test_count_anchor_resolves_a_phase_factor_next_to_a_zero(z, x):
+    # a zero just inside the contour and a phase factor for an x just
+    # outside it turn f by 2pi within about |z - x|, between first samples
+    # 0.5 and 0.25 apart; a sample at the contour point nearest x makes
+    # bisection resolve the turn
+    f = lambda k: (k - z) * np.conj(k - x) / np.abs(k - x)
+    rect = (-2.0, 2.0, 0.0, 1.0)
+    assert count_zeros_rect(f, rect, spacing=0.5, anchors=[x]) == 1
+    if abs(z - x) < 1e-2:
+        assert count_zeros_rect(f, rect, spacing=0.5) == 0
+
+
+def test_count_anchor_on_the_first_samples_changes_nothing():
+    # 0.5 - 1i is nearest the bottom edge's first sample 0.5
+    samples = []
+
+    def f(k):
+        samples.append(k)
+        return k - (0.3 + 0.5j)
+
+    rect = (-2.0, 2.0, 0.0, 1.0)
+    assert count_zeros_rect(f, rect, spacing=0.5, anchors=[0.5 - 1.0j]) == 1
+    assert count_zeros_rect(f, rect, spacing=0.5) == 1
+    assert len(samples) == 2 and len(samples[0]) == 24
+    assert np.array_equal(samples[0], samples[1])
+
+
 def test_count_boundary_zero_raises():
     with pytest.raises(BoundaryZero):
         count_zeros_rect(lambda k: k - 1j, (-1, 1, 1, 2))

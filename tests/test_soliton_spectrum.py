@@ -151,6 +151,29 @@ def test_certificate_deflates_eigenvalues_just_outside_the_box(spec52,
                                             rel=1e-14)
 
 
+def test_zero_whose_eigenvalue_lies_just_outside_the_box_is_not_lost(
+        monkeypatch):
+    # The top edge runs 1.1e-4 above box 5/2's zero, and the pencil's
+    # eigenvalue for it is moved 3e-4 past that edge and 0.003 off the
+    # axis, 0.05 from the nearest of the first samples 0.25 apart.  Newton
+    # does not start from it, and deflated it turns f by 2pi together with
+    # the zero, within about 3e-4: the first samples alone read no turn
+    # and an empty spectrum.  Its nearest contour point is a sample too,
+    # so the count reads 1 and the mismatch raises.
+    pencil = ScatteringData.pencil_zeros
+
+    def moved(self, n, shift):
+        eigs = pencil(self, n, shift)
+        eigs[np.argmin(np.abs(eigs - 1j * K1_BOX52))] = 0.003 + 1.9452j
+        return eigs
+
+    monkeypatch.setattr(ScatteringData, "pencil_zeros", moved)
+    sd = ScatteringData(BoxPulse(5.0, 2.0))
+    with pytest.raises(AssumptionViolated,
+                       match="winding count 1 .* finds 0 zeros"):
+        find_zeros(sd, (-2.9, 3.0, 1e-4, 1.945))
+
+
 @pytest.mark.parametrize("pulse, box", [
     (BoxPulse(5.0, 2.0), (-3.0, 3.0, 1e-4, 3.0)),
     (BoxPulse(7.0, 2.0), (-4.0, 4.0, 1e-4, 4.0)),
