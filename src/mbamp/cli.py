@@ -23,7 +23,7 @@ from .lightcone_asym import (AsymptoticFields, BandParams, classify,
 from .numerics import Tolerances
 from .pulse import BoxPulse, PowerStartPulse, SmoothBumpPulse
 from .scattering import ScatteringData
-from .soliton_spectrum import find_zeros
+from .soliton_spectrum import find_zeros, tail_cone_radius
 
 SCHEMA_VERSION = 1
 _PULSES = {"box": BoxPulse, "power_start": PowerStartPulse,
@@ -121,6 +121,14 @@ class RunConfig:
     def make_bands(self, pulse) -> BandParams:
         return BandParams(tail_order=float(pulse.start_exponent), **self.bands)
 
+    def make_scattering(self, pulse) -> ScatteringData:
+        """The pulse's scattering data, its real-line cache on the tail
+        cone's window [-K, K], K = tail_cone_radius(sigma): only tail points
+        read the cache, and their k0 stay below K."""
+        sigma = self.make_bands(pulse).sigma
+        return ScatteringData(pulse, self.make_tolerances(),
+                              halfwidth=tail_cone_radius(sigma))
+
     def oracle_args(self) -> dict:
         """Keyword arguments of mb_oracle.simulate from 'oracle'."""
         _check_keys(self.oracle, _ORACLE_KEYS, "config 'oracle'",
@@ -199,7 +207,7 @@ def _write_csv(path, header, rows):
 
 def cmd_scatter(cfg: RunConfig, out: Path) -> int:
     pulse = cfg.make_pulse()
-    sd = ScatteringData(pulse, cfg.make_tolerances())
+    sd = cfg.make_scattering(pulse)
     rows = []
     for axis, unit in (("re", 1.0), ("imag", 1j)):
         if not cfg.kgrid.get(axis):
@@ -223,7 +231,7 @@ def cmd_scatter(cfg: RunConfig, out: Path) -> int:
 
 def cmd_zeros(cfg: RunConfig, out: Path) -> int:
     pulse = cfg.make_pulse()
-    sd = ScatteringData(pulse, cfg.make_tolerances())
+    sd = cfg.make_scattering(pulse)
     box = tuple(cfg.search_box) if cfg.search_box else None
     spec = find_zeros(sd, box, cfg.make_bands(pulse).sigma)
     rows = []
@@ -278,7 +286,7 @@ _ASYM_HEADER = ["t", "x", "region", "n", "E_re", "E_im", "N",
 
 def cmd_asym(cfg: RunConfig, out: Path) -> int:
     pulse = cfg.make_pulse()
-    sd = ScatteringData(pulse, cfg.make_tolerances())
+    sd = cfg.make_scattering(pulse)
     points = cfg.grid_points()
     tags, results = _asymptotics(cfg, sd, cfg.make_bands(pulse), points)
     rows = []
@@ -334,7 +342,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, slice_t: float | None) -> int:
 
 def cmd_compare(cfg: RunConfig, out: Path) -> int:
     pulse = cfg.make_pulse()
-    sd = ScatteringData(pulse, cfg.make_tolerances())
+    sd = cfg.make_scattering(pulse)
     params = cfg.make_bands(pulse)
     points = cfg.grid_points()
     grid = mb_oracle.simulate(pulse, **cfg.oracle_args(), probes=points)

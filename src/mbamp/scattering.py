@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisionNearZero, Overflow
+from .errors import DivisionNearZero, DomainError, Overflow
 from .numerics import Tolerances, ode_advance
 from .pulse import Pulse
 
@@ -25,9 +25,12 @@ logger = logging.getLogger(__name__)
 
 _CHEB_TAIL = 1e-12      # chop level of the trailing Chebyshev coefficients
 _CHEB_MAX_N = 4096      # node cap of the real-line interpolant (n + 1 nodes)
-_SCAN_POINTS = 8193     # uniform scan for the minima of |b|
+_SCAN_STEP = 40.0 / 8192   # spacing of the scan for the minima of |b|
+_SCAN_ENTRIES = 8193    # about this many entries per scan distance matrix
 _REAL_ZERO_TOL = 1e-8   # polished |b| below which a scan minimum is a zero
-CACHE_HALFWIDTH = 20.0      # the real-line interpolant covers [-K, K]
+# default window [-K, K] of the real-line cache; the CLI asks for the tail
+# cone's, which holds the k0 of every tail point
+CACHE_HALFWIDTH = 20.0
 _KAPPA_MODEL_SWITCH = 40.0  # |k| on the i-axis past which r is the tail model
 GROWTH_GUARD = 600.0        # largest T*|Im k| a Jost solve accepts
 
@@ -46,11 +49,18 @@ class ScatteringData:
 
     Evaluations at distinct k are independent; the real-line cache is
     built once, under a lock, on first use and is read-only afterwards.
+    It covers [-halfwidth, halfwidth]: a tail point reads r only on (-k0,
+    k0), and a narrower window takes fewer steps and nodes.
     """
 
-    def __init__(self, pulse: Pulse, tol: Tolerances | None = None):
+    def __init__(self, pulse: Pulse, tol: Tolerances | None = None,
+                 halfwidth: float = CACHE_HALFWIDTH):
+        if not 0.0 < halfwidth < math.inf:
+            raise ValueError(f"cache halfwidth {halfwidth} is not a positive "
+                             "finite number")
         self.pulse = pulse
         self.tol = tol or Tolerances()
+        self.halfwidth = float(halfwidth)
         # (nodes, weights, [a b 1] at nodes, real zeros of b in [-K, K])
         self._cache = None
         self.cache_tail = None   # achieved Chebyshev tail of the cache
@@ -131,20 +141,23 @@ class ScatteringData:
     # ----------------------------------------------------- real-line cache
 
     def _build_cache(self):
-        """Chebyshev-Lobatto interpolant of a and b on [-K, K]; b's real zeros.
+        """Chebyshev-Lobatto interpolant of a and b on the window [-K, K],
+        K = self.halfwidth; b's real zeros there.
 
         a and b of a compact pulse are entire of exponential type, so their
-        Chebyshev coefficients decay geometrically.  The node count doubles
-        until the last four coefficients of both are below _CHEB_TAIL of the
-        largest (a chop test in the style of chebfun), starting from 129
-        nodes, where both benchmark pulses stop.  Each level is one batched
-        solve, so its values share one step sequence and stay a smooth
-        function of k.
+        Chebyshev coefficients decay geometrically, and the degree needed
+        grows with K T.  The node count doubles until the last four
+        coefficients of both are below _CHEB_TAIL of the largest (a chop
+        test in the style of chebfun), starting from 129 nodes, where both
+        benchmark pulses stop on [-20, 20], and the bump of T = 8 and 30 on
+        the tail cone's window.  Each level is one batched solve, so its
+        values share one step sequence and stay a smooth function of k; its
+        step count grows with K.
         """
         n = 128
         while True:
             x, weights = _lobatto(n)
-            nodes = CACHE_HALFWIDTH * x
+            nodes = self.halfwidth * x
             ab = np.column_stack(self.ab_many(nodes))
             # Chebyshev coefficients (times n) by an FFT of the even extension
             coef = np.abs(np.fft.fft(np.concatenate([ab, ab[-2:0:-1]]),
@@ -170,9 +183,17 @@ class ScatteringData:
 
     def ab_real(self, s):
         """(a, b) at real s off the interpolant: Python complex for a
-        scalar, arrays of the shape of s for an array."""
+        scalar, arrays of the shape of s for an array.  DomainError for an
+        |s| past the cache's window, where the interpolant would
+        extrapolate."""
+        s = np.asarray(s, dtype=float)
+        if s.size and np.abs(s).max() > self.halfwidth:
+            worst = float(s.flat[np.abs(s).argmax()])
+            raise DomainError(f"s = {worst!r} outside the real-line cache's "
+                              f"window [-{self.halfwidth!r}, "
+                              f"{self.halfwidth!r}]")
         nodes, weights, values, _ = self._cache_arrays()
-        ab = _barycentric(nodes, weights, values, np.asarray(s, dtype=float))
+        ab = _barycentric(nodes, weights, values, s)
         if np.ndim(s) == 0:
             return complex(ab[0]), complex(ab[1])
         return ab[..., 0], ab[..., 1]
@@ -258,16 +279,20 @@ def _barycentric(nodes, weights, values, s):
 
 
 def _real_zeros(nodes, weights, values) -> np.ndarray:
-    """Real zeros of the interpolated b: the local minima of |b| on a scan
-    (an end counts too), polished together by Gauss-Newton on |b|^2 within
-    the scan points beside each, where |b| ends below _REAL_ZERO_TOL."""
+    """Real zeros of the interpolated b on the nodes' window [-K, K]: the
+    local minima of |b| on a scan at most _SCAN_STEP apart (8193 points
+    for K = 20), an end counting too, polished together by Gauss-Newton on
+    |b|^2 within the scan points beside each, where |b| ends below
+    _REAL_ZERO_TOL."""
     def b_at(s):
         return _barycentric(nodes, weights, values, s)[:, 1]
 
-    scan = np.linspace(-CACHE_HALFWIDTH, CACHE_HALFWIDTH, _SCAN_POINTS)
-    # in parts, so each distance matrix has ~_SCAN_POINTS entries
+    K = nodes.max()
+    scan = np.linspace(-K, K, math.ceil(2.0 * K / _SCAN_STEP) + 1)
+    # in parts, so each distance matrix has ~_SCAN_ENTRIES entries
+    parts = math.ceil(scan.size * (len(nodes) - 1) / _SCAN_ENTRIES)
     mag = np.abs(np.concatenate([b_at(part) for part in
-                                 np.array_split(scan, len(nodes) - 1)]))
+                                 np.array_split(scan, parts)]))
     padded = np.pad(mag, 1, constant_values=np.inf)
     i = np.flatnonzero((mag < padded[:-2]) & (mag <= padded[2:]))
     ends = np.pad(scan, 1, mode="edge")

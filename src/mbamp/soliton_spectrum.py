@@ -162,15 +162,22 @@ def _validate(zeros, bdot):
                 f"moduli {m1} and {m2} are not pairwise distinct")
 
 
+def tail_cone_radius(sigma: float) -> float:
+    """K = sqrt(v / (1 - v)) / 2 with v = 1 - sigma/2: the largest |k| whose
+    velocity_of(k) <= v reaches the tail cone x/t <= 1 - sigma past any
+    match window.  It bounds, with margin, the k0 = sqrt(x/tau)/2 <=
+    sqrt((1 - sigma)/sigma)/2 of every tail point."""
+    v = 1.0 - 0.5 * sigma
+    return 0.5 * math.sqrt(v / (1.0 - v))
+
+
 def default_search_box(sd: ScatteringData, sigma: float = BandParams.sigma
                        ) -> tuple[float, float, float, float]:
-    """The box (-K, K, _IM_FLOOR, K) of every zero whose soliton reaches the
-    tail cone x/t <= 1 - sigma past any match window: velocity_of(k) <= v
-    = 1 - sigma/2, that is |k| <= K = sqrt(v / (1 - v)) / 2.  It does not
-    depend on the pulse.  Some pulses have infinitely many zeros, so no
-    finite box holds them all."""
-    v = 1.0 - 0.5 * sigma
-    K = 0.5 * math.sqrt(v / (1.0 - v))
+    """The box (-K, K, _IM_FLOOR, K), K = tail_cone_radius(sigma), of every
+    zero whose soliton reaches the tail cone.  It does not depend on the
+    pulse.  Some pulses have infinitely many zeros, so no finite box holds
+    them all."""
+    K = tail_cone_radius(sigma)
     return (-K, K, _IM_FLOOR, K)
 
 

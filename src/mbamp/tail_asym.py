@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ReflectionZero
 from .mb_oracle import FieldTriple
 from .numerics import adaptive_quad
-from .scattering import CACHE_HALFWIDTH, ScatteringData
+from .scattering import ScatteringData
 from .soliton_spectrum import SolitonSpectrum, velocity_match
 from .specfun import gamma_imag
 
@@ -84,7 +84,9 @@ def _log_term(sd: ScatteringData, s):
 def omega_pair(sd: ScatteringData, spec: SolitonSpectrum,
                t: float, x: float) -> TailPhases:
     """Fast phases of the two wave trains at (t, x) in the tail cone, with
-    the log integrals to ``sd.tol.quad_tol``.
+    the log integrals to ``sd.tol.quad_tol``.  They read r on [-k0, k0],
+    k0 = sqrt(x/tau)/2, so a k0 past the real-line cache's window raises
+    the cache's DomainError.
 
     The integrands' singularity at the endpoint is removable (the numerator
     vanishes there), and the quadrature never samples an endpoint.  Interior
@@ -94,8 +96,6 @@ def omega_pair(sd: ScatteringData, spec: SolitonSpectrum,
     if tau <= 0.0:
         raise ValueError("tail phases need t > x")
     k0 = 0.5 * math.sqrt(x / tau)
-    if k0 > CACHE_HALFWIDTH:
-        raise ValueError(f"k0 = {k0:.3f} outside the real-line cache")
     # a, b and r at -k0 and k0, from one read of the real-line cache
     a, b = sd.ab_real(np.array([-k0, k0]))
     r = b / a

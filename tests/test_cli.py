@@ -10,6 +10,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -252,6 +253,68 @@ def test_tail_point_runs_the_zero_search_once(tmp_path, monkeypatch):
     assert regions.count("tail") == 1 and regions.count("part1") == 7
     assert len(searches) == 1
     assert calls["ab_and_derivs_many"] > 0
+
+
+@pytest.mark.parametrize("cfg, sigma, grid", [
+    (BOX52, 0.05, "40:40:1,30:38:5"), (BUMP, 0.25, "40:40:1,10:30:5")])
+def test_asym_at_the_tail_cone_edge_stays_in_the_cache(tmp_path, cfg, sigma,
+                                                       grid):
+    # x/t = 1 - sigma exactly at x = 38 (and 30): the grid's largest tail
+    # k0, sqrt((1 - sigma)/sigma)/2, against the cache's window K = sqrt(v/(1
+    # - v))/2 with v = 1 - sigma/2
+    from mbamp.soliton_spectrum import tail_cone_radius
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, "bands": {"sigma": sigma}}))
+    out = tmp_path / "oe"
+    args = ["--config", str(path), "--out", str(out), "--grid", grid]
+    assert main(["asym", *args]) == 0
+    assert main(["regions", *args]) == 0
+    rows = [ln.split(",") for ln in
+            (out / "asym.csv").read_text().strip().split("\n")[1:]]
+    assert [r[2] for r in rows] == ["tail"] * 5
+    assert all(math.isfinite(float(v)) for r in rows for v in r[4:10])
+    k0 = [float(ln.split(",")[4]) for ln in
+          (out / "regions.csv").read_text().strip().split("\n")[1:]]
+    assert max(k0) == k0[-1] == pytest.approx(
+        0.5 * math.sqrt((1.0 - sigma) / sigma), rel=1e-12)
+    assert k0[-1] < 0.95 * tail_cone_radius(sigma)
+
+
+def test_long_pulse_asym_builds_the_cache_in_one_129_point_solve(
+        tmp_path, monkeypatch):
+    # T = 8: the cache on [-20, 20] needed 513 nodes; the tail cone's window
+    # at the default sigma, K = 1.32, needs 129.  The default search box
+    # holds the equal-modulus pair +-1.1538 + 0.0343i, which find_zeros
+    # rejects, so the box is narrowed past it
+    from mbamp.scattering import ScatteringData
+    solves = []
+    building = []
+    ab_many, build = ScatteringData.ab_many, ScatteringData._build_cache
+
+    def counted(self, ks):
+        if building:
+            solves.append(np.size(ks))
+        return ab_many(self, ks)
+
+    def flagged(self):
+        building.append(True)
+        try:
+            return build(self)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(ScatteringData, "ab_many", counted)
+    monkeypatch.setattr(ScatteringData, "_build_cache", flagged)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**BUMP, "search_box": [-1.0, 1.0, 1e-4, 1.3],
+                                "pulse": {**BUMP["pulse"], "support": 8.0}}))
+    out = tmp_path / "ol"
+    assert main(["asym", "--config", str(path), "--out", str(out),
+                 "--grid", "20:40:3,5:15:3"]) == 0
+    regions = [ln.split(",")[2] for ln in
+               (out / "asym.csv").read_text().strip().split("\n")[1:]]
+    assert regions.count("tail") == 7
+    assert solves == [129]
 
 
 def test_compare_on_cone_points_needs_no_search_box(tmp_path):

@@ -9,6 +9,7 @@ which serve as the matrix-exponential oracle throughout.
 import cmath
 import logging
 import math
+import re
 import threading
 import time
 
@@ -18,11 +19,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mbamp.errors import DivisionNearZero, Overflow
+from mbamp.errors import DivisionNearZero, DomainError, Overflow
 from mbamp.numerics import Tolerances, complex_newton
 from mbamp.pulse import BoxPulse, PowerStartPulse, SmoothBumpPulse
 from mbamp import scattering
 from mbamp.scattering import CACHE_HALFWIDTH, ScatteringData
+from mbamp.soliton_spectrum import tail_cone_radius
 
 
 def box_ab(A, T, k):
@@ -466,6 +468,65 @@ def test_real_line_cache_is_one_129_point_solve(pulse, monkeypatch):
     monkeypatch.setattr(ScatteringData, "ab_many", counted)
     ScatteringData(pulse).r_real(0.0)
     assert solves == [129]
+
+
+WINDOWED = [pytest.param((BoxPulse(5.0, 2.0), 0.05), id="box52"),
+            pytest.param((SmoothBumpPulse(1.0, 2.0, 1.0), 0.25), id="bump")]
+
+
+@pytest.fixture(scope="module", params=WINDOWED)
+def windowed(request):
+    """(pulse, K, the cache on [-K, K], the default cache on [-20, 20]), K
+    the tail cone's radius at the sigma of the pulse's benchmark runs."""
+    pulse, sigma = request.param
+    K = tail_cone_radius(sigma)
+    return (pulse, K, ScatteringData(pulse, halfwidth=K),
+            ScatteringData(pulse))
+
+
+def test_windowed_cache_agrees_with_the_default_cache(windowed):
+    # the window's solve takes its steps for |k| <= K, not 20, so it is held
+    # at the requested ode_rel = 1e-11: box 5/2 reads 1.8e-11 at s = -K,
+    # where the default cache is within 1e-14 of the closed form
+    pulse, K, sd, full = windowed
+    assert sd.halfwidth == K and len(sd._cache_arrays()[0]) == 129
+    s = np.linspace(-K, K, 200)
+    assert np.max(np.abs(sd.r_real(s) - full.r_real(s))) < 2e-11
+    got = np.array(sd.real_zero_splits(K))
+    want = np.array(full.real_zero_splits(K))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) < 1e-12
+
+
+def test_windowed_cache_of_the_box_is_the_closed_form():
+    K = tail_cone_radius(0.05)
+    sd = ScatteringData(BoxPulse(5.0, 2.0), halfwidth=K)
+    ks = np.random.default_rng(23).uniform(-K, K, 200)
+    a_exact, b_exact = zip(*(box_ab(5.0, 2.0, k) for k in ks))
+    a, b = sd.ab_real(ks)
+    assert np.max(np.abs(a - np.array(a_exact))) < 1e-9
+    assert np.max(np.abs(b - np.array(b_exact))) < 1e-9
+    assert sd.real_zero_splits(K) == pytest.approx(
+        list(box_real_zeros(5.0, 2.0, K)), abs=1e-9)
+
+
+def test_real_line_queries_past_the_window_raise(windowed):
+    _, K, sd, _ = windowed
+    msg = (f"s = {K + 0.1!r} outside the real-line cache's window "
+           f"[-{K!r}, {K!r}]")
+    with pytest.raises(DomainError, match=re.escape(msg)):
+        sd.r_real(K + 0.1)
+    with pytest.raises(DomainError, match=r"s = -"):
+        sd.ab_real(np.array([0.0, -K - 1e-9]))
+    assert isinstance(sd.r_real(K), complex)        # the window's end
+    with pytest.raises(DomainError):
+        ScatteringData(BoxPulse(1.0, 1.0)).r_real(CACHE_HALFWIDTH + 0.1)
+
+
+@pytest.mark.parametrize("halfwidth", [0.0, -1.0, math.inf, math.nan])
+def test_cache_window_must_be_positive_and_finite(halfwidth):
+    with pytest.raises(ValueError, match="halfwidth"):
+        ScatteringData(BoxPulse(1.0, 1.0), halfwidth=halfwidth)
 
 
 def test_real_line_cache_cap_is_reported(monkeypatch, caplog):

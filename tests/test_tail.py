@@ -7,11 +7,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from mbamp.errors import ReflectionZero
+from mbamp.errors import DomainError, ReflectionZero
+from mbamp.lightcone_asym import BandParams, classify
 from mbamp.numerics import Tolerances
 from mbamp.pulse import BoxPulse, SmoothBumpPulse
 from mbamp.scattering import ScatteringData
-from mbamp.soliton_spectrum import SolitonSpectrum, find_zeros
+from mbamp.soliton_spectrum import (SolitonSpectrum, find_zeros,
+                                    tail_cone_radius)
 from mbamp.tail_asym import (eval_tail, nu_pair, omega_pair, soliton_state)
 
 LN2_OVER_2PI = 0.11031780007607186
@@ -304,3 +306,37 @@ def test_omega_pair_converges_past_every_real_zero(k0):
     ph = omega_pair(sd, SolitonSpectrum((), (), ()), x + tau, x)
     # the pulse is real, so |r| is even on the real line
     assert ph.integral_l == pytest.approx(-ph.integral_r, abs=1e-9)
+
+
+@pytest.mark.parametrize("pulse, box, sigma, grid", [
+    pytest.param(BoxPulse(5.0, 2.0), (-3.0, 3.0, 1e-4, 3.0), 0.05,
+                 (30.0, 36.0, 4, 26.0, 35.0, 7), id="box52"),
+    pytest.param(SmoothBumpPulse(1.0, 2.0, 1.0), None, 0.25,
+                 (10.0, 14.0, 3, 3.0, 7.0, 3), id="bump")])
+def test_tail_fields_on_the_cone_window_match_the_default_cache(
+        pulse, box, sigma, grid):
+    # the tail points of the benchmark's nominal asym grids, read off a
+    # cache on the tail cone's window and off the default [-20, 20] one
+    t0, t1, nt, x0, x1, nx = grid
+    params = BandParams(tail_order=pulse.start_exponent, sigma=sigma)
+    points = [(t, x) for t in np.linspace(t0, t1, nt)
+              for x in np.linspace(x0, x1, nx)
+              if classify(t, x, params).variant == "tail"]
+    assert len(points) >= 8
+    full = ScatteringData(pulse)
+    windowed = ScatteringData(pulse, halfwidth=tail_cone_radius(sigma))
+    spec = find_zeros(full, box, sigma)
+    for t, x in points:
+        want = eval_tail(full, spec, t, x).fields
+        got = eval_tail(windowed, spec, t, x).fields
+        assert abs(got.E - want.E) <= 1e-10 * abs(want.E)
+        assert abs(got.rho - want.rho) <= 1e-10 * abs(want.rho)
+        assert got.N == pytest.approx(want.N, rel=1e-10)
+
+
+def test_tail_point_past_the_cache_window_raises():
+    # k0 = sqrt(x/tau)/2 = 1.5 reads r past a window of halfwidth 1
+    sd = ScatteringData(BoxPulse(1.0, 1.0), halfwidth=1.0)
+    with pytest.raises(DomainError, match="window"):
+        omega_pair(sd, SolitonSpectrum((), (), ()), 10.0 + 1.0 / 9.0,
+                   10.0)

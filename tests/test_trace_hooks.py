@@ -115,3 +115,25 @@ def test_traced_explicit_box_zeros_counts_in_one_solve(tmp_path):
     assert tracer.counts["scattering.ab_many.calls"] == 1
     assert tracer.counts["numerics.count_zeros_rect.f_evals"] == 1
     assert tracer.counts["scattering.ab_and_derivs_many.calls"] == 1
+
+
+def test_traced_tail_asym_builds_the_cache_from_129_points(tmp_path):
+    # box 5/2 at sigma = 0.05: the cache on the tail cone's window [-3.12,
+    # 3.12] is one 129-point solve, which the traced benchmark reports
+    tracing = load_tracing()
+    from mbamp.cli import main
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1,
+        "pulse": {"kind": "box", "amplitude_re": 5.0, "support": 2.0},
+        "search_box": [-3.0, 3.0, 1e-4, 3.0],
+        "bands": {"sigma": 0.05}}))
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        assert main(["asym", "--config", str(cfg), "--out", str(tmp_path),
+                     "--grid", "30:36:2,26:35:2"]) == 0
+    regions = [ln.split(",")[2] for ln in (tmp_path / "asym.csv")
+               .read_text().strip().split("\n")[1:]]
+    assert regions.count("tail") == 2
+    assert tracer.counts["scattering.cache_build.calls"] == 1
+    assert tracer.counts["scattering.cache_build.kpoints_solved"] == 129
