@@ -75,9 +75,11 @@ class RunConfig:
         _check_keys(self.kgrid, ["re", "imag"], "config 'kgrid'")
         for axis, spec in self.kgrid.items():
             if spec and not (isinstance(spec, list) and len(spec) == 3
-                             and all(map(_is_number, spec))):
+                             and all(map(_is_number, spec))
+                             and float(spec[2]).is_integer() and spec[2] >= 1):
                 raise ValueError(f"bad kgrid '{axis}' {spec!r}: expected "
-                                 "[lo, hi, n] or nothing")
+                                 "[lo, hi, n] with an integral n >= 1, or "
+                                 "nothing")
         if self.match_eps is not None and not _is_number(self.match_eps):
             raise ValueError(f"config 'match_eps' must be a number, not "
                              f"{self.match_eps!r}")
@@ -206,26 +208,26 @@ def _write_csv(path, header, rows):
 # ----------------------------------------------------------------- commands
 
 def cmd_scatter(cfg: RunConfig, out: Path) -> int:
+    """a, b and r on both axes of the k-grid, from one batched solve."""
     pulse = cfg.make_pulse()
     sd = cfg.make_scattering(pulse)
-    rows = []
+    axes = []
     for axis, unit in (("re", 1.0), ("imag", 1j)):
-        if not cfg.kgrid.get(axis):
-            continue
-        lo, hi, n = cfg.kgrid[axis]
-        ks = unit * np.linspace(lo, hi, int(n))
-        a, b = sd.ab_many(ks)
-        for k, av, bv in zip(ks, a, b):
-            r = bv / av if abs(av) > 1e-12 else complex(math.nan, math.nan)
-            defect = abs(abs(av) ** 2 + abs(bv) ** 2 - 1.0) \
-                if abs(np.imag(k)) < 1e-14 else math.nan
-            rows.append([_fmt(np.real(k)), _fmt(np.imag(k)),
-                         _fmt(av.real), _fmt(av.imag),
-                         _fmt(bv.real), _fmt(bv.imag),
-                         _fmt(r.real), _fmt(r.imag), _fmt(defect)])
-    _write_csv(out / "scatter.csv",
-               ["k_re", "k_im", "a_re", "a_im", "b_re", "b_im",
-                "r_re", "r_im", "unitarity_defect"], rows)
+        if cfg.kgrid.get(axis):
+            lo, hi, n = cfg.kgrid[axis]
+            axes.append(unit * np.linspace(lo, hi, int(n)))
+    ks = np.concatenate(axes, dtype=complex) if axes else np.zeros(0, complex)
+    a, b = sd.ab_many(ks) if axes else (ks, ks)
+    r = np.divide(b, a, out=np.full(ks.shape, complex(math.nan, math.nan)),
+                  where=np.abs(a) > 1e-12)
+    defect = np.where(np.abs(ks.imag) < 1e-14,
+                      np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0), math.nan)
+    table = np.column_stack([ks.real, ks.imag, a.real, a.imag, b.real,
+                             b.imag, r.real, r.imag, defect])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(out / "scatter.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write("k_re,k_im,a_re,a_im,b_re,b_im,r_re,r_im,unitarity_defect\n")
+        fh.write(row * len(table) % tuple(table.ravel().tolist()))
     return 0
 
 

@@ -181,9 +181,13 @@ def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
 
     A pass that needs unsampled midpoints samples, in one call of ``f``, the
     dyadic subtree ``_AHEAD`` levels deep under each step it bisects; later
-    passes take their midpoints from it.  BoundaryZero (``|f| < root_tol``)
-    is raised on the samples bisection keeps only, so neither the kept
-    samples nor the count depend on ``_AHEAD``.
+    passes take their midpoints from it.  BoundaryZero is raised on a dip
+    of a sample bisection keeps: ``|f|`` there at most ``root_tol`` times
+    the larger ``|f|`` beside it, its contour neighbours for a first sample
+    and the ends of the step it bisects for a midpoint.  The test is
+    relative, so an ``f`` that is small all along the contour, such as a
+    ``b`` decaying like ``|k|^-m``, counts.  Neither the kept samples nor
+    the count depend on ``_AHEAD``.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     if not (re_hi > re_lo and im_hi > im_lo):
@@ -198,10 +202,15 @@ def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
         z = corners[edge] + (s - edge) * (corners[edge + 1] - corners[edge])
         return np.broadcast_to(np.asarray(f(z), dtype=complex), z.shape)
 
-    def kept(v: np.ndarray) -> np.ndarray:
-        if np.min(np.abs(v)) < root_tol:
-            raise BoundaryZero(f"|f| = {np.min(np.abs(v)):.3e} on the "
-                               "contour; perturb the rectangle")
+    def kept(v: np.ndarray, left: np.ndarray, right: np.ndarray):
+        """``v``, unless one of its samples dips to root_tol times the
+        larger of ``left`` and ``right`` beside it."""
+        mag = np.abs(v)
+        dip = np.flatnonzero(mag <= root_tol * np.maximum(np.abs(left),
+                                                          np.abs(right)))
+        if dip.size:
+            raise BoundaryZero(f"|f| = {mag[dip[0]]:.3e} on the contour; "
+                               "perturb the rectangle")
         return v
 
     # The closure sample equals the start point.  Each pass bisects every
@@ -221,7 +230,8 @@ def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
     # sorted without repeats; np.unique would import numpy.ma, about 1 MB
     params = np.sort(np.concatenate([grid, nearest, [4.0]]))
     params = params[np.append(True, np.diff(params) > 0.0)]
-    values = kept(sample(params[:-1]))
+    values = sample(params[:-1])
+    values = kept(values, np.roll(values, 1), np.roll(values, -1))
     values = np.append(values, values[0])
     ahead: dict[float, complex] = {}   # sampled midpoints not yet kept
     while True:
@@ -238,7 +248,8 @@ def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
         if missing.any():
             tree = _bisection_tree(lo[missing], hi[missing], _AHEAD)
             ahead.update(zip(tree.tolist(), sample(tree).tolist()))
-        new = kept(np.array([ahead.pop(m) for m in keys]))
+        new = kept(np.array([ahead.pop(m) for m in keys]), values[bad],
+                   values[bad + 1])
         params = np.insert(params, bad + 1, mids)
         values = np.insert(values, bad + 1, new)
 

@@ -2,6 +2,12 @@
 
 All pulses are compactly supported on [0, T] with finite first moment, and
 evaluate to exactly zero outside the support.
+
+Each kind here is E = amplitude x a real shape, and declares its complex
+``amplitude``.  ``ScatteringData.ab_many`` relies on that contract: for a
+pulse with an ``amplitude`` it solves only Re k >= 0 and takes the rest
+from the mirror symmetry of a constant-phase pulse.  A pulse whose phase
+varies in t, such as a chirped one, must not declare an ``amplitude``.
 """
 
 from __future__ import annotations

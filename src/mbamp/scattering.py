@@ -33,6 +33,7 @@ _REAL_ZERO_TOL = 1e-8   # polished |b| below which a scan minimum is a zero
 CACHE_HALFWIDTH = 20.0
 _KAPPA_MODEL_SWITCH = 40.0  # |k| on the i-axis past which r is the tail model
 GROWTH_GUARD = 600.0        # largest T*|Im k| a Jost solve accepts
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -96,9 +97,34 @@ class ScatteringData:
                            self.tol.ode_rel, atol=self.tol.ode_abs)
 
     def ab_many(self, ks) -> tuple[np.ndarray, np.ndarray]:
-        """a(k), b(k) on an array of spectral points (shared adaptive steps)."""
-        p1, p2 = self._jost(ks, variational=False)
-        return p2, p1   # a = psi2(0), b = psi1(0)
+        """a(k), b(k) on an array of spectral points (shared adaptive steps).
+
+        A pulse that declares an ``amplitude`` c is c times a real shape, so
+        a(-conj k) = conj a(k) and b(-conj k) = (c / conj c) conj b(k)
+        (Ablowitz, Kaup, Newell & Segur, Stud. Appl. Math. 53, 1974).  Its
+        batch is folded onto Re k >= 0: each k with Re k < 0 becomes
+        -conj(k), points then within a few ulp of each other are solved
+        once, and the values of the folded points are reflected back.  A
+        batch with nothing to fold or merge is solved as given, in its
+        order.  ``ab_and_derivs_many`` never folds.
+        """
+        ks = np.atleast_1d(np.asarray(ks, dtype=complex))
+        c = getattr(self.pulse, "amplitude", None)
+        flip = ks.real < 0.0
+        folded = np.where(flip, -ks.conj(), ks)
+        order = np.lexsort((folded.imag, folded.real))
+        s = folded[order]
+        first = np.append(True, np.abs(np.diff(s)) > 4 * _EPS * np.abs(s[1:]))
+        if c is None or (first.all() and not flip.any()):
+            p1, p2 = self._jost(ks, variational=False)
+            return p2, p1   # a = psi2(0), b = psi1(0)
+        p1, p2 = self._jost(s[first], variational=False)
+        unique = np.empty(ks.size, dtype=int)
+        unique[order] = np.cumsum(first) - 1
+        a, b = p2[unique], p1[unique]
+        a[flip] = np.conj(a[flip])
+        b[flip] = c / np.conj(c) * np.conj(b[flip])
+        return a, b
 
     def ab_and_derivs_many(self, ks):
         """(a, b, da/dk, db/dk) on an array of spectral points."""

@@ -266,6 +266,7 @@ def tail_run():
     return sd, spec, grid
 
 
+@pytest.mark.slow
 def test_criterion_08_tail_amplitude_decay(tail_run):
     sd, spec, grid = tail_run
     assert len(spec) == 0          # no soliton line anywhere near x/t = 0.5
@@ -380,6 +381,7 @@ def soliton_run(sd_box52, spec_box52):
                     probes=[(97.0, xc - 3.0), (97.0, xc + 3.0)])
 
 
+@pytest.mark.slow
 def test_criterion_10_soliton_location_reduced_scale(sd_box52, spec_box52,
                                                      soliton_run):
     # reduced-scale substitute for the blocked full-scale check: the same
@@ -408,6 +410,7 @@ def test_criterion_10_soliton_location_reduced_scale(sd_box52, spec_box52,
             + ", ".join(f"{nv:.3f}" for nv in offline))
 
 
+@pytest.mark.slow
 def test_criterion_10_zero_of_a_makes_no_soliton(sd_box52, soliton_run):
     # the paper's second half: a zero of a (a pole of the transmission
     # coefficient) is no soliton.  Box 5/2 has one at 2.1367i, whose line

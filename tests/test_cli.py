@@ -237,6 +237,21 @@ def test_compare_without_tail_points_solves_once(tmp_path, monkeypatch):
     assert calls == {"ab_many": 1, "ab_and_derivs_many": 0}
 
 
+def test_scatter_takes_both_axes_from_one_solve(tmp_path, monkeypatch):
+    # one batch over both axes; an integral float count is a count
+    path = write_cfg(tmp_path, {"kgrid": {"re": [-3.0, 3.0, 25.0],
+                                          "imag": [0.5, 3.0, 6]}})
+    calls = count_solves(monkeypatch)
+    out = tmp_path / "os"
+    assert main(["scatter", "--config", str(path), "--out", str(out)]) == 0
+    assert calls == {"ab_many": 1, "ab_and_derivs_many": 0}
+    rows = np.loadtxt(out / "scatter.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (31, 9)
+    assert np.array_equal(rows[:25, 0], np.linspace(-3.0, 3.0, 25))
+    assert np.array_equal(rows[25:, 1], np.linspace(0.5, 3.0, 6))
+    assert np.all(rows[:25, -1] < 1e-8) and np.all(np.isnan(rows[25:, -1]))
+
+
 def test_tail_point_runs_the_zero_search_once(tmp_path, monkeypatch):
     from mbamp import cli
     searches = []
@@ -442,6 +457,11 @@ def _with_bad_value(slot, value):
 @example(case=_with_bad_value(("tolerances", "quad_tol"), "x"))
 @example(case=_with_bad_value(("tolerances", "ode_rel"), None))
 @example(case=_with_bad_value(("kgrid", "re"), [-3.0, 3.0, "25"]))
+# a count that is not an integral n >= 1: 0 failed inside numpy, and 2.5
+# silently wrote 2 rows
+@example(case=_with_bad_value(("kgrid", "re"), [-3.0, 3.0, 0]))
+@example(case=_with_bad_value(("kgrid", "re"), [-3.0, 3.0, 2.5]))
+@example(case=_with_bad_value(("kgrid", "imag"), [0.5, 3.0, -1]))
 @example(case=_with_bad_value((None, "pulse"), [1]))
 @example(case=_with_bad_value((None, "pulse"), None))
 @example(case=_with_bad_value((None, "oracle"), None))

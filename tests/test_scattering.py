@@ -90,9 +90,11 @@ def test_jost_overflow_guard(sd52):
 
 
 def test_real_pulse_symmetry(sd52):
+    # ab_many takes -k from the symmetry itself; the variational solve
+    # never folds, so it checks the symmetry
     ks = np.linspace(0.3, 15.0, 24)
-    ap, bp = sd52.ab_many(ks)
-    am, bm = sd52.ab_many(-ks)
+    ap, bp = sd52.ab_and_derivs_many(ks)[:2]
+    am, bm = sd52.ab_and_derivs_many(-ks)[:2]
     assert np.max(np.abs(am - np.conj(ap))) < 1e-8
     assert np.max(np.abs(bm - np.conj(bp))) < 1e-8
 
@@ -124,12 +126,15 @@ def test_scaling_maps_a_and_b_to_k_over_beta(beta, k):
 
 
 @_SYMMETRY
-@given(k=_SPECTRAL_POINTS)
-def test_real_pulse_conjugation_symmetry(k):
-    # for real E, conjugating the Jost system maps k to -conj(k)
-    sd = ScatteringData(BUMP)
-    a, b = sd.ab_many([k, -k.conjugate()])
-    assert _close([a[1], b[1]], np.conj([a[0], b[0]]))
+@given(c=st.sampled_from([1.0, 3.0 * cmath.exp(0.7j)]), k=_SPECTRAL_POINTS)
+def test_real_pulse_conjugation_symmetry(c, k):
+    # for E = c f with f real, conjugating the Jost system maps k to
+    # -conj(k) and c to conj(c), which turns b by c / conj(c); checked on
+    # the variational solve, which ab_many's fold does not use
+    sd = ScatteringData(SmoothBumpPulse(c, 2.0, 1.0))
+    a, b = sd.ab_and_derivs_many([k, -k.conjugate()])[:2]
+    turn = c / np.conj(c)
+    assert _close([a[1], b[1]], [np.conj(a[0]), turn * np.conj(b[0])])
 
 
 @_SYMMETRY
@@ -143,6 +148,46 @@ def test_phase_rotation_leaves_a_and_turns_b(phi, k):
     a, b = ScatteringData(BUMP).ab_many([k])
     a_rot, b_rot = ScatteringData(rotated).ab_many([k])
     assert _close([a_rot[0], b_rot[0]], [a[0], turn * b[0]])
+
+
+@pytest.mark.parametrize("c", [1.0, 3.0 * cmath.exp(0.7j)],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("kind", [BoxPulse, PowerStartPulse, SmoothBumpPulse])
+def test_folded_ab_many_matches_the_unfolded_solve(kind, c):
+    # ab_many solves Re k >= 0 and reflects the rest; the variational solve
+    # takes every point as given.  The real grid's mirror pairs differ by an
+    # ulp or agree, and the off-axis points lie in both half-planes.
+    pulse = kind(c, 1.0) if kind is BoxPulse else kind(c, 2.0, 1.0)
+    sd = ScatteringData(pulse)
+    ks = np.concatenate([np.linspace(-20.0, 20.0, 401),
+                         [1.5 + 0.7j, -1.5 + 0.7j, -0.4 + 2.0j, 3.0 - 0.3j,
+                          -3.0 - 0.3j, -2.2 - 0.5j]])
+    for got, want in zip(sd.ab_many(ks), sd.ab_and_derivs_many(ks)):
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1, abs(want)))
+
+
+def test_fold_passes_an_unfoldable_batch_through_in_its_order(monkeypatch):
+    # nothing to fold or merge: the light-cone batches on the imaginary
+    # axis reach the solver as given, so their values do not move
+    sd = ScatteringData(BoxPulse(5.0, 2.0))
+    batches = []
+    jost = ScatteringData._jost
+
+    def recorded(self, ks, variational):
+        batches.append(np.array(ks))
+        return jost(self, ks, variational)
+
+    monkeypatch.setattr(ScatteringData, "_jost", recorded)
+    ks = 1j * np.array([3.0, 0.5, 1.2])
+    sd.ab_many(ks)
+    # -0.5 and -3 fold, and 0.5 + 1e-17 merges with 0.5
+    a, b = sd.ab_many([0.5, -0.5, 0.5 + 1e-17, 2.0, -3.0])
+    assert np.array_equal(batches[0], ks)
+    assert np.array_equal(batches[1], [0.5, 2.0, 3.0])
+    flip = [False, True, False, False, True]
+    for got, want in zip((a, b), sd.ab_many([0.5, 2.0, 3.0])):
+        want = want[[0, 0, 0, 1, 2]]
+        assert np.array_equal(got, np.where(flip, np.conj(want), want))
 
 
 class _ChirpedPulse:
@@ -171,9 +216,11 @@ def test_chirp_shifts_a_and_b_by_beta(beta, k):
 
 
 def test_reflection_symmetry_and_zero(sd52):
-    r = sd52.reflection_uhp(1.3)
+    # r(-1.3) comes from ab_many's fold; the variational solve at 1.3 does
+    # not fold
+    a, b = sd52.ab_and_derivs_many([1.3])[:2]
     rm = sd52.reflection_uhp(-1.3)
-    assert rm == pytest.approx(np.conj(r), abs=1e-8)
+    assert rm == pytest.approx(np.conj(b[0] / a[0]), abs=1e-8)
     _, b = ab(sd52, 1.9448904595703225j)
     assert abs(b) < 1e-6
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from mbamp.errors import AmbiguousMatch, AssumptionViolated, DomainError
+from mbamp.errors import (AmbiguousMatch, AssumptionViolated, BoundaryZero,
+                          DomainError)
 from mbamp.numerics import Tolerances, count_zeros_rect
 from mbamp.pulse import BoxPulse, PowerStartPulse, SmoothBumpPulse
 from mbamp.scattering import GROWTH_GUARD, ScatteringData
@@ -281,6 +282,7 @@ def test_negative_winding_count_is_reported_as_undersampling(monkeypatch):
         find_zeros(sd, (-3.0, 3.0, 1e-4, 3.0))
 
 
+@pytest.mark.slow
 def test_long_pulse_count_agrees_with_the_pencil():
     # The first samples 1/(2T) apart resolve b's 1/T scale: the count reads
     # 5, where 4 samples per edge read -1.  find_zeros gets past its
@@ -293,6 +295,30 @@ def test_long_pulse_count_agrees_with_the_pencil():
     assert count == 5
     with pytest.raises(AssumptionViolated, match="moduli"):
         find_zeros(sd, box)
+
+
+def test_power_law_b_small_on_the_whole_contour_is_counted():
+    # b of c1 t^5 (1 - t)^3 decays like |k|^-6, so |b| at this box's far
+    # corner is below root_tol, yet no zero lies on the contour.  The
+    # boundary-zero test is relative to the samples beside each one, so the
+    # count reads the pencil's 20 zeros (ROADMAP item 5), and find_zeros
+    # gets past its certificate to reject the pairs (k, -conj k).
+    sd = ScatteringData(PowerStartPulse(1.0, 6.0, 1.0))
+    box = (-40.0, 40.0, 1e-4, 40.0)
+    assert abs(sd.ab_many([40.0 + 40.0j])[1][0]) < sd.tol.root_tol
+    assert count_zeros_rect(lambda k: sd.ab_many(k)[1], box,
+                            sd.tol.root_tol, spacing=0.5) == 20
+    with pytest.raises(AssumptionViolated, match="moduli"):
+        find_zeros(sd, box)
+
+
+def test_zero_of_b_on_the_contour_still_raises():
+    # the top edge's midpoint is box 5/2's zero, where |b| is 1e-15 against
+    # O(0.1) at the samples beside it
+    sd = ScatteringData(BoxPulse(5.0, 2.0))
+    with pytest.raises(BoundaryZero):
+        count_zeros_rect(lambda k: sd.ab_many(k)[1],
+                         (-1.0, 1.0, 0.5, K1_BOX52), sd.tol.root_tol)
 
 
 def test_count_finds_the_four_zeros_of_the_bump_default_box():

@@ -271,7 +271,7 @@ def box56():
     pytest.param("box52", 1.0, 0, id="1.0"),
     pytest.param("box52", 1.9449, 2, id="1.9449"),
     pytest.param("box52", 5.0, 4, id="5.0"),
-    pytest.param("box56", 12.0, 38, id="box56-12.0"),
+    pytest.param("box56", 12.0, 38, id="box56-12.0", marks=pytest.mark.slow),
 ])
 def test_tail_integrals_match_mpmath(request, case, k0, n_splits):
     # independent rule over the same panel edges and the same interpolant;

@@ -137,3 +137,23 @@ def test_traced_tail_asym_builds_the_cache_from_129_points(tmp_path):
     assert regions.count("tail") == 2
     assert tracer.counts["scattering.cache_build.calls"] == 1
     assert tracer.counts["scattering.cache_build.kpoints_solved"] == 129
+
+
+def test_traced_scatter_is_one_solve(tmp_path):
+    # both axes of the k-grid in one ab_many call, and for a constant-phase
+    # pulse one ODE solve of its points folded onto Re k >= 0
+    tracing = load_tracing()
+    from mbamp.cli import main
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1,
+        "pulse": {"kind": "smooth_bump", "amplitude_re": 1.0,
+                  "start_exponent": 2.0, "support": 1.0},
+        "kgrid": {"re": [-20.0, 20.0, 401], "imag": [0.05, 6.0, 120]}}))
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        assert main(["scatter", "--config", str(cfg), "--out",
+                     str(tmp_path)]) == 0
+    assert tracer.counts["scattering.ab_many.calls"] == 1
+    assert tracer.counts["scattering.ab_many.kpoints"] == 521
+    assert tracer.counts["numerics.ode_advance.calls"] == 1
