@@ -32,8 +32,11 @@ _ORACLE_KEYS = ("h", "t_max", "x_max", "nonphysical_tol")  # the last optional
 _GRID_KEYS = ("t0", "t1", "nt", "x0", "x1", "nx")
 
 
+_FMT = ".17g"   # every float in the CSV outputs: exact round trip
+
+
 def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+    return format(float(v), _FMT)
 
 
 @dataclass
@@ -199,8 +202,14 @@ def _write_json(path, data):
 
 
 def _write_csv(path, header, rows):
+    """``rows`` are lists of formatted fields, or a 2-D float array, whose
+    values are formatted as ``_fmt`` does in one pass over the table."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["%" + _FMT] * len(header)) + "\n"
+            fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
+            return
         for row in rows:
             fh.write(",".join(row) + "\n")
 
@@ -211,23 +220,21 @@ def cmd_scatter(cfg: RunConfig, out: Path) -> int:
     """a, b and r on both axes of the k-grid, from one batched solve."""
     pulse = cfg.make_pulse()
     sd = cfg.make_scattering(pulse)
-    axes = []
+    ks = np.zeros(0, dtype=complex)
     for axis, unit in (("re", 1.0), ("imag", 1j)):
         if cfg.kgrid.get(axis):
             lo, hi, n = cfg.kgrid[axis]
-            axes.append(unit * np.linspace(lo, hi, int(n)))
-    ks = np.concatenate(axes, dtype=complex) if axes else np.zeros(0, complex)
-    a, b = sd.ab_many(ks) if axes else (ks, ks)
+            ks = np.append(ks, unit * np.linspace(lo, hi, int(n)))
+    a, b = sd.ab_many(ks)
     r = np.divide(b, a, out=np.full(ks.shape, complex(math.nan, math.nan)),
                   where=np.abs(a) > 1e-12)
     defect = np.where(np.abs(ks.imag) < 1e-14,
                       np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0), math.nan)
-    table = np.column_stack([ks.real, ks.imag, a.real, a.imag, b.real,
-                             b.imag, r.real, r.imag, defect])
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(out / "scatter.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("k_re,k_im,a_re,a_im,b_re,b_im,r_re,r_im,unitarity_defect\n")
-        fh.write(row * len(table) % tuple(table.ravel().tolist()))
+    _write_csv(out / "scatter.csv",
+               ["k_re", "k_im", "a_re", "a_im", "b_re", "b_im",
+                "r_re", "r_im", "unitarity_defect"],
+               np.column_stack([ks.real, ks.imag, a.real, a.imag, b.real,
+                                b.imag, r.real, r.imag, defect]))
     return 0
 
 

@@ -184,9 +184,12 @@ def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
     passes take their midpoints from it.  BoundaryZero is raised on a dip
     of a sample bisection keeps: ``|f|`` there at most ``root_tol`` times
     the larger ``|f|`` beside it, its contour neighbours for a first sample
-    and the ends of the step it bisects for a midpoint.  The test is
-    relative, so an ``f`` that is small all along the contour, such as a
-    ``b`` decaying like ``|k|^-m``, counts.  Neither the kept samples nor
+    and the ends of the step it bisects for a midpoint.  It is also raised
+    when a step shorter than ``root_tol`` (in the edge parameter) still
+    turns by pi/2: only a zero within about that step of the contour does
+    so, and one off the samples need not dip at any midpoint.  Both tests
+    are relative, so an ``f`` that is small all along the contour, such as
+    a ``b`` decaying like ``|k|^-m``, counts.  Neither the kept samples nor
     the count depend on ``_AHEAD``.
     """
     re_lo, re_hi, im_lo, im_hi = rect
@@ -242,6 +245,9 @@ def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
         if len(params) > max_samples:
             raise NonConvergence("boundary phase tracking did not settle")
         lo, hi = params[bad], params[bad + 1]
+        if np.min(hi - lo) < root_tol:
+            raise BoundaryZero(f"f turns by pi/2 within {np.min(hi - lo):.1e}"
+                               " of the contour; perturb the rectangle")
         mids = 0.5 * (lo + hi)
         keys = mids.tolist()
         missing = np.array([m not in ahead for m in keys])
@@ -365,7 +371,8 @@ def ode_advance(rhs: Callable[[object, np.ndarray, np.ndarray], None],
     state ``y``; it must not keep references to either array.
 
     The state is a complex array of any shape (a scalar becomes shape
-    (1,)); the error norms are RMS over all its entries.  The per-step
+    (1,); an empty one is returned as given); the error norms are RMS over
+    all its entries.  The per-step
     error, DOP853's blend of its 5th- and 3rd-order estimates, is held at
     ``tol`` (relative) + ``atol`` (absolute, defaults to tol*1e-2) by the
     step controller of Hairer's code.  Backward integration (t1 < t0) is
@@ -373,7 +380,7 @@ def ode_advance(rhs: Callable[[object, np.ndarray, np.ndarray], None],
     span or after ``max_steps`` attempts.
     """
     y = np.array(y0, dtype=complex, ndmin=1)
-    if t1 == t0:
+    if t1 == t0 or y.size == 0:
         return y
     if atol is None:
         atol = tol * 1e-2

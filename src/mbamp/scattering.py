@@ -103,27 +103,31 @@ class ScatteringData:
         a(-conj k) = conj a(k) and b(-conj k) = (c / conj c) conj b(k)
         (Ablowitz, Kaup, Newell & Segur, Stud. Appl. Math. 53, 1974).  Its
         batch is folded onto Re k >= 0: each k with Re k < 0 becomes
-        -conj(k), points then within a few ulp of each other are solved
-        once, and the values of the folded points are reflected back.  A
-        batch with nothing to fold or merge is solved as given, in its
-        order.  ``ab_and_derivs_many`` never folds.
+        -conj(k), and the values of the folded points are reflected back.
+        Points within a few ulp of each other, after the fold, are solved
+        once.  The points solved keep their order in the batch, so a batch
+        with nothing to fold or merge is solved exactly as given.
+        ``ab_and_derivs_many`` never folds.
         """
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
         c = getattr(self.pulse, "amplitude", None)
-        flip = ks.real < 0.0
+        flip = (ks.real < 0.0) & (c is not None)
         folded = np.where(flip, -ks.conj(), ks)
+        # groups of points within a few ulp, each solved at the member first
+        # in (Re, Im) order; the representatives keep their batch order
         order = np.lexsort((folded.imag, folded.real))
         s = folded[order]
-        first = np.append(True, np.abs(np.diff(s)) > 4 * _EPS * np.abs(s[1:]))
-        if c is None or (first.all() and not flip.any()):
-            p1, p2 = self._jost(ks, variational=False)
-            return p2, p1   # a = psi2(0), b = psi1(0)
-        p1, p2 = self._jost(s[first], variational=False)
-        unique = np.empty(ks.size, dtype=int)
-        unique[order] = np.cumsum(first) - 1
-        a, b = p2[unique], p1[unique]
-        a[flip] = np.conj(a[flip])
-        b[flip] = c / np.conj(c) * np.conj(b[flip])
+        first = np.ones(ks.size, dtype=bool)
+        first[1:] = np.abs(np.diff(s)) > 4 * _EPS * np.abs(s[1:])
+        rep = order[first]
+        reps = np.sort(rep)
+        rank = np.empty(ks.size, dtype=int)
+        rank[order] = np.searchsorted(reps, rep)[np.cumsum(first) - 1]
+        p1, p2 = self._jost(folded[reps], variational=False)
+        a, b = p2[rank], p1[rank]   # a = psi2(0), b = psi1(0)
+        if flip.any():
+            a[flip] = np.conj(a[flip])
+            b[flip] = c / np.conj(c) * np.conj(b[flip])
         return a, b
 
     def ab_and_derivs_many(self, ks):
@@ -159,7 +163,8 @@ class ScatteringData:
         return shift + 1.0 / mu[np.abs(mu) > 1e-12]   # mu = 0: k infinite
 
     def _check_growth(self, ks):
-        worst = float(np.max(np.abs(np.imag(ks)))) * self.pulse.support
+        worst = float(np.max(np.abs(np.imag(ks)), initial=0.0)) \
+            * self.pulse.support
         if worst > GROWTH_GUARD:
             raise Overflow(f"T*|Im k| = {worst:.1f} exceeds the growth guard "
                            f"{GROWTH_GUARD:.0f}")

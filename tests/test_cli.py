@@ -252,6 +252,14 @@ def test_scatter_takes_both_axes_from_one_solve(tmp_path, monkeypatch):
     assert np.all(rows[:25, -1] < 1e-8) and np.all(np.isnan(rows[25:, -1]))
 
 
+def test_scatter_on_an_empty_kgrid_writes_the_header_only(tmp_path):
+    path = write_cfg(tmp_path, {"kgrid": {}})
+    out = tmp_path / "oe"
+    assert main(["scatter", "--config", str(path), "--out", str(out)]) == 0
+    assert (out / "scatter.csv").read_text() == \
+        "k_re,k_im,a_re,a_im,b_re,b_im,r_re,r_im,unitarity_defect\n"
+
+
 def test_tail_point_runs_the_zero_search_once(tmp_path, monkeypatch):
     from mbamp import cli
     searches = []

@@ -181,6 +181,21 @@ def test_count_boundary_zero_raises():
         count_zeros_rect(lambda k: k - 1j, (-1, 1, 1, 2))
 
 
+def test_count_boundary_zero_off_the_samples_raises():
+    # 0.3 + 1j is no first sample nor a dyadic midpoint of the bottom edge,
+    # so no kept sample dips; bisection still halves the step holding it
+    # until the step is shorter than root_tol
+    calls = []
+
+    def f(k):
+        calls.append(len(k))
+        return k - (0.3 + 1j)
+
+    with pytest.raises(BoundaryZero, match="turns by pi/2"):
+        count_zeros_rect(f, (-1, 1, 1, 2))
+    assert sum(calls) < 1000
+
+
 def _boundary_point(rect, s):
     """The boundary point of parameter s in [0, 4], as count_zeros_rect
     maps it: counterclockwise from (re_lo, im_lo), one unit per edge."""

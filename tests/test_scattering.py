@@ -190,6 +190,12 @@ def test_fold_passes_an_unfoldable_batch_through_in_its_order(monkeypatch):
         assert np.array_equal(got, np.where(flip, np.conj(want), want))
 
 
+def test_empty_batches_solve_to_empty_arrays():
+    sd = ScatteringData(BoxPulse(5.0, 2.0))
+    for v in (*sd.ab_many([]), *sd.ab_and_derivs_many([])):
+        assert v.shape == (0,) and v.dtype == complex
+
+
 class _ChirpedPulse:
     """The pulse E1(t) e^{2i beta t}: support, values and jumps."""
 

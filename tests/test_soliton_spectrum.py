@@ -312,13 +312,16 @@ def test_power_law_b_small_on_the_whole_contour_is_counted():
         find_zeros(sd, box)
 
 
-def test_zero_of_b_on_the_contour_still_raises():
-    # the top edge's midpoint is box 5/2's zero, where |b| is 1e-15 against
-    # O(0.1) at the samples beside it
+@pytest.mark.parametrize("re_hi", [1.0, 1.2])
+def test_zero_of_b_on_the_contour_still_raises(re_hi):
+    # box 5/2's zero is on the top edge: at its midpoint for re_hi = 1,
+    # where |b| is 1e-15 against O(0.1) at the samples beside it, and off
+    # every sample for re_hi = 1.2, where the step holding it is bisected
+    # below root_tol
     sd = ScatteringData(BoxPulse(5.0, 2.0))
     with pytest.raises(BoundaryZero):
         count_zeros_rect(lambda k: sd.ab_many(k)[1],
-                         (-1.0, 1.0, 0.5, K1_BOX52), sd.tol.root_tol)
+                         (-1.0, re_hi, 0.5, K1_BOX52), sd.tol.root_tol)
 
 
 def test_count_finds_the_four_zeros_of_the_bump_default_box():
