@@ -57,9 +57,10 @@ class RunConfig:
         # checked on construction: some commands never read the bands, the
         # tolerances or the oracle, and the zero search runs only for tail
         # points
-        for name in ("pulse", "tolerances", "bands", "oracle", "grid"):
-            if name != "grid" or self.grid is not None:
-                _check_numbers(getattr(self, name), f"config '{name}'")
+        for name in ("pulse", "tolerances", "bands", "oracle"):
+            _check_numbers(getattr(self, name), f"config '{name}'")
+        if self.grid is not None:
+            _check_grid(self.grid, "config 'grid'")
         kind = self.pulse.get("kind")
         cls = _PULSES.get(kind) if isinstance(kind, str) else None
         if cls is None:
@@ -72,9 +73,6 @@ class RunConfig:
                     "config 'tolerances'")
         _check_keys(self.bands, ["sigma"], "config 'bands'")
         _check_keys(self.oracle, _ORACLE_KEYS, "config 'oracle'")
-        if self.grid is not None:
-            _check_keys(self.grid, _GRID_KEYS, "config 'grid'",
-                        required=_GRID_KEYS)
         _check_keys(self.kgrid, ["re", "imag"], "config 'kgrid'")
         for axis, spec in self.kgrid.items():
             if spec and not (isinstance(spec, list) and len(spec) == 3
@@ -184,15 +182,32 @@ def _check_keys(spec, known, what: str, required=()):
                          + ", ".join(map(repr, missing)))
 
 
+def _check_grid(grid, what: str):
+    """ValueError, naming the key, unless ``grid`` is a JSON object of all
+    the grid keys, with t0, t1, x0, x1 >= 0 (the quadrant of the input
+    boundary x = 0) and integral counts nt, nx >= 1."""
+    _check_numbers(grid, what)
+    _check_keys(grid, _GRID_KEYS, what, required=_GRID_KEYS)
+    for key in _GRID_KEYS:
+        v = grid[key]
+        if key in ("nt", "nx") and not (float(v).is_integer() and v >= 1):
+            raise ValueError(f"{what} {key!r} is {v!r}: expected an integral "
+                             "count >= 1")
+        elif v < 0:
+            raise ValueError(f"{what} {key!r} is {v!r}: t and x must be >= 0")
+
+
 def _parse_grid(text: str) -> dict:
     try:
         tpart, xpart = text.split(",")
         t0, t1, nt = tpart.split(":")
         x0, x1, nx = xpart.split(":")
-        return {"t0": float(t0), "t1": float(t1), "nt": int(nt),
+        grid = {"t0": float(t0), "t1": float(t1), "nt": int(nt),
                 "x0": float(x0), "x1": float(x1), "nx": int(nx)}
     except ValueError as exc:
         raise ValueError(f"bad --grid '{text}', expected t0:t1:nt,x0:x1:nx") from exc
+    _check_grid(grid, "--grid")
+    return grid
 
 
 def _write_json(path, data):

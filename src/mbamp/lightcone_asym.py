@@ -58,17 +58,20 @@ class RegionTag:
 
 
 def classify(t: float, x: float, params: BandParams) -> RegionTag:
-    """Partition of the quadrant t, x > 0: every point gets exactly one tag.
+    """Partition of the quadrant t, x >= 0: every point gets exactly one tag.
 
     Boundary ties go to the higher-numbered part (sharper error control).
     The polylog bands exist only for x > e; the region between them and the
-    tail cone is reported as unsupported, not extrapolated.
+    tail cone is reported as unsupported, not extrapolated.  So is the input
+    boundary x = 0 < t, where part 1's error scale k0^-m is infinite.
     """
     if t <= x:
         return RegionTag("causal")
     tau = t - x
     k0 = 0.5 * math.sqrt(x / tau)
     xi = 2.0 * math.sqrt(x * tau)
+    if x == 0.0:
+        return RegionTag("unsupported", k0=k0, xi=xi)
     m = params.tail_order
 
     if x > math.e:

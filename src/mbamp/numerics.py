@@ -10,11 +10,8 @@ once, on the new nodes of all panels, and halves the step until two levels
 agree.
 
 The winding count (``count_zeros_rect``) bisects the boundary steps whose
-phase change reaches pi/2.  When a pass needs midpoints not sampled yet, it
-samples the whole dyadic subtree ``_AHEAD`` levels deep under each such step
-in one call of ``f``, so a batched ``f`` (one Jost solve) is called about
-once per ``_AHEAD`` passes.  Only the samples plain bisection keeps enter the
-count and the boundary-zero check, so the count is that of plain bisection.
+phase change reaches pi/2, one call of ``f`` per pass on the midpoints of
+all such steps, so a batched ``f`` (one Jost solve) is called once per pass.
 
 The Runge-Kutta advance (``ode_advance``) integrates an ODE whose time
 dependence sits in one coefficient ``c(t)``, such as the pulse in the Jost
@@ -138,24 +135,12 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         f"{tol:.1e}); integrand is likely pathological")
 
 
-_AHEAD = 4   # bisection levels of the winding count sampled per call of f
-
-
-def _bisection_tree(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
-    """Every midpoint that ``depth`` levels of bisection of the steps
-    [lo, hi] can form, each formed as bisection forms it: 0.5 * (lo + hi)."""
-    mids = []
-    for _ in range(depth):
-        mid = 0.5 * (lo + hi)
-        mids.append(mid)
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    return np.concatenate(mids)
+_MAX_SAMPLES = 200000   # boundary samples before the winding count gives up
 
 
 def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
                      rect: tuple[float, float, float, float],
                      root_tol: float = 1e-10,
-                     max_samples: int = 200000,
                      spacing: float = math.inf,
                      anchors: Sequence[complex] = ()) -> int:
     """Count zeros of ``f`` inside the rectangle by winding number.
@@ -179,18 +164,16 @@ def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
     less than 3pi/2 per step, and bisection resolves their 2pi turn, which
     samples far apart read as none.
 
-    A pass that needs unsampled midpoints samples, in one call of ``f``, the
-    dyadic subtree ``_AHEAD`` levels deep under each step it bisects; later
-    passes take their midpoints from it.  BoundaryZero is raised on a dip
-    of a sample bisection keeps: ``|f|`` there at most ``root_tol`` times
-    the larger ``|f|`` beside it, its contour neighbours for a first sample
-    and the ends of the step it bisects for a midpoint.  It is also raised
-    when a step shorter than ``root_tol`` (in the edge parameter) still
-    turns by pi/2: only a zero within about that step of the contour does
-    so, and one off the samples need not dip at any midpoint.  Both tests
-    are relative, so an ``f`` that is small all along the contour, such as
-    a ``b`` decaying like ``|k|^-m``, counts.  Neither the kept samples nor
-    the count depend on ``_AHEAD``.
+    Each pass calls ``f`` once, on the midpoints of the steps it bisects.
+    BoundaryZero is raised on a dip of a sample: ``|f|`` there at most
+    ``root_tol`` times the larger ``|f|`` beside it, its contour neighbours
+    for a first sample and the ends of the step it bisects for a midpoint.
+    It is also raised when a step shorter than ``root_tol`` (in the edge
+    parameter) still turns by pi/2: only a zero within about that step of
+    the contour does so, and one off the samples need not dip at any
+    midpoint.  Both tests are relative, so an ``f`` that is small all along
+    the contour, such as a ``b`` decaying like ``|k|^-m``, counts.
+    NonConvergence is raised past ``_MAX_SAMPLES`` samples.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     if not (re_hi > re_lo and im_hi > im_lo):
@@ -236,26 +219,19 @@ def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
     values = sample(params[:-1])
     values = kept(values, np.roll(values, 1), np.roll(values, -1))
     values = np.append(values, values[0])
-    ahead: dict[float, complex] = {}   # sampled midpoints not yet kept
     while True:
         dphi = np.angle(values[1:] / values[:-1])
         bad = np.flatnonzero(np.abs(dphi) >= 0.5 * math.pi)
         if bad.size == 0:
             break
-        if len(params) > max_samples:
+        if len(params) > _MAX_SAMPLES:
             raise NonConvergence("boundary phase tracking did not settle")
         lo, hi = params[bad], params[bad + 1]
         if np.min(hi - lo) < root_tol:
             raise BoundaryZero(f"f turns by pi/2 within {np.min(hi - lo):.1e}"
                                " of the contour; perturb the rectangle")
         mids = 0.5 * (lo + hi)
-        keys = mids.tolist()
-        missing = np.array([m not in ahead for m in keys])
-        if missing.any():
-            tree = _bisection_tree(lo[missing], hi[missing], _AHEAD)
-            ahead.update(zip(tree.tolist(), sample(tree).tolist()))
-        new = kept(np.array([ahead.pop(m) for m in keys]), values[bad],
-                   values[bad + 1])
+        new = kept(sample(mids), values[bad], values[bad + 1])
         params = np.insert(params, bad + 1, mids)
         values = np.insert(values, bad + 1, new)
 

@@ -51,7 +51,8 @@ def find_zeros(sd: ScatteringData,
                box: tuple[float, float, float, float] | None = None,
                sigma: float = BandParams.sigma) -> SolitonSpectrum:
     """Locate all zeros of b inside ``box`` (re_lo, re_hi, im_lo, im_hi),
-    by default ``default_search_box(sd, sigma)``.
+    by default ``default_search_box(sigma)``, with im_lo raised to
+    _IM_FLOOR; the spectrum's ``box`` is the box searched.
 
     Newton with the variational derivative starts from each eigenvalue in
     the box of the Jost system's pencil (``ScatteringData.pencil_zeros``)
@@ -72,11 +73,12 @@ def find_zeros(sd: ScatteringData,
     touch the real line, or share a modulus.
     """
     if box is None:
-        box = default_search_box(sd, sigma)
+        box = default_search_box(sigma)
     re_lo, re_hi, im_lo, im_hi = box
     im_lo = max(im_lo, _IM_FLOOR)
     if im_hi <= im_lo:
         raise ValueError("search box must lie in Im k > 0")
+    box = (re_lo, re_hi, im_lo, im_hi)
     T = sd.pulse.support
     R = math.hypot(max(-re_lo, re_hi), im_hi)
     n = max(32, math.ceil(1.6 * T * R))
@@ -108,8 +110,8 @@ def find_zeros(sd: ScatteringData,
         u = np.subtract.outer(k, outside)
         return sd.ab_many(k)[1] * np.prod(np.conj(u) / np.abs(u), axis=-1)
 
-    count = count_zeros_rect(deflated_b, (re_lo, re_hi, im_lo, im_hi),
-                             sd.tol.root_tol, spacing=d, anchors=outside)
+    count = count_zeros_rect(deflated_b, box, sd.tol.root_tol, spacing=d,
+                             anchors=outside)
     if count != len(refined):
         raise AssumptionViolated(
             f"winding count {count} on {box} but Newton from the pencil finds "
@@ -171,7 +173,7 @@ def tail_cone_radius(sigma: float) -> float:
     return 0.5 * math.sqrt(v / (1.0 - v))
 
 
-def default_search_box(sd: ScatteringData, sigma: float = BandParams.sigma
+def default_search_box(sigma: float = BandParams.sigma
                        ) -> tuple[float, float, float, float]:
     """The box (-K, K, _IM_FLOOR, K), K = tail_cone_radius(sigma), of every
     zero whose soliton reaches the tail cone.  It does not depend on the

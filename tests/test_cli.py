@@ -97,6 +97,14 @@ def test_zeros_csv(tmp_path):
     assert meta["count"] == 1
 
 
+def test_zeros_meta_holds_the_searched_box(tmp_path):
+    # the search and the count start at Im k = 1e-4, whatever im_lo asks
+    path = write_cfg(tmp_path, {"search_box": [-3.0, 3.0, -1.0, 3.0]})
+    assert main(["zeros", "--config", str(path), "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "zeros_meta.json").read_text())
+    assert meta == {"search_box": [-3.0, 3.0, 1e-4, 3.0], "count": 1}
+
+
 @pytest.mark.parametrize("sigma, K, zeros", [
     (None, math.sqrt(7.0) / 2.0, []),
     (0.05, math.sqrt(39.0) / 2.0, [1.9448904595703225])])
@@ -202,6 +210,33 @@ def test_bad_grid_spec(tmp_path):
     path = write_cfg(tmp_path)
     assert main(["regions", "--config", str(path), "--out", str(tmp_path),
                  "--grid", "oops"]) == 2
+
+
+@pytest.mark.parametrize("command", ["regions", "asym"])
+def test_grid_on_the_input_boundary_is_unsupported(tmp_path, command):
+    # t > x = 0 is the input boundary, where part 1's error scale k0^-m is
+    # infinite; it once divided by x
+    path = write_cfg(tmp_path)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out),
+                 "--grid", "0:10:3,0:5:3"]) == 0
+    rows = [ln.split(",") for ln in
+            (out / f"{command}.csv").read_text().strip().split("\n")[1:]]
+    assert len(rows) == 9
+    tags = {(float(r[0]), float(r[1])): r[2] for r in rows}
+    assert tags[0.0, 0.0] == "causal"
+    assert tags[5.0, 0.0] == tags[10.0, 0.0] == "unsupported"
+
+
+@pytest.mark.parametrize("grid, key", [
+    ("-1:5:3,1:5:3", "t0"), ("1:5:3,1:-2:3", "x1"), ("1:5:0,1:5:3", "nt")])
+def test_grid_off_the_quadrant_is_a_usage_error(tmp_path, capsys, grid, key):
+    path = write_cfg(tmp_path)
+    assert main(["regions", "--config", str(path), "--out", str(tmp_path),
+                 f"--grid={grid}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and repr(key) in err
+    assert not (tmp_path / "regions.csv").exists()
 
 
 # cone, causal and unsupported points only (box 5/2: tail order 1)
@@ -447,6 +482,13 @@ _NOT_NUMBERS = st.one_of(
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=1))
 
 
+def _with_bad_grid(key, value):
+    """BOX52 with a full grid whose ``key`` is ``value``; returns (config,
+    key)."""
+    grid = {"t0": 1.0, "t1": 5.0, "nt": 3, "x0": 1.0, "x1": 5.0, "nx": 3}
+    return {**BOX52, "grid": {**grid, key: value}}, key
+
+
 def _with_bad_value(slot, value):
     """BOX52 with ``value`` in one number slot; returns (config, key)."""
     section, key = slot
@@ -470,6 +512,13 @@ def _with_bad_value(slot, value):
 @example(case=_with_bad_value(("kgrid", "re"), [-3.0, 3.0, 0]))
 @example(case=_with_bad_value(("kgrid", "re"), [-3.0, 3.0, 2.5]))
 @example(case=_with_bad_value(("kgrid", "imag"), [0.5, 3.0, -1]))
+# likewise a grid count (2.5 wrote 2 rows, 0 the header only), and a
+# coordinate off the quadrant t, x >= 0
+@example(case=_with_bad_grid("nt", 2.5))
+@example(case=_with_bad_grid("nt", 0))
+@example(case=_with_bad_grid("nx", -3))
+@example(case=_with_bad_grid("t1", -1.0))
+@example(case=_with_bad_grid("x0", -0.5))
 @example(case=_with_bad_value((None, "pulse"), [1]))
 @example(case=_with_bad_value((None, "pulse"), None))
 @example(case=_with_bad_value((None, "oracle"), None))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mbamp.errors import BoundaryZero, Diverged, NonConvergence, StepUnderflow
-from mbamp.numerics import (_AHEAD, _DOP_A, _DOP_C, _DOP_E, Tolerances,
+from mbamp.numerics import (_DOP_A, _DOP_C, _DOP_E, Tolerances,
                             adaptive_quad, complex_newton, count_zeros_rect,
                             ode_advance)
 
@@ -239,7 +239,7 @@ def _recorded(f):
 
 
 @pytest.mark.parametrize("d", [1e-2, 1e-3, 1e-4])
-def test_count_with_prefetch_matches_plain_bisection(d):
+def test_count_is_plain_bisection(d):
     # zeros at distance d from the contour, two inside and two outside, and
     # a factor that winds the phase along the real direction
     zeros = (0.3 + d * 1j, 0.2 + (1 - d) * 1j, 0.6 - d * 1j, 1 + d + 0.45j)
@@ -248,26 +248,9 @@ def test_count_with_prefetch_matches_plain_bisection(d):
     want, passes, kept = _count_by_plain_bisection(f, rect)
     g, calls = _recorded(f)
     assert count_zeros_rect(g, rect) == want == 2
-    assert passes >= _AHEAD
-    assert len(calls) <= 1 + math.ceil(passes / _AHEAD)
-    # every sample plain bisection keeps is taken at the same point
-    assert kept <= {z for call in calls for z in call}
-
-
-def test_boundary_zero_only_on_kept_samples():
-    # f vanishes at one prefetched point that bisection never keeps: the
-    # count ignores it, as plain bisection, which never samples it, does
-    rect = (0.0, 1.0, 0.0, 1.0)
-    f = lambda k: k - (0.3 + 1e-3j)
-    want, _, kept = _count_by_plain_bisection(f, rect)
-    g, calls = _recorded(f)
-    count_zeros_rect(g, rect)
-    unkept = sorted({z for call in calls for z in call} - kept, key=abs)
-    assert unkept
-    trap = unkept[0]
-    f_trap = lambda k: np.where(k == trap, 0.0, k - (0.3 + 1e-3j))
-    assert count_zeros_rect(f_trap, rect) == _count_by_plain_bisection(
-        f_trap, rect)[0] == want == 1
+    # the first samples, then one call per pass on exactly its midpoints
+    assert {z for call in calls for z in call} == kept
+    assert len(calls) == 1 + passes
 
 
 def test_newton_double_root_from_nearby_seed():

@@ -252,7 +252,7 @@ def test_default_search_box_is_the_cap_without_a_solve(counted_solves, pulse):
     # velocity_of(K) = 1 - sigma/2: the tail cone x/t <= 1 - sigma and a
     # match window past it
     sd = ScatteringData(pulse)
-    box = default_search_box(sd)
+    box = default_search_box()
     assert box == pytest.approx((-K_TAIL, K_TAIL, 1e-4, K_TAIL), rel=1e-15)
     assert velocity_of(1j * box[3]) == pytest.approx(1.0 - 0.25 / 2)
     assert counted_solves == []
@@ -263,7 +263,7 @@ def test_default_search_box_is_the_cap_without_a_solve(counted_solves, pulse):
 def test_long_support_box_is_clipped_to_the_growth_guard(counted_solves, T):
     # the box does not depend on T, so it stays far inside the guard
     sd = ScatteringData(SmoothBumpPulse(0.01, 2.0, T))
-    re_lo, re_hi, im_lo, im_hi = default_search_box(sd)
+    re_lo, re_hi, im_lo, im_hi = default_search_box()
     assert re_hi == im_hi == -re_lo and im_lo == 1e-4
     assert im_hi * T <= GROWTH_GUARD
     assert im_hi == pytest.approx(K_TAIL, rel=1e-15)
@@ -310,6 +310,32 @@ def test_power_law_b_small_on_the_whole_contour_is_counted():
                             sd.tol.root_tol, spacing=0.5) == 20
     with pytest.raises(AssumptionViolated, match="moduli"):
         find_zeros(sd, box)
+
+
+@pytest.mark.parametrize("m, R, count", [
+    (6.0, 20.0, 8), (6.0, 20.0 + math.pi, 10), (6.0, 30.0, 14),
+    (6.0, 40.0, 20), (5.0, 20.0, 8), (5.0, 40.0, 22),
+    (2.0, 20.0, 0), (2.0, 40.0, 0), (3.0, 20.0, 0), (3.0, 40.0, 0)])
+def test_power_start_soliton_count_is_finite_or_infinite(m, R, count):
+    # The paper's soliton count "can be either finite or infinite" (ROADMAP
+    # item 5): for c1 t^(m-1) (1 - t)^3 the far zeros of b lie along Im k ~
+    # ((m - 4)/(2T)) log|k|, one per pi/T of Re k on each side.  For m > 4
+    # the count grows by about 2 per pi of R; for m < 4 the family lies
+    # below the axis.  Each count is one call of b and equals the number of
+    # the pencil's eigenvalues in the box.
+    sd = ScatteringData(PowerStartPulse(1.0, m, 1.0))
+    box = (-R, R, 1e-4, R)
+    calls = []
+
+    def b_of(k):
+        calls.append(k)
+        return sd.ab_many(k)[1]
+
+    assert count_zeros_rect(b_of, box, sd.tol.root_tol, spacing=0.5) == count
+    assert len(calls) == 1
+    eigs = sd.pencil_zeros(max(32, math.ceil(1.6 * R)), 0.5j * R)
+    assert sum(1 for k in eigs if -R < k.real < R and 1e-4 < k.imag < R) \
+        == count
 
 
 @pytest.mark.parametrize("re_hi", [1.0, 1.2])
@@ -444,11 +470,11 @@ def test_default_box_contains_zero(spec52):
     sd, spec = spec52
     k = spec.zeros[0]
     for sigma, inside in ((0.05, True), (0.25, False)):
-        box = default_search_box(sd, sigma)
+        box = default_search_box(sigma)
         assert (box[0] < k.real < box[1] and box[2] < k.imag < box[3]) \
             == inside
     wide = find_zeros(sd, None, 0.05)
-    assert wide.box == default_search_box(sd, 0.05)
+    assert wide.box == default_search_box(0.05)
     assert wide.zeros == pytest.approx(spec.zeros, abs=1e-12)
 
 
