@@ -16,6 +16,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebinterpolate, chebroots
 
 from .errors import DivisionNearZero, DomainError, Overflow
 from .numerics import Tolerances, ode_advance
@@ -25,9 +26,8 @@ logger = logging.getLogger(__name__)
 
 _CHEB_TAIL = 1e-12      # chop level of the trailing Chebyshev coefficients
 _CHEB_MAX_N = 4096      # node cap of the real-line interpolant (n + 1 nodes)
-_SCAN_STEP = 40.0 / 8192   # spacing of the scan for the minima of |b|
-_SCAN_ENTRIES = 8193    # about this many entries per scan distance matrix
-_REAL_ZERO_TOL = 1e-8   # polished |b| below which a scan minimum is a zero
+_ROOT_CHOP = 1e-14      # chop level of b's series before its roots
+_ROOT_IMAG = 1e-8       # |Im| below which a root of b's series is real
 # default window [-K, K] of the real-line cache; the CLI asks for the tail
 # cone's, which holds the k0 of every tail point
 CACHE_HALFWIDTH = 20.0
@@ -62,7 +62,7 @@ class ScatteringData:
         self.pulse = pulse
         self.tol = tol or Tolerances()
         self.halfwidth = float(halfwidth)
-        # (nodes, weights, [a b 1] at nodes, real zeros of b in [-K, K])
+        # (nodes, weights, [a b 1] at nodes, sorted real zeros of b in [-K, K])
         self._cache = None
         self.cache_tail = None   # achieved Chebyshev tail of the cache
         self._lock = threading.Lock()
@@ -183,7 +183,9 @@ class ScatteringData:
         benchmark pulses stop on [-20, 20], and the bump of T = 8 and 30 on
         the tail cone's window.  Each level is one batched solve, so its
         values share one step sequence and stay a smooth function of k; its
-        step count grows with K.
+        step count grows with K.  b's real zeros are the interpolant's; for
+        a pulse that declares an ``amplitude`` |b| is even (see ``ab_many``),
+        so those with Re >= 0 are mirrored, and the zeros are exact mirrors.
         """
         n = 128
         while True:
@@ -203,8 +205,12 @@ class ScatteringData:
                            "tail %.2e", n + 1, tail)
         self.cache_tail = tail
         values = np.column_stack([ab, np.ones(n + 1)])
-        self._cache = (nodes, weights, values,
-                       _real_zeros(nodes, weights, values))
+        z = _real_roots(
+            lambda s: _barycentric(nodes, weights, values, s)[:, 1],
+            -self.halfwidth, self.halfwidth, coef[:, 1].max() / n)
+        if getattr(self.pulse, "amplitude", None) is not None:
+            z = np.concatenate([-z[z >= 0.0], z[z >= 0.0]])
+        self._cache = (nodes, weights, values, np.sort(z))
 
     def _cache_arrays(self):
         with self._lock:
@@ -289,6 +295,25 @@ def _lobatto(n):
     return nodes, weights
 
 
+def _real_roots(f, lo, hi, scale):
+    """Real roots in [lo, hi] of the polynomial f: the real eigenvalues of
+    the colleague matrix (Good, Quart. J. Math. 12, 1961) of its series on
+    65 Chebyshev points, chopped at _ROOT_CHOP * scale, on pieces of [lo,
+    hi] split off centre, as chebfun does, until that series ends below
+    _CHEB_TAIL * scale; so no solve has more than 65 terms."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    coef = chebinterpolate(lambda x: f(mid + half * x), 64)
+    mag = np.abs(coef)
+    if mag[-4:].max() >= _CHEB_TAIL * scale:
+        cut = mid - 0.004849834917525 * half   # chebfun's split point
+        return np.concatenate([_real_roots(f, lo, cut, scale),
+                               _real_roots(f, cut, hi, scale)])
+    keep = np.flatnonzero(mag > _ROOT_CHOP * scale)
+    z = chebroots(coef[:max(keep, default=0) + 1])
+    z = z.real[(np.abs(z.imag) < _ROOT_IMAG) & (np.abs(z.real) <= 1.0)]
+    return mid + half * z
+
+
 def _barycentric(nodes, weights, values, s):
     """Columns of ``values`` but the last interpolated to ``s`` (a scalar
     or a 1-D array) by the second barycentric formula; the last column of
@@ -307,29 +332,3 @@ def _barycentric(nodes, weights, values, s):
         out = np.where(hit.any(axis=-1)[..., None],
                        values[hit.argmax(axis=-1), :-1], out)
     return out
-
-
-def _real_zeros(nodes, weights, values) -> np.ndarray:
-    """Real zeros of the interpolated b on the nodes' window [-K, K]: the
-    local minima of |b| on a scan at most _SCAN_STEP apart (8193 points
-    for K = 20), an end counting too, polished together by Gauss-Newton on
-    |b|^2 within the scan points beside each, where |b| ends below
-    _REAL_ZERO_TOL."""
-    def b_at(s):
-        return _barycentric(nodes, weights, values, s)[:, 1]
-
-    K = nodes.max()
-    scan = np.linspace(-K, K, math.ceil(2.0 * K / _SCAN_STEP) + 1)
-    # in parts, so each distance matrix has ~_SCAN_ENTRIES entries
-    parts = math.ceil(scan.size * (len(nodes) - 1) / _SCAN_ENTRIES)
-    mag = np.abs(np.concatenate([b_at(part) for part in
-                                 np.array_split(scan, parts)]))
-    padded = np.pad(mag, 1, constant_values=np.inf)
-    i = np.flatnonzero((mag < padded[:-2]) & (mag <= padded[2:]))
-    ends = np.pad(scan, 1, mode="edge")
-    k, lo, hi = scan[i], ends[i], ends[i + 2]
-    for _ in range(8):
-        bp, b0, bm = b_at(np.concatenate([k + 1e-6, k, k - 1e-6])
-                          ).reshape(3, -1)
-        k = np.clip(k - (b0 / ((bp - bm) / 2e-6)).real, lo, hi)
-    return k[np.abs(b_at(k)) < _REAL_ZERO_TOL]

@@ -363,8 +363,8 @@ def test_real_zero_splits_finds_box_zeros(sd52):
 
 @pytest.mark.parametrize("k0", [1.9025, 1.90253, 1.9026, 1.9043, 1.906927])
 def test_real_zero_splits_find_a_zero_next_to_k0(sd52, k0):
-    # the zero sqrt(pi^2 - 6.25) = 1.9025258 lies past the last scan point
-    # inside (-k0, k0) (the scan step is 40/8192); it is a split iff < k0
+    # the zero sqrt(pi^2 - 6.25) = 1.9025258 lies on either side of these
+    # k0, the nearest 4.2e-6 away; it is a split iff < k0, with its mirror
     expect = math.sqrt(math.pi ** 2 - 6.25)
     splits = sd52.real_zero_splits(k0)
     assert len(splits) == (2 if expect < k0 else 0)
@@ -391,7 +391,7 @@ def _real_zeros(sd):
 @given(A=st.floats(0.5, 8.0), T=st.floats(0.5, 3.0))
 def test_real_zeros_of_a_box_are_the_closed_form(A, T):
     # AT/(2 pi) near an integer puts a zero pair near k = 0 (and b(0) ~ 0);
-    # a zero within a scan step of the cache end is not a split either way
+    # a root of b's series at the cache end may fall either side of it
     assume(0.1 < (A * T / (2.0 * math.pi)) % 1.0 < 0.9)
     expect = box_real_zeros(A, T)
     assume(expect.size == 0 or np.max(np.abs(expect)) < CACHE_HALFWIDTH - 0.01)
@@ -400,23 +400,43 @@ def test_real_zeros_of_a_box_are_the_closed_form(A, T):
     assert np.max(np.abs(got - expect), initial=0.0) < 1e-8
 
 
-@pytest.mark.parametrize("A, T", [(5.0, 2.0), (3.3, 2.0), (5.0, 6.0),
-                                  (1.0, 1.0), (7.0, 2.0)])
-def test_every_real_zero_of_the_box_is_found(A, T):
-    # box 3.3/2 has a zero at +-2.6734069 where |r| is just above the
-    # floor of a scan that kept only minima below 0.02 x median |r|
-    got = _real_zeros(ScatteringData(BoxPulse(A, T)))
-    expect = box_real_zeros(A, T)
+@pytest.mark.parametrize("A, T, K", [
+    *(pytest.param(A, T, CACHE_HALFWIDTH, id=f"{A}-{T}") for A, T in
+      [(5.0, 2.0), (3.3, 2.0), (5.0, 6.0), (1.0, 1.0), (7.0, 2.0)]),
+    # the CLI's windows: box 5/2 has 2 zeros in the first and none in the
+    # second
+    pytest.param(5.0, 2.0, tail_cone_radius(0.05), id="5.0-2.0-sigma0.05"),
+    pytest.param(5.0, 2.0, tail_cone_radius(0.25), id="5.0-2.0-sigma0.25")])
+def test_every_real_zero_of_the_box_is_found(A, T, K):
+    # box 3.3/2 has a zero at +-2.6734069 that a threshold on |r| near its
+    # floor would miss; the roots of b's series need no threshold on |r|
+    got = np.array(ScatteringData(BoxPulse(A, T), halfwidth=K)
+                   .real_zero_splits(K))
+    expect = box_real_zeros(A, T, K)
     assert got.shape == expect.shape
-    assert np.max(np.abs(got - expect)) < 1e-9
+    assert np.max(np.abs(got - expect), initial=0.0) < 1e-9
 
 
 @pytest.mark.parametrize("pulse", [SmoothBumpPulse(1.0, 2.0, 1.0),
                                    SmoothBumpPulse(0.4, 2.0, 2.0),
                                    PowerStartPulse(1.0, 2.0, 1.0)])
 def test_smooth_pulses_have_no_real_zeros(pulse):
-    # their minima of |b| polish to |b| >= 8.5e-5
+    # the roots of b's series nearest the real line lie 5.5e-3 or more off
+    # it, in units of their piece's half-width; a real root's |Im| < 2e-12
     assert _real_zeros(ScatteringData(pulse)).size == 0
+
+
+@pytest.mark.parametrize("K", [3.0, CACHE_HALFWIDTH])
+@pytest.mark.parametrize("beta", [0.5, -1.3])
+def test_real_zeros_of_a_chirped_box_shift_by_beta(beta, K):
+    # the chirped pulse's b is b(k + beta), so its real zeros are the box's
+    # minus beta; it declares no amplitude, so they are not mirrored
+    sd = ScatteringData(_ChirpedPulse(BoxPulse(5.0, 2.0), beta), halfwidth=K)
+    expect = box_real_zeros(5.0, 2.0, K + abs(beta)) - beta
+    expect = expect[np.abs(expect) < K]
+    got = np.array(sd.real_zero_splits(K))
+    assert got.shape == expect.shape
+    assert np.max(np.abs(got - expect)) < 1e-9
 
 
 def _pencil_zeros_in_disk(sd, R):
