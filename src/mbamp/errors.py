@@ -8,15 +8,12 @@ class MbampError(Exception):
 # --- numerics ---
 
 class NonConvergence(MbampError):
-    """Adaptive quadrature exhausted its subdivision budget."""
+    """Adaptive quadrature exhausted its subdivision budget, or the winding
+    count's bisection passed its sample budget or ended off an integer."""
 
 
 class BoundaryZero(MbampError):
     """A zero-counting contour passes too close to a zero of the function."""
-
-
-class Diverged(MbampError):
-    """Newton iteration failed to converge from the supplied seed."""
 
 
 class StepUnderflow(MbampError):

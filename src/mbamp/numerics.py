@@ -1,5 +1,5 @@
 """Shared numerical kernels: tanh-sinh quadrature, winding-number zero
-counts, complex Newton refinement, and an adaptive embedded 8th-order
+counts, batched complex Newton refinement, and an adaptive embedded 8th-order
 Runge-Kutta advance.
 
 The quadrature (``adaptive_quad``) is a tanh-sinh rule with one panel
@@ -12,6 +12,10 @@ agree.
 The winding count (``count_zeros_rect``) bisects the boundary steps whose
 phase change reaches pi/2, one call of ``f`` per pass on the midpoints of
 all such steps, so a batched ``f`` (one Jost solve) is called once per pass.
+
+The Newton iteration (``complex_newton``) runs all its seeds at once: each
+pass calls ``f`` and then ``df`` once, on the iterates still running, so a
+zero search makes one batched solve per pass, not one per seed and step.
 
 The Runge-Kutta advance (``ode_advance``) integrates an ODE whose time
 dependence sits in one coefficient ``c(t)``, such as the pulse in the Jost
@@ -30,16 +34,13 @@ arguments, so concurrent use needs no locking.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BoundaryZero, Diverged, NonConvergence, StepUnderflow
-
-logger = logging.getLogger(__name__)
+from .errors import BoundaryZero, NonConvergence, StepUnderflow
 
 _EPS = np.finfo(float).eps
 
@@ -243,31 +244,30 @@ def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
     return n
 
 
-def complex_newton(f: Callable[[complex], complex],
-                   df: Callable[[complex], complex],
-                   seed: complex, tol: float,
-                   max_iter: int = 60) -> complex:
-    """Refine a zero of ``f`` from ``seed``.  Returns the Newton step from
-    the first iterate with |f(z)| <= tol: near a simple zero that step
-    lands about as close as ``f`` is accurate, where the iterate is only
-    tol / |f'| close."""
-    z = complex(seed)
-    history = []
-    for it in range(max_iter):
-        fz = f(z)
-        history.append(abs(fz))
-        dfz = df(z)
-        step = fz / dfz if dfz != 0 else complex(math.inf)
-        finite = np.isfinite(abs(step))
-        if abs(fz) <= tol:
-            logger.debug("newton converged in %d steps, residuals %s",
-                         it, ["%.2e" % h for h in history[-4:]])
-            return z - step if finite else z
-        if not finite:
-            raise Diverged(f"non-finite Newton step at {z}: f' = {dfz}")
-        z = z - step
-    raise Diverged(
-        f"no convergence after {max_iter} iterations; last |f| = {history[-1]:.3e}")
+def complex_newton(f: Callable[[np.ndarray], np.ndarray],
+                   df: Callable[[np.ndarray], np.ndarray],
+                   seeds, tol: float, max_iter: int = 60) -> np.ndarray:
+    """Refine a zero of ``f`` from each of ``seeds`` at once.  Each pass
+    calls ``f`` and then ``df`` once, on the 1-D array of the iterates still
+    running.  Returns, per seed, the first iterate with |f(z)| <= tol, or
+    NaN where f or the step is not finite or ``max_iter`` passes end first.
+    The caller takes the last step: near a simple zero it lands about as
+    close as ``f`` is accurate, where the iterate is only tol / |f'| close."""
+    z = np.array(seeds, dtype=complex).ravel()
+    out = np.full(z.shape, complex(np.nan))
+    run = np.arange(z.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            if run.size == 0:
+                break
+            fz, dfz = np.asarray(f(z[run])), np.asarray(df(z[run]))
+            done = np.abs(fz) <= tol
+            out[run[done]] = z[run[done]]
+            step = fz / dfz
+            go = ~done & np.isfinite(step)
+            run = run[go]
+            z[run] -= step[go]
+    return out
 
 
 # DOP853, the 8(5,3) pair of Dormand & Prince as coded by Hairer (dop853.f;

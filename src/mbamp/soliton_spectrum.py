@@ -12,11 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (AmbiguousMatch, AssumptionViolated, Diverged,
-                     DomainError, Overflow)
+from .errors import AmbiguousMatch, AssumptionViolated, DomainError
 from .lightcone_asym import BandParams
 from .numerics import complex_newton, count_zeros_rect
-from .scattering import ScatteringData
+from .scattering import GROWTH_GUARD, ScatteringData
 
 _IM_FLOOR = 1e-4      # zeros below this would violate the off-axis assumption
 _PENCIL_MAX_N = 1024  # the dense pencil takes seconds and 350 MB past this
@@ -54,20 +53,24 @@ def find_zeros(sd: ScatteringData,
     by default ``default_search_box(sigma)``, with im_lo raised to
     _IM_FLOOR; the spectrum's ``box`` is the box searched.
 
-    Newton with the variational derivative starts from each eigenvalue in
-    the box of the Jost system's pencil (``ScatteringData.pencil_zeros``)
-    at n = max(32, ceil(1.6 T R)) nodes, R the box's farthest corner, and
-    decides: seeds that diverge, or whose iterates stray more than d =
-    1/(2T) from the box, are spurious, limits outside the box are dropped,
-    and limits within 1e-8 max(1, |k|) are one zero.  A winding count over
-    the box, its first samples d apart, certifies their number.  It counts
-    b times the phase factor conj(k - x)/|k - x| of each eigenvalue x
-    strictly outside the closed box and within d of it: |f| = |b|, and the
-    factors wind zero times, but they take the fast turn of b's phase at a
-    zero just outside the box (the real zeros under the bottom edge) out
-    of the samples.  The contour point nearest each such x is a first
-    sample, so a zero just inside whose eigenvalue the pencil put just
-    outside is still counted, and Newton's missing it raises.  Raises
+    One batched Newton with the variational derivative starts from every
+    eigenvalue in the box of the Jost system's pencil
+    (``ScatteringData.pencil_zeros``) at n = max(32, ceil(1.6 T R)) nodes,
+    R the box's farthest corner; each pass is one variational solve of the
+    iterates still running.  It decides: seeds that diverge, or whose
+    iterates stray more than d = 1/(2T) from the box or past the growth
+    guard (NaN there, with no solve), are spurious, limits outside the box
+    are dropped, and limits within 1e-8 max(1, |k|) are one zero.  One solve
+    of the kept limits, the last pass's when it covers the same points,
+    gives a, b and bdot, and each zero is its limit minus b/bdot.  A
+    winding count over the box, its first samples d apart, certifies their
+    number.  It counts b times the phase factor conj(k - x)/|k - x| of each
+    eigenvalue x strictly outside the closed box and within d of it: |f| =
+    |b|, and the factors wind zero times, but they take the fast turn of
+    b's phase at a zero just outside the box (the real zeros under the
+    bottom edge) out of the samples.  The contour point nearest each such x
+    is a first sample, so a zero just inside whose eigenvalue the pencil put
+    just outside is still counted, and Newton's missing it raises.  Raises
     DomainError when n > 1024, before any solve, and AssumptionViolated
     when the count and Newton disagree, or when the zeros are not simple,
     touch the real line, or share a modulus.
@@ -95,15 +98,26 @@ def find_zeros(sd: ScatteringData,
         return math.hypot(max(re_lo - k.real, 0.0, k.real - re_hi),
                           max(im_lo - k.imag, 0.0, k.imag - im_hi))
 
-    def near(k):
-        return gap(k) <= d
+    memo = {}
+
+    def solve(ks):   # a, b, a', b' at ks, NaN where k strays from the box
+        if not np.array_equal(memo.get("k"), ks):
+            ok = np.array([gap(k) <= d and T * abs(k.imag) <= GROWTH_GUARD
+                           for k in ks], dtype=bool)
+            v = np.full((4, len(ks)), complex(np.nan))
+            if ok.any():
+                v[:, ok] = sd.ab_and_derivs_many(ks[ok])
+            memo.update(k=ks, v=v)
+        return memo["v"]
 
     eigs = sd.pencil_zeros(n, 0.5 * complex(re_lo + re_hi, im_lo + im_hi))
-    refined = []
-    for z in (_refine_zero(sd, k, near) for k in eigs if inside(k)):
-        if z and inside(z[0]) and all(
-                abs(z[0] - y[0]) > 1e-8 * max(1.0, abs(z[0])) for y in refined):
-            refined.append(z)
+    seeds = [k for k in eigs if inside(k)]
+    limits = complex_newton(lambda k: solve(k)[1], lambda k: solve(k)[3],
+                            seeds, sd.tol.root_tol) if seeds else []
+    kept = []
+    for k in limits:
+        if inside(k) and all(abs(k - y) > 1e-8 * max(1.0, abs(k)) for y in kept):
+            kept.append(k)
     outside = np.array([x for x in eigs if 0.0 < gap(x) <= d])
 
     def deflated_b(k):
@@ -112,42 +126,21 @@ def find_zeros(sd: ScatteringData,
 
     count = count_zeros_rect(deflated_b, box, sd.tol.root_tol, spacing=d,
                              anchors=outside)
-    if count != len(refined):
+    if count != len(kept):
         raise AssumptionViolated(
             f"winding count {count} on {box} but Newton from the pencil finds "
-            f"{len(refined)} zeros" + (": b has no poles; the contour is "
+            f"{len(kept)} zeros" + (": b has no poles; the contour is "
                                        "undersampled" if count < 0 else ""))
 
-    refined.sort(key=lambda z: abs(z[0]))
-    zeros = [z[0] for z in refined]
-    a, bdot = np.array([z[1:] for z in refined]).reshape(-1, 2).T
+    a, b, _, bdot = solve(np.array(kept, dtype=complex))
+    zeros = kept - b / bdot
+    order = np.argsort(np.abs(zeros), kind="stable")
+    zeros, a, bdot = [complex(k) for k in zeros[order]], a[order], bdot[order]
     _validate(zeros, bdot)
     residues = [complex(g) for g in 1.0 / (a * bdot)]
     velocities = [velocity_of(k) for k in zeros]
     return SolitonSpectrum(tuple(zeros), tuple(residues), tuple(velocities),
                            box=box)
-
-
-def _refine_zero(sd: ScatteringData, seed: complex, near):
-    """Newton from ``seed``: the zero k, with a and bdot at Newton's last
-    iterate, or None if Newton diverges, passes the growth guard or takes
-    an iterate where ``near`` is false."""
-    last = {}   # the iterate of the latest variational solve, its a, b, a', b'
-
-    def solve(k):
-        if last.get("k") != k:
-            if not near(k):
-                raise Diverged(f"Newton strayed from the search box to {k}")
-            last["k"] = k
-            last["ab"] = [complex(v[0]) for v in sd.ab_and_derivs_many([k])]
-        return last["ab"]
-
-    try:
-        k = complex_newton(lambda k: solve(k)[1], lambda k: solve(k)[3], seed,
-                           sd.tol.root_tol)
-    except (Diverged, Overflow):
-        return None
-    return k, last["ab"][0], last["ab"][3]
 
 
 def _validate(zeros, bdot):

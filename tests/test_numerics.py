@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from mbamp.errors import BoundaryZero, Diverged, NonConvergence, StepUnderflow
+from mbamp.errors import BoundaryZero, NonConvergence, StepUnderflow
 from mbamp.numerics import (_DOP_A, _DOP_C, _DOP_E, Tolerances,
                             adaptive_quad, complex_newton, count_zeros_rect,
                             ode_advance)
@@ -254,21 +254,49 @@ def test_count_is_plain_bisection(d):
 
 
 def test_newton_double_root_from_nearby_seed():
-    root = complex_newton(lambda z: z * z, lambda z: 2 * z, 0.1 + 0j, 1e-10)
+    root, = complex_newton(lambda z: z * z, lambda z: 2 * z, [0.1 + 0j], 1e-10)
     assert abs(root * root) <= 1e-10
 
 
 def test_newton_simple_root():
-    root = complex_newton(lambda z: z - 1j, lambda z: 1.0 + 0j, 2j, 1e-12)
+    root, = complex_newton(lambda z: z - 1j, lambda z: np.ones_like(z), [2j],
+                           1e-12)
     assert abs(root - 1j) < 1e-12
 
 
 def test_newton_diverges_without_reachable_root():
     # real seed on z^2+1: the iteration never leaves the real axis, where
     # |f| >= 1, so no convergence is possible
-    with pytest.raises(Diverged):
-        complex_newton(lambda z: z * z + 1.0, lambda z: 2.0 * z,
-                       0.5 + 0j, 1e-12, max_iter=40)
+    root, = complex_newton(lambda z: z * z + 1.0, lambda z: 2.0 * z,
+                           [0.5 + 0j], 1e-12, max_iter=40)
+    assert np.isnan(root)
+
+
+def test_newton_runs_a_mixed_batch_in_one_call_per_pass():
+    # a seed that converges to i, one that stays on the real axis of
+    # z^2 + 1, and one where f is NaN: each pass calls f and then df once,
+    # on the same array of the iterates still running
+    calls = []
+
+    def f(z):
+        calls.append(("f", z.copy()))
+        return np.where(z.real > 100.0, np.nan, z * z + 1.0)
+
+    def df(z):
+        calls.append(("df", z.copy()))
+        return 2.0 * z
+
+    got = complex_newton(f, df, [0.3 + 0.8j, 0.5 + 0j, 200.0 + 1j], 1e-12,
+                         max_iter=40)
+    assert abs(got[0] - 1j) < 1e-12
+    assert np.isnan(got[1]) and np.isnan(got[2])
+    assert [name for name, _ in calls] == ["f", "df"] * 40
+    assert all(np.array_equal(calls[i][1], calls[i + 1][1])
+               for i in range(0, len(calls), 2))
+    # the NaN seed leaves after the first pass, the converging one after
+    # the sixth, and the real one runs all 40
+    assert [z.size for _, z in calls[::2]] == [3] + [2] * 5 + [1] * 34
+    assert all(z.imag[-1] == 0.0 for _, z in calls[2:])
 
 
 def test_dop853_tableau_is_consistent():

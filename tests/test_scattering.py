@@ -233,18 +233,14 @@ def test_reflection_symmetry_and_zero(sd52):
 
 def zero_of_a(sd):
     """A zero of a on the positive imaginary axis, by Newton from the
-    smallest |a| on a scan."""
+    smallest |a| on a scan, and the last Newton step."""
     kappas = np.linspace(0.05, 2.49, 200)
     a, _ = sd.ab_many(1j * kappas)
     seed = 1j * kappas[int(np.argmin(np.abs(a)))]
-
-    def a_of(k):
-        return sd.ab_and_derivs_many([k])[0][0]
-
-    def adot_of(k):
-        return sd.ab_and_derivs_many([k])[2][0]
-
-    return complex_newton(a_of, adot_of, seed, 1e-13)
+    k, = complex_newton(lambda k: sd.ab_and_derivs_many(k)[0],
+                        lambda k: sd.ab_and_derivs_many(k)[2], [seed], 1e-13)
+    a, _, adot, _ = sd.ab_and_derivs_many([k])
+    return complex(k - a[0] / adot[0])
 
 
 def test_reflection_near_zero_of_a(sd52):

@@ -7,11 +7,12 @@ import pytest
 
 from mbamp.errors import (AmbiguousMatch, AssumptionViolated, BoundaryZero,
                           DomainError)
-from mbamp.numerics import Tolerances, count_zeros_rect
+from mbamp.numerics import Tolerances, complex_newton, count_zeros_rect
 from mbamp.pulse import BoxPulse, PowerStartPulse, SmoothBumpPulse
 from mbamp.scattering import GROWTH_GUARD, ScatteringData
 from mbamp.soliton_spectrum import (SolitonSpectrum, default_search_box,
                                     find_zeros, velocity_match, velocity_of)
+from test_scattering import _ChirpedPulse
 
 K1_BOX52 = 1.9448904595703225  # sqrt(A^2/4 - pi^2/T^2) for A=5, T=2
 
@@ -107,6 +108,48 @@ def test_newton_gives_up_once_it_leaves_the_enlarged_box(spec52, monkeypatch):
     got, padded = _variational_solves(monkeypatch, [2.5 + 2.5j])
     assert padded - plain <= 2
     assert got.zeros == spec.zeros and got.residues == spec.residues
+
+
+@pytest.fixture
+def variational_solves(monkeypatch):
+    """The sizes of the calls of ScatteringData.ab_and_derivs_many, one
+    variational Jost solve each."""
+    sizes, derivs = [], ScatteringData.ab_and_derivs_many
+
+    def counted(self, ks):
+        sizes.append(np.size(ks))
+        return derivs(self, ks)
+
+    monkeypatch.setattr(ScatteringData, "ab_and_derivs_many", counted)
+    return sizes
+
+
+def test_chirped_bump_zeros_share_each_newton_solve(variational_solves):
+    # The chirp moves the bump's zeros off the imaginary axis: five in the
+    # box, whose seeds share each variational solve (one seed at a time
+    # takes ten).  Batch-mates' steps do not spoil a zero or its residue:
+    # each agrees with a lone seed's Newton at tight ODE tolerances.
+    pulse = _ChirpedPulse(SmoothBumpPulse(1.0, 2.0, 1.0), 0.7)
+    spec = find_zeros(ScatteringData(pulse), (-12.0, 12.0, 1e-4, 12.0))
+    assert len(spec) == 5 and len(variational_solves) <= 2
+    tight = ScatteringData(pulse, Tolerances(ode_rel=1e-14, ode_abs=1e-16))
+    for k, gamma in zip(spec.zeros, spec.residues):
+        z, = complex_newton(lambda z: tight.ab_and_derivs_many(z)[1],
+                            lambda z: tight.ab_and_derivs_many(z)[3], [k],
+                            tight.tol.root_tol)
+        a, b, _, bdot = tight.ab_and_derivs_many([z])
+        assert abs(k - (z - b[0] / bdot[0])) <= 1e-9 * max(1.0, abs(k))
+        assert abs(gamma * a[0] * bdot[0] - 1.0) <= 1e-9
+
+
+def test_power_start_seeds_take_one_variational_solve(variational_solves):
+    # the 20 seeds of the m = 6 family on R = 40 are each within root_tol
+    # of a zero, so one solve of all 20 ends Newton; the pairs (k, -conj k)
+    # are then rejected
+    sd = ScatteringData(PowerStartPulse(1.0, 6.0, 1.0))
+    with pytest.raises(AssumptionViolated, match="moduli"):
+        find_zeros(sd, (-40.0, 40.0, 1e-4, 40.0))
+    assert variational_solves == [20]
 
 
 def _count_runs(monkeypatch):
