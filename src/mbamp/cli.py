@@ -23,7 +23,7 @@ from .lightcone_asym import (AsymptoticFields, BandParams, classify,
 from .numerics import Tolerances
 from .pulse import BoxPulse, PowerStartPulse, SmoothBumpPulse
 from .scattering import ScatteringData
-from .soliton_spectrum import find_zeros, tail_cone_radius
+from .soliton_spectrum import IM_FLOOR, find_zeros, tail_cone_radius
 
 SCHEMA_VERSION = 1
 _PULSES = {"box": BoxPulse, "power_start": PowerStartPulse,
@@ -88,10 +88,10 @@ class RunConfig:
         if box is not None and not (
                 isinstance(box, (list, tuple)) and len(box) == 4
                 and all(map(_is_number, box))
-                and box[0] < box[1] and box[3] > max(box[2], 1e-4)):
+                and box[0] < box[1] and box[3] > max(box[2], IM_FLOOR)):
             raise ValueError(f"bad search_box {box!r}: expected finite "
                              "[re_lo, re_hi, im_lo, im_hi] with re_lo < "
-                             "re_hi and im_hi > max(im_lo, 1e-4)")
+                             f"re_hi and im_hi > max(im_lo, {IM_FLOOR:g})")
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -318,12 +318,11 @@ def cmd_asym(cfg: RunConfig, out: Path) -> int:
         row = [_fmt(t), _fmt(x), tag.variant,
                str(tag.n) if tag.n is not None else ""] + [""] * 9
         if res is not None:
-            f = res.fields
+            f, sol = res.fields, res.soliton
             row[4:10] = map(_fmt, (f.E.real, f.E.imag, f.N, f.rho.real,
                                    f.rho.imag, res.error_scale))
-        sol = res.soliton if tag.variant == "tail" else None
-        if sol is not None:
-            row[10:] = [str(sol.index), _fmt(sol.w_abs), _fmt(sol.w_arg)]
+            if sol is not None:
+                row[10:] = [str(sol.index), _fmt(sol.w_abs), _fmt(sol.w_arg)]
         rows.append(row)
     _write_csv(out / "asym.csv", _ASYM_HEADER, rows)
     return 0
@@ -357,10 +356,10 @@ def cmd_simulate(cfg: RunConfig, out: Path, slice_t: float | None) -> int:
     if slice_t is not None:
         i = int(round(slice_t / grid.h))
         E, N, rho = grid.level(i)
-        rows = [[_fmt(j * grid.h), _fmt(E[j].real), _fmt(E[j].imag), _fmt(N[j]),
-                 _fmt(rho[j].real), _fmt(rho[j].imag)] for j in range(grid.nx + 1)]
         _write_csv(out / f"slice_t{i * grid.h:g}.csv",
-                   ["x", "E_re", "E_im", "N", "rho_re", "rho_im"], rows)
+                   ["x", "E_re", "E_im", "N", "rho_re", "rho_im"],
+                   np.column_stack([np.arange(grid.nx + 1) * grid.h, E.real,
+                                    E.imag, N, rho.real, rho.imag]))
     return 0
 
 

@@ -8,11 +8,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import NoRoot, WrongRegion
 from .mb_oracle import FieldTriple
 from .scattering import ScatteringData
-from .specfun import bessel_i
+from .specfun import bessel_i, sech
+
+if TYPE_CHECKING:
+    from .tail_asym import SolitonState
 
 
 # Constants of the classification bands.  _EPS1 and _EPS2 sit inside their
@@ -76,22 +80,21 @@ def classify(t: float, x: float, params: BandParams) -> RegionTag:
 
     if x > math.e:
         lnx = math.log(x)
-        llx = math.log(lnx)
-        if llx > 0.0:
-            xi_cap_sq = m * m * lnx * lnx + _CAP_CONSTANT * lnx * llx
-            xi_iv0 = m * lnx - m * llx
-            if xi >= xi_iv0 and xi * xi <= xi_cap_sq:
-                n = int(math.floor((xi - m * lnx) / llx + m))
-                return RegionTag("part4", n=n, k0=k0, xi=xi,
-                                 band=(m * lnx + (n - m) * llx,
-                                       m * lnx + (n + 1 - m) * llx))
-            xi3_lo = m * lnx - params.K * llx
-            xi3_hi = m * lnx - (m + _EPS2 - 0.5) * llx
-            if xi3_lo > 0.0 and xi3_lo <= xi <= min(xi3_hi, xi_iv0):
-                return RegionTag("part3", k0=k0, xi=xi, band=(xi3_lo, xi3_hi))
-            xi2_hi = m * lnx - (m + _EPS1) * llx
-            if xi2_hi > 0.0 and tau >= 1.0 / x and xi <= xi2_hi:
-                return RegionTag("part2", k0=k0, xi=xi, band=(2.0, xi2_hi))
+        llx = math.log(lnx)          # > 0 for x > e
+        xi_cap_sq = m * m * lnx * lnx + _CAP_CONSTANT * lnx * llx
+        xi_iv0 = m * lnx - m * llx
+        if xi >= xi_iv0 and xi * xi <= xi_cap_sq:
+            n = int(math.floor((xi - m * lnx) / llx + m))
+            return RegionTag("part4", n=n, k0=k0, xi=xi,
+                             band=(m * lnx + (n - m) * llx,
+                                   m * lnx + (n + 1 - m) * llx))
+        xi3_lo = m * lnx - params.K * llx
+        xi3_hi = m * lnx - (m + _EPS2 - 0.5) * llx
+        if xi3_lo > 0.0 and xi3_lo <= xi <= min(xi3_hi, xi_iv0):
+            return RegionTag("part3", k0=k0, xi=xi, band=(xi3_lo, xi3_hi))
+        xi2_hi = m * lnx - (m + _EPS1) * llx
+        if xi2_hi > 0.0 and tau >= 1.0 / x and xi <= xi2_hi:
+            return RegionTag("part2", k0=k0, xi=xi, band=(2.0, xi2_hi))
     if tau <= 1.0 / x:
         return RegionTag("part1", k0=k0, xi=xi, band=(0.0, 2.0))
     ratio = x / t
@@ -100,18 +103,24 @@ def classify(t: float, x: float, params: BandParams) -> RegionTag:
     return RegionTag("unsupported", k0=k0, xi=xi)
 
 
-def _sech(theta: float) -> float:
-    a = abs(theta)
-    e = math.exp(-a)
-    return 2.0 * e / (1.0 + e * e)
+def k0_of(tau: float, x: float) -> float:
+    """The stationary point k0 = sqrt(x/tau)/2 of the formulas past the
+    light cone, at the cone offset tau = t - x; WrongRegion unless tau > 0
+    and x > 0."""
+    if not (tau > 0.0 and x > 0.0):
+        raise WrongRegion(f"the asymptotic formulas need t > x > 0, not "
+                          f"tau = t - x = {tau}, x = {x}")
+    return 0.5 * math.sqrt(x / tau)
 
 
 @dataclass(frozen=True)
 class AsymptoticFields:
-    """Leading-order field triple plus the error scale the formula carries."""
+    """Leading-order field triple plus the error scale the formula carries,
+    and the local soliton of a tail point near a soliton line."""
 
     fields: FieldTriple
     error_scale: float
+    soliton: SolitonState | None = None
 
 
 def eval_lightcone(variant: str, n: int | None, tau: float, x: float,
@@ -125,9 +134,7 @@ def eval_lightcone(variant: str, n: int | None, tau: float, x: float,
     """
     if variant not in ("part1", "part2", "part3", "part4"):
         raise WrongRegion(f"no near-cone formula for region '{variant}'")
-    if tau <= 0.0:
-        raise WrongRegion("near-cone formulas need t > x")
-    k0 = 0.5 * math.sqrt(x / tau)
+    k0 = k0_of(tau, x)
     xi = 2.0 * math.sqrt(x * tau)
 
     if variant in ("part1", "part2"):
@@ -155,12 +162,12 @@ def eval_lightcone(variant: str, n: int | None, tau: float, x: float,
     n = n if n is not None else 0
     theta = pulse_phase(n, xi, abs(r))
     phase = cmath.exp(1j * cmath.phase(r))
-    sech = _sech(theta)
+    s = sech(theta)
     tanh = math.tanh(theta)
     amp = 2.0 * math.sqrt(x / tau)
-    E = amp * (-1.0) ** n * phase * sech
-    N = 1.0 - 2.0 * sech ** 2
-    rho = 2.0 * (-1.0) ** (n - 1) * phase * tanh * sech
+    E = amp * (-1.0) ** n * phase * s
+    N = 1.0 - 2.0 * s ** 2
+    rho = 2.0 * (-1.0) ** (n - 1) * phase * tanh * s
     return AsymptoticFields(FieldTriple(E, N, rho), 1.0 / math.sqrt(math.log(x)))
 
 

@@ -17,7 +17,7 @@ from .lightcone_asym import BandParams
 from .numerics import complex_newton, count_zeros_rect
 from .scattering import GROWTH_GUARD, ScatteringData
 
-_IM_FLOOR = 1e-4      # zeros below this would violate the off-axis assumption
+IM_FLOOR = 1e-4       # zeros below this would violate the off-axis assumption
 _PENCIL_MAX_N = 1024  # the dense pencil takes seconds and 350 MB past this
 
 
@@ -51,7 +51,7 @@ def find_zeros(sd: ScatteringData,
                sigma: float = BandParams.sigma) -> SolitonSpectrum:
     """Locate all zeros of b inside ``box`` (re_lo, re_hi, im_lo, im_hi),
     by default ``default_search_box(sigma)``, with im_lo raised to
-    _IM_FLOOR; the spectrum's ``box`` is the box searched.
+    IM_FLOOR; the spectrum's ``box`` is the box searched.
 
     One batched Newton with the variational derivative starts from every
     eigenvalue in the box of the Jost system's pencil
@@ -78,7 +78,7 @@ def find_zeros(sd: ScatteringData,
     if box is None:
         box = default_search_box(sigma)
     re_lo, re_hi, im_lo, im_hi = box
-    im_lo = max(im_lo, _IM_FLOOR)
+    im_lo = max(im_lo, IM_FLOOR)
     if im_hi <= im_lo:
         raise ValueError("search box must lie in Im k > 0")
     box = (re_lo, re_hi, im_lo, im_hi)
@@ -168,12 +168,12 @@ def tail_cone_radius(sigma: float) -> float:
 
 def default_search_box(sigma: float = BandParams.sigma
                        ) -> tuple[float, float, float, float]:
-    """The box (-K, K, _IM_FLOOR, K), K = tail_cone_radius(sigma), of every
+    """The box (-K, K, IM_FLOOR, K), K = tail_cone_radius(sigma), of every
     zero whose soliton reaches the tail cone.  It does not depend on the
     pulse.  Some pulses have infinitely many zeros, so no finite box holds
     them all."""
     K = tail_cone_radius(sigma)
-    return (-K, K, _IM_FLOOR, K)
+    return (-K, K, IM_FLOOR, K)
 
 
 def velocity_match(spec: SolitonSpectrum, t: float, x: float,

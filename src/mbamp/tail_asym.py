@@ -10,11 +10,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ReflectionZero
+from .lightcone_asym import AsymptoticFields, k0_of
 from .mb_oracle import FieldTriple
 from .numerics import adaptive_quad
 from .scattering import ScatteringData
 from .soliton_spectrum import SolitonSpectrum, velocity_match
-from .specfun import gamma_imag
+from .specfun import gamma_imag, sech
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -48,22 +49,16 @@ class SolitonState:
     Y: complex
 
 
-@dataclass(frozen=True)
-class TailFields:
-    fields: FieldTriple
-    error_scale: float               # the expansion carries O(1/tau)
-    soliton: SolitonState | None     # None on the away branch
-
-
 def _arg_gamma(nu: float) -> float:
     # below the evaluation floor the pole term dominates: arg ~ -pi/2 - g*nu
     if nu < 1e-8:
         return -0.5 * math.pi - EULER_GAMMA * nu
-    return gamma_imag(min(nu, 50.0)).argument
+    return gamma_imag(nu).argument
 
 
 def _nu(s: float, r: complex) -> float:
-    """Slow amplitude nu = ln(1 + |r|^-2)/(2 pi), given r = r(s)."""
+    """Slow amplitude nu = ln(1 + |r|^-2)/(2 pi), given r = r(s); the guard
+    on |r| holds nu <= ln(1 + 1e24)/(2 pi) = 8.8."""
     if abs(r) < 1e-12:
         raise ReflectionZero(
             f"|r({s})| = {abs(r):.2e}: the point sits on a real zero of b")
@@ -93,9 +88,7 @@ def omega_pair(sd: ScatteringData, spec: SolitonSpectrum,
     log spikes at real zeros of b are integrable and get panel edges.
     """
     tau = t - x
-    if tau <= 0.0:
-        raise ValueError("tail phases need t > x")
-    k0 = 0.5 * math.sqrt(x / tau)
+    k0 = k0_of(tau, x)
     # a, b and r at -k0 and k0, from one read of the real-line cache
     a, b = sd.ab_real(np.array([-k0, k0]))
     r = b / a
@@ -132,7 +125,7 @@ def soliton_state(sd: ScatteringData, spec: SolitonSpectrum, j: int,
                   phases: TailPhases | None = None) -> SolitonState:
     """Modulated soliton parameters near the j-th velocity line."""
     tau = t - x
-    k0 = 0.5 * math.sqrt(x / tau)
+    k0 = k0_of(tau, x)
     if phases is None:
         phases = omega_pair(sd, spec, t, x)
     kj = spec.zeros[j]
@@ -167,11 +160,10 @@ def soliton_state(sd: ScatteringData, spec: SolitonSpectrum, j: int,
              + blaschke_arg)
 
     # A = 2 kap |w|^2/(1+|w|^2), B = -2 kap conj(w)/(1+|w|^2), kept stable
-    # for |log w| large through the logistic/cosh forms.
+    # for |log w| large through the logistic/sech forms.
     u = 1.0 / (1.0 + math.exp(-2.0 * log_w)) if log_w > -350.0 else 0.0
     A = 2.0 * kap * u
-    sech_half = 1.0 / math.cosh(log_w) if abs(log_w) < 700.0 else 0.0
-    B = -kap * cmath.exp(-1j * w_arg) * sech_half
+    B = -kap * cmath.exp(-1j * w_arg) * sech(log_w)
 
     P = 1.0 - 2.0 * abs(B) ** 2 / mod2
     Q = (-2j * B / kj.conjugate()) * (1.0 - 1j * A / kj)
@@ -199,11 +191,13 @@ def soliton_state(sd: ScatteringData, spec: SolitonSpectrum, j: int,
 
 
 def eval_tail(sd: ScatteringData, spec: SolitonSpectrum,
-              t: float, x: float, eps: float | None = None) -> TailFields:
+              t: float, x: float,
+              eps: float | None = None) -> AsymptoticFields:
     """Leading-order tail fields at (t, x): two-phase background away from
-    soliton lines, soliton plus dressed background near one."""
+    soliton lines, soliton plus dressed background near one.  The expansion
+    carries O(1/tau)."""
     tau = t - x
-    k0 = 0.5 * math.sqrt(x / tau)
+    k0 = k0_of(tau, x)
     phases = omega_pair(sd, spec, t, x)
     j = velocity_match(spec, t, x, eps)
 
@@ -216,7 +210,7 @@ def eval_tail(sd: ScatteringData, spec: SolitonSpectrum,
         E = 2.0 * math.sqrt(k0 / tau) * (rnl * el + rnr * er)
         N = -1.0
         rho = 1j * (rnl * el - rnr * er) / math.sqrt(tau * k0)
-        return TailFields(FieldTriple(E, N, rho), 1.0 / tau, None)
+        return AsymptoticFields(FieldTriple(E, N, rho), 1.0 / tau)
 
     st = soliton_state(sd, spec, j, t, x, phases)
     kj = spec.zeros[j]
@@ -231,4 +225,4 @@ def eval_tail(sd: ScatteringData, spec: SolitonSpectrum,
     N = float((-st.P + st.Q * st.Y.conjugate()
                + st.Q.conjugate() * st.Y).real)
     rho = st.Q + 2.0 * st.Y * st.P + 2.0 * st.X * st.Q
-    return TailFields(FieldTriple(E, N, rho), 1.0 / tau, st)
+    return AsymptoticFields(FieldTriple(E, N, rho), 1.0 / tau, st)

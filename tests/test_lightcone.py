@@ -134,6 +134,13 @@ def test_eval_wrong_region():
         eval_lightcone("tail", None, 1.0, 4.0, 0.1, 2.0)
 
 
+@pytest.mark.parametrize("variant", ["part1", "part2", "part3", "part4"])
+def test_eval_on_the_input_boundary_is_wrong_region(variant):
+    # x = 0 < t: k0 = 0, where every near-cone formula is singular
+    with pytest.raises(WrongRegion, match="t > x > 0"):
+        eval_lightcone(variant, 0, 1.0, 0.0, 0.1, 2.0)
+
+
 def test_part4_leading_order_bloch_identity():
     # (1 - 2 sech^2)^2 + (2 tanh sech)^2 = 1
     x = math.exp(11.0)

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from mbamp.errors import DomainError
-from mbamp.specfun import bessel_i, gamma_imag
+from mbamp.specfun import bessel_i, gamma_imag, sech
 
 # power-series oracle value, summed to machine precision
 I0_AT_1 = 1.2660658777520084
@@ -46,14 +46,25 @@ def test_bessel_large_argument_form():
 
 
 def test_bessel_branches_agree_at_switch():
-    # both branches evaluated on either side of the switch point
-    from mbamp.specfun import _bessel_i_asymptotic, _bessel_i_series
+    # the series and mpmath on either side of x = 30, where a large-argument
+    # branch once took over
     for nu in (0.0, 1.0, 2.0, 5.5):
         for x in (29.5, 30.0, 30.5):
-            series = _bessel_i_series(nu, x)
-            asym = _bessel_i_asymptotic(nu, x)
-            assert asym is not None
-            assert abs(asym - series) / series < 1e-10
+            ref = float(mp.besseli(nu, x))
+            assert abs(bessel_i(nu, x) - ref) / ref < 1e-10
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.0, 5.5, 10.0, 25.0, 50.0])
+def test_bessel_series_matches_mpmath_on_the_whole_domain(nu):
+    for x in (0.1, 5.0, 30.0, 120.0, 400.0, 700.0):
+        ref = float(mp.besseli(nu, x))
+        assert bessel_i(nu, x) == pytest.approx(ref, rel=1e-12)
+
+
+def test_sech_is_overflow_free():
+    for theta in (0.0, 0.3, -2.0, 20.0):
+        assert sech(theta) == pytest.approx(1.0 / math.cosh(theta), rel=1e-15)
+    assert sech(800.0) == sech(-800.0) == 0.0
 
 
 def test_bessel_asymptotic_fallback_large_order():

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from mbamp.errors import DomainError, ReflectionZero
+from mbamp.errors import DomainError, ReflectionZero, WrongRegion
 from mbamp.lightcone_asym import BandParams, classify
 from mbamp.numerics import Tolerances
 from mbamp.pulse import BoxPulse, SmoothBumpPulse
@@ -340,3 +340,15 @@ def test_tail_point_past_the_cache_window_raises():
     with pytest.raises(DomainError, match="window"):
         omega_pair(sd, SolitonSpectrum((), (), ()), 10.0 + 1.0 / 9.0,
                    10.0)
+
+
+@pytest.mark.parametrize("t, x", [(30.0, 30.0), (29.0, 30.0), (3.0, 0.0)])
+def test_tail_evaluators_off_the_tail_raise_wrong_region(box52, t, x):
+    # on and behind the light cone, and on the input boundary x = 0, k0 is
+    # not a point of the real line's interior
+    sd, spec = box52
+    for evaluate in (lambda: omega_pair(sd, spec, t, x),
+                     lambda: soliton_state(sd, spec, 0, t, x),
+                     lambda: eval_tail(sd, spec, t, x)):
+        with pytest.raises(WrongRegion, match="t > x > 0"):
+            evaluate()
