@@ -30,6 +30,7 @@ _PULSES = {"box": BoxPulse, "power_start": PowerStartPulse,
            "smooth_bump": SmoothBumpPulse}
 _ORACLE_KEYS = ("h", "t_max", "x_max", "nonphysical_tol")  # the last optional
 _GRID_KEYS = ("t0", "t1", "nt", "x0", "x1", "nx")
+_BAND_KEYS = [f.name for f in fields(BandParams) if f.name != "tail_order"]
 
 
 _FMT = ".17g"   # every float in the CSV outputs: exact round trip
@@ -57,23 +58,23 @@ class RunConfig:
         # checked on construction: some commands never read the bands, the
         # tolerances or the oracle, and the zero search runs only for tail
         # points
-        for name in ("pulse", "tolerances", "bands", "oracle"):
-            _check_numbers(getattr(self, name), f"config '{name}'")
+        kind = self.pulse.get("kind") if isinstance(self.pulse, dict) else None
+        cls = _PULSES.get(kind) if isinstance(kind, str) else None
+        if cls is None and isinstance(self.pulse, dict):
+            raise ValueError(f"unknown pulse kind {kind!r}")
+        slots = ([f.name for f in fields(cls) if f.name != "amplitude"]
+                 if cls else [])
+        _check_section(self.pulse, "config 'pulse'",
+                       ["kind", "amplitude_re", "amplitude_im"] + slots,
+                       ["amplitude_re"] + slots)
+        _check_section(self.tolerances, "config 'tolerances'",
+                       [f.name for f in fields(Tolerances)])
+        _check_section(self.bands, "config 'bands'", _BAND_KEYS)
+        _check_section(self.oracle, "config 'oracle'", _ORACLE_KEYS)
+        _check_section(self.kgrid, "config 'kgrid'", ["re", "imag"],
+                       numbers=False)
         if self.grid is not None:
             _check_grid(self.grid, "config 'grid'")
-        kind = self.pulse.get("kind")
-        cls = _PULSES.get(kind) if isinstance(kind, str) else None
-        if cls is None:
-            raise ValueError(f"unknown pulse kind {kind!r}")
-        slots = [f.name for f in fields(cls) if f.name != "amplitude"]
-        _check_keys(self.pulse, ["kind", "amplitude_re", "amplitude_im"]
-                    + slots, "config 'pulse'",
-                    required=["amplitude_re"] + slots)
-        _check_keys(self.tolerances, [f.name for f in fields(Tolerances)],
-                    "config 'tolerances'")
-        _check_keys(self.bands, ["sigma"], "config 'bands'")
-        _check_keys(self.oracle, _ORACLE_KEYS, "config 'oracle'")
-        _check_keys(self.kgrid, ["re", "imag"], "config 'kgrid'")
         for axis, spec in self.kgrid.items():
             if spec and not (isinstance(spec, list) and len(spec) == 3
                              and all(map(_is_number, spec))
@@ -97,8 +98,8 @@ class RunConfig:
     def load(cls, path) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        _check_keys(raw, [f.name for f in fields(cls)], "config",
-                    required=["pulse"])
+        _check_section(raw, "config", [f.name for f in fields(cls)],
+                       ["pulse"], numbers=False)
         version = raw.pop("schema_version", None)
         if version != SCHEMA_VERSION:
             raise ValueError(f"config schema_version {version} unsupported "
@@ -114,12 +115,7 @@ class RunConfig:
         spec = dict(self.pulse)
         cls = _PULSES[spec.pop("kind")]
         amp = complex(spec.pop("amplitude_re"), spec.pop("amplitude_im", 0.0))
-        if amp == 0:
-            raise ValueError("pulse must be nontrivial (amplitude != 0)")
         return cls(amplitude=amp, **spec)
-
-    def make_tolerances(self) -> Tolerances:
-        return Tolerances(**self.tolerances)
 
     def make_bands(self, pulse) -> BandParams:
         return BandParams(tail_order=float(pulse.start_exponent), **self.bands)
@@ -129,13 +125,13 @@ class RunConfig:
         cone's window [-K, K], K = tail_cone_radius(sigma): only tail points
         read the cache, and their k0 stay below K."""
         sigma = self.make_bands(pulse).sigma
-        return ScatteringData(pulse, self.make_tolerances(),
+        return ScatteringData(pulse, Tolerances(**self.tolerances),
                               halfwidth=tail_cone_radius(sigma))
 
     def oracle_args(self) -> dict:
         """Keyword arguments of mb_oracle.simulate from 'oracle'."""
-        _check_keys(self.oracle, _ORACLE_KEYS, "config 'oracle'",
-                    required=_ORACLE_KEYS[:-1])
+        _check_section(self.oracle, "config 'oracle'", _ORACLE_KEYS,
+                       _ORACLE_KEYS[:-1])
         return dict(self.oracle)
 
     def grid_points(self):
@@ -148,31 +144,23 @@ class RunConfig:
         return [(float(t), float(x)) for t in ts for x in xs]
 
 
-def _as_object(spec, what: str) -> dict:
-    if not isinstance(spec, dict):
-        raise ValueError(f"{what} must be a JSON object, not {spec!r}")
-    return spec
-
-
 def _is_number(v) -> bool:
     """A finite JSON number (true and false are not numbers)."""
     return type(v) in (int, float) and math.isfinite(v)
 
 
-def _check_numbers(spec, what: str):
-    """ValueError unless ``spec`` is a JSON object whose values, but a
-    pulse's ``kind``, are all finite numbers."""
-    bad = [k for k, v in _as_object(spec, what).items()
-           if k != "kind" and not _is_number(v)]
+def _check_section(spec, what: str, known, required=(), numbers=True):
+    """ValueError unless ``spec`` is a JSON object whose values, with
+    ``numbers``, are all finite numbers but a pulse's ``kind``, and whose
+    keys are all in ``known`` and include all of ``required``."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{what} must be a JSON object, not {spec!r}")
+    bad = [k for k, v in spec.items()
+           if numbers and k != "kind" and not _is_number(v)]
     if bad:
         raise ValueError(f"non-numeric value(s) in {what}: " + ", ".join(
             f"{k!r}: {spec[k]!r}" for k in bad))
-
-
-def _check_keys(spec, known, what: str, required=()):
-    """ValueError unless ``spec`` is a JSON object whose keys are all in
-    ``known`` and include all of ``required``."""
-    unknown = sorted(set(_as_object(spec, what)) - set(known))
+    unknown = sorted(set(spec) - set(known))
     if unknown:
         raise ValueError(f"unknown key(s) in {what}: "
                          + ", ".join(map(repr, unknown)))
@@ -186,8 +174,7 @@ def _check_grid(grid, what: str):
     """ValueError, naming the key, unless ``grid`` is a JSON object of all
     the grid keys, with t0, t1, x0, x1 >= 0 (the quadrant of the input
     boundary x = 0) and integral counts nt, nx >= 1."""
-    _check_numbers(grid, what)
-    _check_keys(grid, _GRID_KEYS, what, required=_GRID_KEYS)
+    _check_section(grid, what, _GRID_KEYS, _GRID_KEYS)
     for key in _GRID_KEYS:
         v = grid[key]
         if key in ("nt", "nx") and not (float(v).is_integer() and v >= 1):

@@ -25,6 +25,7 @@ if TYPE_CHECKING:
 _EPS1 = 0.25
 _EPS2 = 0.25
 _CAP_CONSTANT = 8.0
+_PEAK_TOL = 1e-12     # |pulse phase| at which the peak iteration stops
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,13 @@ def classify(t: float, x: float, params: BandParams) -> RegionTag:
             return RegionTag("part4", n=n, k0=k0, xi=xi,
                              band=(m * lnx + (n - m) * llx,
                                    m * lnx + (n + 1 - m) * llx))
-        xi3_lo = m * lnx - params.K * llx
+        # part 3 starts where part 2 ends: K = m + _EPS1
+        xi23 = m * lnx - params.K * llx
         xi3_hi = m * lnx - (m + _EPS2 - 0.5) * llx
-        if xi3_lo > 0.0 and xi3_lo <= xi <= min(xi3_hi, xi_iv0):
-            return RegionTag("part3", k0=k0, xi=xi, band=(xi3_lo, xi3_hi))
-        xi2_hi = m * lnx - (m + _EPS1) * llx
-        if xi2_hi > 0.0 and tau >= 1.0 / x and xi <= xi2_hi:
-            return RegionTag("part2", k0=k0, xi=xi, band=(2.0, xi2_hi))
+        if xi23 > 0.0 and xi23 <= xi <= min(xi3_hi, xi_iv0):
+            return RegionTag("part3", k0=k0, xi=xi, band=(xi23, xi3_hi))
+        if xi23 > 0.0 and tau >= 1.0 / x and xi <= xi23:
+            return RegionTag("part2", k0=k0, xi=xi, band=(2.0, xi23))
     if tau <= 1.0 / x:
         return RegionTag("part1", k0=k0, xi=xi, band=(0.0, 2.0))
     ratio = x / t
@@ -159,7 +160,11 @@ def eval_lightcone(variant: str, n: int | None, tau: float, x: float,
         p2 = m * math.log(x) - xi - (m - 0.5) * math.log(0.5 * xi)
         return AsymptoticFields(FieldTriple(E, N, rho), math.exp(-p2))
 
-    n = n if n is not None else 0
+    if not x > math.e:
+        raise WrongRegion(f"region 'part4' needs x > e, not x = {x}")
+    scale = 1.0 / math.sqrt(math.log(x))
+    if r == 0:
+        return AsymptoticFields(FieldTriple(0j, 1.0, 0j), scale)
     theta = pulse_phase(n, xi, abs(r))
     phase = cmath.exp(1j * cmath.phase(r))
     s = sech(theta)
@@ -168,7 +173,7 @@ def eval_lightcone(variant: str, n: int | None, tau: float, x: float,
     E = amp * (-1.0) ** n * phase * s
     N = 1.0 - 2.0 * s ** 2
     rho = 2.0 * (-1.0) ** (n - 1) * phase * tanh * s
-    return AsymptoticFields(FieldTriple(E, N, rho), 1.0 / math.sqrt(math.log(x)))
+    return AsymptoticFields(FieldTriple(E, N, rho), scale)
 
 
 def pulse_phase(n: int, xi: float, r_abs: float) -> float:
@@ -195,8 +200,7 @@ def peak_seed(x: float, n: int, m: float, c_abs: float) -> float:
             + gamma ** 3 * (-lz * lz + 2.0 * lz) / (2.0 * z * z))
 
 
-def solve_peak_y(x: float, n: int, sd: ScatteringData,
-                 tol: float = 1e-12) -> float:
+def solve_peak_y(x: float, n: int, sd: ScatteringData) -> float:
     """Zero of the n-th pulse phase in the variable y = sqrt(x(t-x)).
 
     Newton from the log-inversion seed; the derivative uses the power-law
@@ -213,7 +217,7 @@ def solve_peak_y(x: float, n: int, sd: ScatteringData,
     y = peak_seed(x, n, m, abs(fit.constant))
     for _ in range(80):
         th = theta_of_y(y)
-        if abs(th) < tol:
+        if abs(th) < _PEAK_TOL:
             return y
         dth = 2.0 + (m - n - 0.5) / y
         step = th / dth
@@ -223,12 +227,11 @@ def solve_peak_y(x: float, n: int, sd: ScatteringData,
     raise NoRoot(f"peak iteration did not converge at x = {x}, n = {n}")
 
 
-def predict_peaks(x: float, n: int, sd: ScatteringData,
-                  tol: float = 1e-12) -> float:
+def predict_peaks(x: float, n: int, sd: ScatteringData) -> float:
     """Time of the n-th pulse peak at distance x: the zero of its phase.
 
     The returned time carries the floating-point representation noise of
     x + y^2/x; for precision work at very large x use solve_peak_y.
     """
-    y = solve_peak_y(x, n, sd, tol)
+    y = solve_peak_y(x, n, sd)
     return x + y * y / x

@@ -61,17 +61,10 @@ class Tolerances:
         if self.quad_tol < 10 * _EPS:
             raise ValueError("quad_tol below 10*machine epsilon is not resolvable")
 
-    def scaled(self, factor: float) -> "Tolerances":
-        return Tolerances(
-            ode_rel=self.ode_rel * factor,
-            ode_abs=self.ode_abs * factor,
-            quad_tol=self.quad_tol * factor,
-            root_tol=self.root_tol * factor,
-        )
 
-
-_TS_H0 = 0.125    # coarsest step of the tanh-sinh rule in t
-_TS_TMAX = 4.0    # |t| range of the rule: nodes within ~1e-37 of the ends
+_TS_H0 = 0.125      # coarsest step of the tanh-sinh rule in t
+_TS_TMAX = 4.0      # |t| range of the rule: nodes within ~1e-37 of the ends
+_TS_MAX_LEVEL = 6   # halvings of the step before the quadrature gives up
 
 
 def _tanh_sinh_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -93,8 +86,7 @@ def _tanh_sinh_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                  tol: float, max_level: int = 6,
-                  split_points: Sequence[float] | None = None):
+                  tol: float, split_points: Sequence[float] | None = None):
     """Integrate ``f`` over ``[a, b]`` to |error| <= tol*(1+|result|).
 
     Level-adaptive tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9, 1974)
@@ -105,7 +97,7 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     panels; it returns a scalar (broadcast), N values, or an ``(m, N)``
     stack of m integrands, whose m integrals come back as an array.  The
     step in t halves, reusing the nodes of the coarser levels, until two
-    levels agree in every component; past ``max_level`` halvings it raises
+    levels agree in every component; past ``_TS_MAX_LEVEL`` halvings it raises
     NonConvergence.
     """
     if a == b:
@@ -120,7 +112,7 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     half = 0.5 * (hi - lo)
 
     total = 0.0
-    for level in range(max_level + 1):
+    for level in range(_TS_MAX_LEVEL + 1):
         side, c, w = _tanh_sinh_level(level)
         s = np.where(side > 0, hi - half * c, lo + half * c)
         keep = (s > lo) & (s < hi)
@@ -132,7 +124,7 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
             return sign * (total if np.ndim(total) else float(total))
     raise NonConvergence(
         f"quadrature levels differ by {np.max(diff):.3e} in component "
-        f"{np.argmax(diff)} at step {_TS_H0 / 2 ** max_level:.1e} (target "
+        f"{np.argmax(diff)} at step {_TS_H0 / 2 ** _TS_MAX_LEVEL:.1e} (target "
         f"{tol:.1e}); integrand is likely pathological")
 
 
@@ -244,20 +236,23 @@ def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
     return n
 
 
+_NEWTON_PASSES = 60     # Newton passes before a seed is given up as NaN
+
+
 def complex_newton(f: Callable[[np.ndarray], np.ndarray],
                    df: Callable[[np.ndarray], np.ndarray],
-                   seeds, tol: float, max_iter: int = 60) -> np.ndarray:
+                   seeds, tol: float) -> np.ndarray:
     """Refine a zero of ``f`` from each of ``seeds`` at once.  Each pass
     calls ``f`` and then ``df`` once, on the 1-D array of the iterates still
     running.  Returns, per seed, the first iterate with |f(z)| <= tol, or
-    NaN where f or the step is not finite or ``max_iter`` passes end first.
+    NaN where f or the step is not finite or _NEWTON_PASSES passes end first.
     The caller takes the last step: near a simple zero it lands about as
     close as ``f`` is accurate, where the iterate is only tol / |f'| close."""
     z = np.array(seeds, dtype=complex).ravel()
     out = np.full(z.shape, complex(np.nan))
     run = np.arange(z.size)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_PASSES):
             if run.size == 0:
                 break
             fz, dfz = np.asarray(f(z[run])), np.asarray(df(z[run]))
@@ -333,10 +328,12 @@ _DOP_E[1, [0, 8, 11]] -= (0.244094488188976377952755905512,
                           0.220588235294117647058823529412e-1)
 
 
+_MAX_STEPS = 2_000_000   # step attempts before ode_advance gives up
+
+
 def ode_advance(rhs: Callable[[object, np.ndarray, np.ndarray], None],
                 coef: Callable, t0: float, t1: float, y0, tol: float,
-                atol: float | None = None,
-                max_steps: int = 2_000_000) -> np.ndarray:
+                atol: float | None = None) -> np.ndarray:
     """Advance y' = f(t, y) from t0 to t1 with the DOP853 8(5,3) pair.
 
     The time dependence of f enters through one coefficient: ``coef(t)``
@@ -353,7 +350,7 @@ def ode_advance(rhs: Callable[[object, np.ndarray, np.ndarray], None],
     ``tol`` (relative) + ``atol`` (absolute, defaults to tol*1e-2) by the
     step controller of Hairer's code.  Backward integration (t1 < t0) is
     supported.  Raises StepUnderflow when the step falls below 1e-14 of the
-    span or after ``max_steps`` attempts.
+    span or after ``_MAX_STEPS`` attempts.
     """
     y = np.array(y0, dtype=complex, ndmin=1)
     if t1 == t0 or y.size == 0:
@@ -377,7 +374,7 @@ def ode_advance(rhs: Callable[[object, np.ndarray, np.ndarray], None],
     h = 0.01 * d0 / d1 if (d0 > 1e-5 and d1 > 1e-5) else abs(span) * 1e-4
     h = direction * min(h, abs(span))
 
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if (t - t1) * direction >= 0.0:
             return y
         if abs(h) < 1e-14 * abs(span):

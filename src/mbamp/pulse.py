@@ -18,8 +18,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from .numerics import adaptive_quad
-
 
 def _validate(amplitude: complex, support: float):
     if amplitude == 0:
@@ -126,9 +124,3 @@ class SmoothBumpPulse:
 
 
 Pulse = BoxPulse | PowerStartPulse | SmoothBumpPulse
-
-
-def first_moment(pulse: Pulse, tol: float = 1e-10) -> float:
-    """Numerical value of integral_0^T (1+t) |E(t)| dt."""
-    T = pulse.support
-    return adaptive_quad(lambda t: (1.0 + t) * np.abs(pulse(t)), 0.0, T, tol)

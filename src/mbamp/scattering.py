@@ -279,7 +279,6 @@ class ScatteringData:
                                        f"{abs(a[j]):.2e}; near a zero of a")
             r[near] = b / a
         if not near.all():
-            self.tail_fit()     # the leading term: the tail model's trace span
             terms = self._tail_terms()
             r[~near] = [sum(f.constant * kj ** -f.order for f in terms)
                         for kj in map(complex, ks[~near])]

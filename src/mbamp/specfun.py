@@ -81,13 +81,13 @@ def _gamma_complex(z: complex) -> complex:
 
 
 def gamma_imag(y: float) -> GammaValue:
-    """Gamma evaluated at i*y for y in [1e-8, 50].
+    """Gamma evaluated at i*y for y in (0, 50].
 
     Computed as Gamma(1+iy)/(iy) with a Lanczos core.  The returned modulus
     obeys |Gamma(iy)|^2 * y * sinh(pi y) / pi = 1 (reflection identity); the
     argument is the principal value, continuous in y between its +-pi wraps.
     """
-    if not (1e-8 <= y <= 50.0):
-        raise DomainError(f"y = {y} outside [1e-8, 50]")
+    if not (0.0 < y <= 50.0):
+        raise DomainError(f"y = {y} outside (0, 50]")
     g = _gamma_complex(1.0 + 1j * y) / (1j * y)
     return GammaValue(modulus=abs(g), argument=cmath.phase(g))

@@ -17,8 +17,6 @@ from .scattering import ScatteringData
 from .soliton_spectrum import SolitonSpectrum, velocity_match
 from .specfun import gamma_imag, sech
 
-EULER_GAMMA = 0.5772156649015329
-
 
 @dataclass(frozen=True)
 class TailPhases:
@@ -47,13 +45,6 @@ class SolitonState:
     Q: complex
     X: complex
     Y: complex
-
-
-def _arg_gamma(nu: float) -> float:
-    # below the evaluation floor the pole term dominates: arg ~ -pi/2 - g*nu
-    if nu < 1e-8:
-        return -0.5 * math.pi - EULER_GAMMA * nu
-    return gamma_imag(nu).argument
 
 
 def _nu(s: float, r: complex) -> float:
@@ -111,10 +102,10 @@ def omega_pair(sd: ScatteringData, spec: SolitonSpectrum,
     fast = 4.0 * tau * k0
     slow = math.log(16.0 * tau * k0)
     omega_l = (fast - nu_l * slow - integral_l / math.pi
-               + cmath.phase(a[0] * b[0]) + _arg_gamma(nu_l)
+               + cmath.phase(a[0] * b[0]) + gamma_imag(nu_l).argument
                + 2.0 * phase_sum_l - 0.25 * math.pi)
     omega_r = (-fast + nu_r * slow - integral_r / math.pi
-               + cmath.phase(a[1] * b[1]) - _arg_gamma(nu_r)
+               + cmath.phase(a[1] * b[1]) - gamma_imag(nu_r).argument
                + 2.0 * phase_sum_r + 0.25 * math.pi)
     return TailPhases(nu_l, nu_r, omega_l, omega_r,
                       integral_l, integral_r, phase_sum_l, phase_sum_r)

@@ -522,6 +522,10 @@ def _with_bad_value(slot, value):
 @example(case=_with_bad_value((None, "pulse"), [1]))
 @example(case=_with_bad_value((None, "pulse"), None))
 @example(case=_with_bad_value((None, "oracle"), None))
+@example(case=_with_bad_value((None, "tolerances"), [1]))
+@example(case=_with_bad_value((None, "bands"), 0.25))
+@example(case=_with_bad_value((None, "kgrid"), None))
+@example(case=_with_bad_value((None, "grid"), "1:5:3,1:5:3"))
 @example(case=({"schema_version": 1}, "pulse"))
 def test_wrong_typed_config_values_are_usage_errors(tmp_path_factory, case):
     raw, key = case

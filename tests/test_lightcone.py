@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mbamp.errors import NoRoot, WrongRegion
+from mbamp.mb_oracle import FieldTriple
 from mbamp.lightcone_asym import (BandParams, classify, eval_lightcone,
                                   peak_seed, predict_peaks, pulse_phase,
                                   solve_peak_y)
@@ -84,11 +85,18 @@ def test_band_ordering_contiguous(params_m2):
 
 
 def test_eval_zero_reflection_limit():
-    tag = classify(100.005, 100.0, BandParams(tail_order=2.0))
-    out = eval_lightcone(tag.variant, tag.n, 100.005 - 100.0, 100.0, 0j, 2.0)
-    assert out.fields.E == 0j
-    assert out.fields.N == 1.0
-    assert out.fields.rho == 0j
+    # r = 0 gives the trivial state; in part 4 it is the |r| -> 0 limit of
+    # the sech train, and log|r| is not evaluated
+    x4 = math.exp(10.0)
+    tau4 = (20.0 - 0.5 * math.log(10.0)) ** 2 / (4 * x4)
+    for tau, x, variant in ((0.005, 100.0, "part1"), (tau4, x4, "part4")):
+        tag = classify(x + tau, x, BandParams(tail_order=2.0))
+        assert tag.variant == variant
+        out = eval_lightcone(tag.variant, tag.n, tau, x, 0j, 2.0)
+        assert out.fields == FieldTriple(0j, 1.0, 0j)
+        tiny = eval_lightcone(tag.variant, tag.n, tau, x, 1e-300j, 2.0)
+        assert abs(tiny.fields.E) < 1e-250 and tiny.fields.N == 1.0
+        assert tiny.error_scale == out.error_scale
 
 
 def test_eval_part1_formula_values():
@@ -153,6 +161,14 @@ def test_part4_leading_order_bloch_identity():
             continue
         out = eval_lightcone(tag.variant, tag.n, tau, x, 0.03, 2.0)
         assert out.fields.N ** 2 + abs(out.fields.rho) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0, math.e])
+def test_part4_off_its_polylog_bands_is_wrong_region(x):
+    # classify gives part 4 only for x > e; at x = 1 its error scale
+    # 1/sqrt(ln x) divided by zero, and below it took the root of ln x < 0
+    with pytest.raises(WrongRegion, match="x > e"):
+        eval_lightcone("part4", 1, 0.01, x, 0.1, 2.0)
 
 
 def test_part2_part3_consistent_via_bessel_asymptotics():

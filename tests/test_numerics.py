@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from mbamp import numerics
 from mbamp.errors import BoundaryZero, NonConvergence, StepUnderflow
 from mbamp.numerics import (_DOP_A, _DOP_C, _DOP_E, Tolerances,
                             adaptive_quad, complex_newton, count_zeros_rect,
@@ -107,17 +108,19 @@ def test_quad_scalar_return_broadcasts():
     assert got == pytest.approx(5.0, abs=1e-12)
 
 
-def test_quad_non_convergence_names_the_worst_component():
+def test_quad_non_convergence_names_the_worst_component(monkeypatch):
+    monkeypatch.setattr(numerics, "_TS_MAX_LEVEL", 2)
     wild = lambda s: np.sin(1000.0 / (np.abs(s) + 1e-8))
     with pytest.raises(NonConvergence, match="in component 1"):
         adaptive_quad(lambda s: np.stack([s * s, wild(s)]), -1.0, 1.0,
-                      1e-14, max_level=2)
+                      1e-14)
 
 
-def test_quad_budget_exhaustion_raises():
+def test_quad_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(numerics, "_TS_MAX_LEVEL", 2)
     with pytest.raises(NonConvergence):
         adaptive_quad(lambda s: np.sin(1000.0 / (np.abs(s) + 1e-8)), -1.0, 1.0,
-                      1e-14, max_level=2)
+                      1e-14)
 
 
 def test_count_single_linear_zero():
@@ -264,15 +267,16 @@ def test_newton_simple_root():
     assert abs(root - 1j) < 1e-12
 
 
-def test_newton_diverges_without_reachable_root():
+def test_newton_diverges_without_reachable_root(monkeypatch):
     # real seed on z^2+1: the iteration never leaves the real axis, where
     # |f| >= 1, so no convergence is possible
+    monkeypatch.setattr(numerics, "_NEWTON_PASSES", 40)
     root, = complex_newton(lambda z: z * z + 1.0, lambda z: 2.0 * z,
-                           [0.5 + 0j], 1e-12, max_iter=40)
+                           [0.5 + 0j], 1e-12)
     assert np.isnan(root)
 
 
-def test_newton_runs_a_mixed_batch_in_one_call_per_pass():
+def test_newton_runs_a_mixed_batch_in_one_call_per_pass(monkeypatch):
     # a seed that converges to i, one that stays on the real axis of
     # z^2 + 1, and one where f is NaN: each pass calls f and then df once,
     # on the same array of the iterates still running
@@ -286,8 +290,8 @@ def test_newton_runs_a_mixed_batch_in_one_call_per_pass():
         calls.append(("df", z.copy()))
         return 2.0 * z
 
-    got = complex_newton(f, df, [0.3 + 0.8j, 0.5 + 0j, 200.0 + 1j], 1e-12,
-                         max_iter=40)
+    monkeypatch.setattr(numerics, "_NEWTON_PASSES", 40)
+    got = complex_newton(f, df, [0.3 + 0.8j, 0.5 + 0j, 200.0 + 1j], 1e-12)
     assert abs(got[0] - 1j) < 1e-12
     assert np.isnan(got[1]) and np.isnan(got[2])
     assert [name for name, _ in calls] == ["f", "df"] * 40
@@ -379,7 +383,7 @@ def test_ode_tol_halving_invariance():
     assert np.max(np.abs(a - b)) < 10 * tol
 
 
-def test_ode_step_budget_exhaustion_raises():
+def test_ode_step_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(numerics, "_MAX_STEPS", 5)
     with pytest.raises(StepUnderflow, match="budget"):
-        ode_advance(_grow, _time, 0.0, 1.0, np.array([1.0 + 0j]), 1e-10,
-                    max_steps=5)
+        ode_advance(_grow, _time, 0.0, 1.0, np.array([1.0 + 0j]), 1e-10)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mbamp.pulse import BoxPulse, PowerStartPulse, SmoothBumpPulse, first_moment
+from mbamp.pulse import BoxPulse, PowerStartPulse, SmoothBumpPulse
 
 
 def test_box_inside_value():
@@ -79,15 +79,3 @@ def test_box_jump_list():
     p = BoxPulse(2.0, 1.5)
     assert p.jumps() == ((0.0, 2.0 + 0j), (1.5, -2.0 - 0j))
     assert SmoothBumpPulse(1.0, 2.0, 1.0).jumps() == ()
-
-
-def test_first_moment_box():
-    # integral of (1+t) over [0,1]
-    assert first_moment(BoxPulse(1.0, 1.0)) == pytest.approx(1.5, rel=1e-10)
-
-
-def test_first_moment_bump_vs_trapezoid_oracle():
-    p = SmoothBumpPulse(1.7, 2.0, 2.0)
-    ts = np.linspace(0.0, 2.0, 1_000_001)
-    oracle = np.trapezoid((1.0 + ts) * np.abs(p(ts)), ts)
-    assert first_moment(p) == pytest.approx(float(oracle), rel=1e-8)

@@ -668,7 +668,8 @@ def test_tail_constant_is_the_first_born_term(pulse):
 @pytest.mark.parametrize("pulse", _TAIL_PULSES, ids=_TAIL_IDS)
 def test_tail_model_matches_direct_solves_at_the_switch(pulse):
     # the next-order term is O(1/kappa): about 1e-3 at kappa = 40
-    sd = ScatteringData(pulse, Tolerances().scaled(0.01))
+    sd = ScatteringData(pulse, Tolerances(ode_rel=1e-13, ode_abs=1e-15,
+                                          quad_tol=1e-12, root_tol=1e-12))
     kappa = scattering._KAPPA_MODEL_SWITCH
     a, b = sd.ab_many([1j * kappa])
     fit = sd.tail_fit()
@@ -695,7 +696,8 @@ def test_power_start_tail_model_sums_the_whole_start(pulse):
     # the start c1 t^(m-1) (1 - t/T)^3 is a finite polynomial, so the first
     # Born terms of its four powers give r(i kappa) past the switch to the
     # next Born order; the leading term alone is 7.8e-2 off at kappa = 40
-    sd = ScatteringData(pulse, Tolerances().scaled(0.01))
+    sd = ScatteringData(pulse, Tolerances(ode_rel=1e-13, ode_abs=1e-15,
+                                          quad_tol=1e-12, root_tol=1e-12))
     ks = 1j * np.array([np.nextafter(scattering._KAPPA_MODEL_SWITCH, np.inf),
                         80.0, 160.0])
     a, b = sd.ab_many(ks)
@@ -713,7 +715,9 @@ def test_tail_fit_linear_in_amplitude():
 def test_tail_fit_stable_under_tolerance_refinement():
     p = PowerStartPulse(1.0, 2.0, 1.0)
     m1 = ScatteringData(p).tail_fit().order
-    m2 = ScatteringData(p, Tolerances().scaled(0.1)).tail_fit().order
+    tight = Tolerances(ode_rel=1e-12, ode_abs=1e-14, quad_tol=1e-11,
+                       root_tol=1e-11)
+    m2 = ScatteringData(p, tight).tail_fit().order
     assert abs(m1 - m2) < 1e-6
 
 
@@ -739,7 +743,8 @@ def test_reflection_uhp_array_matches_scalar_calls(pulse):
     # they differ by the solver's error: at default tolerances up to 3.4e-11
     # relative on the box and 2.3e-11 on the bump, where |r| falls to 1e-4
     # and ode_abs on b dominates; at 0.01x the tolerances, 2.5e-12.
-    sd = ScatteringData(pulse, Tolerances().scaled(0.01))
+    sd = ScatteringData(pulse, Tolerances(ode_rel=1e-13, ode_abs=1e-15,
+                                          quad_tol=1e-12, root_tol=1e-12))
     ks = 1j * np.geomspace(0.05, 60.0, 24)
     r = sd.reflection_uhp(ks)
     assert r.shape == ks.shape and r.dtype == complex

@@ -502,7 +502,9 @@ def test_count_matches_refined_on_subrectangles(spec52):
 def test_spectrum_stable_under_tolerance_halving():
     p = BoxPulse(5.0, 2.0)
     z1 = find_zeros(ScatteringData(p), (-3, 3, 1e-4, 3)).zeros[0]
-    z2 = find_zeros(ScatteringData(p, Tolerances().scaled(0.5)),
+    half = Tolerances(ode_rel=5e-12, ode_abs=5e-14, quad_tol=5e-11,
+                      root_tol=5e-11)
+    z2 = find_zeros(ScatteringData(p, half),
                     (-3, 3, 1e-4, 3)).zeros[0]
     assert abs(z1 - z2) < 1e-8
 

@@ -88,6 +88,17 @@ def test_gamma_small_y_argument_approaches_minus_half_pi():
     assert g.argument == pytest.approx(-math.pi / 2, abs=1e-6)
 
 
+@pytest.mark.parametrize("y", [1e-300, 1e-12, 1e-9])
+def test_gamma_near_the_pole_vs_mpmath(y):
+    # Gamma(1+iy)/(iy) keeps its precision as y -> 0, where the pole term
+    # -i/y dominates: the argument matches mpmath to the last bit
+    with mp.workdps(40):
+        want = mp.gamma(mp.mpc(0, y))
+        g = gamma_imag(y)
+        assert g.argument == float(mp.arg(want))
+        assert g.modulus == pytest.approx(float(abs(want)), rel=1e-15)
+
+
 def test_gamma_modulus_reflection_closed_form():
     g = gamma_imag(1.0)
     assert g.modulus == pytest.approx(math.sqrt(math.pi / math.sinh(math.pi)),

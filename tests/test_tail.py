@@ -256,7 +256,9 @@ def test_tail_phases_match_direct_solves():
     spec = SolitonSpectrum((), (), ())
     t, x = 9.97, 3.06
     got = omega_pair(ScatteringData(pulse), spec, t, x)
-    ref = omega_pair(_DirectReal(pulse, Tolerances().scaled(0.01)), spec, t, x)
+    tight = Tolerances(ode_rel=1e-13, ode_abs=1e-15, quad_tol=1e-12,
+                       root_tol=1e-12)
+    ref = omega_pair(_DirectReal(pulse, tight), spec, t, x)
     for name in ("integral_l", "integral_r", "omega_l", "omega_r"):
         assert getattr(got, name) == pytest.approx(getattr(ref, name),
                                                    abs=1e-9)

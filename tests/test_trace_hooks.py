@@ -69,8 +69,8 @@ def test_traced_compare_past_the_tail_switch_solves_once(tmp_path):
     regions = [ln.split(",")[2] for ln in (tmp_path / "compare_points.csv")
                .read_text().strip().split("\n")[1:]]
     assert regions == ["part1", "part1"]
-    assert tracer.counts["scattering.tail_fit.calls"] >= 1
     assert tracer.counts["scattering.ab_many.calls"] == 1
+    assert tracer.counts["scattering.ab_many.kpoints"] == 1
 
 
 def test_traced_default_box_zeros_builds_no_cache(tmp_path):
