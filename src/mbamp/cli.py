@@ -265,18 +265,23 @@ def _asymptotics(cfg: RunConfig, sd, params, points, keep=None):
     """Region tags of all points, and the asymptotic fields of those with a
     formula that ``keep(i)`` (default: all) accepts, else None.
 
-    All light-cone points take r(i k0) from one batched solve, and the zero
-    search runs only when a tail point is evaluated.
+    The zero search runs only when a tail point is evaluated.  Then its
+    first Jost solve also takes the light-cone points' r(i k0) and the
+    real-line cache's first nodes, which only tail points read, so the
+    first pass of the command is one solve; without tail points the
+    light-cone points are one batched solve.
     """
     tags = [classify(t, x, params) for t, x in points]
     todo = [i for i, tag in enumerate(tags) if tag.variant != "unsupported"
             and (keep is None or keep(i))]
     cone = [i for i in todo if tags[i].variant not in ("causal", "tail")]
-    if cone:
-        r = dict(zip(cone, sd.reflection_uhp([1j * tags[i].k0 for i in cone])))
+    ks = np.array([1j * tags[i].k0 for i in cone], dtype=complex)
     if any(tags[i].variant == "tail" for i in todo):
         box = tuple(cfg.search_box) if cfg.search_box else None
-        spec = find_zeros(sd, box, params.sigma)
+        spec = find_zeros(sd, box, params.sigma, np.concatenate(
+            [sd.first_cache_nodes(), ks[sd.solved_directly(ks)]]))
+    if cone:
+        r = dict(zip(cone, sd.reflection_uhp(ks)))
     out = [None] * len(points)
     for i in todo:
         (t, x), tag = points[i], tags[i]

@@ -12,6 +12,8 @@ agree.
 The winding count (``count_zeros_rect``) bisects the boundary steps whose
 phase change reaches pi/2, one call of ``f`` per pass on the midpoints of
 all such steps, so a batched ``f`` (one Jost solve) is called once per pass.
+Its first samples are fixed by the rectangle (``first_samples``), so a
+caller can solve them in advance together with other points.
 
 The Newton iteration (``complex_newton``) runs all its seeds at once: each
 pass calls ``f`` and then ``df`` once, on the iterates still running, so a
@@ -131,6 +133,46 @@ def adaptive_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 _MAX_SAMPLES = 200000   # boundary samples before the winding count gives up
 
 
+def _first_params(rect, spacing, anchors):
+    """The closed boundary path of ``rect``, counterclockwise from its
+    lower left corner and parameterized on [0, 4], and the parameters of
+    the first samples, sorted, with the closure 4."""
+    re_lo, re_hi, im_lo, im_hi = rect
+    if not (re_hi > re_lo and im_hi > im_lo):
+        raise ValueError("rectangle must have positive width and height")
+    corners = np.array([complex(re_lo, im_lo), complex(re_hi, im_lo),
+                        complex(re_hi, im_hi), complex(re_lo, im_hi),
+                        complex(re_lo, im_lo)])
+    steps = np.maximum(4, np.ceil(np.abs(np.diff(corners)) / spacing))
+    grid = np.concatenate([edge + np.arange(m) / m
+                           for edge, m in enumerate(steps)])
+    # each anchor's nearest contour point: its projection onto each edge,
+    # clipped to the edge, on the nearest of the four
+    x = np.asarray(anchors, dtype=complex).reshape(-1, 1)
+    a, ab = corners[:-1], np.diff(corners)
+    t = np.clip(((x - a) * np.conj(ab)).real / np.abs(ab) ** 2, 0.0, 1.0)
+    edge = np.argmin(np.abs(x - a - t * ab), axis=1)
+    nearest = (edge + t[np.arange(len(x)), edge]) % 4.0
+    # sorted without repeats; np.unique would import numpy.ma, about 1 MB
+    params = np.sort(np.concatenate([grid, nearest, [4.0]]))
+    return corners, params[np.append(True, np.diff(params) > 0.0)]
+
+
+def _on_contour(corners, s: np.ndarray) -> np.ndarray:
+    edge = np.minimum(s.astype(int), 3)
+    return corners[edge] + (s - edge) * (corners[edge + 1] - corners[edge])
+
+
+def first_samples(rect: tuple[float, float, float, float],
+                  spacing: float = math.inf,
+                  anchors: Sequence[complex] = ()) -> np.ndarray:
+    """The boundary points of ``count_zeros_rect``'s first call of ``f``,
+    in that call's order, for the same ``rect``, ``spacing`` and
+    ``anchors``: a caller can evaluate ``f`` there in advance."""
+    corners, params = _first_params(rect, spacing, anchors)
+    return _on_contour(corners, params[:-1])
+
+
 def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
                      rect: tuple[float, float, float, float],
                      root_tol: float = 1e-10,
@@ -148,14 +190,16 @@ def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
     on an adaptively refined sampling until adjacent phase steps stay below
     pi/2, which pins the continuous argument without needing f'.  ``f`` is
     called on 1-D arrays of boundary points; a scalar return is broadcast.
-    The first samples, at least 4 per edge, are at most ``spacing`` apart,
-    and hold the contour point nearest each of ``anchors``: bisection
-    refines only the phase changes these samples show.  Along its edge, a
-    factor conj(k - x)/|k - x| turns by less than pi/2 on either side of
-    the contour point nearest an outside x.  With that point a sample, a
-    zero of f just inside and such an x just outside next to it turn f by
-    less than 3pi/2 per step, and bisection resolves their 2pi turn, which
-    samples far apart read as none.
+    The first samples (``first_samples``) depend on the rectangle,
+    ``spacing`` and ``anchors`` only: the boundary from the lower left
+    corner counterclockwise, each edge cut into max(4, ceil(length /
+    spacing)) equal steps, and the contour point nearest each of
+    ``anchors``.  Bisection refines only the phase changes these samples
+    show.  Along its edge, a factor conj(k - x)/|k - x| turns by less than
+    pi/2 on either side of the contour point nearest an outside x.  With
+    that point a sample, a zero of f just inside and such an x just outside
+    next to it turn f by less than 3pi/2 per step, and bisection resolves
+    their 2pi turn, which samples far apart read as none.
 
     Each pass calls ``f`` once, on the midpoints of the steps it bisects.
     BoundaryZero is raised on a dip of a sample: ``|f|`` there at most
@@ -168,17 +212,10 @@ def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
     the contour, such as a ``b`` decaying like ``|k|^-m``, counts.
     NonConvergence is raised past ``_MAX_SAMPLES`` samples.
     """
-    re_lo, re_hi, im_lo, im_hi = rect
-    if not (re_hi > re_lo and im_hi > im_lo):
-        raise ValueError("rectangle must have positive width and height")
-    # closed boundary path, counterclockwise, parameterized on [0, 4]
-    corners = np.array([complex(re_lo, im_lo), complex(re_hi, im_lo),
-                        complex(re_hi, im_hi), complex(re_lo, im_hi),
-                        complex(re_lo, im_lo)])
+    corners, params = _first_params(rect, spacing, anchors)
 
     def sample(s: np.ndarray) -> np.ndarray:
-        edge = np.minimum(s.astype(int), 3)
-        z = corners[edge] + (s - edge) * (corners[edge + 1] - corners[edge])
+        z = _on_contour(corners, s)
         return np.broadcast_to(np.asarray(f(z), dtype=complex), z.shape)
 
     def kept(v: np.ndarray, left: np.ndarray, right: np.ndarray):
@@ -196,19 +233,6 @@ def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
     # step whose phase change reaches pi/2; a step's bisection depends on
     # its own end values only, so the final samples do not depend on the
     # order of the passes.
-    steps = np.maximum(4, np.ceil(np.abs(np.diff(corners)) / spacing))
-    grid = np.concatenate([edge + np.arange(m) / m
-                           for edge, m in enumerate(steps)])
-    # each anchor's nearest contour point: its projection onto each edge,
-    # clipped to the edge, on the nearest of the four
-    x = np.asarray(anchors, dtype=complex).reshape(-1, 1)
-    a, ab = corners[:-1], np.diff(corners)
-    t = np.clip(((x - a) * np.conj(ab)).real / np.abs(ab) ** 2, 0.0, 1.0)
-    edge = np.argmin(np.abs(x - a - t * ab), axis=1)
-    nearest = (edge + t[np.arange(len(x)), edge]) % 4.0
-    # sorted without repeats; np.unique would import numpy.ma, about 1 MB
-    params = np.sort(np.concatenate([grid, nearest, [4.0]]))
-    params = params[np.append(True, np.diff(params) > 0.0)]
     values = sample(params[:-1])
     values = kept(values, np.roll(values, 1), np.roll(values, -1))
     values = np.append(values, values[0])

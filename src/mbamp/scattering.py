@@ -25,6 +25,7 @@ from .pulse import Pulse
 logger = logging.getLogger(__name__)
 
 _CHEB_TAIL = 1e-12      # chop level of the trailing Chebyshev coefficients
+_CHEB_FIRST_N = 128     # the real-line interpolant's first level (n + 1 nodes)
 _CHEB_MAX_N = 4096      # node cap of the real-line interpolant (n + 1 nodes)
 _ROOT_CHOP = 1e-14      # chop level of b's series before its roots
 _ROOT_IMAG = 1e-8       # |Im| below which a root of b's series is real
@@ -48,10 +49,24 @@ class TailFit:
 class ScatteringData:
     """Evaluators for a(k), b(k), r(k) = b/a and derived quantities.
 
-    Evaluations at distinct k are independent; the real-line cache is
-    built once, under a lock, on first use and is read-only afterwards.
-    It covers [-halfwidth, halfwidth]: a tail point reads r only on (-k0,
-    k0), and a narrower window takes fewer steps and nodes.
+    Every evaluator reaches the Jost system through one batched solve
+    (``_solve``), whose points all share the adaptive steps.  Its points
+    without derivative rows are folded onto Re k >= 0 when the pulse
+    declares an ``amplitude`` (see ``ab_many``); its points with derivative
+    rows are solved as given.  ``prefetch`` makes one such solve of the
+    points a command's first pass needs, the zero search's seeds with
+    derivative rows, and keeps the values: ``ab_many`` and
+    ``ab_and_derivs_many`` read a batch whose points are all kept instead
+    of solving it.  The values of every solve with derivative rows are kept
+    too, so Newton's ``f`` and ``df`` on the same iterates, and the zero
+    search's read at its limits, cost one solve.  A kept value carries the
+    rounding of the batch that solved it: batch-mates move a and b by a few
+    1e-12 relative at most on the benchmark pulses.
+
+    The real-line cache is built once, under a lock, on first use and is
+    read-only afterwards.  It covers [-halfwidth, halfwidth]: a tail point
+    reads r only on (-k0, k0), and a narrower window takes fewer steps and
+    nodes.
     """
 
     def __init__(self, pulse: Pulse, tol: Tolerances | None = None,
@@ -66,50 +81,46 @@ class ScatteringData:
         self._cache = None
         self.cache_tail = None   # achieved Chebyshev tail of the cache
         self._lock = threading.Lock()
+        self._kept = {}   # k -> [a, b] or [a, b, da/dk, db/dk]
 
     # ------------------------------------------------------------------ ODE
 
-    def _jost(self, ks, variational: bool) -> np.ndarray:
+    def _jost(self, ks, nd: int = 0):
         """Second column psi = (p1, p2) at t = 0 on a batch of spectral
-        points, one row each, plus the rows (q1, q2) = dpsi/dk when
-        ``variational``.  All points share the adaptive steps, and the pulse
-        is evaluated once per step attempt."""
+        points, and dpsi/dk = (q1, q2) at the last ``nd`` of them, as two
+        arrays of two rows.  The state has two rows: (p1, p2) in a column
+        per point, then (q1, q2) in ``nd`` more columns, so a batch with
+        nd = 0 is the plain system.  All columns share the adaptive steps,
+        and the pulse is evaluated once per step attempt."""
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
         self._check_growth(ks)
-        minus_two_ik = -2j * ks
-        y0 = np.zeros((4 if variational else 2, ks.size), dtype=complex)
-        y0[1] = 1.0
+        n = ks.size
+        minus_two_ik = -2j * np.concatenate([ks, ks[n - nd:]])
+        y0 = np.zeros((2, n + nd), dtype=complex)
+        y0[1, :n] = 1.0
 
         def rhs(e, y, out):
-            # p1' = -2ik p1 - (e/2) p2 and p2' = (conj(e)/2) p1; the rows
+            # p1' = -2ik p1 - (e/2) p2 and p2' = (conj(e)/2) p1; the columns
             # q = dp/dk obey the same system plus the source -2i p1 in q1'
             he = 0.5 * e
-            hec = np.conj(he)
-            for r in range(0, len(y), 2):
-                d = out[r]
-                np.multiply(minus_two_ik, y[r], out=d)
-                d -= he * y[r + 1]
-                np.multiply(hec, y[r], out=out[r + 1])
-            if variational:
-                out[2] -= 2j * y[0]
+            d = out[0]
+            np.multiply(minus_two_ik, y[0], out=d)
+            d -= he * y[1]
+            np.multiply(np.conj(he), y[0], out=out[1])
+            if nd:
+                d[n:] -= 2j * y[0, n - nd:n]
 
-        return ode_advance(rhs, self.pulse, self.pulse.support, 0.0, y0,
-                           self.tol.ode_rel, atol=self.tol.ode_abs)
+        y = ode_advance(rhs, self.pulse, self.pulse.support, 0.0, y0,
+                        self.tol.ode_rel, atol=self.tol.ode_abs)
+        return y[:, :n], y[:, n:]
 
-    def ab_many(self, ks) -> tuple[np.ndarray, np.ndarray]:
-        """a(k), b(k) on an array of spectral points (shared adaptive steps).
-
-        A pulse that declares an ``amplitude`` c is c times a real shape, so
-        a(-conj k) = conj a(k) and b(-conj k) = (c / conj c) conj b(k)
-        (Ablowitz, Kaup, Newell & Segur, Stud. Appl. Math. 53, 1974).  Its
-        batch is folded onto Re k >= 0: each k with Re k < 0 becomes
-        -conj(k), and the values of the folded points are reflected back.
-        Points within a few ulp of each other, after the fold, are solved
-        once.  The points solved keep their order in the batch, so a batch
-        with nothing to fold or merge is solved exactly as given.
-        ``ab_and_derivs_many`` never folds.
-        """
+    def _solve(self, ks, dks):
+        """One Jost solve: [a, b] at ``ks`` and [a, b, da/dk, db/dk] at
+        ``dks``, as arrays of 2 and 4 rows.  The points of ``ks`` are folded
+        and merged as ``ab_many`` says; those of ``dks`` follow them in the
+        batch as given."""
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
+        dks = np.atleast_1d(np.asarray(dks, dtype=complex))
         c = getattr(self.pulse, "amplitude", None)
         flip = (ks.real < 0.0) & (c is not None)
         folded = np.where(flip, -ks.conj(), ks)
@@ -123,17 +134,69 @@ class ScatteringData:
         reps = np.sort(rep)
         rank = np.empty(ks.size, dtype=int)
         rank[order] = np.searchsorted(reps, rep)[np.cumsum(first) - 1]
-        p1, p2 = self._jost(folded[reps], variational=False)
-        a, b = p2[rank], p1[rank]   # a = psi2(0), b = psi1(0)
+        (p1, p2), (q1, q2) = self._jost(
+            np.concatenate([folded[reps], dks]), dks.size)
+        m = reps.size
+        a, b = p2[:m][rank], p1[:m][rank]   # a = psi2(0), b = psi1(0)
         if flip.any():
             a[flip] = np.conj(a[flip])
             b[flip] = c / np.conj(c) * np.conj(b[flip])
-        return a, b
+        return np.array([a, b]), np.array([p2[m:], p1[m:], q2, q1])
+
+    def _read(self, ks, rows: int):
+        """The first ``rows`` kept values at each of ``ks`` as an array of
+        that many rows, or None unless every point has them."""
+        got = []
+        for k in ks.tolist():
+            v = self._kept.get(k, ())
+            if len(v) < rows:
+                return None
+            got.append(v[:rows])
+        return np.array(got, dtype=complex).reshape(-1, rows).T
+
+    def _keep(self, ks, values):
+        self._kept.update(zip(ks.tolist(), values.T.tolist()))
+
+    def prefetch(self, ks, dks=()):
+        """Solve a and b at ``ks``, and also their k-derivatives at
+        ``dks``, in one batch, and keep the values for ``ab_many`` and
+        ``ab_and_derivs_many`` to read."""
+        ks = np.atleast_1d(np.asarray(ks, dtype=complex))
+        dks = np.atleast_1d(np.asarray(dks, dtype=complex))
+        values, derivs = self._solve(ks, dks)
+        self._keep(ks, values)
+        self._keep(dks, derivs)
+
+    def ab_many(self, ks) -> tuple[np.ndarray, np.ndarray]:
+        """a(k), b(k) on an array of spectral points (shared adaptive steps),
+        read from the kept values when they hold every point.
+
+        A pulse that declares an ``amplitude`` c is c times a real shape, so
+        a(-conj k) = conj a(k) and b(-conj k) = (c / conj c) conj b(k)
+        (Ablowitz, Kaup, Newell & Segur, Stud. Appl. Math. 53, 1974).  Its
+        batch is folded onto Re k >= 0: each k with Re k < 0 becomes
+        -conj(k), and the values of the folded points are reflected back.
+        Points within a few ulp of each other, after the fold, are solved
+        once.  The points solved keep their order in the batch, so a batch
+        with nothing to fold or merge is solved exactly as given.
+        ``ab_and_derivs_many`` never folds.
+        """
+        ks = np.atleast_1d(np.asarray(ks, dtype=complex))
+        v = self._read(ks, 2)
+        if v is None:
+            v = self._solve(ks, ())[0]
+        return v[0], v[1]
 
     def ab_and_derivs_many(self, ks):
-        """(a, b, da/dk, db/dk) on an array of spectral points."""
-        p1, p2, q1, q2 = self._jost(ks, variational=True)
-        return p2, p1, q2, q1
+        """(a, b, da/dk, db/dk) on an array of spectral points, read from
+        the kept values when they hold every point, else solved as given
+        and kept."""
+        ks = np.atleast_1d(np.asarray(ks, dtype=complex))
+        v = self._read(ks, 4)
+        if v is None:
+            v = self._solve((), ks)[1]
+            self._keep(ks, v)
+        return tuple(v)
 
     def pencil_zeros(self, n: int, shift: complex) -> np.ndarray:
         """Every finite eigenvalue k of the Jost system's pencil: b(k) = 0
@@ -183,11 +246,13 @@ class ScatteringData:
         benchmark pulses stop on [-20, 20], and the bump of T = 8 and 30 on
         the tail cone's window.  Each level is one batched solve, so its
         values share one step sequence and stay a smooth function of k; its
-        step count grows with K.  b's real zeros are the interpolant's; for
+        step count grows with K.  The first level's nodes
+        (``first_cache_nodes``) are read from the kept values when a caller
+        prefetched them.  b's real zeros are the interpolant's; for
         a pulse that declares an ``amplitude`` |b| is even (see ``ab_many``),
         so those with Re >= 0 are mirrored, and the zeros are exact mirrors.
         """
-        n = 128
+        n = _CHEB_FIRST_N
         while True:
             x, weights = _lobatto(n)
             nodes = self.halfwidth * x
@@ -211,6 +276,10 @@ class ScatteringData:
         if getattr(self.pulse, "amplitude", None) is not None:
             z = np.concatenate([-z[z >= 0.0], z[z >= 0.0]])
         self._cache = (nodes, weights, values, np.sort(z))
+
+    def first_cache_nodes(self) -> np.ndarray:
+        """The nodes of the real-line cache's first level."""
+        return self.halfwidth * _lobatto(_CHEB_FIRST_N)[0]
 
     def _cache_arrays(self):
         with self._lock:
@@ -269,7 +338,7 @@ class ScatteringData:
         """
         ks = np.asarray(k, dtype=complex)
         r = np.empty_like(ks)
-        near = (ks.real != 0.0) | (np.abs(ks) <= _KAPPA_MODEL_SWITCH)
+        near = self.solved_directly(ks)
         if near.any():
             a, b = self.ab_many(ks[near])
             small = np.flatnonzero(np.abs(a) < 1e-12)
@@ -283,6 +352,14 @@ class ScatteringData:
             r[~near] = [sum(f.constant * kj ** -f.order for f in terms)
                         for kj in map(complex, ks[~near])]
         return complex(r) if r.ndim == 0 else r
+
+    @staticmethod
+    def solved_directly(k) -> np.ndarray:
+        """Which of the points ``k`` ``reflection_uhp`` takes from a Jost
+        solve: all but those on the imaginary axis past |k| =
+        _KAPPA_MODEL_SWITCH."""
+        ks = np.asarray(k, dtype=complex)
+        return (ks.real != 0.0) | (np.abs(ks) <= _KAPPA_MODEL_SWITCH)
 
 
 def _lobatto(n):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import AmbiguousMatch, AssumptionViolated, DomainError
 from .lightcone_asym import BandParams
-from .numerics import complex_newton, count_zeros_rect
+from .numerics import complex_newton, count_zeros_rect, first_samples
 from .scattering import GROWTH_GUARD, ScatteringData
 
 IM_FLOOR = 1e-4       # zeros below this would violate the off-axis assumption
@@ -48,23 +48,29 @@ def velocity_of(k: complex) -> float:
 
 def find_zeros(sd: ScatteringData,
                box: tuple[float, float, float, float] | None = None,
-               sigma: float = BandParams.sigma) -> SolitonSpectrum:
+               sigma: float = BandParams.sigma,
+               prefetch=()) -> SolitonSpectrum:
     """Locate all zeros of b inside ``box`` (re_lo, re_hi, im_lo, im_hi),
     by default ``default_search_box(sigma)``, with im_lo raised to
     IM_FLOOR; the spectrum's ``box`` is the box searched.
 
+    The pencil's eigenvalues, Newton's seeds and the winding count's first
+    samples are fixed before any solve, and one Jost solve
+    (``ScatteringData.prefetch``) takes Newton's first pass, with
+    derivative rows, the count's first samples and the caller's
+    ``prefetch`` points, whose a and b the caller then reads from ``sd``.
     One batched Newton with the variational derivative starts from every
     eigenvalue in the box of the Jost system's pencil
     (``ScatteringData.pencil_zeros``) at n = max(32, ceil(1.6 T R)) nodes,
-    R the box's farthest corner; each pass is one variational solve of the
-    iterates still running.  It decides: seeds that diverge, or whose
-    iterates stray more than d = 1/(2T) from the box or past the growth
-    guard (NaN there, with no solve), are spurious, limits outside the box
-    are dropped, and limits within 1e-8 max(1, |k|) are one zero.  One solve
-    of the kept limits, the last pass's when it covers the same points,
-    gives a, b and bdot, and each zero is its limit minus b/bdot.  A
-    winding count over the box, its first samples d apart, certifies their
-    number.  It counts b times the phase factor conj(k - x)/|k - x| of each
+    R the box's farthest corner; each pass after the first is one
+    variational solve of the iterates still running.  It decides: seeds
+    that diverge, or whose iterates stray more than d = 1/(2T) from the box
+    or past the growth guard (NaN there, with no solve), are spurious,
+    limits outside the box are dropped, and limits within 1e-8 max(1, |k|)
+    are one zero.  The kept limits' a, b and bdot are those of the passes
+    that reached them, and each zero is its limit minus b/bdot.  A winding
+    count over the box, its first samples d apart, certifies their number.
+    It counts b times the phase factor conj(k - x)/|k - x| of each
     eigenvalue x strictly outside the closed box and within d of it: |f| =
     |b|, and the factors wind zero times, but they take the fast turn of
     b's phase at a zero just outside the box (the real zeros under the
@@ -98,27 +104,28 @@ def find_zeros(sd: ScatteringData,
         return math.hypot(max(re_lo - k.real, 0.0, k.real - re_hi),
                           max(im_lo - k.imag, 0.0, k.imag - im_hi))
 
-    memo = {}
+    def solvable(ks):
+        return np.array([gap(k) <= d and T * abs(k.imag) <= GROWTH_GUARD
+                         for k in ks], dtype=bool)
 
     def solve(ks):   # a, b, a', b' at ks, NaN where k strays from the box
-        if not np.array_equal(memo.get("k"), ks):
-            ok = np.array([gap(k) <= d and T * abs(k.imag) <= GROWTH_GUARD
-                           for k in ks], dtype=bool)
-            v = np.full((4, len(ks)), complex(np.nan))
-            if ok.any():
-                v[:, ok] = sd.ab_and_derivs_many(ks[ok])
-            memo.update(k=ks, v=v)
-        return memo["v"]
+        ok = solvable(ks)
+        v = np.full((4, len(ks)), complex(np.nan))
+        if ok.any():
+            v[:, ok] = sd.ab_and_derivs_many(ks[ok])
+        return v
 
     eigs = sd.pencil_zeros(n, 0.5 * complex(re_lo + re_hi, im_lo + im_hi))
-    seeds = [k for k in eigs if inside(k)]
+    seeds = np.array([k for k in eigs if inside(k)], dtype=complex)
+    outside = np.array([x for x in eigs if 0.0 < gap(x) <= d])
+    sd.prefetch(np.concatenate([prefetch, first_samples(box, d, outside)]),
+                seeds[solvable(seeds)])
     limits = complex_newton(lambda k: solve(k)[1], lambda k: solve(k)[3],
-                            seeds, sd.tol.root_tol) if seeds else []
+                            seeds, sd.tol.root_tol) if seeds.size else []
     kept = []
     for k in limits:
         if inside(k) and all(abs(k - y) > 1e-8 * max(1.0, abs(k)) for y in kept):
             kept.append(k)
-    outside = np.array([x for x in eigs if 0.0 < gap(x) <= d])
 
     def deflated_b(k):
         u = np.subtract.outer(k, outside)

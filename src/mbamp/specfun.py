@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -70,6 +71,9 @@ _LANCZOS_C = (
 )
 
 
+_Y_MIN = 1.0 / sys.float_info.max   # |Gamma(iy)| ~ 1/y overflows below
+
+
 def _gamma_complex(z: complex) -> complex:
     """Gamma(z) for Re z > 0 via Lanczos."""
     zm1 = z - 1.0
@@ -81,13 +85,14 @@ def _gamma_complex(z: complex) -> complex:
 
 
 def gamma_imag(y: float) -> GammaValue:
-    """Gamma evaluated at i*y for y in (0, 50].
+    """Gamma evaluated at i*y for y in [1/M, 50], M the largest float.
 
     Computed as Gamma(1+iy)/(iy) with a Lanczos core.  The returned modulus
     obeys |Gamma(iy)|^2 * y * sinh(pi y) / pi = 1 (reflection identity); the
     argument is the principal value, continuous in y between its +-pi wraps.
+    Below 1/M, about 5.6e-309, the modulus ~ 1/y overflows.
     """
-    if not (0.0 < y <= 50.0):
-        raise DomainError(f"y = {y} outside (0, 50]")
+    if not (_Y_MIN <= y <= 50.0):
+        raise DomainError(f"y = {y} outside [{_Y_MIN}, 50]")
     g = _gamma_complex(1.0 + 1j * y) / (1j * y)
     return GammaValue(modulus=abs(g), argument=cmath.phase(g))

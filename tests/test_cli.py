@@ -313,6 +313,35 @@ def test_tail_point_runs_the_zero_search_once(tmp_path, monkeypatch):
     assert calls["ab_and_derivs_many"] > 0
 
 
+@pytest.mark.parametrize("cfg, command, grid", [
+    ({k: v for k, v in BUMP.items() if k != "search_box"}, "asym",
+     "10:14:3,3:7:3"),
+    ({**BOX52, "bands": {"sigma": 0.05}}, "asym", "30:36:4,26:35:7"),
+    ({**BOX52, "bands": {"sigma": 0.05}}, "zeros", None),
+    (BOX52, "asym", "2.1:2.7:4,2:2.2:3")],
+    ids=["bump-tail-asym", "box52-asym", "box52-zeros", "box52-asym-cone"])
+def test_first_pass_is_one_jost_solve(tmp_path, monkeypatch, cfg, command,
+                                      grid):
+    # the benchmark's commands, and a grid of one tail point and seven
+    # light-cone points: Newton's first pass, the count's first samples,
+    # the cache's first nodes and the light-cone points share one solve,
+    # where there were 2, 3, 2 and 4
+    from mbamp import scattering
+    solves = []
+    advance = scattering.ode_advance
+
+    def counted(*args, **kwargs):
+        solves.append(args[4].shape)
+        return advance(*args, **kwargs)
+
+    monkeypatch.setattr(scattering, "ode_advance", counted)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "o")]
+    assert main(argv + (["--grid", grid] if grid else [])) == 0
+    assert len(solves) == 1
+
+
 @pytest.mark.parametrize("cfg, sigma, grid", [
     (BOX52, 0.05, "40:40:1,30:38:5"), (BUMP, 0.25, "40:40:1,10:30:5")])
 def test_asym_at_the_tail_cone_edge_stays_in_the_cache(tmp_path, cfg, sigma,

@@ -173,9 +173,9 @@ def test_fold_passes_an_unfoldable_batch_through_in_its_order(monkeypatch):
     batches = []
     jost = ScatteringData._jost
 
-    def recorded(self, ks, variational):
+    def recorded(self, ks, nd=0):
         batches.append(np.array(ks))
-        return jost(self, ks, variational)
+        return jost(self, ks, nd)
 
     monkeypatch.setattr(ScatteringData, "_jost", recorded)
     ks = 1j * np.array([3.0, 0.5, 1.2])
@@ -188,6 +188,62 @@ def test_fold_passes_an_unfoldable_batch_through_in_its_order(monkeypatch):
     for got, want in zip((a, b), sd.ab_many([0.5, 2.0, 3.0])):
         want = want[[0, 0, 0, 1, 2]]
         assert np.array_equal(got, np.where(flip, np.conj(want), want))
+
+
+# a command's first pass: the real-line cache's first nodes, light-cone
+# points on the imaginary axis and contour samples on both sides of it, and
+# derivative rows at seeds, one of them box 5/2's zero
+_MIXED_KS = np.concatenate([
+    ScatteringData(BoxPulse(1.0, 1.0), halfwidth=3.12).first_cache_nodes(),
+    1j * np.linspace(0.3, 3.0, 5), np.linspace(-3.0, 3.0, 13) + 3.0j,
+    -3.0 + 1j * np.linspace(0.5, 3.0, 6)])
+_MIXED_DKS = np.array([1.9448904595703225j, 0.7 + 0.4j, -1.2 + 0.9j])
+
+
+def _prefetched(pulse, monkeypatch):
+    """ScatteringData of ``pulse`` after one prefetch of the mixed batch,
+    and the values that ab_many and ab_and_derivs_many then read, with no
+    further solve."""
+    sd = ScatteringData(pulse)
+    sd.prefetch(_MIXED_KS, _MIXED_DKS)
+    monkeypatch.setattr(sd, "_jost", None)   # any further solve fails
+    return sd.ab_many(_MIXED_KS), sd.ab_and_derivs_many(_MIXED_DKS)
+
+
+@pytest.mark.parametrize("pulse", [BoxPulse(5.0, 2.0),
+                                   SmoothBumpPulse(1.0, 2.0, 1.0)],
+                         ids=["box52", "bump"])
+def test_mixed_batch_matches_separate_solves(pulse, monkeypatch):
+    # the batch-mates' steps move a point's values at rounding level only;
+    # relative to each quantity's largest value, as b vanishes at the zero
+    ab, derivs = _prefetched(pulse, monkeypatch)
+    alone = ScatteringData(pulse)
+    want = (*alone.ab_many(_MIXED_KS), *alone.ab_and_derivs_many(_MIXED_DKS))
+    for got, ref in zip((*ab, *derivs), want):
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("pulse", [BoxPulse(5.0, 2.0),
+                                   SmoothBumpPulse(1.0, 2.0, 1.0)],
+                         ids=["box52", "bump"])
+def test_mixed_batch_derivative_rows_match_a_central_difference(pulse,
+                                                                monkeypatch):
+    _, (_, _, _, bdot) = _prefetched(pulse, monkeypatch)
+    h = 1e-5
+    _, b1 = ScatteringData(pulse).ab_many(_MIXED_DKS + h)
+    _, b2 = ScatteringData(pulse).ab_many(_MIXED_DKS - h)
+    fd = (b1 - b2) / (2 * h)
+    assert np.all(np.abs(bdot - fd) < 1e-6 * np.abs(fd))
+
+
+def test_prefetch_without_derivative_rows_is_the_plain_solve():
+    # the same batch, the same state layout: bit-identical values
+    ks = _MIXED_KS
+    sd = ScatteringData(BoxPulse(5.0, 2.0))
+    sd.prefetch(ks)
+    for got, want in zip(sd.ab_many(ks),
+                         ScatteringData(BoxPulse(5.0, 2.0)).ab_many(ks)):
+        assert np.array_equal(got, want)
 
 
 def test_empty_batches_solve_to_empty_arrays():

@@ -1,6 +1,7 @@
 """Modified Bessel I and Gamma on the imaginary axis."""
 
 import math
+import sys
 
 import mpmath as mp
 import pytest
@@ -140,3 +141,17 @@ def test_gamma_domain_errors():
         gamma_imag(0.0)
     with pytest.raises(DomainError):
         gamma_imag(51.0)
+
+
+@pytest.mark.parametrize("y", [5e-324, 1e-310])
+def test_gamma_modulus_overflow_is_a_domain_error(y):
+    # |Gamma(iy)| ~ 1/y passes the largest float below y = 1/max
+    with pytest.raises(DomainError, match="outside"):
+        gamma_imag(y)
+
+
+def test_gamma_at_the_smallest_y_is_finite():
+    y = 1.0 / sys.float_info.max
+    g = gamma_imag(y)
+    assert math.isfinite(g.modulus)
+    assert g.modulus * y == pytest.approx(1.0, rel=1e-15)

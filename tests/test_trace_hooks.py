@@ -99,8 +99,10 @@ def test_traced_default_box_zeros_builds_no_cache(tmp_path):
 def test_traced_explicit_box_zeros_counts_in_one_solve(tmp_path):
     # box 5/2's real zeros +-1.9025 lie 1e-4 under the bottom edge; the
     # count divides out their pencil eigenvalues, so its first samples
-    # settle the phase in one solve, and Newton from the eigenvalue at the
-    # zero makes one variational solve
+    # settle the phase in one call of b, and Newton from the eigenvalue at
+    # the zero stops after its first pass; that pass and the first samples
+    # share one Jost solve, which Newton's f and df, the zero's a and bdot,
+    # and the count read
     tracing = load_tracing()
     from mbamp.cli import main
     cfg = tmp_path / "cfg.json"
@@ -114,12 +116,14 @@ def test_traced_explicit_box_zeros_counts_in_one_solve(tmp_path):
                      str(tmp_path)]) == 0
     assert tracer.counts["scattering.ab_many.calls"] == 1
     assert tracer.counts["numerics.count_zeros_rect.f_evals"] == 1
-    assert tracer.counts["scattering.ab_and_derivs_many.calls"] == 1
+    assert tracer.counts["numerics.complex_newton.iterations"] == 1
+    assert tracer.counts["numerics.ode_advance.calls"] == 1
 
 
 def test_traced_tail_asym_builds_the_cache_from_129_points(tmp_path):
     # box 5/2 at sigma = 0.05: the cache on the tail cone's window [-3.12,
-    # 3.12] is one 129-point solve, which the traced benchmark reports
+    # 3.12] reads 129 points, which the traced benchmark reports; they were
+    # solved with the zero search's first pass, the command's one solve
     tracing = load_tracing()
     from mbamp.cli import main
     cfg = tmp_path / "cfg.json"
@@ -137,6 +141,7 @@ def test_traced_tail_asym_builds_the_cache_from_129_points(tmp_path):
     assert regions.count("tail") == 2
     assert tracer.counts["scattering.cache_build.calls"] == 1
     assert tracer.counts["scattering.cache_build.kpoints_solved"] == 129
+    assert tracer.counts["numerics.ode_advance.calls"] == 1
 
 
 def test_traced_scatter_is_one_solve(tmp_path):
