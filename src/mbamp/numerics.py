@@ -135,8 +135,9 @@ _MAX_SAMPLES = 200000   # boundary samples before the winding count gives up
 
 def _first_params(rect, spacing, anchors):
     """The closed boundary path of ``rect``, counterclockwise from its
-    lower left corner and parameterized on [0, 4], and the parameters of
-    the first samples, sorted, with the closure 4."""
+    lower left corner and parameterized on [0, 4], the parameters of the
+    first samples, sorted, with the closure 4, and which of them are
+    regular samples, the rest being nearest an anchor only."""
     re_lo, re_hi, im_lo, im_hi = rect
     if not (re_hi > re_lo and im_hi > im_lo):
         raise ValueError("rectangle must have positive width and height")
@@ -153,9 +154,13 @@ def _first_params(rect, spacing, anchors):
     t = np.clip(((x - a) * np.conj(ab)).real / np.abs(ab) ** 2, 0.0, 1.0)
     edge = np.argmin(np.abs(x - a - t * ab), axis=1)
     nearest = (edge + t[np.arange(len(x)), edge]) % 4.0
-    # sorted without repeats; np.unique would import numpy.ma, about 1 MB
-    params = np.sort(np.concatenate([grid, nearest, [4.0]]))
-    return corners, params[np.append(True, np.diff(params) > 0.0)]
+    # sorted without repeats, a regular sample first among equals;
+    # np.unique would import numpy.ma, about 1 MB
+    params = np.concatenate([grid, [4.0], nearest])
+    order = np.argsort(params, kind="stable")
+    params, regular = params[order], order <= grid.size
+    keep = np.append(True, np.diff(params) > 0.0)
+    return corners, params[keep], regular[keep]
 
 
 def _on_contour(corners, s: np.ndarray) -> np.ndarray:
@@ -165,12 +170,16 @@ def _on_contour(corners, s: np.ndarray) -> np.ndarray:
 
 def first_samples(rect: tuple[float, float, float, float],
                   spacing: float = math.inf,
-                  anchors: Sequence[complex] = ()) -> np.ndarray:
-    """The boundary points of ``count_zeros_rect``'s first call of ``f``,
-    in that call's order, for the same ``rect``, ``spacing`` and
-    ``anchors``: a caller can evaluate ``f`` there in advance."""
-    corners, params = _first_params(rect, spacing, anchors)
-    return _on_contour(corners, params[:-1])
+                  anchors: Sequence[complex] = ()
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The boundary points of ``count_zeros_rect``'s first call of ``f``
+    for the same ``rect``, ``spacing`` and ``anchors``, in that call's
+    order, as two arrays: the regular samples, which do not depend on
+    ``anchors``, and the points nearest an anchor that are not among them.
+    A caller can evaluate ``f`` there in advance."""
+    corners, params, regular = _first_params(rect, spacing, anchors)
+    z = _on_contour(corners, params[:-1])
+    return z[regular[:-1]], z[~regular[:-1]]
 
 
 def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
@@ -212,7 +221,7 @@ def count_zeros_rect(f: Callable[[np.ndarray], np.ndarray],
     the contour, such as a ``b`` decaying like ``|k|^-m``, counts.
     NonConvergence is raised past ``_MAX_SAMPLES`` samples.
     """
-    corners, params = _first_params(rect, spacing, anchors)
+    corners, params, _ = _first_params(rect, spacing, anchors)
 
     def sample(s: np.ndarray) -> np.ndarray:
         z = _on_contour(corners, s)
@@ -357,7 +366,8 @@ _MAX_STEPS = 2_000_000   # step attempts before ode_advance gives up
 
 def ode_advance(rhs: Callable[[object, np.ndarray, np.ndarray], None],
                 coef: Callable, t0: float, t1: float, y0, tol: float,
-                atol: float | None = None) -> np.ndarray:
+                atol: float | None = None,
+                control: int | None = None) -> np.ndarray:
     """Advance y' = f(t, y) from t0 to t1 with the DOP853 8(5,3) pair.
 
     The time dependence of f enters through one coefficient: ``coef(t)``
@@ -369,11 +379,12 @@ def ode_advance(rhs: Callable[[object, np.ndarray, np.ndarray], None],
 
     The state is a complex array of any shape (a scalar becomes shape
     (1,); an empty one is returned as given); the error norms are RMS over
-    all its entries.  The per-step
-    error, DOP853's blend of its 5th- and 3rd-order estimates, is held at
-    ``tol`` (relative) + ``atol`` (absolute, defaults to tol*1e-2) by the
-    step controller of Hairer's code.  Backward integration (t1 < t0) is
-    supported.  Raises StepUnderflow when the step falls below 1e-14 of the
+    its entries whose index on the last axis is below ``control`` (all of
+    them by default), so the other entries take the steps those set.  The
+    per-step error, DOP853's blend of its 5th- and 3rd-order estimates, is
+    held at ``tol`` (relative) + ``atol`` (absolute, defaults to tol*1e-2)
+    by the step controller of Hairer's code.  Backward integration (t1 <
+    t0) is supported.  Raises StepUnderflow when the step falls below 1e-14 of the
     span or after ``_MAX_STEPS`` attempts.
     """
     y = np.array(y0, dtype=complex, ndmin=1)
@@ -390,11 +401,16 @@ def ode_advance(rhs: Callable[[object, np.ndarray, np.ndarray], None],
     # reuse on reject
     k = np.empty((13,) + y.shape, dtype=complex)
     k_flat = k.reshape(13, -1).view(float)
+    # the flat positions of the entries the error norms read
+    pick = None if control is None else np.flatnonzero(
+        np.arange(y.size) % y.shape[-1] < control)
     rhs(coef(t), y, k[0])
     abs_y = np.abs(y)
-    scale0 = atol + tol * abs_y
-    d0 = float(np.sqrt(np.mean(np.abs(y / scale0) ** 2)))
-    d1 = float(np.sqrt(np.mean(np.abs(k[0] / scale0) ** 2)))
+    y_n, k_n = ((y, k[0]) if pick is None
+                else (y.reshape(-1)[pick], k[0].reshape(-1)[pick]))
+    scale0 = atol + tol * np.abs(y_n)
+    d0 = float(np.sqrt(np.mean(np.abs(y_n / scale0) ** 2)))
+    d1 = float(np.sqrt(np.mean(np.abs(k_n / scale0) ** 2)))
     h = 0.01 * d0 / d1 if (d0 > 1e-5 and d1 > 1e-5) else abs(span) * 1e-4
     h = direction * min(h, abs(span))
 
@@ -414,10 +430,14 @@ def ode_advance(rhs: Callable[[object, np.ndarray, np.ndarray], None],
         ynew = yi  # stage 13 argument is the 8th-order solution (FSAL)
 
         # |h| e5^2 / sqrt((e5^2 + 0.01 e3^2) n), with e5 and e3 the sums of
-        # |error| / scale squared over all entries, on the (re, im) pairs
+        # |error| / scale squared over the entries the norms read, on the
+        # (re, im) pairs
         abs_ynew = np.abs(ynew)
-        scale = atol + tol * np.maximum(abs_y, abs_ynew)
-        ratio = (_DOP_E @ k_flat).reshape(2, -1, 2) / scale.reshape(-1, 1)
+        scale = (atol + tol * np.maximum(abs_y, abs_ynew)).reshape(-1, 1)
+        e = (_DOP_E @ k_flat).reshape(2, -1, 2)
+        if pick is not None:
+            e, scale = e[:, pick], scale[pick]
+        ratio = e / scale
         e5, e3 = np.einsum("eij,eij->e", ratio, ratio)
         denom = (e5 + 0.01 * e3) * scale.size
         err = abs(h) * e5 / math.sqrt(denom) if denom > 0.0 else 0.0

@@ -60,8 +60,10 @@ class ScatteringData:
     of solving it.  The values of every solve with derivative rows are kept
     too, so Newton's ``f`` and ``df`` on the same iterates, and the zero
     search's read at its limits, cost one solve.  A kept value carries the
-    rounding of the batch that solved it: batch-mates move a and b by a few
-    1e-12 relative at most on the benchmark pulses.
+    rounding of the steps that solved it: batch-mates move a and b by a few
+    1e-12 relative at most on the benchmark pulses.  In a prefetch the
+    points of ``ks`` alone set the steps, so the values at its ``riders``
+    and ``dks`` do not depend on what else rides along.
 
     The real-line cache is built once, under a lock, on first use and is
     read-only afterwards.  It covers [-halfwidth, halfwidth]: a tail point
@@ -85,13 +87,14 @@ class ScatteringData:
 
     # ------------------------------------------------------------------ ODE
 
-    def _jost(self, ks, nd: int = 0):
+    def _jost(self, ks, nd: int = 0, steer: int | None = None):
         """Second column psi = (p1, p2) at t = 0 on a batch of spectral
         points, and dpsi/dk = (q1, q2) at the last ``nd`` of them, as two
         arrays of two rows.  The state has two rows: (p1, p2) in a column
         per point, then (q1, q2) in ``nd`` more columns, so a batch with
         nd = 0 is the plain system.  All columns share the adaptive steps,
-        and the pulse is evaluated once per step attempt."""
+        which the columns of the first ``steer`` points set (every column
+        by default), and the pulse is evaluated once per step attempt."""
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
         self._check_growth(ks)
         n = ks.size
@@ -111,16 +114,19 @@ class ScatteringData:
                 d[n:] -= 2j * y[0, n - nd:n]
 
         y = ode_advance(rhs, self.pulse, self.pulse.support, 0.0, y0,
-                        self.tol.ode_rel, atol=self.tol.ode_abs)
+                        self.tol.ode_rel, atol=self.tol.ode_abs,
+                        control=steer)
         return y[:, :n], y[:, n:]
 
-    def _solve(self, ks, dks):
-        """One Jost solve: [a, b] at ``ks`` and [a, b, da/dk, db/dk] at
-        ``dks``, as arrays of 2 and 4 rows.  The points of ``ks`` are folded
-        and merged as ``ab_many`` says; those of ``dks`` follow them in the
-        batch as given."""
+    def _solve(self, ks, dks, riders=()):
+        """One Jost solve: [a, b] at ``ks`` and ``riders`` and [a, b, da/dk,
+        db/dk] at ``dks``, as arrays of 2, 2 and 4 rows.  The points of
+        ``ks`` are folded and merged as ``ab_many`` says; ``riders`` and
+        then ``dks`` follow them in the batch as given.  When ``ks`` is not
+        empty its points alone set the steps, which the others take."""
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
         dks = np.atleast_1d(np.asarray(dks, dtype=complex))
+        riders = np.atleast_1d(np.asarray(riders, dtype=complex))
         c = getattr(self.pulse, "amplitude", None)
         flip = (ks.real < 0.0) & (c is not None)
         folded = np.where(flip, -ks.conj(), ks)
@@ -134,14 +140,16 @@ class ScatteringData:
         reps = np.sort(rep)
         rank = np.empty(ks.size, dtype=int)
         rank[order] = np.searchsorted(reps, rep)[np.cumsum(first) - 1]
+        m, r = reps.size, riders.size
         (p1, p2), (q1, q2) = self._jost(
-            np.concatenate([folded[reps], dks]), dks.size)
-        m = reps.size
+            np.concatenate([folded[reps], riders, dks]), dks.size,
+            m if m and r + dks.size else None)
         a, b = p2[:m][rank], p1[:m][rank]   # a = psi2(0), b = psi1(0)
         if flip.any():
             a[flip] = np.conj(a[flip])
             b[flip] = c / np.conj(c) * np.conj(b[flip])
-        return np.array([a, b]), np.array([p2[m:], p1[m:], q2, q1])
+        return (np.array([a, b]), np.array([p2[m:m + r], p1[m:m + r]]),
+                np.array([p2[m + r:], p1[m + r:], q2, q1]))
 
     def _read(self, ks, rows: int):
         """The first ``rows`` kept values at each of ``ks`` as an array of
@@ -157,14 +165,19 @@ class ScatteringData:
     def _keep(self, ks, values):
         self._kept.update(zip(ks.tolist(), values.T.tolist()))
 
-    def prefetch(self, ks, dks=()):
-        """Solve a and b at ``ks``, and also their k-derivatives at
-        ``dks``, in one batch, and keep the values for ``ab_many`` and
-        ``ab_and_derivs_many`` to read."""
+    def prefetch(self, ks, dks=(), riders=()):
+        """Solve a and b at ``ks`` and ``riders``, and also their
+        k-derivatives at ``dks``, in one batch, and keep the values for
+        ``ab_many`` and ``ab_and_derivs_many`` to read.  The points of
+        ``ks`` set the steps (see ``_solve``), so those of ``riders`` and
+        ``dks`` come out the same whatever else rides along; a caller puts
+        in ``ks`` points no easier to solve than the others."""
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
         dks = np.atleast_1d(np.asarray(dks, dtype=complex))
-        values, derivs = self._solve(ks, dks)
+        riders = np.atleast_1d(np.asarray(riders, dtype=complex))
+        values, ridden, derivs = self._solve(ks, dks, riders)
         self._keep(ks, values)
+        self._keep(riders, ridden)
         self._keep(dks, derivs)
 
     def ab_many(self, ks) -> tuple[np.ndarray, np.ndarray]:
@@ -194,7 +207,7 @@ class ScatteringData:
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
         v = self._read(ks, 4)
         if v is None:
-            v = self._solve((), ks)[1]
+            v = self._solve((), ks)[2]
             self._keep(ks, v)
         return tuple(v)
 

@@ -59,6 +59,10 @@ def find_zeros(sd: ScatteringData,
     (``ScatteringData.prefetch``) takes Newton's first pass, with
     derivative rows, the count's first samples and the caller's
     ``prefetch`` points, whose a and b the caller then reads from ``sd``.
+    The caller's points and the count's regular samples, which depend on
+    the box alone, set its steps; the seeds and the samples nearest the
+    eigenvalues just outside the box take them, so the spectrum does not
+    depend on which spurious eigenvalues the pencil adds.
     One batched Newton with the variational derivative starts from every
     eigenvalue in the box of the Jost system's pencil
     (``ScatteringData.pencil_zeros``) at n = max(32, ceil(1.6 T R)) nodes,
@@ -118,8 +122,9 @@ def find_zeros(sd: ScatteringData,
     eigs = sd.pencil_zeros(n, 0.5 * complex(re_lo + re_hi, im_lo + im_hi))
     seeds = np.array([k for k in eigs if inside(k)], dtype=complex)
     outside = np.array([x for x in eigs if 0.0 < gap(x) <= d])
-    sd.prefetch(np.concatenate([prefetch, first_samples(box, d, outside)]),
-                seeds[solvable(seeds)])
+    regular, near = first_samples(box, d, outside)
+    sd.prefetch(np.concatenate([prefetch, regular]), seeds[solvable(seeds)],
+                near)
     limits = complex_newton(lambda k: solve(k)[1], lambda k: solve(k)[3],
                             seeds, sd.tol.root_tol) if seeds.size else []
     kept = []

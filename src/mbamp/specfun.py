@@ -71,7 +71,7 @@ _LANCZOS_C = (
 )
 
 
-_Y_MIN = 1.0 / sys.float_info.max   # |Gamma(iy)| ~ 1/y overflows below
+_Y_MIN = sys.float_info.min   # the smallest normal float; |Gamma(iy)| ~ 1/y
 
 
 def _gamma_complex(z: complex) -> complex:
@@ -85,12 +85,14 @@ def _gamma_complex(z: complex) -> complex:
 
 
 def gamma_imag(y: float) -> GammaValue:
-    """Gamma evaluated at i*y for y in [1/M, 50], M the largest float.
+    """Gamma evaluated at i*y for y in [m, 50], m the smallest normal float.
 
     Computed as Gamma(1+iy)/(iy) with a Lanczos core.  The returned modulus
     obeys |Gamma(iy)|^2 * y * sinh(pi y) / pi = 1 (reflection identity); the
     argument is the principal value, continuous in y between its +-pi wraps.
-    Below 1/M, about 5.6e-309, the modulus ~ 1/y overflows.
+    The modulus ~ 1/y is about 2^1022 at m = 2^-1022 (about 2.2e-308), and
+    it overflows below 1/M, M the largest float, about 5.6e-309; the
+    subnormal y are refused.
     """
     if not (_Y_MIN <= y <= 50.0):
         raise DomainError(f"y = {y} outside [{_Y_MIN}, 50]")

@@ -173,9 +173,9 @@ def test_fold_passes_an_unfoldable_batch_through_in_its_order(monkeypatch):
     batches = []
     jost = ScatteringData._jost
 
-    def recorded(self, ks, nd=0):
+    def recorded(self, ks, nd=0, steer=None):
         batches.append(np.array(ks))
-        return jost(self, ks, nd)
+        return jost(self, ks, nd, steer)
 
     monkeypatch.setattr(ScatteringData, "_jost", recorded)
     ks = 1j * np.array([3.0, 0.5, 1.2])
@@ -191,36 +191,72 @@ def test_fold_passes_an_unfoldable_batch_through_in_its_order(monkeypatch):
 
 
 # a command's first pass: the real-line cache's first nodes, light-cone
-# points on the imaginary axis and contour samples on both sides of it, and
-# derivative rows at seeds, one of them box 5/2's zero
+# points on the imaginary axis up to the model switch, and contour samples
+# on both sides of it, which set the steps; the samples nearest two
+# eigenvalues just outside the contour, and derivative rows at seeds, one
+# of them box 5/2's zero, which take them
 _MIXED_KS = np.concatenate([
     ScatteringData(BoxPulse(1.0, 1.0), halfwidth=3.12).first_cache_nodes(),
-    1j * np.linspace(0.3, 3.0, 5), np.linspace(-3.0, 3.0, 13) + 3.0j,
-    -3.0 + 1j * np.linspace(0.5, 3.0, 6)])
+    1j * np.array([0.3, 0.975, 1.65, 2.325, 3.0, 39.0,
+                   scattering._KAPPA_MODEL_SWITCH]),
+    np.linspace(-3.0, 3.0, 13) + 3.0j, -3.0 + 1j * np.linspace(0.5, 3.0, 6)])
+_MIXED_RIDERS = np.array([0.5 + 1e-4j, 3.0 + 1.0j])
 _MIXED_DKS = np.array([1.9448904595703225j, 0.7 + 0.4j, -1.2 + 0.9j])
 
 
-def _prefetched(pulse, monkeypatch):
-    """ScatteringData of ``pulse`` after one prefetch of the mixed batch,
-    and the values that ab_many and ab_and_derivs_many then read, with no
+def _prefetched(pulse, monkeypatch, dks=_MIXED_DKS, riders=_MIXED_RIDERS):
+    """The values that ab_many reads at _MIXED_KS and ``riders``, and
+    ab_and_derivs_many at ``dks``, after one prefetch of them all, with no
     further solve."""
     sd = ScatteringData(pulse)
-    sd.prefetch(_MIXED_KS, _MIXED_DKS)
+    sd.prefetch(_MIXED_KS, dks, riders)
     monkeypatch.setattr(sd, "_jost", None)   # any further solve fails
-    return sd.ab_many(_MIXED_KS), sd.ab_and_derivs_many(_MIXED_DKS)
+    return sd.ab_many(_MIXED_KS), sd.ab_many(riders), sd.ab_and_derivs_many(dks)
 
 
 @pytest.mark.parametrize("pulse", [BoxPulse(5.0, 2.0),
                                    SmoothBumpPulse(1.0, 2.0, 1.0)],
                          ids=["box52", "bump"])
 def test_mixed_batch_matches_separate_solves(pulse, monkeypatch):
-    # the batch-mates' steps move a point's values at rounding level only;
+    # the points of ks set the steps, so their values are those of a solve
+    # of ks alone; riders and derivative rows move at rounding level only,
     # relative to each quantity's largest value, as b vanishes at the zero
-    ab, derivs = _prefetched(pulse, monkeypatch)
-    alone = ScatteringData(pulse)
-    want = (*alone.ab_many(_MIXED_KS), *alone.ab_and_derivs_many(_MIXED_DKS))
-    for got, ref in zip((*ab, *derivs), want):
+    ab, ridden, derivs = _prefetched(pulse, monkeypatch)
+    want = (*ScatteringData(pulse).ab_many(_MIXED_KS),
+            *ScatteringData(pulse).ab_many(_MIXED_RIDERS),
+            *ScatteringData(pulse).ab_and_derivs_many(_MIXED_DKS))
+    for got, ref in zip((*ab, *ridden, *derivs), want):
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("pulse", [BoxPulse(5.0, 2.0),
+                                   SmoothBumpPulse(1.0, 2.0, 1.0)],
+                         ids=["box52", "bump"])
+def test_mixed_batch_gives_r_at_each_point(pulse, monkeypatch):
+    # r = b/a at every point of ks and riders against a solve at tight
+    # tolerances: within 1e-10 relative, plus the absolute tolerance that
+    # holds b where it is small, as at the far light-cone points (|r| is
+    # about 8e-5 at k = 40i on the bump)
+    ab, ridden, _ = _prefetched(pulse, monkeypatch)
+    a, b = (np.concatenate(v) for v in zip(ab, ridden))
+    tight = ScatteringData(pulse, Tolerances(ode_rel=1e-14, ode_abs=1e-16))
+    a_ref, b_ref = tight.ab_many(np.concatenate([_MIXED_KS, _MIXED_RIDERS]))
+    r_ref = b_ref / a_ref
+    bound = (1e-10 * np.abs(r_ref)
+             + 10 * Tolerances().ode_abs / np.abs(a_ref))
+    assert np.all(np.abs(b / a - r_ref) <= bound)
+
+
+def test_riders_and_derivative_rows_take_the_steps_of_the_rest(monkeypatch):
+    # only the points of ks set the steps: more riders and derivative rows
+    # leave every value bit-identical, so a zero search's result does not
+    # depend on the pencil's spurious eigenvalues
+    pulse = BoxPulse(5.0, 2.0)
+    few = _prefetched(pulse, monkeypatch, _MIXED_DKS[:1], ())
+    more = _prefetched(pulse, monkeypatch)
+    for got, want in zip((*more[0], *(v[:1] for v in more[2])),
+                         (*few[0], *few[2])):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("pulse", [BoxPulse(5.0, 2.0),
@@ -228,7 +264,7 @@ def test_mixed_batch_matches_separate_solves(pulse, monkeypatch):
                          ids=["box52", "bump"])
 def test_mixed_batch_derivative_rows_match_a_central_difference(pulse,
                                                                 monkeypatch):
-    _, (_, _, _, bdot) = _prefetched(pulse, monkeypatch)
+    _, _, (_, _, _, bdot) = _prefetched(pulse, monkeypatch)
     h = 1e-5
     _, b1 = ScatteringData(pulse).ab_many(_MIXED_DKS + h)
     _, b2 = ScatteringData(pulse).ab_many(_MIXED_DKS - h)

@@ -28,22 +28,15 @@ def _record_solves(monkeypatch, keep):
     rows)`` for each Jost solve it makes, where that is not None."""
     solves, jost = [], ScatteringData._jost
 
-    def recorded(self, ks, nd=0):
+    def recorded(self, ks, nd=0, steer=None):
         entry = keep(np.size(ks), nd)
         if entry is not None:
             solves.append(entry)
-        return jost(self, ks, nd)
+        return jost(self, ks, nd, steer)
 
     monkeypatch.setattr(ScatteringData, "_jost", recorded)
     return solves
 
-
-def _same_spectrum(got, spec):
-    # a zero and its residue carry the rounding of the batch whose
-    # derivative rows reached them, so extra batch-mates (spurious seeds,
-    # more first samples of the count) move them at rounding level
-    assert got.zeros == pytest.approx(spec.zeros, abs=1e-14)
-    assert got.residues == pytest.approx(spec.residues, rel=1e-13)
 
 
 def test_box52_single_zero(spec52):
@@ -92,7 +85,7 @@ def test_newton_decides_which_eigenvalues_are_zeros(spec52, monkeypatch):
     assert len(solves) == 1
     assert len(got) == 1
     assert abs(got.zeros[0] - 1j * K1_BOX52) < 1e-12
-    _same_spectrum(got, spec)
+    assert got.residues == spec.residues
 
 
 def _variational_solves(monkeypatch, extra):
@@ -116,7 +109,7 @@ def test_newton_gives_up_once_it_leaves_the_enlarged_box(spec52, monkeypatch):
     _, plain = _variational_solves(monkeypatch, [])
     got, padded = _variational_solves(monkeypatch, [2.5 + 2.5j])
     assert padded - plain <= 2
-    _same_spectrum(got, spec)
+    assert got.zeros == spec.zeros and got.residues == spec.residues
 
 
 @pytest.fixture
@@ -188,7 +181,7 @@ def test_certificate_deflates_eigenvalues_just_outside_the_box(spec52,
                                       np.append(outside, 0.5 + 1e-4j))
     assert [run["count"] for run in runs] == [1, 1]
     assert padded == plain
-    _same_spectrum(got, spec)
+    assert got.zeros == spec.zeros and got.residues == spec.residues
     k = np.array([-3.0 + 1e-4j, 0.5 + 2.0j, 3.0 + 1.0j, 0.5 + 1e-4j])
     u = np.subtract.outer(k, outside)
     phase = np.prod(np.conj(u) / np.abs(u), axis=1)

@@ -143,15 +143,17 @@ def test_gamma_domain_errors():
         gamma_imag(51.0)
 
 
-@pytest.mark.parametrize("y", [5e-324, 1e-310])
+@pytest.mark.parametrize("y", [5e-324, 1e-310, 1.0 / sys.float_info.max,
+                               math.nextafter(sys.float_info.min, 0.0)])
 def test_gamma_modulus_overflow_is_a_domain_error(y):
-    # |Gamma(iy)| ~ 1/y passes the largest float below y = 1/max
+    # |Gamma(iy)| ~ 1/y passes the largest float below y = 1/max; every
+    # subnormal y is refused
     with pytest.raises(DomainError, match="outside"):
         gamma_imag(y)
 
 
 def test_gamma_at_the_smallest_y_is_finite():
-    y = 1.0 / sys.float_info.max
+    y = sys.float_info.min
     g = gamma_imag(y)
     assert math.isfinite(g.modulus)
     assert g.modulus * y == pytest.approx(1.0, rel=1e-15)
