@@ -1,6 +1,8 @@
 """Region classification near the light cone and the closed-form field
-asymptotics there: Bessel growth, exponential boundary layer, and the train
-of sech pulses of growing amplitude.
+asymptotics there.  Parts 1-3 (Bessel growth up to the exponential layer)
+share one Bessel formula, E = 4 k0 r I_{m-1}(xi), and differ only in the
+error scale each carries; part 4 is the train of sech pulses of growing
+amplitude.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ if TYPE_CHECKING:
     from .tail_asym import SolitonState
 
 
-# Constants of the classification bands.  _EPS1 and _EPS2 sit inside their
-# allowed ranges, _EPS2 in (0, 1/2); the strip cap constant bounds how many
-# pulse bands are classified before the gap region begins.
+# Constants of the classification bands.  _EPS1 sits inside its allowed
+# range; the strip cap constant bounds how many pulse bands are classified
+# before the gap region begins.
 _EPS1 = 0.25
-_EPS2 = 0.25
 _CAP_CONSTANT = 8.0
 _PEAK_TOL = 1e-12     # |pulse phase| at which the peak iteration stops
 
@@ -85,15 +86,15 @@ def classify(t: float, x: float, params: BandParams) -> RegionTag:
         xi_cap_sq = m * m * lnx * lnx + _CAP_CONSTANT * lnx * llx
         xi_iv0 = m * lnx - m * llx
         if xi >= xi_iv0 and xi * xi <= xi_cap_sq:
-            n = int(math.floor((xi - m * lnx) / llx + m))
+            # n >= 0 for xi >= xi_iv0; rounding at the edge gives -1
+            n = max(0, math.floor((xi - m * lnx) / llx + m))
             return RegionTag("part4", n=n, k0=k0, xi=xi,
                              band=(m * lnx + (n - m) * llx,
                                    m * lnx + (n + 1 - m) * llx))
         # part 3 starts where part 2 ends: K = m + _EPS1
         xi23 = m * lnx - params.K * llx
-        xi3_hi = m * lnx - (m + _EPS2 - 0.5) * llx
-        if xi23 > 0.0 and xi23 <= xi <= min(xi3_hi, xi_iv0):
-            return RegionTag("part3", k0=k0, xi=xi, band=(xi23, xi3_hi))
+        if xi23 > 0.0 and xi23 <= xi <= xi_iv0:
+            return RegionTag("part3", k0=k0, xi=xi, band=(xi23, xi_iv0))
         if xi23 > 0.0 and tau >= 1.0 / x and xi <= xi23:
             return RegionTag("part2", k0=k0, xi=xi, band=(2.0, xi23))
     if tau <= 1.0 / x:
@@ -138,27 +139,16 @@ def eval_lightcone(variant: str, n: int | None, tau: float, x: float,
     k0 = k0_of(tau, x)
     xi = 2.0 * math.sqrt(x * tau)
 
-    if variant in ("part1", "part2"):
-        i_lo = bessel_i(m - 1.0, xi)
+    if variant != "part4":
         i_hi = bessel_i(m, xi)
-        E = 4.0 * k0 * r * i_lo
-        N = 1.0 - 2.0 * abs(r) ** 2 * i_hi ** 2
-        rho = 2.0 * r * i_hi
+        fields = FieldTriple(4.0 * k0 * r * bessel_i(m - 1.0, xi),
+                             1.0 - 2.0 * abs(r) ** 2 * i_hi ** 2,
+                             2.0 * r * i_hi)
         if variant == "part1":
-            scale = k0 ** (-m)
-        else:
-            p1 = m * math.log(x) - m * math.log(0.5 * xi) - xi
-            scale = math.exp(-p1)
-        return AsymptoticFields(FieldTriple(E, N, rho), scale)
-
-    if variant == "part3":
-        quarter = (x * tau) ** 0.25
-        growth = math.exp(xi)
-        E = 2.0 * k0 * r * growth / (math.sqrt(math.pi) * quarter)
-        N = 1.0 - abs(r) ** 2 * growth ** 2 / (2.0 * math.pi * math.sqrt(x * tau))
-        rho = r * growth / (math.sqrt(math.pi) * quarter)
-        p2 = m * math.log(x) - xi - (m - 0.5) * math.log(0.5 * xi)
-        return AsymptoticFields(FieldTriple(E, N, rho), math.exp(-p2))
+            return AsymptoticFields(fields, k0 ** (-m))
+        q = m if variant == "part2" else m - 0.5
+        p = m * math.log(x) - q * math.log(0.5 * xi) - xi
+        return AsymptoticFields(fields, math.exp(-p))
 
     if not x > math.e:
         raise WrongRegion(f"region 'part4' needs x > e, not x = {x}")

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from mbamp.lightcone_asym import BandParams, eval_lightcone
+from mbamp.lightcone_asym import BandParams, classify, eval_lightcone
 from mbamp.mb_oracle import simulate
 from mbamp.numerics import count_zeros_rect
 from mbamp.pulse import BoxPulse, SmoothBumpPulse
@@ -198,24 +198,32 @@ def test_criterion_06_bessel_regime_convergence(sd_bump_m2):
             + f" (bounded, no growth trend) in {elapsed:.0f}s")
 
 
-def test_criterion_07_internal_consistency(sd_bump_m2):
-    m = 2.0
-    params = BandParams(tail_order=m)
-    worst_ratio = 0.0
-    for lx in np.linspace(8.0, 26.0, 50):
-        x = math.exp(lx)
-        llx = math.log(lx)
-        xi = m * lx - params.K * llx          # shared II/III edge
-        tau = xi * xi / (4.0 * x)
-        out2 = _cone_fields("part2", None, tau, x, sd_bump_m2, m)
-        out3 = _cone_fields("part3", None, tau, x, sd_bump_m2, m)
-        p1 = m * lx - m * math.log(xi / 2.0) - xi
-        scale2 = math.exp(-p1)
-        scale3 = abs(out3.fields.E) * (1.0 / lx + out3.error_scale)
-        diff = abs(out2.fields.E - out3.fields.E)
-        worst_ratio = max(worst_ratio, diff / (3.0 * max(scale2, scale3)))
-    ok23 = worst_ratio <= 1.0
+def test_criterion_07_internal_consistency(sd_box52, sd_bump_m2):
+    # III against the oracle: E's deviation relative to the oracle's
+    # max(|E|, |rho|), as compare computes it, on points spread over part
+    # 3's band, within 0.15 of the error scale.  The Bessel formula reads
+    # at most 0.11 there; its leading large-xi term alone reads 0.19 or more.
+    h = 0.005
+    worst3 = 0.0
+    for sd, x, npts in ((sd_box52, 24.0, 12), (sd_box52, 60.0, 6),
+                        (sd_bump_m2, 30.0, 12)):
+        m = float(sd.pulse.start_exponent)
+        params = BandParams(tail_order=m)
+        lnx, llx = math.log(x), math.log(math.log(x))
+        lo, hi = m * lnx - params.K * llx, m * lnx - m * llx
+        taus = (lo + (hi - lo) * (np.arange(npts) + 0.5) / npts) ** 2 / (4.0 * x)
+        points = [(x + tau, x) for tau in taus]
+        g = simulate(sd.pulse, t_max=x + taus[-1] + 0.1, x_max=x + 3.0 * h,
+                     h=h, nonphysical_tol=1e-3, probes=points)
+        for tau, (t, _) in zip(taus, points):
+            assert classify(t, x, params).variant == "part3"
+            out = _cone_fields("part3", None, tau, x, sd, m)
+            orc = g.probe(t, x)
+            dev = abs(out.fields.E - orc.E) / max(abs(orc.E), abs(orc.rho))
+            worst3 = max(worst3, dev / out.error_scale)
+    ok3 = worst3 <= 0.15
 
+    m = 2.0
     lnx = 20.0
     x = math.exp(lnx)
     llx = math.log(lnx)
@@ -228,9 +236,9 @@ def test_criterion_07_internal_consistency(sd_bump_m2):
         rel = abs(out3.fields.E - out4.fields.E) / abs(out3.fields.E)
         worst34 = max(worst34, rel)
     ok34 = worst34 <= 5.0 / math.sqrt(lnx)
-    _report(7, ok23 and ok34,
-            f"II vs III within 3x stated scales on 50 edge points (worst "
-            f"ratio {worst_ratio:.2f}); III vs IV(0) at x=e^20 rel dev "
+    _report(7, ok3 and ok34,
+            f"III vs oracle within 0.15x stated scale on 30 points (worst "
+            f"ratio {worst3:.3f}); III vs IV(0) at x=e^20 rel dev "
             f"{worst34:.3f} <= {5.0 / math.sqrt(lnx):.3f}")
 
 

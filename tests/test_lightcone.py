@@ -99,17 +99,48 @@ def test_eval_zero_reflection_limit():
         assert tiny.error_scale == out.error_scale
 
 
-def test_eval_part1_formula_values():
+@pytest.mark.parametrize("variant, t, scale", [
+    ("part1", 100.005, lambda k0, xi, x: k0 ** -2.0),
+    ("part2", 100.04, lambda k0, xi, x: math.exp(xi) * (xi / 2) ** 2 / x ** 2),
+    ("part3", 100.09, lambda k0, xi, x: math.exp(xi) * (xi / 2) ** 1.5 / x ** 2),
+], ids=["part1", "part2", "part3"])
+def test_eval_bessel_formula_values(variant, t, scale):
+    # parts 1-3 share the Bessel fields; each carries its own error scale
     r = 0.01 + 0.02j
-    t, x = 100.005, 100.0
+    x = 100.0
     tag = classify(t, x, BandParams(tail_order=2.0))
+    assert tag.variant == variant
     out = eval_lightcone(tag.variant, tag.n, t - x, x, r, 2.0)
     k0 = 0.5 * math.sqrt(x / (t - x))
     xi = 2.0 * math.sqrt(x * (t - x))
     assert out.fields.E == pytest.approx(4 * k0 * r * bessel_i(1.0, xi))
     assert out.fields.N == pytest.approx(1 - 2 * abs(r) ** 2 * bessel_i(2.0, xi) ** 2)
     assert out.fields.rho == pytest.approx(2 * r * bessel_i(2.0, xi))
-    assert out.error_scale == pytest.approx(k0 ** -2.0)
+    assert out.error_scale == pytest.approx(scale(k0, xi, x))
+    for other in ("part1", "part2", "part3"):
+        assert eval_lightcone(other, None, t - x, x, r, 2.0).fields == out.fields
+
+
+def test_part3_band_ends_where_part4_begins(params_m2):
+    # part 3's band ends at xi_iv0 = m ln x - m ln ln x, and a point exactly
+    # there goes to the higher part: part 4, band n = 0
+    x = 100.0
+    tag = classify(x + 0.09, x, params_m2)
+    assert tag.variant == "part3"
+    assert tag.band[1] == 2.0 * math.log(x) - 2.0 * math.log(math.log(x))
+    # step x by ulps until some t puts classify's xi exactly on xi_iv0
+    for _ in range(20000):
+        lnx = math.log(x)
+        xi_iv0 = 2.0 * lnx - 2.0 * math.log(lnx)
+        t0 = x + xi_iv0 ** 2 / (4.0 * x)
+        for t in (t0, math.nextafter(t0, 0.0), math.nextafter(t0, math.inf)):
+            tag = classify(t, x, params_m2)
+            if tag.xi == xi_iv0:
+                assert tag.variant == "part4" and tag.n == 0
+                assert tag.band[0] == xi_iv0
+                return
+        x = math.nextafter(x, math.inf)
+    pytest.fail("no point with xi = xi_iv0 found")
 
 
 def test_eval_pulse_center_values():
@@ -169,30 +200,6 @@ def test_part4_off_its_polylog_bands_is_wrong_region(x):
     # 1/sqrt(ln x) divided by zero, and below it took the root of ln x < 0
     with pytest.raises(WrongRegion, match="x > e"):
         eval_lightcone("part4", 1, 0.01, x, 0.1, 2.0)
-
-
-def test_part2_part3_consistent_via_bessel_asymptotics():
-    # on their shared edge the formulas differ by the Bessel correction,
-    # within the stated error scales
-    r = 1e-7   # magnitude irrelevant, scales relative
-    m = 2.0
-    params = BandParams(tail_order=m)
-    for lx in (14.0, 20.0, 26.0):
-        x = math.exp(lx)
-        llx = math.log(lx)
-        xi = m * lx - params.K * llx
-        tau = xi * xi / (4 * x)
-        out2 = eval_lightcone("part2", None, tau, x, r, m)
-        out3 = eval_lightcone("part3", None, tau, x, r, m)
-        p1 = m * lx - m * math.log(xi / 2) - xi
-        scale2 = math.exp(-p1)
-        scale3 = abs(out3.fields.E) * (1.0 / lx + out3.error_scale)
-        assert abs(out2.fields.E - out3.fields.E) <= 3 * max(scale2, scale3)
-
-
-def _force(tag, variant):
-    from mbamp.lightcone_asym import RegionTag
-    return RegionTag(variant, n=tag.n, k0=tag.k0, xi=tag.xi, band=tag.band)
 
 
 def test_part3_equals_part4_n0_in_overlap():
