@@ -265,22 +265,38 @@ def test_zero_of_a_pulse_with_a_power_law_start(monkeypatch):
     assert abs(spec.zeros[0] - 7.0780167127j) < 1e-8
 
 
+@pytest.fixture
+def counted_solves(monkeypatch):
+    """The number of points of each Jost solve."""
+    return _record_solves(monkeypatch, lambda points, nd: points)
+
+
 K_TAIL = math.sqrt(7.0) / 2.0   # the default box at sigma = 0.25
 BUMP_BOX = (-10.24, 10.24, 1e-4, 10.24)
 
 
-def test_default_search_box_is_the_cap():
+@pytest.mark.parametrize("pulse", [BoxPulse(5.0, 2.0),
+                                   SmoothBumpPulse(1.0, 2.0, 1.0)])
+def test_default_search_box_is_the_cap_without_a_solve(counted_solves, pulse):
     # velocity_of(K) = 1 - sigma/2: the tail cone x/t <= 1 - sigma and a
     # match window past it
+    sd = ScatteringData(pulse)
     box = default_search_box()
     assert box == pytest.approx((-K_TAIL, K_TAIL, 1e-4, K_TAIL), rel=1e-15)
     assert velocity_of(1j * box[3]) == pytest.approx(1.0 - 0.25 / 2)
+    assert counted_solves == []
+    assert sd._cache is None
 
 
-def test_long_support_box_is_clipped_to_the_growth_guard():
-    # the box does not depend on the pulse, so K T stays far inside the
-    # guard even for a long support
-    assert default_search_box()[3] * 64.972898 <= GROWTH_GUARD
+@pytest.mark.parametrize("T", [60.0, 64.972898])
+def test_long_support_box_is_clipped_to_the_growth_guard(counted_solves, T):
+    # the box does not depend on T, so it stays far inside the guard
+    sd = ScatteringData(SmoothBumpPulse(0.01, 2.0, T))
+    re_lo, re_hi, im_lo, im_hi = default_search_box()
+    assert re_hi == im_hi == -re_lo and im_lo == 1e-4
+    assert im_hi * T <= GROWTH_GUARD
+    assert im_hi == pytest.approx(K_TAIL, rel=1e-15)
+    assert counted_solves == []
 
 
 def test_negative_winding_count_is_reported_as_undersampling(monkeypatch):
