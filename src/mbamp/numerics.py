@@ -26,9 +26,14 @@ spectral point.  It uses Hairer's DOP853, an 8th-order pair: at the tight
 tolerances of the Jost solves it takes several times fewer steps than a
 5th-order pair, and the step count, not the cost of a stage, sets the cost
 of a batched solve.  It evaluates the coefficient once per step attempt, on
-that attempt's twelve stage times, and the right-hand side writes each stage
-into one array of stages in place.  So a batched solve costs a fixed handful
-of NumPy calls per step, whatever the batch size.
+that attempt's twelve stage times, and hands the values to the right-hand
+side as Python scalars.  Each stage is then three calls, all in place: one
+``np.dot`` of its tableau row with the earlier stages into a stage buffer,
+one add of the state into it, and the right-hand side, which writes the
+stage into one array of stages.  The stage buffer is reused across stages,
+and an accepted step swaps it with the state.  So a batched solve costs a
+fixed handful of NumPy calls per step and allocates nothing per stage,
+whatever the batch size.
 
 All routines are pure functions of their inputs and deterministic for fixed
 arguments, so concurrent use needs no locking.
@@ -373,12 +378,17 @@ def ode_advance(rhs: Callable[[object, np.ndarray, np.ndarray], None],
     The time dependence of f enters through one coefficient: ``coef(t)``
     maps a float to a value and an array of times to the array of values.
     It is called once at t0 and then once per step attempt, on the twelve
-    stage times of the attempt.  ``rhs(c, y, out)`` writes f at one stage
-    into ``out`` (shaped like y), given that stage's coefficient ``c`` and
-    state ``y``; it must not keep references to either array.
+    stage times of the attempt, whose values reach ``rhs`` as Python scalars
+    (``tolist``).  ``rhs(c, y, out)`` writes f at one stage into ``out``
+    (shaped like y), given that stage's coefficient ``c`` and state ``y``.
+    Each stage costs one ``np.dot`` (its row of the tableau times the
+    earlier stages) and one add of the state, both into a buffer that every
+    stage reuses, and then the call of ``rhs`` with that buffer as ``y``;
+    so ``rhs`` must not keep references to either array.
 
     The state is a complex array of any shape (a scalar becomes shape
-    (1,); an empty one is returned as given); the error norms are RMS over
+    (1,); an empty one is returned as given), copied C-ordered on entry, so
+    ``y0`` is never written; the error norms are RMS over
     its entries whose index on the last axis is below ``control`` (all of
     them by default), so the other entries take the steps those set.  The
     per-step error, DOP853's blend of its 5th- and 3rd-order estimates, is
@@ -387,7 +397,7 @@ def ode_advance(rhs: Callable[[object, np.ndarray, np.ndarray], None],
     t0) is supported.  Raises StepUnderflow when the step falls below 1e-14 of the
     span or after ``_MAX_STEPS`` attempts.
     """
-    y = np.array(y0, dtype=complex, ndmin=1)
+    y = np.array(y0, dtype=complex, ndmin=1, order="C")
     if t1 == t0 or y.size == 0:
         return y
     if atol is None:
@@ -414,6 +424,21 @@ def ode_advance(rhs: Callable[[object, np.ndarray, np.ndarray], None],
     h = 0.01 * d0 / d1 if (d0 > 1e-5 and d1 > 1e-5) else abs(span) * 1e-4
     h = direction * min(h, abs(span))
 
+    # yi is each stage's argument, formed in place through its real view;
+    # the last one is the step's solution, so an accepted step swaps yi and
+    # y (and their moduli) rather than copying.  Both are C-ordered, so the
+    # real views alias them.
+    yi = np.empty_like(y)
+    y_re, yi_re = y.reshape(-1).view(float), yi.reshape(-1).view(float)
+    abs_yi = np.empty_like(abs_y)
+    scale = np.empty(y.shape)
+    scale_col = scale.reshape(-1, 1)
+    e_flat = np.empty((2, k_flat.shape[1]))
+    e_all = e_flat.reshape(2, -1, 2)
+    # each stage's row of h * A, the stages before it, and its own slot
+    h_a = np.empty_like(_DOP_A)
+    stages = [(h_a[i, :i], k_flat[:i], k[i]) for i in range(1, 13)]
+
     for _ in range(_MAX_STEPS):
         if (t - t1) * direction >= 0.0:
             return y
@@ -422,29 +447,33 @@ def ode_advance(rhs: Callable[[object, np.ndarray, np.ndarray], None],
         if (t + h - t1) * direction > 0.0:
             h = t1 - t
 
-        c = coef(t + h * _DOP_C[1:])
-        h_a = h * _DOP_A
-        for i in range(1, 13):
-            yi = y + (h_a[i, :i] @ k_flat[:i]).view(complex).reshape(y.shape)
-            rhs(c[i - 1], yi, k[i])
-        ynew = yi  # stage 13 argument is the 8th-order solution (FSAL)
+        c = coef(t + h * _DOP_C[1:]).tolist()
+        np.multiply(h, _DOP_A, out=h_a)
+        for (a_i, k_before, k_i), c_i in zip(stages, c):
+            np.dot(a_i, k_before, out=yi_re)
+            np.add(y, yi, out=yi)
+            rhs(c_i, yi, k_i)
+        # yi is now the stage 13 argument, the 8th-order solution (FSAL)
 
         # |h| e5^2 / sqrt((e5^2 + 0.01 e3^2) n), with e5 and e3 the sums of
         # |error| / scale squared over the entries the norms read, on the
         # (re, im) pairs
-        abs_ynew = np.abs(ynew)
-        scale = (atol + tol * np.maximum(abs_y, abs_ynew)).reshape(-1, 1)
-        e = (_DOP_E @ k_flat).reshape(2, -1, 2)
-        if pick is not None:
-            e, scale = e[:, pick], scale[pick]
-        ratio = e / scale
+        np.abs(yi, out=abs_yi)
+        np.maximum(abs_y, abs_yi, out=scale)
+        scale *= tol
+        scale += atol
+        np.dot(_DOP_E, k_flat, out=e_flat)
+        e, s = ((e_all, scale_col) if pick is None
+                else (e_all[:, pick], scale_col[pick]))
+        ratio = np.divide(e, s, out=e)
         e5, e3 = np.einsum("eij,eij->e", ratio, ratio)
-        denom = (e5 + 0.01 * e3) * scale.size
+        denom = (e5 + 0.01 * e3) * s.size
         err = abs(h) * e5 / math.sqrt(denom) if denom > 0.0 else 0.0
 
         if err <= 1.0:
             t += h
-            y, abs_y = ynew, abs_ynew
+            y, yi, y_re, yi_re = yi, y, yi_re, y_re
+            abs_y, abs_yi = abs_yi, abs_y
             k[0] = k[12]  # FSAL
         # Hairer's DOP853 controller: exponent 1/8, safety 0.9, the step
         # shrinks at most 3x (reject) and grows at most 6x (accept)

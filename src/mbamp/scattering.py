@@ -94,13 +94,15 @@ class ScatteringData:
         per point, then (q1, q2) in ``nd`` more columns, so a batch with
         nd = 0 is the plain system.  All columns share the adaptive steps,
         which the columns of the first ``steer`` points set (every column
-        by default), and the pulse is evaluated once per step attempt."""
+        by default), and the pulse is evaluated once per step attempt.
+        The right-hand side writes in place and allocates nothing."""
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
         self._check_growth(ks)
         n = ks.size
         minus_two_ik = -2j * np.concatenate([ks, ks[n - nd:]])
         y0 = np.zeros((2, n + nd), dtype=complex)
         y0[1, :n] = 1.0
+        tmp = np.empty(n + nd, dtype=complex)   # rhs's scratch row
 
         def rhs(e, y, out):
             # p1' = -2ik p1 - (e/2) p2 and p2' = (conj(e)/2) p1; the columns
@@ -108,10 +110,10 @@ class ScatteringData:
             he = 0.5 * e
             d = out[0]
             np.multiply(minus_two_ik, y[0], out=d)
-            d -= he * y[1]
-            np.multiply(np.conj(he), y[0], out=out[1])
+            d -= np.multiply(he, y[1], out=tmp)
+            np.multiply(he.conjugate(), y[0], out=out[1])
             if nd:
-                d[n:] -= 2j * y[0, n - nd:n]
+                d[n:] -= np.multiply(2j, y[0, n - nd:n], out=tmp[:nd])
 
         y = ode_advance(rhs, self.pulse, self.pulse.support, 0.0, y0,
                         self.tol.ode_rel, atol=self.tol.ode_abs,

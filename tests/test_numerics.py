@@ -1,16 +1,19 @@
 """Kernels: quadrature, winding counts, Newton, embedded RK advance."""
 
 import math
+import threading
 
 import mpmath
 import numpy as np
 import pytest
 
-from mbamp import numerics
+from mbamp import numerics, scattering
 from mbamp.errors import BoundaryZero, NonConvergence, StepUnderflow
 from mbamp.numerics import (_DOP_A, _DOP_C, _DOP_E, Tolerances,
                             adaptive_quad, complex_newton, count_zeros_rect,
                             ode_advance)
+from mbamp.pulse import BoxPulse, SmoothBumpPulse
+from mbamp.scattering import ScatteringData
 
 # integral of log(1+s^2)/(s+2) over [-1,1]; dense-oracle value, frozen from a
 # 1e6-panel trapezoid cross-checked against mpmath.quad at 40 digits.
@@ -387,3 +390,201 @@ def test_ode_step_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(numerics, "_MAX_STEPS", 5)
     with pytest.raises(StepUnderflow, match="budget"):
         ode_advance(_grow, _time, 0.0, 1.0, np.array([1.0 + 0j]), 1e-10)
+
+
+def _reference_dop853(rhs, coef, t0, t1, y0, tol, atol=None, control=None):
+    """``ode_advance`` as it was before its stages were formed in place:
+    each stage's argument a new array y + (h A_i) k, and the coefficient's
+    values handed to ``rhs`` as NumPy scalars.  The in-place stepper must
+    take the same steps and give the same bits."""
+    y = np.array(y0, dtype=complex, ndmin=1)
+    if t1 == t0 or y.size == 0:
+        return y
+    if atol is None:
+        atol = tol * 1e-2
+    span = t1 - t0
+    direction = 1.0 if span > 0 else -1.0
+    t = t0
+
+    # the thirteen stages, and a real view of them for the tableau
+    # contractions; k[0] stays valid for the current (t, y): FSAL on accept,
+    # reuse on reject
+    k = np.empty((13,) + y.shape, dtype=complex)
+    k_flat = k.reshape(13, -1).view(float)
+    # the flat positions of the entries the error norms read
+    pick = None if control is None else np.flatnonzero(
+        np.arange(y.size) % y.shape[-1] < control)
+    rhs(coef(t), y, k[0])
+    abs_y = np.abs(y)
+    y_n, k_n = ((y, k[0]) if pick is None
+                else (y.reshape(-1)[pick], k[0].reshape(-1)[pick]))
+    scale0 = atol + tol * np.abs(y_n)
+    d0 = float(np.sqrt(np.mean(np.abs(y_n / scale0) ** 2)))
+    d1 = float(np.sqrt(np.mean(np.abs(k_n / scale0) ** 2)))
+    h = 0.01 * d0 / d1 if (d0 > 1e-5 and d1 > 1e-5) else abs(span) * 1e-4
+    h = direction * min(h, abs(span))
+
+    for _ in range(numerics._MAX_STEPS):
+        if (t - t1) * direction >= 0.0:
+            return y
+        if abs(h) < 1e-14 * abs(span):
+            raise StepUnderflow(f"step {h:.3e} below resolvable scale at t={t}")
+        if (t + h - t1) * direction > 0.0:
+            h = t1 - t
+
+        c = coef(t + h * _DOP_C[1:])
+        h_a = h * _DOP_A
+        for i in range(1, 13):
+            yi = y + (h_a[i, :i] @ k_flat[:i]).view(complex).reshape(y.shape)
+            rhs(c[i - 1], yi, k[i])
+        ynew = yi  # stage 13 argument is the 8th-order solution (FSAL)
+
+        # |h| e5^2 / sqrt((e5^2 + 0.01 e3^2) n), with e5 and e3 the sums of
+        # |error| / scale squared over the entries the norms read, on the
+        # (re, im) pairs
+        abs_ynew = np.abs(ynew)
+        scale = (atol + tol * np.maximum(abs_y, abs_ynew)).reshape(-1, 1)
+        e = (_DOP_E @ k_flat).reshape(2, -1, 2)
+        if pick is not None:
+            e, scale = e[:, pick], scale[pick]
+        ratio = e / scale
+        e5, e3 = np.einsum("eij,eij->e", ratio, ratio)
+        denom = (e5 + 0.01 * e3) * scale.size
+        err = abs(h) * e5 / math.sqrt(denom) if denom > 0.0 else 0.0
+
+        if err <= 1.0:
+            t += h
+            y, abs_y = ynew, abs_ynew
+            k[0] = k[12]  # FSAL
+        # Hairer's DOP853 controller: exponent 1/8, safety 0.9, the step
+        # shrinks at most 3x (reject) and grows at most 6x (accept)
+        h *= min(6.0, max(1 / 3, 0.9 * max(err, 1e-16) ** -0.125))
+    raise StepUnderflow(f"step budget exhausted near t={t}")
+
+
+def _counting(rhs):
+    """``rhs`` and a list that grows by one entry per call of it."""
+    calls = []
+
+    def counted(c, y, out):
+        calls.append(None)
+        rhs(c, y, out)
+    return counted, calls
+
+
+def _jost_solves(monkeypatch, run):
+    """The arguments of each ``ode_advance`` call that ``run()`` makes
+    through the scattering module, the Jost right-hand side first."""
+    solves = []
+
+    def recording(*args, **kwargs):
+        solves.append((args, kwargs))
+        return ode_advance(*args, **kwargs)
+    monkeypatch.setattr(scattering, "ode_advance", recording)
+    run()
+    return solves
+
+
+# the CLI's scatter batch: 401 real and 120 imaginary points
+_SCATTER_KS = np.append(np.linspace(-20.0, 20.0, 401),
+                        1j * np.linspace(0.05, 6.0, 120))
+
+
+@pytest.mark.parametrize("case", ["box52-scatter", "bump-riders-derivs", "cos"])
+def test_ode_advance_matches_the_reference_bit_for_bit(case, monkeypatch):
+    if case == "cos":   # y' = cos(t) y forward from 0 to 3
+        def rhs(c, y, out):
+            np.multiply(c, y, out=out)
+        solves = [((rhs, np.cos, 0.0, 3.0, np.array([1.0 + 0j]), 1e-11),
+                   {"atol": 1e-13})]
+    elif case == "box52-scatter":
+        sd = ScatteringData(BoxPulse(5.0, 2.0))
+        solves = _jost_solves(monkeypatch, lambda: sd.ab_many(_SCATTER_KS))
+    else:
+        sd = ScatteringData(SmoothBumpPulse(1.0, 2.0, 1.0))
+        solves = _jost_solves(monkeypatch, lambda: sd.prefetch(
+            np.linspace(0.0, 3.0, 31), dks=1j * np.array([0.3, 0.9, 2.5]),
+            riders=np.array([0.5 + 0.2j, 5.0j])))
+        assert solves[0][1]["control"] == 31   # the riders take the steps
+    assert len(solves) == 1
+    (rhs, *rest), kwargs = solves[0]
+    rhs_new, calls_new = _counting(rhs)
+    rhs_ref, calls_ref = _counting(rhs)
+    got = ode_advance(rhs_new, *rest, **kwargs)
+    want = _reference_dop853(rhs_ref, *rest, **kwargs)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert len(calls_new) == len(calls_ref) > 12
+
+
+def _mixing_batch(n, seed=3):
+    """An AKNS-type system with coefficient t, one column per random k,
+    whose rows mix, and a random start state."""
+    rng = np.random.default_rng(seed)
+    ks = rng.normal(size=n) + 0.2j * rng.random(n)
+    y0 = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+
+    def rhs(t, y, out):
+        np.multiply(-2j * ks, y[0], out=out[0])
+        out[0] -= 0.5 * t * y[1]
+        np.multiply(0.5 * t, y[0], out=out[1])
+    return rhs, y0
+
+
+def test_ode_advance_leaves_y0_as_given():
+    rhs, y0 = _mixing_batch(7)
+    before = y0.copy()
+    ode_advance(rhs, _time, 0.0, 2.0, y0, 1e-10)
+    assert y0.tobytes() == before.tobytes()
+
+
+def test_ode_advance_result_is_not_reused_by_a_later_call():
+    rhs, y0 = _mixing_batch(7)
+    first = ode_advance(rhs, _time, 0.0, 2.0, y0, 1e-10)
+    kept = first.copy()
+    second = ode_advance(rhs, _time, 0.0, 2.0, y0, 1e-10)
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == kept.tobytes() == second.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+@pytest.mark.parametrize("control", [None, 4])
+def test_ode_advance_state_layout_does_not_change_the_bits(layout, control):
+    rhs, y0 = _mixing_batch(9)
+    if layout == "fortran":
+        given = np.asfortranarray(y0)
+    else:
+        wide = np.zeros((2, 18), dtype=complex)
+        wide[:, ::2] = y0
+        given = wide[:, ::2]
+    assert not given.flags.c_contiguous
+    got = ode_advance(rhs, _time, 0.0, 2.0, given, 1e-10, control=control)
+    want = ode_advance(rhs, _time, 0.0, 2.0, np.ascontiguousarray(y0), 1e-10,
+                       control=control)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_ode_advance_in_two_threads_gives_the_sequential_bits():
+    # the stepper keeps its buffers per call, so concurrent solves of
+    # different batches need no lock
+    problems = [_mixing_batch(300, seed) for seed in (5, 6)]
+
+    def solve(problem):
+        rhs, y0 = problem
+        return ode_advance(rhs, _time, 0.0, 4.0, y0, 1e-11)
+
+    want = [solve(p).tobytes() for p in problems]
+    got = [[], []]
+    start = threading.Barrier(2)
+
+    def work(i):
+        start.wait()
+        for _ in range(3):
+            got[i].append(solve(problems[i]).tobytes())
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+        assert not th.is_alive()
+    assert got == [[w] * 3 for w in want]

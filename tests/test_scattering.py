@@ -377,25 +377,45 @@ class _CountingPulse:
         return self.pulse(t)
 
 
-@pytest.mark.parametrize("method", ["ab_many", "ab_and_derivs_many"])
-def test_jost_solve_calls_the_pulse_once_per_step_attempt(method, monkeypatch):
-    pulse = _CountingPulse(SmoothBumpPulse(1.0, 2.0, 1.0))
-    rhs_evals = 0
+def _count_rhs_evals(monkeypatch) -> list[int]:
+    """A one-entry list that counts the right-hand side calls of every
+    Jost solve from now on."""
+    rhs_evals = [0]
     advance = scattering.ode_advance
 
     def counting_advance(rhs, *args, **kwargs):
         def counted(*rhs_args):
-            nonlocal rhs_evals
-            rhs_evals += 1
+            rhs_evals[0] += 1
             return rhs(*rhs_args)
         return advance(counted, *args, **kwargs)
 
     monkeypatch.setattr(scattering, "ode_advance", counting_advance)
+    return rhs_evals
+
+
+@pytest.mark.parametrize("method", ["ab_many", "ab_and_derivs_many"])
+def test_jost_solve_calls_the_pulse_once_per_step_attempt(method, monkeypatch):
+    pulse = _CountingPulse(SmoothBumpPulse(1.0, 2.0, 1.0))
+    rhs_evals = _count_rhs_evals(monkeypatch)
     getattr(ScatteringData(pulse), method)(np.array([0.5, 1.5 + 0.2j]))
     # one right-hand side at the start, then twelve stages per step attempt
-    attempts, rest = divmod(rhs_evals - 1, 12)
+    attempts, rest = divmod(rhs_evals[0] - 1, 12)
     assert rest == 0 and attempts > 10
     assert pulse.calls == 1 + attempts
+
+
+@pytest.mark.parametrize("pulse, attempts", [
+    (BoxPulse(5.0, 2.0), 263),
+    (SmoothBumpPulse(1.0, 2.0, 1.0), 85),
+], ids=["box52", "bump"])
+def test_scatter_batch_takes_a_pinned_number_of_steps(pulse, attempts,
+                                                      monkeypatch):
+    # the CLI's scatter batch (401 real, 120 imaginary points) is one
+    # solve; a stepper change that adds step attempts fails here
+    rhs_evals = _count_rhs_evals(monkeypatch)
+    ScatteringData(pulse).ab_many(np.append(np.linspace(-20.0, 20.0, 401),
+                                            1j * np.linspace(0.05, 6.0, 120)))
+    assert rhs_evals[0] == 1 + 12 * attempts
 
 
 def test_box_solve_to_k20_in_few_steps_near_the_closed_form():
