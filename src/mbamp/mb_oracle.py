@@ -35,6 +35,7 @@ past t_max) is left out.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from contextlib import suppress
 from dataclasses import dataclass
@@ -47,6 +48,7 @@ from .pulse import Pulse
 _MAX_NODES_PER_DIM = 150_000
 # one node of the store and of grid.bin: E_re, E_im, N, rho_re, rho_im
 _NODE = np.dtype([("E", "<c16"), ("N", "<f8"), ("rho", "<c16")])
+_IOV_MAX = 1024          # buffers per os.writev (Linux's IOV_MAX)
 
 
 def _trivial(n):
@@ -214,18 +216,47 @@ class SimGrid:
         """Write the stored grid: header (h, t_max, x_max, node count), then
         E_re, E_im, N, rho_re, rho_im per node, row-major in (t, x): each
         t-level's stored columns as they lie in the store, then the trivial
-        state past the cone."""
+        state past the cone.
+
+        The file is rewritten in place, not truncated first, so a rerun into
+        the same path reuses its pages: a zero header (h = 0, which
+        load_binary rejects), the body in vectored writes of the store's
+        slices, the file cut to its size, and the real header last.  A write
+        cut short leaves a file that never reads as a grid."""
         if not self.whole:
             raise OutOfDomain("binary dump requires storage of the whole "
                               "rectangle")
-        tail = _trivial(self.nx + 1)
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<dddd", self.h, self.t_max, self.x_max,
-                                 float((self.nt + 1) * (self.nx + 1))))
-            for i in range(self.nt + 1):
-                a, b = self.level_start[i + 2:i + 4]
-                fh.write(self.nodes[a:b])
-                fh.write(tail[:self.nx + 1 - (b - a)])
+        row = _NODE.itemsize * (self.nx + 1)       # bytes of one t-level
+        tail = _trivial(self.nx + 1).view(np.uint8)
+        body = self.nodes.view(np.uint8)
+        # t-level i is body[starts[i]:starts[i + 1]], then tail up to row
+        starts = (_NODE.itemsize * self.level_start[2:]).tolist()
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            _write_all(fd, [bytes(32)])
+            for i in range(0, self.nt + 1, _IOV_MAX // 2):
+                ends = starts[i:i + _IOV_MAX // 2 + 1]
+                _write_all(fd, [part for a, b in zip(ends, ends[1:])
+                                for part in (body[a:b], tail[:row - (b - a)])])
+            os.ftruncate(fd, 32 + row * (self.nt + 1))
+            os.pwrite(fd, struct.pack("<dddd", self.h, self.t_max, self.x_max,
+                                      float((self.nt + 1) * (self.nx + 1))),
+                      0)
+        finally:
+            os.close(fd)
+
+
+def _write_all(fd, parts):
+    """Write the byte arrays ``parts`` (at most _IOV_MAX of them) at the
+    file position with os.writev, resuming after a short write."""
+    k = 0
+    while k < len(parts):
+        n = os.writev(fd, parts[k:])
+        while k < len(parts) and n >= len(parts[k]):
+            n -= len(parts[k])
+            k += 1
+        if n:
+            parts[k] = parts[k][n:]
 
 
 def load_binary(path) -> tuple[float, float, float, np.ndarray]:

@@ -366,7 +366,10 @@ _DOP_E[1, [0, 8, 11]] -= (0.244094488188976377952755905512,
                           0.220588235294117647058823529412e-1)
 
 
-_MAX_STEPS = 2_000_000   # step attempts before ode_advance gives up
+# step attempts before ode_advance gives up: 7x the most any test or CLI
+# config takes (2835, box 5/2 at k = 200), so a stalled solve stops within
+# seconds
+_MAX_STEPS = 20_000
 
 
 def ode_advance(rhs: Callable[[object, np.ndarray, np.ndarray], None],

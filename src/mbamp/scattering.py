@@ -16,7 +16,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebinterpolate, chebroots
+from numpy.polynomial.chebyshev import chebroots
 
 from .errors import DivisionNearZero, DomainError, Overflow
 from .numerics import Tolerances, ode_advance
@@ -272,10 +272,7 @@ class ScatteringData:
             x, weights = _lobatto(n)
             nodes = self.halfwidth * x
             ab = np.column_stack(self.ab_many(nodes))
-            # Chebyshev coefficients (times n) by an FFT of the even extension
-            coef = np.abs(np.fft.fft(np.concatenate([ab, ab[-2:0:-1]]),
-                                     axis=0)[:n + 1])
-            coef[[0, -1]] *= 0.5
+            coef = np.abs(_cheb_coef(ab))
             tail = float(np.max(coef[-4:] / np.max(coef, axis=0)))
             if tail < _CHEB_TAIL or n >= _CHEB_MAX_N:
                 break
@@ -287,7 +284,7 @@ class ScatteringData:
         values = np.column_stack([ab, np.ones(n + 1)])
         z = _real_roots(
             lambda s: _barycentric(nodes, weights, values, s)[:, 1],
-            -self.halfwidth, self.halfwidth, coef[:, 1].max() / n)
+            -self.halfwidth, self.halfwidth, coef[:, 1].max())
         if getattr(self.pulse, "amplitude", None) is not None:
             z = np.concatenate([-z[z >= 0.0], z[z >= 0.0]])
         self._cache = (nodes, weights, values, np.sort(z))
@@ -386,14 +383,25 @@ def _lobatto(n):
     return nodes, weights
 
 
+def _cheb_coef(values):
+    """Chebyshev coefficients of the interpolant through ``values`` at the
+    n + 1 Lobatto points of ``_lobatto(n)``, along the first axis: an FFT
+    of the even extension."""
+    n = len(values) - 1
+    coef = np.fft.fft(np.concatenate([values, values[-2:0:-1]]),
+                      axis=0)[:n + 1] / n
+    coef[[0, -1]] *= 0.5
+    return coef
+
+
 def _real_roots(f, lo, hi, scale):
     """Real roots in [lo, hi] of the polynomial f: the real eigenvalues of
     the colleague matrix (Good, Quart. J. Math. 12, 1961) of its series on
-    65 Chebyshev points, chopped at _ROOT_CHOP * scale, on pieces of [lo,
-    hi] split off centre, as chebfun does, until that series ends below
-    _CHEB_TAIL * scale; so no solve has more than 65 terms."""
+    65 Chebyshev-Lobatto points, chopped at _ROOT_CHOP * scale, on pieces
+    of [lo, hi] split off centre, as chebfun does, until that series ends
+    below _CHEB_TAIL * scale; so no solve has more than 65 terms."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    coef = chebinterpolate(lambda x: f(mid + half * x), 64)
+    coef = _cheb_coef(f(mid + half * _lobatto(64)[0]))
     mag = np.abs(coef)
     if mag[-4:].max() >= _CHEB_TAIL * scale:
         cut = mid - 0.004849834917525 * half   # chebfun's split point

@@ -179,6 +179,24 @@ def test_simulate_and_compare(tmp_path):
     assert (out / "compare_summary.csv").exists()
 
 
+def test_simulate_rerun_into_one_out_matches_a_fresh_run(tmp_path):
+    # the benchmark's traffic: every round reruns simulate into the same
+    # --out, here after a larger run left a larger grid.bin there
+    box = {"kind": "box", "amplitude_re": 1.0, "support": 1.0}
+    big = write_cfg(tmp_path, {"pulse": box, "oracle": {
+        "h": 0.01, "t_max": 4.0, "x_max": 3.0}}, name="big.json")
+    small = write_cfg(tmp_path, {"pulse": box, "oracle": {
+        "h": 0.01, "t_max": 2.0, "x_max": 1.5}}, name="small.json")
+    for cfg, out in ((big, "rerun"), (small, "rerun"), (small, "fresh")):
+        assert main(["simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / out), "--slice-t", "1.0"]) == 0
+    for name in ("grid.bin", "invariants.json", "slice_t1.csv"):
+        assert ((tmp_path / "rerun" / name).read_bytes()
+                == (tmp_path / "fresh" / name).read_bytes())
+    assert (tmp_path / "rerun" / "grid.bin").stat().st_size \
+        == 32 + 40 * 201 * 151
+
+
 def test_compare_past_the_tail_switch_matches_the_oracle(tmp_path):
     # k0 = 42.8 > 40: r(i k0) comes from the tail model, and E agrees with
     # the oracle far inside the part1 error scale 1/k0

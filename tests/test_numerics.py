@@ -2,6 +2,7 @@
 
 import math
 import threading
+import time
 
 import mpmath
 import numpy as np
@@ -390,6 +391,22 @@ def test_ode_step_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(numerics, "_MAX_STEPS", 5)
     with pytest.raises(StepUnderflow, match="budget"):
         ode_advance(_grow, _time, 0.0, 1.0, np.array([1.0 + 0j]), 1e-10)
+
+
+def test_stalled_step_sequence_raises_within_seconds():
+    # y' = i 1e12 y holds the step near 1e-12 of the span, above the
+    # underflow scale 1e-14, so only the budget stops the solve
+    calls = []
+
+    def spin(t, y, out):
+        calls.append(None)
+        np.multiply(1e12j, y, out=out)
+
+    start = time.perf_counter()
+    with pytest.raises(StepUnderflow, match="budget"):
+        ode_advance(spin, _time, 0.0, 1.0, np.array([1.0 + 0j]), 1e-10)
+    assert time.perf_counter() - start < 30.0
+    assert len(calls) == 1 + 12 * numerics._MAX_STEPS
 
 
 def _reference_dop853(rhs, coef, t0, t1, y0, tol, atol=None, control=None):

@@ -1,5 +1,6 @@
 """Direct integrator: causality, Bloch-sphere defect, convergence, probing."""
 
+import os
 import struct
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mbamp import mb_oracle
 from mbamp.errors import CFLViolation, NonPhysical, OutOfDomain
 from mbamp.mb_oracle import InvariantReport, load_binary, simulate
 from mbamp.pulse import BoxPulse, SmoothBumpPulse
@@ -460,6 +462,67 @@ def test_malformed_dump_is_out_of_domain(tmp_path):
         path.write_bytes(bad)
         with pytest.raises(OutOfDomain, match=match):
             load_binary(path)
+
+
+@pytest.mark.parametrize("stale", [bytes(range(256)) * 2000, b"short"])
+def test_rewrite_over_a_stale_dump_equals_a_fresh_one(tmp_path, stale):
+    # the dump rewrites in place: a longer stale file is cut to size, a
+    # shorter one grows to it, and no stale byte survives
+    g = simulate(BoxPulse(1.0, 1.0), t_max=1.0, x_max=1.0, h=0.01)
+    fresh, path = tmp_path / "fresh.bin", tmp_path / "grid.bin"
+    g.save_binary(fresh)
+    path.write_bytes(stale)
+    g.save_binary(path)
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+def test_short_writes_resume(tmp_path, monkeypatch):
+    # a writev that writes at most 1000 bytes of its first buffer per call
+    g = simulate(BoxPulse(1.0, 1.0), t_max=1.0, x_max=1.0, h=0.01)
+    g.save_binary(tmp_path / "fresh.bin")
+    writev = os.writev
+    monkeypatch.setattr(mb_oracle.os, "writev",
+                        lambda fd, parts: writev(fd, [parts[0][:1000]]))
+    g.save_binary(tmp_path / "grid.bin")
+    assert ((tmp_path / "grid.bin").read_bytes()
+            == (tmp_path / "fresh.bin").read_bytes())
+
+
+def test_interrupted_rewrite_never_reads_as_a_grid(tmp_path, monkeypatch):
+    # 601 t-levels need two vectored batches after the header's write; the
+    # write fails after the first batch, over a complete earlier dump
+    g = simulate(BoxPulse(1.0, 1.0), t_max=6.0, x_max=1.0, h=0.01)
+    path = tmp_path / "grid.bin"
+    g.save_binary(path)
+    load_binary(path)
+    calls, writev = [], os.writev
+
+    def fail_third(fd, parts):
+        calls.append(len(parts))
+        if len(calls) == 3:
+            raise OSError(28, "No space left on device")
+        return writev(fd, parts)
+
+    monkeypatch.setattr(mb_oracle.os, "writev", fail_third)
+    with pytest.raises(OSError):
+        g.save_binary(path)
+    assert calls == [1, 1024, 178]
+    with pytest.raises(OutOfDomain, match="is not a grid"):
+        load_binary(path)
+
+
+def test_window_dump_raises_before_touching_the_path(tmp_path):
+    g = simulate(BoxPulse(1.0, 1.0), t_max=4.0, x_max=3.0, h=0.01,
+                 probes=[(3.0, 2.53)])
+    new, old = tmp_path / "new.bin", tmp_path / "old.bin"
+    old.write_bytes(b"earlier dump")
+    before = os.stat(old)
+    for path in (new, old):
+        with pytest.raises(OutOfDomain, match="whole rectangle"):
+            g.save_binary(path)
+    assert not new.exists()
+    assert old.read_bytes() == b"earlier dump"
+    assert os.stat(old).st_mtime_ns == before.st_mtime_ns
 
 
 class _NaNPastHalf(BoxPulse):
