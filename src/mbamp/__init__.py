@@ -9,7 +9,7 @@ from .numerics import Tolerances
 from .pulse import BoxPulse, PowerStartPulse, SmoothBumpPulse
 from .scattering import ScatteringData, TailFit
 from .soliton_spectrum import SolitonSpectrum, find_zeros, velocity_match
-from .tail_asym import SolitonState, TailPhases, eval_tail, nu_pair, omega_pair, soliton_state
+from .tail_asym import SolitonState, TailPhases, eval_tail, omega_pair, soliton_state
 
 __version__ = "0.1.0"
 
@@ -17,7 +17,7 @@ __all__ = [
     "BandParams", "BoxPulse", "FieldTriple", "PowerStartPulse", "RegionTag",
     "ScatteringData", "SimGrid", "SmoothBumpPulse", "SolitonSpectrum",
     "SolitonState", "TailFit", "TailPhases", "Tolerances", "classify",
-    "eval_lightcone", "eval_tail", "find_zeros", "nu_pair", "omega_pair",
+    "eval_lightcone", "eval_tail", "find_zeros", "omega_pair",
     "predict_peaks", "simulate", "solve_peak_y", "soliton_state",
     "velocity_match",
 ]

@@ -51,7 +51,6 @@ class RunConfig:
     oracle: dict = field(default_factory=dict)
     kgrid: dict = field(default_factory=lambda: {"re": [-20.0, 20.0, 401]})
     grid: dict | None = None
-    match_eps: float | None = None
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
@@ -82,9 +81,6 @@ class RunConfig:
                 raise ValueError(f"bad kgrid '{axis}' {spec!r}: expected "
                                  "[lo, hi, n] with an integral n >= 1, or "
                                  "nothing")
-        if self.match_eps is not None and not _is_number(self.match_eps):
-            raise ValueError(f"config 'match_eps' must be a number, not "
-                             f"{self.match_eps!r}")
         box = self.search_box
         if box is not None and not (
                 isinstance(box, (list, tuple)) and len(box) == 4
@@ -288,7 +284,7 @@ def _asymptotics(cfg: RunConfig, sd, params, points, keep=None):
         if tag.variant == "causal":
             out[i] = _CAUSAL
         elif tag.variant == "tail":
-            out[i] = tail_asym.eval_tail(sd, spec, t, x, cfg.match_eps)
+            out[i] = tail_asym.eval_tail(sd, spec, t, x)
         else:
             out[i] = eval_lightcone(tag.variant, tag.n, t - x, x, r[i],
                                     params.tail_order)

@@ -40,10 +40,6 @@ class AssumptionViolated(MbampError):
     """Zero configuration breaks simplicity / distinct-moduli requirements."""
 
 
-class AmbiguousMatch(MbampError):
-    """More than one soliton velocity falls inside the matching window."""
-
-
 # --- asymptotics ---
 
 class WrongRegion(MbampError):

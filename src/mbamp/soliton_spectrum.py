@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AmbiguousMatch, AssumptionViolated, DomainError
+from .errors import AssumptionViolated, DomainError
 from .lightcone_asym import BandParams
 from .numerics import complex_newton, count_zeros_rect, first_samples
 from .scattering import GROWTH_GUARD, ScatteringData
@@ -33,8 +33,9 @@ class SolitonSpectrum:
     def __len__(self):
         return len(self.zeros)
 
-    def default_match_eps(self) -> float:
-        """Half the minimal velocity gap; 0.02 when fewer than two solitons."""
+    def match_window(self) -> float:
+        """Half the minimal velocity gap, so no two lines share a window;
+        0.02 when fewer than two solitons."""
         if len(self.velocities) < 2:
             return 0.02
         gaps = np.diff(sorted(self.velocities))
@@ -188,17 +189,10 @@ def default_search_box(sigma: float = BandParams.sigma
     return (-K, K, IM_FLOOR, K)
 
 
-def velocity_match(spec: SolitonSpectrum, t: float, x: float,
-                   eps: float | None = None) -> int | None:
-    """Index j of the unique soliton with |x/t - v_j| < eps, or None."""
-    if eps is None:
-        eps = spec.default_match_eps()
+def velocity_match(spec: SolitonSpectrum, t: float, x: float) -> int | None:
+    """Index j of the soliton with v_j - w < x/t < v_j + w, w =
+    spec.match_window(), or None: the windows are disjoint."""
+    w = spec.match_window()
     ratio = x / t
-    hits = [j for j, v in enumerate(spec.velocities) if abs(ratio - v) < eps]
-    if not hits:
-        return None
-    if len(hits) > 1:
-        raise AmbiguousMatch(
-            f"velocities {[spec.velocities[j] for j in hits]} all within "
-            f"{eps} of x/t = {ratio}; shrink eps")
-    return hits[0]
+    return next((j for j, v in enumerate(spec.velocities)
+                 if v - w < ratio < v + w), None)

@@ -6,17 +6,8 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class GammaValue:
-    """Polar form of Gamma(i*y): modulus and principal argument."""
-
-    modulus: float
-    argument: float  # radians in (-pi, pi]
 
 
 def bessel_i(nu: float, x: float) -> float:
@@ -84,17 +75,16 @@ def _gamma_complex(z: complex) -> complex:
     return math.sqrt(2.0 * math.pi) * (t ** (zm1 + 0.5)) * cmath.exp(-t) * acc
 
 
-def gamma_imag(y: float) -> GammaValue:
+def gamma_imag(y: float) -> complex:
     """Gamma evaluated at i*y for y in [m, 50], m the smallest normal float.
 
-    Computed as Gamma(1+iy)/(iy) with a Lanczos core.  The returned modulus
-    obeys |Gamma(iy)|^2 * y * sinh(pi y) / pi = 1 (reflection identity); the
-    argument is the principal value, continuous in y between its +-pi wraps.
+    Computed as Gamma(1+iy)/(iy) with a Lanczos core.  Its modulus obeys
+    |Gamma(iy)|^2 * y * sinh(pi y) / pi = 1 (reflection identity); its
+    principal argument is continuous in y between its +-pi wraps.
     The modulus ~ 1/y is about 2^1022 at m = 2^-1022 (about 2.2e-308), and
     it overflows below 1/M, M the largest float, about 5.6e-309; the
     subnormal y are refused.
     """
     if not (_Y_MIN <= y <= 50.0):
         raise DomainError(f"y = {y} outside [{_Y_MIN}, 50]")
-    g = _gamma_complex(1.0 + 1j * y) / (1j * y)
-    return GammaValue(modulus=abs(g), argument=cmath.phase(g))
+    return _gamma_complex(1.0 + 1j * y) / (1j * y)

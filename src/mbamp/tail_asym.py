@@ -44,7 +44,8 @@ class SolitonState:
     P: float
     Q: complex
     X: complex
-    Y: complex
+    L: complex             # the left and right wave trains it dresses
+    R: complex
 
 
 def _nu(s: float, r: complex) -> float:
@@ -54,12 +55,6 @@ def _nu(s: float, r: complex) -> float:
         raise ReflectionZero(
             f"|r({s})| = {abs(r):.2e}: the point sits on a real zero of b")
     return math.log1p(1.0 / abs(r) ** 2) / (2.0 * math.pi)
-
-
-def nu_pair(sd: ScatteringData, k0: float) -> tuple[float, float]:
-    """Slow amplitudes nu at -k0 (left) and k0."""
-    r_l, r_r = sd.r_real(np.array([-k0, k0]))
-    return _nu(-k0, r_l), _nu(k0, r_r)
 
 
 def _log_term(sd: ScatteringData, s):
@@ -102,13 +97,21 @@ def omega_pair(sd: ScatteringData, spec: SolitonSpectrum,
     fast = 4.0 * tau * k0
     slow = math.log(16.0 * tau * k0)
     omega_l = (fast - nu_l * slow - integral_l / math.pi
-               + cmath.phase(a[0] * b[0]) + gamma_imag(nu_l).argument
+               + cmath.phase(a[0] * b[0]) + cmath.phase(gamma_imag(nu_l))
                + 2.0 * phase_sum_l - 0.25 * math.pi)
     omega_r = (-fast + nu_r * slow - integral_r / math.pi
-               + cmath.phase(a[1] * b[1]) - gamma_imag(nu_r).argument
+               + cmath.phase(a[1] * b[1]) - cmath.phase(gamma_imag(nu_r))
                + 2.0 * phase_sum_r + 0.25 * math.pi)
     return TailPhases(nu_l, nu_r, omega_l, omega_r,
                       integral_l, integral_r, phase_sum_l, phase_sum_r)
+
+
+def _bare_trains(phases: TailPhases, k0: float, tau: float):
+    """(sl, e^{i omega_l}, sr, e^{i omega_r}): the amplitudes
+    sqrt(nu)/(2 sqrt(k0 tau)) and phase factors of the bare wave trains."""
+    s = 2.0 * math.sqrt(k0 * tau)
+    return (math.sqrt(phases.nu_l) / s, cmath.exp(1j * phases.omega_l),
+            math.sqrt(phases.nu_r) / s, cmath.exp(1j * phases.omega_r))
 
 
 def soliton_state(sd: ScatteringData, spec: SolitonSpectrum, j: int,
@@ -159,10 +162,7 @@ def soliton_state(sd: ScatteringData, spec: SolitonSpectrum, j: int,
     P = 1.0 - 2.0 * abs(B) ** 2 / mod2
     Q = (-2j * B / kj.conjugate()) * (1.0 - 1j * A / kj)
 
-    sl = math.sqrt(phases.nu_l) / (2.0 * math.sqrt(k0 * tau))
-    sr = math.sqrt(phases.nu_r) / (2.0 * math.sqrt(k0 * tau))
-    el = cmath.exp(1j * phases.omega_l)
-    er = cmath.exp(1j * phases.omega_r)
+    sl, el, sr, er = _bare_trains(phases, k0, tau)
     kpl = k0 + kj
     kplc = k0 + kj.conjugate()
     kmi = k0 - kj
@@ -172,48 +172,34 @@ def soliton_state(sd: ScatteringData, spec: SolitonSpectrum, j: int,
                - (1.0 - 1j * A / kpl) * B.conjugate() * el / kpl)
          + sr * ((1.0 - 1j * A / kmic) * B / er / kmic
                  - (1.0 + 1j * A / kmi) * B.conjugate() * er / kmi))
-    Y = (1j * sl * (el * (1.0 - 1j * A / kpl) ** 2
-                    + B * B / el / kplc ** 2)
-         - 1j * sr * (er * (1.0 + 1j * A / kmi) ** 2
-                      + B * B / er / kmic ** 2))
+    L = sl * (el * (1.0 - 1j * A / kpl) ** 2 + B * B / el / kplc ** 2)
+    R = sr * (er * (1.0 + 1j * A / kmi) ** 2 + B * B / er / kmic ** 2)
 
     return SolitonState(index=j, w_abs=math.exp(min(log_w, 700.0)),
-                        w_arg=w_arg, A=A, B=B, P=P, Q=Q, X=X, Y=Y)
+                        w_arg=w_arg, A=A, B=B, P=P, Q=Q, X=X, L=L, R=R)
 
 
 def eval_tail(sd: ScatteringData, spec: SolitonSpectrum,
-              t: float, x: float,
-              eps: float | None = None) -> AsymptoticFields:
-    """Leading-order tail fields at (t, x): two-phase background away from
-    soliton lines, soliton plus dressed background near one.  The expansion
+              t: float, x: float) -> AsymptoticFields:
+    """Leading-order tail fields at (t, x), from one formula: E = 4B +
+    4 k0 (L + R), N = -P + 2 Re(Q conj Y) and rho = Q + 2YP + 2XQ with
+    Y = i(L - R).  Near a soliton line the state is the soliton's; away
+    from every line it is the bare one (B = X = Q = 0, P = 1, L and R the
+    bare trains), the two-phase background with N = -1.  The expansion
     carries O(1/tau)."""
     tau = t - x
     k0 = k0_of(tau, x)
     phases = omega_pair(sd, spec, t, x)
-    j = velocity_match(spec, t, x, eps)
-
-    el = cmath.exp(1j * phases.omega_l)
-    er = cmath.exp(1j * phases.omega_r)
-    rnl = math.sqrt(phases.nu_l)
-    rnr = math.sqrt(phases.nu_r)
-
+    j = velocity_match(spec, t, x)
     if j is None:
-        E = 2.0 * math.sqrt(k0 / tau) * (rnl * el + rnr * er)
-        N = -1.0
-        rho = 1j * (rnl * el - rnr * er) / math.sqrt(tau * k0)
-        return AsymptoticFields(FieldTriple(E, N, rho), 1.0 / tau)
-
-    st = soliton_state(sd, spec, j, t, x, phases)
-    kj = spec.zeros[j]
-    A, B = st.A, st.B
-    E = (4.0 * B
-         + (2.0 * math.sqrt(k0) * rnl / math.sqrt(tau))
-         * ((1.0 - 1j * A / (k0 + kj)) ** 2 * el
-            + B * B / el / (k0 + kj.conjugate()) ** 2)
-         + (2.0 * math.sqrt(k0) * rnr / math.sqrt(tau))
-         * ((1.0 + 1j * A / (k0 - kj)) ** 2 * er
-            + B * B / er / (k0 - kj.conjugate()) ** 2))
-    N = float((-st.P + st.Q * st.Y.conjugate()
-               + st.Q.conjugate() * st.Y).real)
-    rho = st.Q + 2.0 * st.Y * st.P + 2.0 * st.X * st.Q
+        st = None
+        sl, el, sr, er = _bare_trains(phases, k0, tau)
+        B, P, Q, X, L, R = 0.0, 1.0, 0.0, 0.0, sl * el, sr * er
+    else:
+        st = soliton_state(sd, spec, j, t, x, phases)
+        B, P, Q, X, L, R = st.B, st.P, st.Q, st.X, st.L, st.R
+    Y = 1j * (L - R)
+    E = 4.0 * B + 4.0 * k0 * (L + R)
+    N = -P + 2.0 * (Q * Y.conjugate()).real
+    rho = Q + 2.0 * Y * P + 2.0 * X * Q
     return AsymptoticFields(FieldTriple(E, N, rho), 1.0 / tau, st)

@@ -22,7 +22,7 @@ from mbamp.pulse import BoxPulse, SmoothBumpPulse
 from mbamp.scattering import ScatteringData
 from mbamp.soliton_spectrum import find_zeros, velocity_of
 from mbamp.specfun import bessel_i, gamma_imag
-from mbamp.tail_asym import nu_pair, omega_pair, soliton_state
+from mbamp.tail_asym import eval_tail, omega_pair, soliton_state
 
 from test_scattering import zero_of_a
 
@@ -284,7 +284,8 @@ def test_criterion_08_tail_amplitude_decay(tail_run):
     norm = {}
     for tau in _TAIL_TAUS:
         k0 = _tail_window(x, tau)[0]
-        nul, nur = nu_pair(sd, k0)
+        ph = omega_pair(sd, spec, x + tau, x)
+        nul, nur = ph.nu_l, ph.nu_r
         amp = math.sqrt(nul) + math.sqrt(nur)
         hi = 2.0 * math.sqrt(k0 / tau) * amp
         lo = 2.0 * math.sqrt(k0 / tau) * abs(math.sqrt(nul) - math.sqrt(nur))
@@ -308,7 +309,6 @@ def test_criterion_08_tail_amplitude_decay(tail_run):
 
 def test_criterion_09_phase_derivative(sd_box11, spec_box11):
     k0 = 0.5
-    _, nur = nu_pair(sd_box11, k0)
 
     def om(tau):
         xv = 4.0 * k0 * k0 * tau
@@ -317,7 +317,7 @@ def test_criterion_09_phase_derivative(sd_box11, spec_box11):
     tau, h = 60.0, 1e-3
     p, m_ = om(tau + h), om(tau - h)
     got = (p.omega_r - m_.omega_r) / (2.0 * h)
-    expect = -4.0 * k0 + nur / tau
+    expect = -4.0 * k0 + om(tau).nu_r / tau
     rel = abs(got - expect) / abs(expect)
     _report(9, rel < 1e-6,
             f"d omega_r/d tau = {got:.9f} vs -4k0+nu_r/tau = {expect:.9f} "
@@ -419,7 +419,31 @@ def test_criterion_10_soliton_location_reduced_scale(sd_box52, spec_box52,
 
 
 @pytest.mark.slow
-def test_criterion_10_zero_of_a_makes_no_soliton(sd_box52, soliton_run):
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: the tail soliton's field is a quarter turn off the "
+    "oracle's.  At the centre, t = 97, the formula gives -0.0102 - 7.7796i "
+    "against the oracle's +7.7277; soliton_state puts -arg(gamma_j) = "
+    "-pi/2 into w_arg, so E = 4B is imaginary for a real pulse"))
+def test_criterion_10_soliton_field_at_the_centre(sd_box52, spec_box52,
+                                                 soliton_run):
+    # 10c reads |E|; this reads the complex E, with its phase, at the
+    # centre, and beside it, off the match, where the formula is the bare
+    # background
+    t = 97.0
+    xc = _soliton_center(sd_box52, spec_box52, t)
+    rel = {}
+    for dx in (0.0, -1.0):
+        want = soliton_run.probe(t, xc + dx).E
+        got = eval_tail(sd_box52, spec_box52, t, xc + dx).fields.E
+        rel[dx] = abs(got - want) / abs(want)
+    _report("10c-phase", rel[0.0] <= 0.1,
+            f"complex E at the centre x = {xc:.3f}: {rel[0.0]:.3f} off the "
+            f"oracle's (<= 0.1); at dx = -1 (no match) {rel[-1.0]:.3f}")
+
+
+@pytest.mark.slow
+def test_criterion_10_zero_of_a_makes_no_soliton(sd_box52, spec_box52,
+                                                 soliton_run):
     # the paper's second half: a zero of a (a pole of the transmission
     # coefficient) is no soliton.  Box 5/2 has one at 2.1367i, whose line
     # crosses t = 97 inside the window the 10c run stores; along it the
@@ -436,7 +460,8 @@ def test_criterion_10_zero_of_a_makes_no_soliton(sd_box52, soliton_run):
     for xx, p in zip(xs, probes):
         tau = t - xx
         k0 = 0.5 * math.sqrt(xx / tau)
-        nul, nur = nu_pair(sd_box52, k0)
+        ph = omega_pair(sd_box52, spec_box52, t, float(xx))
+        nul, nur = ph.nu_l, ph.nu_r
         bound = 2.0 * math.sqrt(k0 / tau) * (math.sqrt(nul) + math.sqrt(nur))
         ratio = max(ratio, abs(p.E) / bound)
     ok = abs(sd_box52.ab_many([k_a])[0][0]) < 1e-10 and n_max < -0.5 \
@@ -463,7 +488,7 @@ def test_criterion_11_special_functions():
     for y in (0.1, 0.5, 1.0, 2.0, 5.0):
         g = gamma_imag(y)
         worst_gamma = max(worst_gamma, abs(
-            g.modulus ** 2 * y * math.sinh(math.pi * y) / math.pi - 1.0))
+            abs(g) ** 2 * y * math.sinh(math.pi * y) / math.pi - 1.0))
     ok = worst_rec < 1e-10 and worst_half < 1e-12 and worst_gamma < 1e-10
     _report(11, ok,
             f"Bessel recurrence {worst_rec:.1e} (<1e-10); half-order closed "

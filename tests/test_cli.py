@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
@@ -39,8 +41,7 @@ def write_cfg(tmp_path, extra=None, name="cfg.json"):
 
 
 def test_config_round_trip(tmp_path):
-    path = write_cfg(tmp_path, {"tolerances": {"quad_tol": 3e-9},
-                                "match_eps": 0.015})
+    path = write_cfg(tmp_path, {"tolerances": {"quad_tol": 3e-9}})
     cfg = RunConfig.load(path)
     out = tmp_path / "echo.json"
     cfg.dump(out)
@@ -49,6 +50,22 @@ def test_config_round_trip(tmp_path):
     out2 = tmp_path / "echo2.json"
     cfg2.dump(out2)
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_readme_cli_example_runs_as_written(tmp_path, monkeypatch):
+    # the README's config and its six commands, run in a fresh directory
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    text = text[text.index("## CLI"):]
+    config = re.search(r"```json\n(.*?)```", text, re.S).group(1)
+    shell = re.search(r"```sh\n(.*?)```", text, re.S).group(1)
+    commands = [shlex.split(line)[1:] for line in shell.splitlines()
+                if line.startswith("mbamp ")]
+    assert len(commands) == 6
+    monkeypatch.chdir(tmp_path)
+    Path("run.json").write_text(config, encoding="utf-8")
+    for argv in commands:
+        assert main(argv) == 0, argv
 
 
 def test_config_version_check(tmp_path):
@@ -513,15 +530,13 @@ def test_missing_config_keys_name_their_section(tmp_path, capsys, command,
     assert what in capsys.readouterr().err
 
 
-# every config value the CLI reads as a number, as (section, key); a section
-# of None is the top level
+# every config value the CLI reads as a number, as (section, key)
 _NUMBER_SLOTS = ([("pulse", k) for k in ("amplitude_re", "amplitude_im",
                                          "support", "start_exponent")]
                  + [("tolerances", f.name) for f in fields(Tolerances)]
                  + [("bands", "sigma")]
                  + [("oracle", k) for k in CONE_ORACLE]
-                 + [("grid", k) for k in _GRID_KEYS]
-                 + [(None, "match_eps")])
+                 + [("grid", k) for k in _GRID_KEYS])
 _NOT_NUMBERS = st.one_of(
     st.text(max_size=8), st.booleans(),
     st.sampled_from([float("nan"), float("inf"), -float("inf")]),
@@ -537,7 +552,8 @@ def _with_bad_grid(key, value):
 
 
 def _with_bad_value(slot, value):
-    """BOX52 with ``value`` in one number slot; returns (config, key)."""
+    """BOX52 with ``value`` in one slot, a section of None being the top
+    level; returns (config, key)."""
     section, key = slot
     cfg = json.loads(json.dumps(BOX52))
     if section is None:

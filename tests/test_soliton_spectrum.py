@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mbamp.errors import (AmbiguousMatch, AssumptionViolated, BoundaryZero,
-                          DomainError)
+from mbamp.errors import AssumptionViolated, BoundaryZero, DomainError
 from mbamp.numerics import Tolerances, complex_newton, count_zeros_rect
 from mbamp.pulse import BoxPulse, PowerStartPulse, SmoothBumpPulse
 from mbamp.scattering import GROWTH_GUARD, ScatteringData
@@ -512,29 +511,33 @@ def test_default_box_contains_zero(spec52):
 def test_velocity_match_hit_and_miss(spec52):
     _, spec = spec52
     v1 = spec.velocities[0]
-    assert velocity_match(spec, 100.0, v1 * 100.0 + 0.5, 0.01) == 0
-    assert velocity_match(spec, 100.0, 50.0, 0.01) is None
+    assert velocity_match(spec, 100.0, v1 * 100.0 + 0.5) == 0
+    assert velocity_match(spec, 100.0, 50.0) is None
 
 
 def test_velocity_match_empty():
     empty = SolitonSpectrum((), (), ())
     assert velocity_match(empty, 10.0, 5.0) is None
-    assert empty.default_match_eps() == 0.02
+    assert empty.match_window() == 0.02
 
 
-def test_velocity_match_ambiguous():
+def test_velocity_match_window_is_half_the_smallest_gap():
+    # the window holds one line: each velocity matches its own soliton, and
+    # the midpoint between them and a point past the outer one match none
     ks = (1.0j, 1.05j)
     spec = SolitonSpectrum(ks, (1.0, 1.0), tuple(velocity_of(k) for k in ks))
-    mid = 0.5 * (spec.velocities[0] + spec.velocities[1])
-    with pytest.raises(AmbiguousMatch):
-        velocity_match(spec, 100.0, mid * 100.0, 0.5)
+    v0, v1 = spec.velocities
+    assert velocity_match(spec, 1.0, v0) == 0
+    assert velocity_match(spec, 1.0, v1) == 1
+    assert velocity_match(spec, 1.0, 0.5 * (v0 + v1)) is None
+    assert velocity_match(spec, 1.0, v1 + 1.5 * spec.match_window()) is None
 
 
 def test_default_eps_half_min_gap():
     ks = (1.0j, 2.0j)
     spec = SolitonSpectrum(ks, (1.0, 1.0), tuple(velocity_of(k) for k in ks))
     gap = abs(spec.velocities[1] - spec.velocities[0])
-    assert spec.default_match_eps() == pytest.approx(gap / 2)
+    assert spec.match_window() == pytest.approx(gap / 2)
 
 
 def test_assumption_checks_reject_bad_configurations():

@@ -1,5 +1,6 @@
 """Modified Bessel I and Gamma on the imaginary axis."""
 
+import cmath
 import math
 import sys
 
@@ -86,7 +87,7 @@ def test_bessel_domain_errors():
 
 def test_gamma_small_y_argument_approaches_minus_half_pi():
     g = gamma_imag(1e-8)
-    assert g.argument == pytest.approx(-math.pi / 2, abs=1e-6)
+    assert cmath.phase(g) == pytest.approx(-math.pi / 2, abs=1e-6)
 
 
 @pytest.mark.parametrize("y", [1e-300, 1e-12, 1e-9])
@@ -96,20 +97,20 @@ def test_gamma_near_the_pole_vs_mpmath(y):
     with mp.workdps(40):
         want = mp.gamma(mp.mpc(0, y))
         g = gamma_imag(y)
-        assert g.argument == float(mp.arg(want))
-        assert g.modulus == pytest.approx(float(abs(want)), rel=1e-15)
+        assert cmath.phase(g) == float(mp.arg(want))
+        assert abs(g) == pytest.approx(float(abs(want)), rel=1e-15)
 
 
 def test_gamma_modulus_reflection_closed_form():
     g = gamma_imag(1.0)
-    assert g.modulus == pytest.approx(math.sqrt(math.pi / math.sinh(math.pi)),
+    assert abs(g) == pytest.approx(math.sqrt(math.pi / math.sinh(math.pi)),
                                       rel=1e-12)
 
 
 def test_gamma_reflection_identity():
     for y in (0.1, 0.5, 1.0, 2.0, 5.0):
         g = gamma_imag(y)
-        assert abs(g.modulus ** 2 * y * math.sinh(math.pi * y) / math.pi - 1.0) <= 1e-10
+        assert abs(abs(g) ** 2 * y * math.sinh(math.pi * y) / math.pi - 1.0) <= 1e-10
 
 
 def test_gamma_argument_vs_integral_representation_oracle():
@@ -124,14 +125,14 @@ def test_gamma_argument_vs_integral_representation_oracle():
         lg = (z - mp.mpf(1) / 2) * mp.log(z) - z + mp.log(2 * mp.pi) / 2 + 2 * integral
         oracle = mp.e ** lg / (1j * mp.mpf(y))
         g = gamma_imag(y)
-        assert g.argument == pytest.approx(float(mp.arg(oracle)), abs=1e-12)
-        assert g.modulus == pytest.approx(float(abs(oracle)), rel=1e-12)
+        assert cmath.phase(g) == pytest.approx(float(mp.arg(oracle)), abs=1e-12)
+        assert abs(g) == pytest.approx(float(abs(oracle)), rel=1e-12)
 
 
 def test_gamma_argument_continuity():
     # principal value; continuous along the axis away from +-pi wraps
     ys = [0.1 + 0.01 * i for i in range(120)]
-    args = [gamma_imag(y).argument for y in ys]
+    args = [cmath.phase(gamma_imag(y)) for y in ys]
     steps = [abs(b - a) for a, b in zip(args[:-1], args[1:])]
     assert max(steps) < 0.02
 
@@ -155,5 +156,5 @@ def test_gamma_modulus_overflow_is_a_domain_error(y):
 def test_gamma_at_the_smallest_y_is_finite():
     y = sys.float_info.min
     g = gamma_imag(y)
-    assert math.isfinite(g.modulus)
-    assert g.modulus * y == pytest.approx(1.0, rel=1e-15)
+    assert math.isfinite(abs(g))
+    assert abs(g) * y == pytest.approx(1.0, rel=1e-15)

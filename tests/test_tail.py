@@ -14,9 +14,10 @@ from mbamp.pulse import BoxPulse, SmoothBumpPulse
 from mbamp.scattering import ScatteringData
 from mbamp.soliton_spectrum import (SolitonSpectrum, find_zeros,
                                     tail_cone_radius)
-from mbamp.tail_asym import (eval_tail, nu_pair, omega_pair, soliton_state)
+from mbamp.tail_asym import eval_tail, omega_pair, soliton_state
 
 LN2_OVER_2PI = 0.11031780007607186
+NO_ZEROS = SolitonSpectrum((), (), ())
 
 
 class _StubTail:
@@ -54,28 +55,26 @@ def box52():
 
 
 def test_nu_at_unit_reflection():
-    stub = _StubTail(1.0)
-    nul, nur = nu_pair(stub, 0.7)
-    assert nul == pytest.approx(LN2_OVER_2PI, rel=1e-12)
-    assert nur == pytest.approx(LN2_OVER_2PI, rel=1e-12)
+    ph = omega_pair(_StubTail(1.0), NO_ZEROS, 30.0, 10.0)
+    assert ph.nu_l == pytest.approx(LN2_OVER_2PI, rel=1e-12)
+    assert ph.nu_r == pytest.approx(LN2_OVER_2PI, rel=1e-12)
 
 
 def test_nu_large_reflection_limit():
-    stub = _StubTail(1e6)
-    nul, _ = nu_pair(stub, 0.7)
-    assert 0.0 < nul < 1e-10
+    ph = omega_pair(_StubTail(1e6), NO_ZEROS, 30.0, 10.0)
+    assert 0.0 < ph.nu_l < 1e-10
 
 
 def test_nu_reflection_zero_guard():
-    stub = _StubTail(1e-13)
     with pytest.raises(ReflectionZero):
-        nu_pair(stub, 0.7)
+        omega_pair(_StubTail(1e-13), NO_ZEROS, 30.0, 10.0)
 
 
 def test_real_pulse_nu_symmetry(box11):
-    sd, _ = box11
-    nul, nur = nu_pair(sd, 0.5)
-    assert nul == pytest.approx(nur, rel=1e-9)
+    # k0 = sqrt(x/tau)/2 = 0.5
+    sd, spec = box11
+    ph = omega_pair(sd, spec, 100.0, 50.0)
+    assert ph.nu_l == pytest.approx(ph.nu_r, rel=1e-9)
 
 
 def test_constant_reflection_kills_integral_terms(box11):
@@ -97,18 +96,17 @@ def test_phase_tau_derivative_analytic(box11):
     # at fixed k0:  d omega_r / d tau = -4 k0 + nu_r / tau
     sd, spec = box11
     k0 = 0.5
-    nul, nur = nu_pair(sd, k0)
 
     def om(tau):
         x = 4.0 * k0 * k0 * tau
         return omega_pair(sd, spec, x + tau, x)
 
     tau, h = 60.0, 1e-3
-    p, m_ = om(tau + h), om(tau - h)
+    p, m_, c = om(tau + h), om(tau - h), om(tau)
     dr = (p.omega_r - m_.omega_r) / (2 * h)
     dl = (p.omega_l - m_.omega_l) / (2 * h)
-    assert dr == pytest.approx(-4 * k0 + nur / tau, rel=1e-6)
-    assert dl == pytest.approx(4 * k0 - nul / tau, rel=1e-6)
+    assert dr == pytest.approx(-4 * k0 + c.nu_r / tau, rel=1e-6)
+    assert dl == pytest.approx(4 * k0 - c.nu_l / tau, rel=1e-6)
 
 
 def test_soliton_state_identities(box52):
@@ -168,9 +166,9 @@ def test_soliton_center_values(box52):
 def test_away_branch_envelope_and_inversion(box11):
     sd, spec = box11
     k0 = 0.5
-    nul, nur = nu_pair(sd, k0)
-    hi = math.sqrt(nul) + math.sqrt(nur)
-    lo = abs(math.sqrt(nul) - math.sqrt(nur))
+    ph = omega_pair(sd, spec, 100.0, 50.0)
+    hi = math.sqrt(ph.nu_l) + math.sqrt(ph.nu_r)
+    lo = abs(math.sqrt(ph.nu_l) - math.sqrt(ph.nu_r))
     for tau in (40.0, 80.0):
         x = 4 * k0 * k0 * tau
         tf = eval_tail(sd, spec, x + tau, x)
@@ -215,6 +213,23 @@ def test_away_rho_formula(box11):
     assert tf.fields.rho == pytest.approx(exp_rho, rel=1e-9)
 
 
+@pytest.mark.parametrize("tau", [40.0, 50.0, 80.0])
+def test_away_field_is_the_bare_background(box11, tau):
+    # off every soliton line the field is the two bare wave trains, and the
+    # medium stays fully inverted
+    sd, spec = box11
+    k0 = 0.5
+    x = 4 * k0 * k0 * tau
+    ph = omega_pair(sd, spec, x + tau, x)
+    tf = eval_tail(sd, spec, x + tau, x)
+    want = 2.0 * math.sqrt(k0 / tau) * (
+        math.sqrt(ph.nu_l) * cmath.exp(1j * ph.omega_l)
+        + math.sqrt(ph.nu_r) * cmath.exp(1j * ph.omega_r))
+    assert abs(tf.fields.E - want) <= 1e-14 * abs(want)
+    assert tf.fields.N == -1.0
+    assert tf.soliton is None
+
+
 def test_omega_quad_tol_convergence(box11):
     # halving the quadrature tolerance moves the phases by < 10 * quad_tol
     sd, spec = box11
@@ -230,8 +245,8 @@ def test_away_branch_bloch_defect_decays(box11):
     # between 0 and its envelope (sqrt(nu_l)+sqrt(nu_r))^2/(tau k0)
     sd, spec = box11
     k0 = 0.5
-    nul, nur = nu_pair(sd, k0)
-    envelope_c = (math.sqrt(nul) + math.sqrt(nur)) ** 2 / k0
+    ph = omega_pair(sd, spec, 100.0, 50.0)
+    envelope_c = (math.sqrt(ph.nu_l) + math.sqrt(ph.nu_r)) ** 2 / k0
     for tau in (40.0, 80.0, 160.0):
         x = 4 * k0 * k0 * tau
         tf = eval_tail(sd, spec, x + tau, x)
@@ -253,12 +268,11 @@ def test_tail_phases_match_direct_solves():
     # the log integrals amplify errors in |r| where |r| is small, as on the
     # bump; reading r off the real-line interpolant must not show there
     pulse = SmoothBumpPulse(1.0, 2.0, 1.0)
-    spec = SolitonSpectrum((), (), ())
     t, x = 9.97, 3.06
-    got = omega_pair(ScatteringData(pulse), spec, t, x)
+    got = omega_pair(ScatteringData(pulse), NO_ZEROS, t, x)
     tight = Tolerances(ode_rel=1e-13, ode_abs=1e-15, quad_tol=1e-12,
                        root_tol=1e-12)
-    ref = omega_pair(_DirectReal(pulse, tight), spec, t, x)
+    ref = omega_pair(_DirectReal(pulse, tight), NO_ZEROS, t, x)
     for name in ("integral_l", "integral_r", "omega_l", "omega_r"):
         assert getattr(got, name) == pytest.approx(getattr(ref, name),
                                                    abs=1e-9)
@@ -266,7 +280,7 @@ def test_tail_phases_match_direct_solves():
 
 @pytest.fixture(scope="module")
 def box56():
-    return ScatteringData(BoxPulse(5.0, 6.0)), SolitonSpectrum((), (), ())
+    return ScatteringData(BoxPulse(5.0, 6.0)), NO_ZEROS
 
 
 @pytest.mark.parametrize("case, k0, n_splits", [
@@ -305,7 +319,7 @@ def test_omega_pair_converges_past_every_real_zero(k0):
     sd = ScatteringData(BoxPulse(3.3, 2.0))
     tau = 40.0
     x = 4.0 * k0 * k0 * tau
-    ph = omega_pair(sd, SolitonSpectrum((), (), ()), x + tau, x)
+    ph = omega_pair(sd, NO_ZEROS, x + tau, x)
     # the pulse is real, so |r| is even on the real line
     assert ph.integral_l == pytest.approx(-ph.integral_r, abs=1e-9)
 
@@ -340,7 +354,7 @@ def test_tail_point_past_the_cache_window_raises():
     # k0 = sqrt(x/tau)/2 = 1.5 reads r past a window of halfwidth 1
     sd = ScatteringData(BoxPulse(1.0, 1.0), halfwidth=1.0)
     with pytest.raises(DomainError, match="window"):
-        omega_pair(sd, SolitonSpectrum((), (), ()), 10.0 + 1.0 / 9.0,
+        omega_pair(sd, NO_ZEROS, 10.0 + 1.0 / 9.0,
                    10.0)
 
 
