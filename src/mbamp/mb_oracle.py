@@ -83,11 +83,11 @@ class SimGrid:
         self.h = h
         self.t_max = t_max
         self.x_max = x_max
-        self.nt = int(round(t_max / h))
-        self.nx = int(round(x_max / h))
-        if self.nt > _MAX_NODES_PER_DIM or self.nx > _MAX_NODES_PER_DIM:
-            raise CFLViolation(f"grid {self.nt}x{self.nx} exceeds "
+        nt, nx = round(t_max / h, 0), round(x_max / h, 0)
+        if max(nt, nx) > _MAX_NODES_PER_DIM:
+            raise CFLViolation(f"grid {nt:.6g}x{nx:.6g} exceeds "
                                f"{_MAX_NODES_PER_DIM} nodes per dimension")
+        self.nt, self.nx = int(nt), int(nx)
         # rows u holding a pulse jump: the stored row is the left limit, the
         # right limit is row + jump.  Jump times off the grid cannot be
         # compensated; they smear O(h^2 |jump|^2) into the Bloch defect.
@@ -317,10 +317,17 @@ def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
     up to its last row; by default it stores the whole rectangle.
 
     Returns the populated SimGrid with its invariant report.  Raises
-    CFLViolation for grid parameters outside the scheme's envelope and
-    NonPhysical as a blow-up guard when the Bloch defect exceeds
-    ``nonphysical_tol``.
+    ValueError, naming the argument, unless h > 0, t_max >= 0, x_max >= 0
+    and nonphysical_tol > 0; CFLViolation for grid parameters outside the
+    scheme's envelope; and NonPhysical as a blow-up guard when the Bloch
+    defect exceeds ``nonphysical_tol``.
     """
+    for key, value in (("h", h), ("nonphysical_tol", nonphysical_tol)):
+        if not value > 0:
+            raise ValueError(f"oracle {key!r} is {value!r}: expected > 0")
+    for key, value in (("t_max", t_max), ("x_max", x_max)):
+        if not value >= 0:
+            raise ValueError(f"oracle {key!r} is {value!r}: expected >= 0")
     T = pulse.support
     if h > 0.02 * min(1.0, T):
         raise CFLViolation(f"h = {h} exceeds 0.02*min(1, T) = {0.02 * min(1.0, T)}")

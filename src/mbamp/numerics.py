@@ -180,8 +180,9 @@ def first_samples(rect: tuple[float, float, float, float],
     """The boundary points of ``count_zeros_rect``'s first call of ``f``
     for the same ``rect``, ``spacing`` and ``anchors``, in that call's
     order, as two arrays: the regular samples, which do not depend on
-    ``anchors``, and the points nearest an anchor that are not among them.
-    A caller can evaluate ``f`` there in advance."""
+    ``anchors``, and the anchor samples, the points nearest an anchor that
+    are not among them.  ``find_zeros`` solves f in advance at both, the
+    anchor samples as derivative points, which take the others' steps."""
     corners, params, regular = _first_params(rect, spacing, anchors)
     z = _on_contour(corners, params[:-1])
     return z[regular[:-1]], z[~regular[:-1]]

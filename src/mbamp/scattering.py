@@ -50,20 +50,21 @@ class ScatteringData:
     """Evaluators for a(k), b(k), r(k) = b/a and derived quantities.
 
     Every evaluator reaches the Jost system through one batched solve
-    (``_solve``), whose points all share the adaptive steps.  Its points
-    without derivative rows are folded onto Re k >= 0 when the pulse
-    declares an ``amplitude`` (see ``ab_many``); its points with derivative
-    rows are solved as given.  ``prefetch`` makes one such solve of the
-    points a command's first pass needs, the zero search's seeds with
-    derivative rows, and keeps the values: ``ab_many`` and
+    (``_solve``) of two kinds of point, whose columns share the adaptive
+    steps.  Plain points carry a and b; they are folded onto Re k >= 0 when
+    the pulse declares an ``amplitude`` (see ``ab_many``), and they set the
+    steps whenever the batch has any.  Derivative points are solved as
+    given, carry da/dk and db/dk too, and take those steps, so beside
+    plain points their values do not depend on what else rides along.
+    ``prefetch`` makes one such solve and keeps the values, and every solve
+    with derivative points goes through it: ``ab_many`` and
     ``ab_and_derivs_many`` read a batch whose points are all kept instead
-    of solving it.  The values of every solve with derivative rows are kept
-    too, so Newton's ``f`` and ``df`` on the same iterates, and the zero
-    search's read at its limits, cost one solve.  A kept value carries the
-    rounding of the steps that solved it: batch-mates move a and b by a few
-    1e-12 relative at most on the benchmark pulses.  In a prefetch the
-    points of ``ks`` alone set the steps, so the values at its ``riders``
-    and ``dks`` do not depend on what else rides along.
+    of solving it.  So a command's first pass (with the zero search's seeds
+    and anchor samples as derivative points), Newton's ``f`` and ``df`` on
+    the same iterates, and the zero search's read at its limits each cost
+    one solve.  A kept value carries the rounding of the steps that solved
+    it: batch-mates move a and b by a few 1e-12 relative at most on the
+    benchmark pulses.
 
     The real-line cache is built once, under a lock, on first use and is
     read-only afterwards.  It covers [-halfwidth, halfwidth]: a tail point
@@ -87,15 +88,16 @@ class ScatteringData:
 
     # ------------------------------------------------------------------ ODE
 
-    def _jost(self, ks, nd: int = 0, steer: int | None = None):
+    def _jost(self, ks, nd: int = 0):
         """Second column psi = (p1, p2) at t = 0 on a batch of spectral
         points, and dpsi/dk = (q1, q2) at the last ``nd`` of them, as two
         arrays of two rows.  The state has two rows: (p1, p2) in a column
         per point, then (q1, q2) in ``nd`` more columns, so a batch with
-        nd = 0 is the plain system.  All columns share the adaptive steps,
-        which the columns of the first ``steer`` points set (every column
-        by default), and the pulse is evaluated once per step attempt.
-        The right-hand side writes in place and allocates nothing."""
+        nd = 0 is the plain system.  All columns share the adaptive steps.
+        When the batch has both kinds of point, the columns of the first
+        n - nd points alone set them; otherwise every column does.  The
+        pulse is evaluated once per step attempt, and the right-hand side
+        writes in place and allocates nothing."""
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
         self._check_growth(ks)
         n = ks.size
@@ -117,18 +119,16 @@ class ScatteringData:
 
         y = ode_advance(rhs, self.pulse, self.pulse.support, 0.0, y0,
                         self.tol.ode_rel, atol=self.tol.ode_abs,
-                        control=steer)
+                        control=n - nd if 0 < nd < n else None)
         return y[:, :n], y[:, n:]
 
-    def _solve(self, ks, dks, riders=()):
-        """One Jost solve: [a, b] at ``ks`` and ``riders`` and [a, b, da/dk,
-        db/dk] at ``dks``, as arrays of 2, 2 and 4 rows.  The points of
-        ``ks`` are folded and merged as ``ab_many`` says; ``riders`` and
-        then ``dks`` follow them in the batch as given.  When ``ks`` is not
-        empty its points alone set the steps, which the others take."""
+    def _solve(self, ks, dks):
+        """One Jost solve: [a, b] at ``ks`` and [a, b, da/dk, db/dk] at
+        ``dks``, as arrays of 2 and 4 rows.  The points of ``ks`` are
+        folded and merged as ``ab_many`` says; those of ``dks`` follow them
+        in the batch as given, and take their steps (see ``_jost``)."""
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
         dks = np.atleast_1d(np.asarray(dks, dtype=complex))
-        riders = np.atleast_1d(np.asarray(riders, dtype=complex))
         c = getattr(self.pulse, "amplitude", None)
         flip = (ks.real < 0.0) & (c is not None)
         folded = np.where(flip, -ks.conj(), ks)
@@ -142,16 +142,14 @@ class ScatteringData:
         reps = np.sort(rep)
         rank = np.empty(ks.size, dtype=int)
         rank[order] = np.searchsorted(reps, rep)[np.cumsum(first) - 1]
-        m, r = reps.size, riders.size
+        m = reps.size
         (p1, p2), (q1, q2) = self._jost(
-            np.concatenate([folded[reps], riders, dks]), dks.size,
-            m if m and r + dks.size else None)
+            np.concatenate([folded[reps], dks]), dks.size)
         a, b = p2[:m][rank], p1[:m][rank]   # a = psi2(0), b = psi1(0)
         if flip.any():
             a[flip] = np.conj(a[flip])
             b[flip] = c / np.conj(c) * np.conj(b[flip])
-        return (np.array([a, b]), np.array([p2[m:m + r], p1[m:m + r]]),
-                np.array([p2[m + r:], p1[m + r:], q2, q1]))
+        return np.array([a, b]), np.array([p2[m:], p1[m:], q2, q1])
 
     def _read(self, ks, rows: int):
         """The first ``rows`` kept values at each of ``ks`` as an array of
@@ -167,20 +165,19 @@ class ScatteringData:
     def _keep(self, ks, values):
         self._kept.update(zip(ks.tolist(), values.T.tolist()))
 
-    def prefetch(self, ks, dks=(), riders=()):
-        """Solve a and b at ``ks`` and ``riders``, and also their
-        k-derivatives at ``dks``, in one batch, and keep the values for
-        ``ab_many`` and ``ab_and_derivs_many`` to read.  The points of
-        ``ks`` set the steps (see ``_solve``), so those of ``riders`` and
-        ``dks`` come out the same whatever else rides along; a caller puts
-        in ``ks`` points no easier to solve than the others."""
+    def prefetch(self, ks, dks=()):
+        """Solve a and b at ``ks``, and also their k-derivatives at
+        ``dks``, in one batch (see ``_solve``); keep the values for
+        ``ab_many`` and ``ab_and_derivs_many`` to read, and return them.
+        When both are given, the points of ``ks`` set the steps, so the
+        values at ``dks`` come out the same whatever else rides along; a
+        caller puts in ``ks`` points no easier to solve than the others."""
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
         dks = np.atleast_1d(np.asarray(dks, dtype=complex))
-        riders = np.atleast_1d(np.asarray(riders, dtype=complex))
-        values, ridden, derivs = self._solve(ks, dks, riders)
+        values, derivs = self._solve(ks, dks)
         self._keep(ks, values)
-        self._keep(riders, ridden)
         self._keep(dks, derivs)
+        return values, derivs
 
     def ab_many(self, ks) -> tuple[np.ndarray, np.ndarray]:
         """a(k), b(k) on an array of spectral points (shared adaptive steps),
@@ -209,8 +206,7 @@ class ScatteringData:
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
         v = self._read(ks, 4)
         if v is None:
-            v = self._solve((), ks)[2]
-            self._keep(ks, v)
+            v = self.prefetch((), ks)[1]
         return tuple(v)
 
     def pencil_zeros(self, n: int, shift: complex) -> np.ndarray:

@@ -57,13 +57,13 @@ def find_zeros(sd: ScatteringData,
 
     The pencil's eigenvalues, Newton's seeds and the winding count's first
     samples are fixed before any solve, and one Jost solve
-    (``ScatteringData.prefetch``) takes Newton's first pass, with
-    derivative rows, the count's first samples and the caller's
-    ``prefetch`` points, whose a and b the caller then reads from ``sd``.
-    The caller's points and the count's regular samples, which depend on
-    the box alone, set its steps; the seeds and the samples nearest the
-    eigenvalues just outside the box take them, so the spectrum does not
-    depend on which spurious eigenvalues the pencil adds.
+    (``ScatteringData.prefetch``) takes them all.  Its plain points, which
+    set its steps, are the caller's ``prefetch`` points, whose a and b the
+    caller then reads from ``sd``, and the count's regular samples, which
+    depend on the box alone.  Its derivative points, which take those
+    steps, are the seeds (Newton's first pass) and the count's anchor
+    samples, the ones nearest the eigenvalues just outside the box; so the
+    spectrum does not depend on which spurious eigenvalues the pencil adds.
     One batched Newton with the variational derivative starts from every
     eigenvalue in the box of the Jost system's pencil
     (``ScatteringData.pencil_zeros``) at n = max(32, ceil(1.6 T R)) nodes,
@@ -109,12 +109,9 @@ def find_zeros(sd: ScatteringData,
         return math.hypot(max(re_lo - k.real, 0.0, k.real - re_hi),
                           max(im_lo - k.imag, 0.0, k.imag - im_hi))
 
-    def solvable(ks):
-        return np.array([gap(k) <= d and T * abs(k.imag) <= GROWTH_GUARD
-                         for k in ks], dtype=bool)
-
     def solve(ks):   # a, b, a', b' at ks, NaN where k strays from the box
-        ok = solvable(ks)
+        ok = np.array([gap(k) <= d and T * abs(k.imag) <= GROWTH_GUARD
+                       for k in ks], dtype=bool)
         v = np.full((4, len(ks)), complex(np.nan))
         if ok.any():
             v[:, ok] = sd.ab_and_derivs_many(ks[ok])
@@ -124,8 +121,8 @@ def find_zeros(sd: ScatteringData,
     seeds = np.array([k for k in eigs if inside(k)], dtype=complex)
     outside = np.array([x for x in eigs if 0.0 < gap(x) <= d])
     regular, near = first_samples(box, d, outside)
-    sd.prefetch(np.concatenate([prefetch, regular]), seeds[solvable(seeds)],
-                near)
+    sd.prefetch(np.concatenate([prefetch, regular]),
+                np.concatenate([seeds, near]))
     limits = complex_newton(lambda k: solve(k)[1], lambda k: solve(k)[3],
                             seeds, sd.tol.root_tol) if seeds.size else []
     kept = []

@@ -462,6 +462,35 @@ def test_bad_search_box_is_a_usage_error(tmp_path, capsys, box, command):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("h", 0.0), ("t_max", -1.0), ("h", -0.01), ("x_max", -1.0),
+    ("nonphysical_tol", -1.0)])
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_oracle_value_out_of_range_is_a_usage_error(tmp_path, capsys, command,
+                                                    key, value):
+    # checked before the march, so no bad value reaches a division, an
+    # array size, a file size or the blow-up guard
+    path = write_cfg(tmp_path, {"oracle": {**CONE_ORACLE, key: value}})
+    out = tmp_path / "o"
+    grid = ["--grid", CONE_GRID] if command == "compare" else []
+    assert main([command, "--config", str(path), "--out", str(out),
+                 *grid]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and repr(key) in err
+    assert not any(out.iterdir())
+
+
+def test_oracle_grid_past_the_node_limit_states_its_size(tmp_path, capsys):
+    # the node counts are formed as floats, so the message stays short
+    path = write_cfg(tmp_path, {"oracle": {**CONE_ORACLE, "h": 1e-300}})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: CFLViolation: grid 2.7e+300x2.3e+300 exceeds 150000 nodes "
+        "per dimension\n")
+    assert not any(out.iterdir())
+
+
 def _with_key(section, key, base=BOX52):
     """``base`` with ``key`` set to 1.0 at the top level (section None) or
     inside ``section``; returns (config, key)."""

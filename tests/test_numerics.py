@@ -507,7 +507,7 @@ _SCATTER_KS = np.append(np.linspace(-20.0, 20.0, 401),
                         1j * np.linspace(0.05, 6.0, 120))
 
 
-@pytest.mark.parametrize("case", ["box52-scatter", "bump-riders-derivs", "cos"])
+@pytest.mark.parametrize("case", ["box52-scatter", "bump-derivs", "cos"])
 def test_ode_advance_matches_the_reference_bit_for_bit(case, monkeypatch):
     if case == "cos":   # y' = cos(t) y forward from 0 to 3
         def rhs(c, y, out):
@@ -520,9 +520,9 @@ def test_ode_advance_matches_the_reference_bit_for_bit(case, monkeypatch):
     else:
         sd = ScatteringData(SmoothBumpPulse(1.0, 2.0, 1.0))
         solves = _jost_solves(monkeypatch, lambda: sd.prefetch(
-            np.linspace(0.0, 3.0, 31), dks=1j * np.array([0.3, 0.9, 2.5]),
-            riders=np.array([0.5 + 0.2j, 5.0j])))
-        assert solves[0][1]["control"] == 31   # the riders take the steps
+            np.linspace(0.0, 3.0, 31),
+            dks=np.array([0.3j, 0.9j, 2.5j, 0.5 + 0.2j, 5.0j])))
+        assert solves[0][1]["control"] == 31   # the dks take the steps
     assert len(solves) == 1
     (rhs, *rest), kwargs = solves[0]
     rhs_new, calls_new = _counting(rhs)

@@ -27,11 +27,11 @@ def _record_solves(monkeypatch, keep):
     rows)`` for each Jost solve it makes, where that is not None."""
     solves, jost = [], ScatteringData._jost
 
-    def recorded(self, ks, nd=0, steer=None):
+    def recorded(self, ks, nd=0):
         entry = keep(np.size(ks), nd)
         if entry is not None:
             solves.append(entry)
-        return jost(self, ks, nd, steer)
+        return jost(self, ks, nd)
 
     monkeypatch.setattr(ScatteringData, "_jost", recorded)
     return solves
@@ -57,12 +57,14 @@ def test_newton_makes_one_solve_per_step(monkeypatch):
     spec = find_zeros(sd, (-3.0, 3.0, 1e-4, 3.0))
     assert abs(spec.zeros[0] - 1j * K1_BOX52) < 1e-6
     # Newton starts at the pencil's eigenvalue, where |b| <= root_tol
-    # already: one solve, whose derivative rows are the seed's, gives b and
-    # b' for the last step and a and b' for the validation, and its other
-    # points are the count's first samples; no single-k solve of b alone
+    # already: one solve gives b and b' for the last step and a and b' for
+    # the validation, and the count's first samples; no single-k solve of b
+    # alone.  Its derivative rows are the seed's and those of the count's
+    # two anchor samples, the points nearest the real zeros +-1.903 just
+    # under the bottom edge
     assert len(solves) == 1
     points, nd = solves[0]
-    assert nd == 1 and points > 1
+    assert nd == 3 and points > 3
 
 
 def test_newton_decides_which_eigenvalues_are_zeros(spec52, monkeypatch):
