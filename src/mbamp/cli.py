@@ -75,12 +75,13 @@ class RunConfig:
         if self.grid is not None:
             _check_grid(self.grid, "config 'grid'")
         for axis, spec in self.kgrid.items():
-            if spec and not (isinstance(spec, list) and len(spec) == 3
-                             and all(map(_is_number, spec))
-                             and float(spec[2]).is_integer() and spec[2] >= 1):
+            if spec not in (None, []) and not (
+                    isinstance(spec, list) and len(spec) == 3
+                    and all(map(_is_number, spec))
+                    and float(spec[2]).is_integer() and spec[2] >= 1):
                 raise ValueError(f"bad kgrid '{axis}' {spec!r}: expected "
                                  "[lo, hi, n] with an integral n >= 1, or "
-                                 "nothing")
+                                 "null or [] for no axis")
         box = self.search_box
         if box is not None and not (
                 isinstance(box, (list, tuple)) and len(box) == 4

@@ -63,8 +63,10 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("ode_rel", "ode_abs", "quad_tol", "root_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} = {value!r} must be finite and "
+                                 "positive")
         if self.quad_tol < 10 * _EPS:
             raise ValueError("quad_tol below 10*machine epsilon is not resolvable")
 

@@ -4,14 +4,16 @@ All pulses are compactly supported on [0, T] with finite first moment, and
 evaluate to exactly zero outside the support.
 
 Each kind here is E = amplitude x a real shape, and declares its complex
-``amplitude``.  ``ScatteringData.ab_many`` relies on that contract: for a
-pulse with an ``amplitude`` it solves only Re k >= 0 and takes the rest
-from the mirror symmetry of a constant-phase pulse.  A pulse whose phase
+``amplitude``.  The one Jost solve, ``ScatteringData.prefetch``, relies on
+that contract: for a pulse with an ``amplitude`` it folds its plain points
+onto Re k >= 0 and takes the rest from the mirror symmetry of a
+constant-phase pulse (see ``ScatteringData.ab_many``).  A pulse whose phase
 varies in t, such as a chirped one, must not declare an ``amplitude``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -20,10 +22,12 @@ import numpy as np
 
 
 def _validate(amplitude: complex, support: float):
-    if amplitude == 0:
-        raise ValueError("pulse must not be identically zero")
-    if not (0.0 < support < math.inf):
-        raise ValueError("support end T must be finite and positive")
+    if not cmath.isfinite(amplitude) or amplitude == 0:
+        raise ValueError(f"amplitude {amplitude!r} must be finite and "
+                         "nonzero")
+    if not 0.0 < support < math.inf:
+        raise ValueError(f"support T = {support!r} must be finite and "
+                         "positive")
 
 
 @dataclass(frozen=True)
@@ -65,14 +69,17 @@ class PowerStartPulse:
 
     def __post_init__(self):
         _validate(self.amplitude, self.support)
-        if self.start_exponent <= 1.0:
-            raise ValueError("start exponent m must exceed 1")
+        if not 1.0 < self.start_exponent < math.inf:
+            raise ValueError(f"start_exponent m = {self.start_exponent!r} "
+                             "must be finite and exceed 1")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         T = self.support
         inside = (t > 0.0) & (t <= T)
-        ts = np.where(inside, t, 0.5 * T)  # dummy value avoids 0**negative
+        # a dummy t keeps t < 0 out of the fractional power, whose NaN
+        # would warn
+        ts = np.where(inside, t, 0.5 * T)
         val = self.amplitude * ts ** (self.start_exponent - 1.0) * (1.0 - ts / T) ** 3
         out = np.where(inside, val, 0.0 + 0.0j)
         return out if out.ndim else complex(out)
@@ -102,8 +109,9 @@ class SmoothBumpPulse:
 
     def __post_init__(self):
         _validate(self.amplitude, self.support)
-        if self.start_exponent <= 1.0:
-            raise ValueError("start exponent m must exceed 1")
+        if not 1.0 < self.start_exponent < math.inf:
+            raise ValueError(f"start_exponent m = {self.start_exponent!r} "
+                             "must be finite and exceed 1")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

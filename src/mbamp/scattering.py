@@ -49,22 +49,22 @@ class TailFit:
 class ScatteringData:
     """Evaluators for a(k), b(k), r(k) = b/a and derived quantities.
 
-    Every evaluator reaches the Jost system through one batched solve
-    (``_solve``) of two kinds of point, whose columns share the adaptive
+    Every evaluator reaches the Jost system through one batched solve,
+    ``prefetch``, of two kinds of point, whose columns share the adaptive
     steps.  Plain points carry a and b; they are folded onto Re k >= 0 when
     the pulse declares an ``amplitude`` (see ``ab_many``), and they set the
     steps whenever the batch has any.  Derivative points are solved as
     given, carry da/dk and db/dk too, and take those steps, so beside
     plain points their values do not depend on what else rides along.
-    ``prefetch`` makes one such solve and keeps the values, and every solve
-    with derivative points goes through it: ``ab_many`` and
-    ``ab_and_derivs_many`` read a batch whose points are all kept instead
-    of solving it.  So a command's first pass (with the zero search's seeds
-    and anchor samples as derivative points), Newton's ``f`` and ``df`` on
-    the same iterates, and the zero search's read at its limits each cost
-    one solve.  A kept value carries the rounding of the steps that solved
-    it: batch-mates move a and b by a few 1e-12 relative at most on the
-    benchmark pulses.
+    Every solve is kept, and a read of kept points costs no solve:
+    ``ab_many`` and ``ab_and_derivs_many`` read a batch whose points are
+    all kept (with derivatives, for the latter), and solve any other batch
+    as plain or derivative points.  So a command's first pass (with the
+    zero search's seeds and anchor samples as derivative points), Newton's
+    ``f`` and ``df`` on the same iterates, and the zero search's read at
+    its limits each cost one solve.  A kept value carries the rounding of
+    the steps that solved it: batch-mates move a and b by a few 1e-12
+    relative at most on the benchmark pulses.
 
     The real-line cache is built once, under a lock, on first use and is
     read-only afterwards.  It covers [-halfwidth, halfwidth]: a tail point
@@ -97,9 +97,14 @@ class ScatteringData:
         When the batch has both kinds of point, the columns of the first
         n - nd points alone set them; otherwise every column does.  The
         pulse is evaluated once per step attempt, and the right-hand side
-        writes in place and allocates nothing."""
+        writes in place and allocates nothing.  Raises Overflow past the
+        growth guard, T |Im k| > GROWTH_GUARD."""
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-        self._check_growth(ks)
+        worst = self.pulse.support * float(np.max(np.abs(ks.imag),
+                                                  initial=0.0))
+        if worst > GROWTH_GUARD:
+            raise Overflow(f"T*|Im k| = {worst:.1f} exceeds the growth guard "
+                           f"{GROWTH_GUARD:.0f}")
         n = ks.size
         minus_two_ik = -2j * np.concatenate([ks, ks[n - nd:]])
         y0 = np.zeros((2, n + nd), dtype=complex)
@@ -122,11 +127,14 @@ class ScatteringData:
                         control=n - nd if 0 < nd < n else None)
         return y[:, :n], y[:, n:]
 
-    def _solve(self, ks, dks):
-        """One Jost solve: [a, b] at ``ks`` and [a, b, da/dk, db/dk] at
-        ``dks``, as arrays of 2 and 4 rows.  The points of ``ks`` are
-        folded and merged as ``ab_many`` says; those of ``dks`` follow them
-        in the batch as given, and take their steps (see ``_jost``)."""
+    def prefetch(self, ks, dks=()):
+        """The one Jost solve: [a, b] at ``ks`` and [a, b, da/dk, db/dk] at
+        ``dks``, in one batch, kept and returned as arrays of 2 and 4 rows.
+        The points of ``ks`` are folded and merged as ``ab_many`` says;
+        those of ``dks`` follow them in the batch as given, and take their
+        steps (see ``_jost``), so their values come out the same whatever
+        else rides along; a caller puts in ``ks`` points no easier to solve
+        than the others."""
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
         dks = np.atleast_1d(np.asarray(dks, dtype=complex))
         c = getattr(self.pulse, "amplitude", None)
@@ -149,39 +157,29 @@ class ScatteringData:
         if flip.any():
             a[flip] = np.conj(a[flip])
             b[flip] = c / np.conj(c) * np.conj(b[flip])
-        return np.array([a, b]), np.array([p2[m:], p1[m:], q2, q1])
+        values, derivs = np.array([a, b]), np.array([p2[m:], p1[m:], q2, q1])
+        for points, v in ((ks, values), (dks, derivs)):
+            self._kept.update(zip(points.tolist(), v.T.tolist()))
+        return values, derivs
 
-    def _read(self, ks, rows: int):
-        """The first ``rows`` kept values at each of ``ks`` as an array of
-        that many rows, or None unless every point has them."""
+    def _read_or_solve(self, ks, rows: int):
+        """The first ``rows`` of [a, b, da/dk, db/dk] at each of ``ks`` as
+        an array of that many rows: read when every point is kept with
+        them, else solved by ``prefetch``, as plain points for 2 rows and
+        as derivative points for 4."""
+        ks = np.atleast_1d(np.asarray(ks, dtype=complex))
         got = []
         for k in ks.tolist():
             v = self._kept.get(k, ())
             if len(v) < rows:
-                return None
+                return (self.prefetch(ks)[0] if rows == 2
+                        else self.prefetch((), ks)[1])
             got.append(v[:rows])
         return np.array(got, dtype=complex).reshape(-1, rows).T
 
-    def _keep(self, ks, values):
-        self._kept.update(zip(ks.tolist(), values.T.tolist()))
-
-    def prefetch(self, ks, dks=()):
-        """Solve a and b at ``ks``, and also their k-derivatives at
-        ``dks``, in one batch (see ``_solve``); keep the values for
-        ``ab_many`` and ``ab_and_derivs_many`` to read, and return them.
-        When both are given, the points of ``ks`` set the steps, so the
-        values at ``dks`` come out the same whatever else rides along; a
-        caller puts in ``ks`` points no easier to solve than the others."""
-        ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-        dks = np.atleast_1d(np.asarray(dks, dtype=complex))
-        values, derivs = self._solve(ks, dks)
-        self._keep(ks, values)
-        self._keep(dks, derivs)
-        return values, derivs
-
     def ab_many(self, ks) -> tuple[np.ndarray, np.ndarray]:
         """a(k), b(k) on an array of spectral points (shared adaptive steps),
-        read from the kept values when they hold every point.
+        read when every point is kept, else solved as plain points.
 
         A pulse that declares an ``amplitude`` c is c times a real shape, so
         a(-conj k) = conj a(k) and b(-conj k) = (c / conj c) conj b(k)
@@ -193,21 +191,13 @@ class ScatteringData:
         with nothing to fold or merge is solved exactly as given.
         ``ab_and_derivs_many`` never folds.
         """
-        ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-        v = self._read(ks, 2)
-        if v is None:
-            v = self._solve(ks, ())[0]
-        return v[0], v[1]
+        return tuple(self._read_or_solve(ks, 2))
 
     def ab_and_derivs_many(self, ks):
-        """(a, b, da/dk, db/dk) on an array of spectral points, read from
-        the kept values when they hold every point, else solved as given
-        and kept."""
-        ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-        v = self._read(ks, 4)
-        if v is None:
-            v = self.prefetch((), ks)[1]
-        return tuple(v)
+        """(a, b, da/dk, db/dk) on an array of spectral points, read when
+        every point is kept with its derivatives, else solved as
+        derivative points."""
+        return tuple(self._read_or_solve(ks, 4))
 
     def pencil_zeros(self, n: int, shift: complex) -> np.ndarray:
         """Every finite eigenvalue k of the Jost system's pencil: b(k) = 0
@@ -235,13 +225,6 @@ class ScatteringData:
         B = np.vstack([-2j * P, np.zeros((n + 2, n + 1))])
         mu = np.linalg.eigvals(np.linalg.solve(A, B)[:n + 1])
         return shift + 1.0 / mu[np.abs(mu) > 1e-12]   # mu = 0: k infinite
-
-    def _check_growth(self, ks):
-        worst = float(np.max(np.abs(np.imag(ks)), initial=0.0)) \
-            * self.pulse.support
-        if worst > GROWTH_GUARD:
-            raise Overflow(f"T*|Im k| = {worst:.1f} exceeds the growth guard "
-                           f"{GROWTH_GUARD:.0f}")
 
     # ----------------------------------------------------- real-line cache
 

@@ -58,12 +58,14 @@ def find_zeros(sd: ScatteringData,
     The pencil's eigenvalues, Newton's seeds and the winding count's first
     samples are fixed before any solve, and one Jost solve
     (``ScatteringData.prefetch``) takes them all.  Its plain points, which
-    set its steps, are the caller's ``prefetch`` points, whose a and b the
-    caller then reads from ``sd``, and the count's regular samples, which
-    depend on the box alone.  Its derivative points, which take those
-    steps, are the seeds (Newton's first pass) and the count's anchor
-    samples, the ones nearest the eigenvalues just outside the box; so the
-    spectrum does not depend on which spurious eigenvalues the pencil adds.
+    set its steps, are the caller's ``prefetch`` points and the count's
+    regular samples, which depend on the box alone.  Its derivative points,
+    which take those steps, are the seeds (Newton's first pass) and the
+    count's anchor samples, the ones nearest the eigenvalues just outside
+    the box; so the spectrum does not depend on which spurious eigenvalues
+    the pencil adds.  Every solve is kept, and a read of kept points costs
+    no solve: the count's first samples, Newton's df after its f, and the
+    caller's later reads of a and b at its points solve nothing.
     One batched Newton with the variational derivative starts from every
     eigenvalue in the box of the Jost system's pencil
     (``ScatteringData.pencil_zeros``) at n = max(32, ceil(1.6 T R)) nodes,

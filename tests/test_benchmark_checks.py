@@ -2,8 +2,9 @@
 
 perfbench/ sits outside the test paths; its workloads and checks import
 RunConfig, classify and velocity_of from the package, and read every file
-the CLI writes.  This runs each workload's seed-1 pipeline once and checks
-each command's output as the benchmark does.
+the CLI writes.  This runs each workload's seed-1 pipeline and checks each
+command's output as the benchmark does: then it runs the command again into
+the same directory, and the files must hash the same.
 """
 
 import importlib.util
@@ -49,7 +50,13 @@ def test_benchmark_checks_pass_on_the_seed_1_pipeline(perfbench, name,
     plan = workloads.make_inputs(workload, 1, tmp_path / "cfg")
     for i, entry in enumerate(plan):
         out = tmp_path / "out" / str(i)
-        assert main([*entry["argv"], "--out", str(out)]) == 0, entry["command"]
+        argv = [*entry["argv"], "--out", str(out)]
+        assert main(argv) == 0, entry["command"]
         assert checks.check_output(entry["command"], out, entry["step"],
                                    workload.pulse, entry["grid"]) == []
+        first = checks.digest(out)
+        # the benchmark reruns every command into the same directory, and
+        # a repeat that writes different bytes fails it
+        assert main(argv) == 0, entry["command"]
+        assert checks.digest(out) == first, entry["command"]
         (out / "grid.bin").unlink(missing_ok=True)   # 102.5 MB for box52

@@ -323,11 +323,14 @@ def test_scatter_takes_both_axes_from_one_solve(tmp_path, monkeypatch):
 
 
 def test_scatter_on_an_empty_kgrid_writes_the_header_only(tmp_path):
-    path = write_cfg(tmp_path, {"kgrid": {}})
-    out = tmp_path / "oe"
-    assert main(["scatter", "--config", str(path), "--out", str(out)]) == 0
-    assert (out / "scatter.csv").read_text() == \
-        "k_re,k_im,a_re,a_im,b_re,b_im,r_re,r_im,unitarity_defect\n"
+    # null and [] are the two spellings of no axis
+    for kgrid in ({}, {"re": None, "imag": []}):
+        path = write_cfg(tmp_path, {"kgrid": kgrid})
+        out = tmp_path / "oe"
+        assert main(["scatter", "--config", str(path), "--out",
+                     str(out)]) == 0
+        assert (out / "scatter.csv").read_text() == \
+            "k_re,k_im,a_re,a_im,b_re,b_im,r_re,r_im,unitarity_defect\n"
 
 
 def test_tail_point_runs_the_zero_search_once(tmp_path, monkeypatch):
@@ -604,6 +607,11 @@ def _with_bad_value(slot, value):
 @example(case=_with_bad_value(("kgrid", "re"), [-3.0, 3.0, 0]))
 @example(case=_with_bad_value(("kgrid", "re"), [-3.0, 3.0, 2.5]))
 @example(case=_with_bad_value(("kgrid", "imag"), [0.5, 3.0, -1]))
+# only null and [] mean no axis, not any other falsy value
+@example(case=_with_bad_value(("kgrid", "re"), 0))
+@example(case=_with_bad_value(("kgrid", "re"), False))
+@example(case=_with_bad_value(("kgrid", "imag"), ""))
+@example(case=_with_bad_value(("kgrid", "imag"), {}))
 # likewise a grid count (2.5 wrote 2 rows, 0 the header only), and a
 # coordinate off the quadrant t, x >= 0
 @example(case=_with_bad_grid("nt", 2.5))

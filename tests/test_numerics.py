@@ -28,6 +28,11 @@ def test_tolerances_defaults_and_validation():
         Tolerances(ode_rel=0.0)
     with pytest.raises(ValueError):
         Tolerances(quad_tol=1e-17)
+    # and finite
+    for name, value in (("ode_rel", np.nan), ("quad_tol", np.inf),
+                        ("root_tol", np.nan), ("ode_abs", np.inf)):
+        with pytest.raises(ValueError, match=name):
+            Tolerances(**{name: value})
 
 
 def test_quad_zero_integrand():

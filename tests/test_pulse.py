@@ -49,10 +49,12 @@ def test_smooth_bump_flat_at_far_end():
 
 
 def test_nontriviality_enforced():
-    with pytest.raises(ValueError):
-        BoxPulse(0.0, 1.0)
-    with pytest.raises(ValueError):
-        SmoothBumpPulse(0.0, 2.0, 1.0)
+    # a non-finite amplitude is no pulse either
+    for amplitude in (0.0, np.nan, np.inf, complex(1.0, np.nan)):
+        with pytest.raises(ValueError, match="amplitude"):
+            BoxPulse(amplitude, 1.0)
+        with pytest.raises(ValueError, match="amplitude"):
+            SmoothBumpPulse(amplitude, 2.0, 1.0)
 
 
 def test_finite_support_enforced():
@@ -63,10 +65,12 @@ def test_finite_support_enforced():
 
 
 def test_start_exponent_exceeds_one():
-    with pytest.raises(ValueError):
-        PowerStartPulse(1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        SmoothBumpPulse(1.0, 0.5, 1.0)
+    # and is finite
+    for m in (1.0, 0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="start_exponent"):
+            PowerStartPulse(1.0, m, 1.0)
+        with pytest.raises(ValueError, match="start_exponent"):
+            SmoothBumpPulse(1.0, m, 1.0)
 
 
 def test_box_start_exponent_is_not_an_init_field():

@@ -180,6 +180,10 @@ def test_fold_passes_an_unfoldable_batch_through_in_its_order(monkeypatch):
     monkeypatch.setattr(ScatteringData, "_jost", recorded)
     ks = 1j * np.array([3.0, 0.5, 1.2])
     sd.ab_many(ks)
+    # every solve is kept, so the same points again cost no solve
+    sd.ab_many(ks)
+    sd.reflection_uhp(ks)
+    assert len(batches) == 1
     # -0.5 and -3 fold, and 0.5 + 1e-17 merges with 0.5
     a, b = sd.ab_many([0.5, -0.5, 0.5 + 1e-17, 2.0, -3.0])
     assert np.array_equal(batches[0], ks)
@@ -188,6 +192,11 @@ def test_fold_passes_an_unfoldable_batch_through_in_its_order(monkeypatch):
     for got, want in zip((a, b), sd.ab_many([0.5, 2.0, 3.0])):
         want = want[[0, 0, 0, 1, 2]]
         assert np.array_equal(got, np.where(flip, np.conj(want), want))
+    # a plain solve keeps no derivatives: the first read of them solves,
+    # and keeps them
+    sd.ab_and_derivs_many(ks)
+    sd.ab_and_derivs_many(ks)
+    assert len(batches) == 4 and np.array_equal(batches[3], ks)
 
 
 # a command's first pass: plain points, which set the steps (the real-line
