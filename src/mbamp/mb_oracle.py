@@ -18,12 +18,23 @@ at tau = 0 and T) travels along its row, which holds the left limit: the
 step leaving the row reads row + jump, and a probe's stencil stays on its
 side of the row.
 
+A row step computes in buffers of nx + 1 columns kept for the whole run (two
+sets of E, N, rho that take turns as the row read and the row written, the
+two trapezoids, scratch) through in-place ufuncs.  Every product keeps the
+operand order of the formula, N enters its products cast to complex once per
+row as NumPy's mixed multiply would cast it, and each running sum is
+np.add.accumulate, the sequential sum np.cumsum makes; so the arithmetic,
+its order and every bit are those of the plain expressions.
+
 Row u + 1 covers the columns j <= min(nx, nt - u - 1) (t <= t_max), and the
 store keeps no more: the nodes (u, j) = (tau/h, x/h) of its box u = u0 .. u1,
 j = j0 .. j1 with t-level i = u + j <= nt.  They lie in grid.bin's order: by
 t-level, level i holding the columns jlo(i) = max(j0, i - u1) .. min(j1,
 i - u0) in turn, each node one packed record (E_re, E_im, N, rho_re, rho_im)
 of which E, N and rho are strided views; SimGrid.at is the one accessor.
+The march writes row u = u0 + r through its offsets level_start[r + c] + c,
+one slice of a vector built once per run, wherever its columns c stay within
+u1 - u, as on every row of a whole run; other rows use SimGrid._row.
 Without probes, u = -2 .. nt (two trivial pad rows, then the initial data
 u = 0) and j = 0 .. nx, so t-level i >= 0 stores the columns j <= i + 2 and
 the columns past them are causal and trivial.  Given probes, (u, j) spans the
@@ -299,14 +310,15 @@ def _cubic_weights(f: float) -> np.ndarray:
                      a * b * c / 6.0])
 
 
-def _trapezoid(e1: complex, r: np.ndarray, half_h: float) -> np.ndarray:
-    """E along a row from its boundary value e1 and E_x = r: the cumulative
-    trapezoid."""
-    f = np.empty(r.size, dtype=complex)
+def _trapezoid(f: np.ndarray, e1: complex, r: np.ndarray,
+               half_h: float) -> None:
+    """E along a row from its boundary value e1 and E_x = r, written into f:
+    the cumulative trapezoid."""
     f[0] = e1
-    np.add(r[:-1], r[1:], out=f[1:])
-    f[1:] *= half_h
-    return np.cumsum(f, out=f)
+    g = f[1:]
+    np.add(r[:-1], r[1:], g)
+    g *= half_h
+    np.add.accumulate(f, 0, None, f)
 
 
 def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
@@ -332,15 +344,27 @@ def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
     if h > 0.02 * min(1.0, T):
         raise CFLViolation(f"h = {h} exceeds 0.02*min(1, T) = {0.02 * min(1.0, T)}")
     grid = SimGrid(pulse, h, t_max, x_max, probes)
-    nt, nx, u0, j0 = grid.nt, grid.nx, grid.u0, grid.j0
+    nt, nx, u0, j0, j1 = grid.nt, grid.nx, grid.u0, grid.j0, grid.j1
+    span = grid.u1 - u0
     half_h = 0.5 * h
-    # row u = 0: the initial data, left limits at tau = 0
-    E, N, rho = (np.zeros(nx + 1, dtype=complex), np.ones(nx + 1),
-                 np.zeros(nx + 1, dtype=complex))
     rows = max(0, grid.u1)
     # pulse() returns left limits at interior jump times (closed support),
     # the stored-value convention
-    e1s = pulse(np.arange(1, rows + 1) * h)
+    e1s = pulse(np.arange(1, rows + 1) * h).tolist()
+    # row r's store offsets are level_start[r + c] + c = lsp[r + c] - r
+    # wherever min(c, u1 - u) is c: on every row of a whole run
+    lsp = grid.level_start[:-1] + np.arange(grid.level_start.size - 1)
+
+    # buffers of nx + 1 columns, each row using its first m: two sets
+    # (E, N, rho) that take turns as the row read and the row written, and
+    # scratch.  nc holds N0, then N_s, cast to complex, the operand NumPy's
+    # float-by-complex multiply makes anyway.
+    w = nx + 1
+    # row u = 0: the initial data, left limits at tau = 0
+    cur = (np.zeros(w, dtype=complex), np.ones(w), np.zeros(w, dtype=complex))
+    nxt = (np.empty(w, dtype=complex), np.empty(w), np.empty(w, dtype=complex))
+    (rho_nb, Ecb, k1rb, rho_sb, ncb, cb), (k1nb, N_sb) = (
+        np.empty((6, w), dtype=complex), np.empty((2, w)))
 
     cons_defect = 0.0
     defect_tx = None
@@ -349,33 +373,61 @@ def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
     for u in range(rows):
         m = min(nx, nt - u - 1) + 1     # columns of row u + 1
         e1 = e1s[u]
-        E0 = E[:m]
+        E0, N0, rho0 = cur[0][:m], cur[1][:m], cur[2][:m]
         if u in grid.jump_rows:
             E0 = E0 + grid.jump_rows[u]
-        N0 = N[:m]
-        rho0 = rho[:m]
+        E, N, rho = nxt[0][:m], nxt[1][:m], nxt[2][:m]
+        rho_n, Ec, k1r, rho_s, nc, c = (rho_nb[:m], Ecb[:m], k1rb[:m],
+                                        rho_sb[:m], ncb[:m], cb[:m])
+        k1n, N_s = k1nb[:m], N_sb[:m]
 
-        k1r = N0 * E0
-        k1n = -(np.conj(E0) * rho0).real
-        rho_s = rho0 + h * k1r
-        N_s = N0 + h * k1n
-        rho_n = rho0 + half_h * (k1r + N_s * _trapezoid(e1, rho_s, half_h))
-        Ec = _trapezoid(e1, rho_n, half_h)
+        # each product keeps its operands in the order of the formula: a
+        # complex multiply on FMA hardware is not commutative in its last bit
+        nc[:] = N0
+        np.multiply(nc, E0, k1r)                    # k1r = N0 E0
+        np.conjugate(E0, c)
+        c *= rho0
+        np.negative(c.real, k1n)                    # k1n = -Re(conj(E0) rho0)
+        np.multiply(h, k1r, rho_s)
+        rho_s += rho0                               # rho_s = rho0 + h k1r
+        np.multiply(h, k1n, N_s)
+        N_s += N0                                   # N_s = N0 + h k1n
+        nc[:] = N_s
+        _trapezoid(rho_n, e1, rho_s, half_h)
+        np.multiply(nc, rho_n, rho_n)
+        rho_n += k1r
+        np.multiply(half_h, rho_n, rho_n)
+        rho_n += rho0               # rho_n = rho0 + h/2 (k1r + N_s E(rho_s))
+        _trapezoid(Ec, e1, rho_n, half_h)
         # single coupling sweep: medium re-driven by the corrected field
-        rho = rho0 + half_h * (k1r + N_s * Ec)
-        N = N0 + half_h * (k1n - (np.conj(Ec) * rho_s).real)
-        E = _trapezoid(e1, rho, half_h)
+        np.multiply(nc, Ec, rho)
+        rho += k1r
+        np.multiply(half_h, rho, rho)
+        rho += rho0                 # rho = rho0 + h/2 (k1r + N_s Ec)
+        np.conjugate(Ec, c)
+        c *= rho_s
+        np.subtract(k1n, c.real, N)
+        np.multiply(half_h, N, N)
+        N += N0                     # N = N0 + h/2 (k1n - Re(conj(Ec) rho_s))
+        _trapezoid(E, e1, rho, half_h)
 
         r = u + 1 - u0
         if r >= 0:
-            k = grid._row(r)
-            grid.E[k] = E[j0:j0 + k.size]
-            grid.N[k] = N[j0:j0 + k.size]
-            grid.rho[k] = rho[j0:j0 + k.size]
+            n = max(min(j1, nt - u - 1) - j0 + 1, 0)
+            k = lsp[r:r + n] - r if n - 1 <= span - r else grid._row(r)
+            grid.E[k] = E[j0:j0 + n]
+            grid.N[k] = N[j0:j0 + n]
+            grid.rho[k] = rho[j0:j0 + n]
         updates += m
 
-        defect = np.abs(N * N + np.abs(rho) ** 2 - 1.0)
-        worst = int(np.argmax(defect))       # the first NaN, if any
+        defect, a = N_s, k1n
+        np.multiply(N, N, defect)
+        np.abs(rho, a)
+        a *= a
+        defect += a
+        defect -= 1.0
+        np.abs(defect, defect)      # |N^2 + |rho|^2 - 1|
+        worst = int(defect.argmax())         # the first NaN, if any
         if not defect[worst] <= cons_defect:
             cons_defect = float(defect[worst])
             defect_tx = ((u + 1 + worst) * h, worst * h)
@@ -384,6 +436,7 @@ def simulate(pulse: Pulse, t_max: float, x_max: float, h: float,
                     f"Bloch defect {cons_defect:.3e} at (t, x) = "
                     f"({defect_tx[0]:.4f}, {defect_tx[1]:.4f}) "
                     f"exceeds the guard {nonphysical_tol:.1e}")
+        cur, nxt = nxt, cur
 
     # the stored rows tau <= 0 are never marched and must stay trivial
     pre = grid.nodes[np.concatenate(

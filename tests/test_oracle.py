@@ -538,15 +538,44 @@ def test_nonphysical_guard_trips_on_nan():
         simulate(_NaNPastHalf(1.0, 1.0), 2.0, 2.0, 0.01, nonphysical_tol=1e-2)
 
 
-@pytest.mark.parametrize("probes", [None, _STRIP_PROBES + [(0.7, 0.0)]],
-                         ids=["whole", "window"])
+def _offset_branches(grid):
+    """Marched rows u whose store offsets are one slice of level_start (every
+    column offset c <= u1 - u), and marched rows that need min(c, u1 - u)."""
+    sliced = clipped = 0
+    for u in range(max(grid.u0, 1), grid.u1 + 1):
+        if min(grid.j1, grid.nt - u) - grid.j0 <= grid.u1 - u:
+            sliced += 1
+        else:
+            clipped += 1
+    return sliced, clipped
+
+
+# (probes, t_max, x_max, marched rows through each offset branch): a whole
+# run, a wide window, a narrow window across the box's jump row u = 100, and
+# whole runs with rows shorter than their buffers (wide), with more rows
+# than columns (tall) and of one column
+_MARCHES = {
+    "whole": (None, 5.0, 4.0, (500, 0)),
+    "window": (_STRIP_PROBES + [(0.7, 0.0)], 5.0, 4.0, (0, 61)),
+    "narrow-window": ([(1.2, 0.5), (3.0, 0.5), (4.0, 0.55)], 5.0, 4.0,
+                      (271, 8)),
+    "wide": (None, 3.0, 5.0, (300, 0)),
+    "tall": (None, 6.0, 1.5, (600, 0)),
+    "one-column": (None, 4.0, 0.0, (400, 0)),
+}
+
+
+@pytest.mark.parametrize("probes, t_max, x_max, branches",
+                         _MARCHES.values(), ids=_MARCHES.keys())
 @pytest.mark.parametrize("pulse", [BoxPulse(1.0, 1.0),
                                    SmoothBumpPulse(1.0, 2.0, 1.0)],
                          ids=["box", "bump"])
-def test_march_matches_the_reference_bit_for_bit(pulse, probes):
+def test_march_matches_the_reference_bit_for_bit(pulse, probes, t_max, x_max,
+                                                 branches):
     # the box's jump rows u = 0 and 100 lie on the grid
-    g = simulate(pulse, t_max=5.0, x_max=4.0, h=0.01, probes=probes)
-    ref, inv = _reference_march(pulse, 5.0, 4.0, 0.01, g.u1, 1e-4)
+    g = simulate(pulse, t_max=t_max, x_max=x_max, h=0.01, probes=probes)
+    assert _offset_branches(g) == branches
+    ref, inv = _reference_march(pulse, t_max, x_max, 0.01, g.u1, 1e-4)
     assert g.invariants == inv
     r, c = _stored_nodes(g)
     assert r.size == g.E.size
